@@ -1,15 +1,9 @@
 #include "fleet/fleet_proxy.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -17,7 +11,6 @@
 #include "common/stable_hash.h"
 #include "net/line_reader.h"
 #include "net/protocol.h"
-#include "net/request_reader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,73 +18,25 @@ namespace rcj {
 namespace fleet {
 namespace {
 
-std::string Errno(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-/// Registry mirrors of the proxy's outcome counters, plus the fleet-only
-/// signals: responses actually read from backends (the counter the CI
-/// smoke reconciles against the backends' admission ledgers), replayed
-/// pairs skipped on failover, and the backoff-delay histogram.
+/// Registry metrics beyond the proxy's outcome counters: responses
+/// actually read from backends (the counter the CI smoke reconciles against
+/// the backends' admission ledgers), replayed pairs skipped on failover,
+/// mutations replayed by catch-up, and the backoff-delay histogram.
 struct ProxyMetrics {
-  obs::Counter* connections;
-  obs::Counter* queries;
-  obs::Counter* ok;
-  obs::Counter* rejected;
-  obs::Counter* shed;
-  obs::Counter* failed;
-  obs::Counter* cancelled;
-  obs::Counter* retries;
-  obs::Counter* failovers;
-  obs::Counter* backoffs;
-  obs::Counter* stats;
-  obs::Counter* mutations;
-  obs::Counter* metrics_scrapes;
   obs::Counter* forwarded;
   obs::Counter* replay_skipped_pairs;
-  obs::Counter* stats_backends_skipped;
-  obs::Counter* expired;
-  obs::Counter* epoch_probes;
-  obs::Counter* catchups;
-  obs::Counter* catchup_failures;
   obs::Counter* catchup_replayed;
-  obs::Counter* excluded_skips;
-  obs::Counter* relay_exclusions;
   obs::Histogram* backoff_seconds;
 
   static const ProxyMetrics& Get() {
     static const ProxyMetrics metrics = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
       ProxyMetrics m;
-      m.connections = registry.counter("rcj_proxy_connections_total");
-      m.queries = registry.counter("rcj_proxy_queries_total");
-      m.ok = registry.counter("rcj_proxy_ok_total");
-      m.rejected = registry.counter("rcj_proxy_rejected_total");
-      m.shed = registry.counter("rcj_proxy_shed_total");
-      m.failed = registry.counter("rcj_proxy_failed_total");
-      m.cancelled = registry.counter("rcj_proxy_cancelled_total");
-      m.retries = registry.counter("rcj_proxy_retries_total");
-      m.failovers = registry.counter("rcj_proxy_failovers_total");
-      m.backoffs = registry.counter("rcj_proxy_backoffs_total");
-      m.stats = registry.counter("rcj_proxy_stats_total");
-      m.mutations = registry.counter("rcj_proxy_mutations_total");
-      m.metrics_scrapes = registry.counter("rcj_proxy_metrics_total");
       m.forwarded = registry.counter("rcj_proxy_forwarded_total");
       m.replay_skipped_pairs =
           registry.counter("rcj_proxy_replay_skipped_pairs_total");
-      m.stats_backends_skipped =
-          registry.counter("rcj_proxy_stats_backends_skipped_total");
-      m.expired = registry.counter("rcj_proxy_expired_total");
-      m.epoch_probes = registry.counter("rcj_proxy_epoch_probes_total");
-      m.catchups = registry.counter("rcj_proxy_catchups_total");
-      m.catchup_failures =
-          registry.counter("rcj_proxy_catchup_failures_total");
       m.catchup_replayed =
           registry.counter("rcj_proxy_catchup_replayed_total");
-      m.excluded_skips =
-          registry.counter("rcj_proxy_excluded_skips_total");
-      m.relay_exclusions =
-          registry.counter("rcj_proxy_relay_exclusions_total");
       m.backoff_seconds = registry.histogram("rcj_proxy_backoff_seconds");
       return m;
     }();
@@ -123,11 +68,22 @@ bool IsEndLine(const std::string& line) {
 
 }  // namespace
 
+struct FleetProxy::Connection : net::LineServer::Connection {
+  using net::LineServer::Connection::Connection;
+
+  /// fd of the in-flight backend relay, if any (guarded by `mu`).
+  int backend_fd = -1;
+  /// Pooled backend conversations held across a mutation batch, indexed
+  /// like the pool (handler thread only).
+  std::vector<std::unique_ptr<net::ProtocolClient>> held;
+};
+
 FleetProxy::FleetProxy(std::vector<BackendAddress> backends,
                        FleetProxyOptions options)
     : options_(std::move(options)),
       pool_(std::move(backends), options_.pool),
-      excluded_(pool_.size()) {
+      excluded_(pool_.size()),
+      server_(options_, MakeTier()) {
   // vector<atomic> default-constructs its elements; make the initial
   // state explicit rather than relying on zero-initialization.
   for (std::atomic<bool>& flag : excluded_) {
@@ -137,91 +93,67 @@ FleetProxy::FleetProxy(std::vector<BackendAddress> backends,
 
 FleetProxy::~FleetProxy() { Stop(); }
 
+net::LineServer::Tier FleetProxy::MakeTier() {
+  net::LineServer::Tier tier;
+  tier.adopt = [this](int fd) {
+    connections_.Add();
+    return std::make_shared<Connection>(fd);
+  };
+  tier.verbs["STATS"] = [this](net::LineServer::Connection* connection,
+                               const std::string& line) {
+    HandleStats(static_cast<Connection*>(connection), line);
+  };
+  tier.fallback = [this](net::LineServer::Connection* connection,
+                         const std::string& line) {
+    HandleQuery(static_cast<Connection*>(connection), line);
+  };
+  tier.mutate = [this](net::LineServer::Connection* base,
+                       const std::string& line) {
+    Connection* connection = static_cast<Connection*>(base);
+    if (connection->held.empty()) connection->held.resize(pool_.size());
+    std::string reply;
+    const bool applied = RelayMutation(connection, line, &reply);
+    return FlushToClient(connection, &reply) && applied;
+  };
+  tier.send = [this](net::LineServer::Connection* connection,
+                     const std::string& frames) {
+    std::string out = frames;
+    return FlushToClient(static_cast<Connection*>(connection), &out);
+  };
+  tier.unblock = [this](net::LineServer::Connection* base) {
+    // Shutting the backend socket down makes a blocking relay return at
+    // once; a handler sleeping between retry cycles is woken too.
+    Connection* connection = static_cast<Connection*>(base);
+    if (connection->backend_fd >= 0) {
+      shutdown(connection->backend_fd, SHUT_RDWR);
+    }
+    {
+      std::lock_guard<std::mutex> lock(sleep_mu_);
+    }
+    sleep_cv_.notify_all();
+  };
+  tier.finish = [this](net::LineServer::Connection* base) {
+    // Park the still-healthy batch conversations for the next batch.
+    Connection* connection = static_cast<Connection*>(base);
+    for (size_t index = 0; index < connection->held.size(); ++index) {
+      if (connection->held[index]) {
+        pool_.Release(index, std::move(*connection->held[index]));
+      }
+    }
+  };
+  tier.rejected = &rejected_;
+  tier.metrics = &metrics_;
+  return tier;
+}
+
 Status FleetProxy::Start() {
   if (pool_.size() == 0) {
     return Status::InvalidArgument("fleet proxy needs at least one backend");
   }
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::IoError(Errno("socket"));
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-           sizeof(addr)) != 0) {
-    const Status status = Status::IoError(Errno("bind"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (listen(listen_fd_, options_.backlog) != 0) {
-    const Status status = Status::IoError(Errno("listen"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  &addr_len) != 0) {
-    const Status status = Status::IoError(Errno("getsockname"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  port_ = ntohs(addr.sin_port);
-
-  stop_.store(false, std::memory_order_relaxed);
-  started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return server_.Start();
 }
 
-void FleetProxy::Stop() {
-  if (!started_) return;
-  stop_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-  }
-  sleep_cv_.notify_all();
-  accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
-
-  // Unblock every relay: shutting both sockets down makes any blocking
-  // recv/send in the handler return immediately.
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections = connections_;
-  }
-  for (const std::shared_ptr<Connection>& connection : connections) {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    if (connection->client_fd >= 0) {
-      shutdown(connection->client_fd, SHUT_RDWR);
-    }
-    if (connection->backend_fd >= 0) {
-      shutdown(connection->backend_fd, SHUT_RDWR);
-    }
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(threads_);
-    connections_.clear();
-  }
-  for (std::thread& thread : threads) thread.join();
-  started_ = false;
-}
+void FleetProxy::Stop() { server_.Stop(); }
 
 std::vector<size_t> FleetProxy::ReplicaSet(
     const std::string& env_name) const {
@@ -240,31 +172,26 @@ std::vector<size_t> FleetProxy::ReplicaSet(
 
 FleetProxy::Counters FleetProxy::counters() const {
   Counters counters;
-  counters.connections = connections_count_.load(std::memory_order_relaxed);
-  counters.queries = queries_count_.load(std::memory_order_relaxed);
-  counters.ok = ok_count_.load(std::memory_order_relaxed);
-  counters.rejected = rejected_count_.load(std::memory_order_relaxed);
-  counters.shed = shed_count_.load(std::memory_order_relaxed);
-  counters.failed = failed_count_.load(std::memory_order_relaxed);
-  counters.cancelled = cancelled_count_.load(std::memory_order_relaxed);
-  counters.retries = retries_count_.load(std::memory_order_relaxed);
-  counters.failovers = failovers_count_.load(std::memory_order_relaxed);
-  counters.backoffs = backoffs_count_.load(std::memory_order_relaxed);
-  counters.stats = stats_count_.load(std::memory_order_relaxed);
-  counters.mutations = mutations_count_.load(std::memory_order_relaxed);
-  counters.stats_backends_skipped =
-      stats_backends_skipped_count_.load(std::memory_order_relaxed);
-  counters.metrics = metrics_count_.load(std::memory_order_relaxed);
-  counters.expired = expired_count_.load(std::memory_order_relaxed);
-  counters.epoch_probes =
-      epoch_probes_count_.load(std::memory_order_relaxed);
-  counters.catchups = catchups_count_.load(std::memory_order_relaxed);
-  counters.catchup_failures =
-      catchup_failures_count_.load(std::memory_order_relaxed);
-  counters.excluded_skips =
-      excluded_skips_count_.load(std::memory_order_relaxed);
-  counters.relay_exclusions =
-      relay_exclusions_count_.load(std::memory_order_relaxed);
+  counters.connections = connections_.value();
+  counters.queries = queries_.value();
+  counters.ok = ok_.value();
+  counters.rejected = rejected_.value();
+  counters.shed = shed_.value();
+  counters.failed = failed_.value();
+  counters.cancelled = cancelled_.value();
+  counters.retries = retries_.value();
+  counters.failovers = failovers_.value();
+  counters.backoffs = backoffs_.value();
+  counters.stats = stats_.value();
+  counters.mutations = mutations_.value();
+  counters.stats_backends_skipped = stats_backends_skipped_.value();
+  counters.metrics = metrics_.value();
+  counters.expired = expired_.value();
+  counters.epoch_probes = epoch_probes_.value();
+  counters.catchups = catchups_.value();
+  counters.catchup_failures = catchup_failures_.value();
+  counters.excluded_skips = excluded_skips_.value();
+  counters.relay_exclusions = relay_exclusions_.value();
   return counters;
 }
 
@@ -278,57 +205,6 @@ bool FleetProxy::excluded(size_t index) const {
          excluded_[index].load(std::memory_order_relaxed);
 }
 
-void FleetProxy::ReapFinishedConnections() {
-  std::vector<std::thread> finished;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t i = 0;
-    while (i < connections_.size()) {
-      if (connections_[i]->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(threads_[i]));
-        connections_[i] = std::move(connections_.back());
-        connections_.pop_back();
-        threads_[i] = std::move(threads_.back());
-        threads_.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (std::thread& thread : finished) thread.join();
-}
-
-void FleetProxy::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    ReapFinishedConnections();
-    bool saturated;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      saturated = connections_.size() >= options_.max_connections;
-    }
-    if (saturated) {
-      poll(nullptr, 0, 20);
-      continue;
-    }
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    connections_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().connections->Add();
-    auto connection = std::make_shared<Connection>();
-    connection->client_fd = fd;
-    std::lock_guard<std::mutex> lock(mu_);
-    connections_.push_back(connection);
-    threads_.emplace_back(
-        [this, connection] { HandleConnection(connection.get()); });
-  }
-}
-
 void FleetProxy::SetBackendFd(Connection* connection, int fd) {
   std::lock_guard<std::mutex> lock(connection->mu);
   connection->backend_fd = fd;
@@ -339,7 +215,7 @@ bool FleetProxy::FlushToClient(Connection* connection, std::string* out) {
   int fd;
   {
     std::lock_guard<std::mutex> lock(connection->mu);
-    fd = connection->client_fd;
+    fd = connection->fd;
   }
   if (fd < 0) {
     out->clear();
@@ -351,8 +227,7 @@ bool FleetProxy::FlushToClient(Connection* connection, std::string* out) {
 }
 
 void FleetProxy::Backoff(uint64_t ms) {
-  backoffs_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().backoffs->Add();
+  backoffs_.Add();
   ProxyMetrics::Get().backoff_seconds->Observe(
       static_cast<double>(ms) / 1000.0);
   if (options_.sleep_fn) {
@@ -361,56 +236,21 @@ void FleetProxy::Backoff(uint64_t ms) {
   }
   std::unique_lock<std::mutex> lock(sleep_mu_);
   sleep_cv_.wait_for(lock, std::chrono::milliseconds(ms), [this] {
-    return stop_.load(std::memory_order_relaxed);
+    return server_.stopping();
   });
-}
-
-void FleetProxy::HandleConnection(Connection* connection) {
-  const int fd = connection->client_fd;
-  const net::RequestReadOptions read_options{options_.max_request_bytes,
-                                             options_.request_timeout_ms};
-  std::string carry;
-  std::string line;
-  Status status =
-      net::ReadRequestLine(fd, read_options, &stop_, &carry, &line);
-  if (!status.ok()) {
-    rejected_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().rejected->Add();
-    std::string err = net::FormatErrLine(status) + "\n";
-    FlushToClient(connection, &err);
-  } else if (net::IsStatsRequestLine(line)) {
-    HandleStats(connection);
-  } else if (net::IsMetricsRequestLine(line)) {
-    HandleMetrics(connection);
-  } else if (net::IsMutationRequestLine(line)) {
-    HandleMutations(connection, std::move(line), &carry);
-  } else {
-    HandleQuery(connection, line);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    close(fd);
-    connection->client_fd = -1;
-  }
-  connection->done.store(true, std::memory_order_release);
 }
 
 void FleetProxy::HandleQuery(Connection* connection,
                              const std::string& line) {
   net::WireRequest request;
-  Status parse = net::ParseRequestLine(line, &request);
-  std::string out;
+  const Status parse = net::ParseRequestLine(line, &request);
   if (!parse.ok()) {
     // Reject malformed requests at the edge — no backend ever sees them.
-    rejected_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().rejected->Add();
-    out = net::FormatErrLine(parse) + "\n";
-    FlushToClient(connection, &out);
+    server_.Reject(connection, parse);
     return;
   }
-  queries_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().queries->Add();
+  queries_.Add();
+  std::string out;
 
   // The client's relative budget is anchored once, here: retries, dials,
   // and backoffs below all spend from this single deadline, and each
@@ -419,21 +259,22 @@ void FleetProxy::HandleQuery(Connection* connection,
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(request.deadline_ms);
+  const auto remaining_ms = [&deadline] {
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now())
+            .count();
+    return remaining > 0 ? static_cast<uint64_t>(remaining) : 0;
+  };
 
   // A traced query is stitched: the proxy mints (or adopts) the trace id
   // and forwards it on the backend's QUERY line, so the backend's TRACE
   // lines carry the same id and can be relayed verbatim; the proxy's own
   // proxy.* spans join them under one combined ENDTRACE.
   std::unique_ptr<obs::TraceContext> trace;
-  std::string forward_line = line;
   if (request.trace) {
     trace = std::make_unique<obs::TraceContext>(request.trace_id);
-    if (request.trace_id.empty()) {
-      forward_line += " trace_id=" + trace->id();
-      // Keep the parsed request in sync: deadline-bearing attempts are
-      // re-serialized from it below and must carry the same id.
-      request.trace_id = trace->id();
-    }
+    request.trace_id = trace->id();
   }
 
   const std::vector<size_t> replicas = ReplicaSet(request.env_name);
@@ -483,7 +324,7 @@ void FleetProxy::HandleQuery(Connection* connection,
   slow_guard.env = request.env_name;
 
   for (size_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (stop_.load(std::memory_order_relaxed)) break;
+    if (server_.stopping()) break;
     if (has_deadline &&
         std::chrono::steady_clock::now() >= deadline) {
       last_error = Status::DeadlineExceeded(
@@ -496,33 +337,21 @@ void FleetProxy::HandleQuery(Connection* connection,
       // — but never sleep past the client's deadline; the budget is
       // better spent reporting DeadlineExceeded promptly.
       uint64_t delay_ms = schedule.NextDelayMs();
-      if (has_deadline) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now())
-                .count();
-        delay_ms = std::min<uint64_t>(
-            delay_ms,
-            remaining > 0 ? static_cast<uint64_t>(remaining) : 0);
-      }
+      if (has_deadline) delay_ms = std::min(delay_ms, remaining_ms());
       const auto backoff_start = obs::TraceClock::now();
       Backoff(delay_ms);
       if (trace != nullptr) {
         trace->Record("proxy.backoff", 1, backoff_start,
                       obs::TraceClock::now());
       }
-      if (stop_.load(std::memory_order_relaxed)) break;
+      if (server_.stopping()) break;
     }
-    if (attempt > 0) {
-      retries_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().retries->Add();
-    }
+    if (attempt > 0) retries_.Add();
     const size_t backend = replicas[attempt % replicas.size()];
     if (excluded_[backend].load(std::memory_order_relaxed)) {
       // The replica is respawning / catching up: it is not allowed to
       // serve reads until its epochs match the primary's again.
-      excluded_skips_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().excluded_skips->Add();
+      excluded_skips_.Add();
       last_error = Status::IoError(
           "backend " + std::to_string(backend) +
           " is excluded pending catch-up");
@@ -531,19 +360,13 @@ void FleetProxy::HandleQuery(Connection* connection,
     const std::string backend_name =
         BackendAddressToString(pool_.address(backend));
 
-    // Deadline-bearing attempts re-serialize the request so the backend
-    // sees only the *remaining* budget — its own admission and engine
-    // checks then enforce the same end-to-end deadline.
-    std::string attempt_line = forward_line;
+    // Every attempt forwards the request re-serialized, so a deadline
+    // carries only the *remaining* budget — the backend's own admission
+    // and engine checks then enforce the same end-to-end deadline.
     if (has_deadline) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      request.deadline_ms =
-          remaining > 0 ? static_cast<uint64_t>(remaining) : 1;
-      attempt_line = net::FormatRequestLine(request);
+      request.deadline_ms = std::max<uint64_t>(remaining_ms(), 1);
     }
+    const std::string attempt_line = net::FormatRequestLine(request);
 
     BackendAttemptCounter(backend)->Add();
     const Status dial_fp = RINGJOIN_FAILPOINT("backend_dial");
@@ -589,16 +412,14 @@ void FleetProxy::HandleQuery(Connection* connection,
         // The backend shed the query because the (forwarded, remaining)
         // budget ran out — another replica would expire the same way, so
         // this is final, not a failover.
-        expired_count_.fetch_add(1, std::memory_order_relaxed);
-        ProxyMetrics::Get().expired->Add();
+        expired_.Add();
         out.append(resp).push_back('\n');
         FlushToClient(connection, &out);
         return;
       }
       // A definitive rejection (unknown env, bad spec the proxy's laxer
       // knowledge let through): relay verbatim, conversation over.
-      rejected_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().rejected->Add();
+      rejected_.Add();
       out.append(resp).push_back('\n');
       FlushToClient(connection, &out);
       return;
@@ -607,33 +428,26 @@ void FleetProxy::HandleQuery(Connection* connection,
       ok_sent = true;
       out.append("OK\n");
       if (!FlushToClient(connection, &out)) {
-        cancelled_count_.fetch_add(1, std::memory_order_relaxed);
-        ProxyMetrics::Get().cancelled->Add();
+        cancelled_.Add();
         SetBackendFd(connection, -1);
         return;
       }
     }
-    if (resuming) {
-      failovers_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().failovers->Add();
-    }
+    if (resuming) failovers_.Add();
 
     uint64_t seen = 0;  // pairs observed from THIS backend's stream
-    bool stream_lost = false;
     for (;;) {
       const Status relay_fp = RINGJOIN_FAILPOINT("relay_midstream");
       if (!relay_fp.ok()) {
         // Chaos seam: drop the backend conversation mid-stream, exactly
         // like a relay whose peer died — exercising the failover replay.
         last_error = relay_fp;
-        stream_lost = true;
         break;
       }
       if (!conn.ReadLine(&resp)) {
         last_error = Status::IoError(
             "backend " + backend_name + " lost mid-stream after " +
             std::to_string(seen) + " pairs");
-        stream_lost = true;
         break;
       }
       if (IsPairLine(resp)) {
@@ -642,8 +456,7 @@ void FleetProxy::HandleQuery(Connection* connection,
           if (forwarded[seen] != hash) {
             // The replica's deterministic stream does not match what was
             // already relayed — splicing would corrupt the client stream.
-            failed_count_.fetch_add(1, std::memory_order_relaxed);
-            ProxyMetrics::Get().failed->Add();
+            failed_.Add();
             out = net::FormatErrLine(Status::Corruption(
                       "replica streams diverged at pair " +
                       std::to_string(seen))) +
@@ -661,8 +474,7 @@ void FleetProxy::HandleQuery(Connection* connection,
         out.append(resp).push_back('\n');
         if (out.size() >= kFlushThresholdBytes &&
             !FlushToClient(connection, &out)) {
-          cancelled_count_.fetch_add(1, std::memory_order_relaxed);
-          ProxyMetrics::Get().cancelled->Add();
+          cancelled_.Add();
           SetBackendFd(connection, -1);
           return;
         }
@@ -671,8 +483,7 @@ void FleetProxy::HandleQuery(Connection* connection,
       if (IsEndLine(resp) && seen < forwarded.size()) {
         // The replica finished short of the already-relayed prefix:
         // divergence again, not a relayable END.
-        failed_count_.fetch_add(1, std::memory_order_relaxed);
-        ProxyMetrics::Get().failed->Add();
+        failed_.Add();
         out = net::FormatErrLine(Status::Corruption(
                   "replica stream ended at pair " + std::to_string(seen) +
                   " short of the " + std::to_string(forwarded.size()) +
@@ -704,38 +515,19 @@ void FleetProxy::HandleQuery(Connection* connection,
           ++relayed_spans;
         }
         trace->Record("proxy", 0, trace->start_time(), obs::TraceClock::now());
-        const std::vector<obs::TraceSpan> spans = trace->Spans();
-        for (const obs::TraceSpan& span : spans) {
-          net::WireTraceSpan wire;
-          wire.id = trace->id();
-          wire.depth = static_cast<uint64_t>(span.depth);
-          wire.span = span.name;
-          wire.count = span.count;
-          wire.total_s = span.total_seconds;
-          wire.start_s = span.start_seconds;
-          out.append(net::FormatTraceLine(wire)).push_back('\n');
-        }
-        out.append(
-               net::FormatTraceEndLine(trace->id(), relayed_spans + spans.size()))
-            .push_back('\n');
+        out += net::FormatTraceBlock(*trace, relayed_spans);
       }
-      if (FlushToClient(connection, &out)) {
-        if (is_end) {
-          ok_count_.fetch_add(1, std::memory_order_relaxed);
-          ProxyMetrics::Get().ok->Add();
-        } else {
-          failed_count_.fetch_add(1, std::memory_order_relaxed);
-          ProxyMetrics::Get().failed->Add();
-        }
+      if (!FlushToClient(connection, &out)) {
+        cancelled_.Add();
+      } else if (is_end) {
+        ok_.Add();
       } else {
-        cancelled_count_.fetch_add(1, std::memory_order_relaxed);
-        ProxyMetrics::Get().cancelled->Add();
+        failed_.Add();
       }
       SetBackendFd(connection, -1);
       return;
     }
-    SetBackendFd(connection, -1);
-    if (!stream_lost) return;  // unreachable today; defensive
+    SetBackendFd(connection, -1);  // the stream was lost: try the next one
   }
 
   // Retry budget exhausted (or shutdown): report the last failure. The
@@ -749,20 +541,22 @@ void FleetProxy::HandleQuery(Connection* connection,
         last_error.message());
   }
   if (last_error.code() == StatusCode::kOverloaded) {
-    shed_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().shed->Add();
+    shed_.Add();
   } else if (last_error.code() == StatusCode::kDeadlineExceeded) {
-    expired_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().expired->Add();
+    expired_.Add();
   } else {
-    failed_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().failed->Add();
+    failed_.Add();
   }
   out.append(net::FormatErrLine(last_error)).push_back('\n');
   FlushToClient(connection, &out);
 }
 
-void FleetProxy::HandleStats(Connection* connection) {
+void FleetProxy::HandleStats(Connection* connection, const std::string& line) {
+  if (!net::IsStatsRequestLine(line)) {
+    server_.Reject(connection,
+                   Status::InvalidArgument("STATS takes no fields"));
+    return;
+  }
   // Fan out to every backend; renumber each backend's shard indices by
   // the running total so the fleet view is one flat shard space, and sum
   // the ENDSTATS totals. Per-backend ledgers each satisfy
@@ -773,11 +567,10 @@ void FleetProxy::HandleStats(Connection* connection) {
   uint64_t total_shards = 0;
   uint64_t total_envs = 0;
   for (size_t index = 0; index < pool_.size(); ++index) {
-    if (stop_.load(std::memory_order_relaxed)) break;
+    if (server_.stopping()) break;
     Result<net::ProtocolClient> dialed = pool_.Dial(index);
     if (!dialed.ok()) {
-      stats_backends_skipped_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().stats_backends_skipped->Add();
+      stats_backends_skipped_.Add();
       continue;
     }
     net::ProtocolClient conn = std::move(dialed).value();
@@ -787,8 +580,7 @@ void FleetProxy::HandleStats(Connection* connection) {
     const Status status = conn.Stats(&shards, &envs);
     SetBackendFd(connection, -1);
     if (!status.ok()) {
-      stats_backends_skipped_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().stats_backends_skipped->Add();
+      stats_backends_skipped_.Add();
       continue;
     }
     for (net::WireShardStats& shard : shards) {
@@ -802,8 +594,7 @@ void FleetProxy::HandleStats(Connection* connection) {
     total_shards += shards.size();
     total_envs += envs.size();
   }
-  stats_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().stats->Add();
+  stats_.Add();
   std::string out = "OK\n";
   out += shard_rows;
   out += env_rows;
@@ -811,33 +602,12 @@ void FleetProxy::HandleStats(Connection* connection) {
   FlushToClient(connection, &out);
 }
 
-void FleetProxy::HandleMetrics(Connection* connection) {
-  metrics_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().metrics_scrapes->Add();
-  // The proxy's registry only — a fleet operator scrapes backends
-  // directly (their ports are in the supervisor's log). The exposition is
-  // newline-terminated per line, so the line count is the '\n' count.
-  const std::string exposition =
-      obs::MetricsRegistry::Default().RenderPrometheus();
-  uint64_t lines = 0;
-  for (const char c : exposition) {
-    if (c == '\n') ++lines;
-  }
-  std::string out = "OK\n";
-  out += exposition;
-  out += net::FormatMetricsEndLine(lines) + "\n";
-  FlushToClient(connection, &out);
-}
-
-bool FleetProxy::RelayMutation(
-    Connection* connection, const std::string& line,
-    std::vector<std::unique_ptr<net::ProtocolClient>>* held,
-    std::string* reply) {
+bool FleetProxy::RelayMutation(Connection* connection, const std::string& line,
+                               std::string* reply) {
   net::WireMutation mutation;
   Status parse = net::ParseMutationLine(line, &mutation);
   if (!parse.ok()) {
-    rejected_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().rejected->Add();
+    rejected_.Add();
     *reply = net::FormatErrLine(parse) + "\n";
     return false;
   }
@@ -864,11 +634,10 @@ bool FleetProxy::RelayMutation(
   for (size_t i = 0; i < replicas.size(); ++i) {
     const size_t index = replicas[i];
     if (excluded_[index].load(std::memory_order_relaxed)) {
-      excluded_skips_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().excluded_skips->Add();
+      excluded_skips_.Add();
       continue;
     }
-    std::unique_ptr<net::ProtocolClient>& slot = (*held)[index];
+    std::unique_ptr<net::ProtocolClient>& slot = connection->held[index];
     net::WireMutationAck ack;
     Status op_status;
     for (int attempt = 0; attempt < 2; ++attempt) {
@@ -910,8 +679,7 @@ bool FleetProxy::RelayMutation(
       // A *logical* rejection (InvalidArgument, NotFound...) comes from a
       // healthy backend refusing the op; converged replicas refuse
       // deterministically, so relay the first refusal and exclude no one.
-      failed_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().failed->Add();
+      failed_.Add();
       *reply = net::FormatErrLine(op_status) + "\n";
       return false;
     }
@@ -919,8 +687,7 @@ bool FleetProxy::RelayMutation(
     // Exclude it from the read window right now — before the supervisor
     // even notices the death — and keep going; CatchUp() reconciles it.
     excluded_[index].store(true, std::memory_order_relaxed);
-    relay_exclusions_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().relay_exclusions->Add();
+    relay_exclusions_.Add();
     last_error = op_status;
   }
   if (!have_ack) {
@@ -929,8 +696,7 @@ bool FleetProxy::RelayMutation(
                                            mutation.env_name +
                                            "' is excluded pending catch-up")
                          : last_error;
-    failed_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().failed->Add();
+    failed_.Add();
     *reply = net::FormatErrLine(failure) + "\n";
     return false;
   }
@@ -948,44 +714,17 @@ bool FleetProxy::RelayMutation(
       mutation_ring_.pop_front();
     }
   }
-  mutations_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().mutations->Add();
+  mutations_.Add();
   *reply = "OK\n" + net::FormatMutationAckLine(primary_ack) + "\n";
   return true;
 }
 
 Status FleetProxy::ProbeEpoch(size_t index, const std::string& env_name,
                               uint64_t* epoch) {
-  epoch_probes_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().epoch_probes->Add();
+  epoch_probes_.Add();
   Result<net::ProtocolClient> dialed = pool_.Dial(index);
   if (!dialed.ok()) return dialed.status();
-  net::ProtocolClient conn = std::move(dialed).value();
-  std::string resp;
-  if (!conn.SendLine(net::FormatEpochRequestLine(env_name)) ||
-      !conn.ReadLine(&resp)) {
-    return Status::IoError("backend " + std::to_string(index) +
-                           " closed during an epoch probe");
-  }
-  if (resp != "OK") {
-    Status transported = Status::Corruption(
-        "backend " + std::to_string(index) + " sent '" + resp +
-        "' to an epoch probe");
-    net::ParseErrLine(resp, &transported);
-    return transported;
-  }
-  if (!conn.ReadLine(&resp)) {
-    return Status::IoError("backend " + std::to_string(index) +
-                           " closed before its epoch row");
-  }
-  std::string got_env;
-  RINGJOIN_RETURN_IF_ERROR(
-      net::ParseEpochResponseLine(resp, &got_env, epoch));
-  if (got_env != env_name) {
-    return Status::Corruption("epoch probe for '" + env_name +
-                              "' answered for '" + got_env + "'");
-  }
-  return Status::OK();
+  return dialed.value().Epoch(env_name, epoch);
 }
 
 Status FleetProxy::CatchUpEnv(size_t index, const std::string& env_name) {
@@ -1077,56 +816,13 @@ Status FleetProxy::CatchUp(size_t index) {
   for (const std::string& env_name : envs) {
     const Status status = CatchUpEnv(index, env_name);
     if (!status.ok()) {
-      catchup_failures_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().catchup_failures->Add();
+      catchup_failures_.Add();
       return status;
     }
   }
   excluded_[index].store(false, std::memory_order_relaxed);
-  catchups_count_.fetch_add(1, std::memory_order_relaxed);
-  ProxyMetrics::Get().catchups->Add();
+  catchups_.Add();
   return Status::OK();
-}
-
-void FleetProxy::HandleMutations(Connection* connection, std::string line,
-                                 std::string* carry) {
-  const net::RequestReadOptions read_options{options_.max_request_bytes,
-                                             options_.request_timeout_ms};
-  std::vector<std::unique_ptr<net::ProtocolClient>> held(pool_.size());
-  for (;;) {
-    std::string reply;
-    const bool applied = RelayMutation(connection, line, &held, &reply);
-    const bool delivered = FlushToClient(connection, &reply);
-    if (!applied || !delivered) break;
-    bool clean_eof = false;
-    const Status status =
-        net::ReadRequestLine(connection->client_fd, read_options, &stop_,
-                             carry, &line, &clean_eof);
-    if (!status.ok()) {
-      if (!clean_eof && !line.empty()) {
-        rejected_count_.fetch_add(1, std::memory_order_relaxed);
-        ProxyMetrics::Get().rejected->Add();
-        std::string err = net::FormatErrLine(status) + "\n";
-        FlushToClient(connection, &err);
-      }
-      break;
-    }
-    if (!net::IsMutationRequestLine(line)) {
-      rejected_count_.fetch_add(1, std::memory_order_relaxed);
-      ProxyMetrics::Get().rejected->Add();
-      std::string err =
-          net::FormatErrLine(Status::InvalidArgument(
-              "only mutation requests may follow a mutation on one "
-              "connection")) +
-          "\n";
-      FlushToClient(connection, &err);
-      break;
-    }
-  }
-  // Park the still-healthy conversations for the next batch.
-  for (size_t index = 0; index < held.size(); ++index) {
-    if (held[index]) pool_.Release(index, std::move(*held[index]));
-  }
 }
 
 }  // namespace fleet

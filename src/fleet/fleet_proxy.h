@@ -30,6 +30,10 @@
 //     totals are summed, so per-backend admission ledgers reconcile
 //     into one exact fleet-wide count.
 //
+// The connection lifecycle (listener, accept loop, per-connection threads,
+// Stop(), the mutation-batch loop and METRICS) is the net::LineServer core
+// NetServer also runs on; this class supplies the relay handlers.
+//
 // The proxy holds no query state beyond the in-flight relay: environment
 // registration lives on the backends, admission lives on the backends
 // (an `ERR Overloaded` that survives the retry budget reaches the
@@ -46,29 +50,22 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
 #include "fleet/backend_pool.h"
 #include "fleet/retry.h"
+#include "net/line_server.h"
+#include "obs/metrics.h"
 
 namespace rcj {
 namespace fleet {
 
-struct FleetProxyOptions {
-  /// TCP port to listen on; 0 picks an ephemeral port (read it back with
-  /// port() after Start()).
-  uint16_t port = 0;
-  /// Listen address; loopback-only by default, like NetServer.
-  std::string bind_address = "127.0.0.1";
-  int backlog = 64;
-  /// Cap on simultaneously served client connections (one thread each).
-  size_t max_connections = 256;
-  size_t max_request_bytes = 4096;
-  /// Per-request-line delivery timeout (per line of a mutation batch).
-  int request_timeout_ms = 10000;
+/// The proxy's options: the shared listener options (port, bind address,
+/// backlog, connection cap, request-line limits; loopback-only by default,
+/// like NetServer) plus the fleet's own.
+struct FleetProxyOptions : LineServerOptions {
   /// Read fan-out: a query for environment E may be served by any of the
   /// `replicas` backends following StableHash(E) around the ring.
   /// Clamped to [1, backend count]. Mutations always go to the whole
@@ -131,7 +128,7 @@ class FleetProxy {
   void Stop();
 
   /// The bound port (resolves ephemeral port 0); valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return server_.port(); }
 
   size_t backend_count() const { return pool_.size(); }
 
@@ -168,30 +165,18 @@ class FleetProxy {
  private:
   /// Per-connection state shared with Stop(): both socket fds are shut
   /// down to unblock the handler wherever it is blocked.
-  struct Connection {
-    std::mutex mu;
-    int client_fd = -1;
-    int backend_fd = -1;  ///< fd of the in-flight backend relay, if any.
-    std::atomic<bool> done{false};
-  };
+  struct Connection;
 
-  void AcceptLoop();
-  void ReapFinishedConnections();
-  void HandleConnection(Connection* connection);
+  /// The handler table and hooks this tier plugs into the line server.
+  net::LineServer::Tier MakeTier();
   void HandleQuery(Connection* connection, const std::string& line);
-  void HandleStats(Connection* connection);
-  /// Answers METRICS from this process's registry (the proxy's own
-  /// counters); backend registries are scraped by dialing the backends.
-  void HandleMetrics(Connection* connection);
-  void HandleMutations(Connection* connection, std::string line,
-                       std::string* carry);
+  void HandleStats(Connection* connection, const std::string& line);
   /// Relays one mutation line to every replica of its environment.
   /// On success fills `*reply` with the primary's OK + MUT frames; on
   /// failure fills it with the ERR frame and returns false (which ends
-  /// the batch, matching backend behavior). `held` caches the pooled
-  /// backend conversations across a batch.
+  /// the batch, matching backend behavior). The connection's `held`
+  /// caches the pooled backend conversations across a batch.
   bool RelayMutation(Connection* connection, const std::string& line,
-                     std::vector<std::unique_ptr<net::ProtocolClient>>* held,
                      std::string* reply);
   /// Sends buffered client-bound bytes; false once the client is gone.
   bool FlushToClient(Connection* connection, std::string* out);
@@ -218,16 +203,6 @@ class FleetProxy {
   FleetProxyOptions options_;
   BackendPool pool_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  bool started_ = false;
-  std::thread accept_thread_;
-
-  std::mutex mu_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> threads_;
-
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
 
@@ -242,26 +217,31 @@ class FleetProxy {
 
   std::atomic<uint64_t> retry_seed_{0};
 
-  std::atomic<uint64_t> connections_count_{0};
-  std::atomic<uint64_t> queries_count_{0};
-  std::atomic<uint64_t> ok_count_{0};
-  std::atomic<uint64_t> rejected_count_{0};
-  std::atomic<uint64_t> shed_count_{0};
-  std::atomic<uint64_t> failed_count_{0};
-  std::atomic<uint64_t> cancelled_count_{0};
-  std::atomic<uint64_t> retries_count_{0};
-  std::atomic<uint64_t> failovers_count_{0};
-  std::atomic<uint64_t> backoffs_count_{0};
-  std::atomic<uint64_t> stats_count_{0};
-  std::atomic<uint64_t> mutations_count_{0};
-  std::atomic<uint64_t> stats_backends_skipped_count_{0};
-  std::atomic<uint64_t> metrics_count_{0};
-  std::atomic<uint64_t> expired_count_{0};
-  std::atomic<uint64_t> epoch_probes_count_{0};
-  std::atomic<uint64_t> catchups_count_{0};
-  std::atomic<uint64_t> catchup_failures_count_{0};
-  std::atomic<uint64_t> excluded_skips_count_{0};
-  std::atomic<uint64_t> relay_exclusions_count_{0};
+  obs::OutcomeCounter connections_{"rcj_proxy_connections_total"};
+  obs::OutcomeCounter queries_{"rcj_proxy_queries_total"};
+  obs::OutcomeCounter ok_{"rcj_proxy_ok_total"};
+  obs::OutcomeCounter rejected_{"rcj_proxy_rejected_total"};
+  obs::OutcomeCounter shed_{"rcj_proxy_shed_total"};
+  obs::OutcomeCounter failed_{"rcj_proxy_failed_total"};
+  obs::OutcomeCounter cancelled_{"rcj_proxy_cancelled_total"};
+  obs::OutcomeCounter retries_{"rcj_proxy_retries_total"};
+  obs::OutcomeCounter failovers_{"rcj_proxy_failovers_total"};
+  obs::OutcomeCounter backoffs_{"rcj_proxy_backoffs_total"};
+  obs::OutcomeCounter stats_{"rcj_proxy_stats_total"};
+  obs::OutcomeCounter mutations_{"rcj_proxy_mutations_total"};
+  obs::OutcomeCounter stats_backends_skipped_{
+      "rcj_proxy_stats_backends_skipped_total"};
+  obs::OutcomeCounter metrics_{"rcj_proxy_metrics_total"};
+  obs::OutcomeCounter expired_{"rcj_proxy_expired_total"};
+  obs::OutcomeCounter epoch_probes_{"rcj_proxy_epoch_probes_total"};
+  obs::OutcomeCounter catchups_{"rcj_proxy_catchups_total"};
+  obs::OutcomeCounter catchup_failures_{
+      "rcj_proxy_catchup_failures_total"};
+  obs::OutcomeCounter excluded_skips_{"rcj_proxy_excluded_skips_total"};
+  obs::OutcomeCounter relay_exclusions_{
+      "rcj_proxy_relay_exclusions_total"};
+
+  net::LineServer server_;
 };
 
 }  // namespace fleet

@@ -1,49 +1,27 @@
 #include "net/net_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "core/runner.h"
 #include "net/protocol.h"
-#include "net/request_reader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace rcj {
 namespace {
 
-std::string Errno(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-/// Registry mirrors of the server's connection-outcome counters, plus the
+/// Registry metrics beyond the connection-outcome counters: the
 /// wire-volume counters only the sinks know (bytes to the kernel, pairs
 /// delivered, backpressure stalls) and the gauges the snapshot thread
 /// refreshes.
 struct ServerMetrics {
-  obs::Counter* connections;
-  obs::Counter* ok;
-  obs::Counter* rejected;
-  obs::Counter* shed;
-  obs::Counter* cancelled;
-  obs::Counter* failed;
-  obs::Counter* stats;
-  obs::Counter* mutations;
-  obs::Counter* metrics_scrapes;
-  obs::Counter* expired;
-  obs::Counter* idle_closed;
-  obs::Counter* epochs;
   obs::Counter* bytes_sent;
   obs::Counter* pairs_sent;
   obs::Counter* backpressure_stalls;
@@ -54,18 +32,6 @@ struct ServerMetrics {
     static const ServerMetrics metrics = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
       ServerMetrics m;
-      m.connections = registry.counter("rcj_server_connections_total");
-      m.ok = registry.counter("rcj_server_ok_total");
-      m.rejected = registry.counter("rcj_server_rejected_total");
-      m.shed = registry.counter("rcj_server_shed_total");
-      m.cancelled = registry.counter("rcj_server_cancelled_total");
-      m.failed = registry.counter("rcj_server_failed_total");
-      m.stats = registry.counter("rcj_server_stats_total");
-      m.mutations = registry.counter("rcj_server_mutations_total");
-      m.metrics_scrapes = registry.counter("rcj_server_metrics_total");
-      m.expired = registry.counter("rcj_server_expired_total");
-      m.idle_closed = registry.counter("rcj_server_idle_closed_total");
-      m.epochs = registry.counter("rcj_server_epochs_total");
       m.bytes_sent = registry.counter("rcj_server_bytes_sent_total");
       m.pairs_sent = registry.counter("rcj_server_pairs_total");
       m.backpressure_stalls =
@@ -80,53 +46,90 @@ struct ServerMetrics {
 
 }  // namespace
 
+struct NetServer::Connection : net::LineServer::Connection {
+  Connection(int fd, const SocketSinkOptions& options)
+      : net::LineServer::Connection(fd),
+        // The sink's death (peer gone, or backpressure past the grace)
+        // pulls the same cancellation hook a client drop does — from
+        // inside the failing Emit(), before it returns false — so the
+        // service resolves the query as Cancelled and the admission ledger
+        // classifies it exactly as the wire reported it. A death that
+        // lands before the ticket is stored is caught by the self-cancel
+        // after the store (`mu` orders the two, mirroring the Stop()
+        // pattern).
+        sink(fd, options, [this] {
+          std::lock_guard<std::mutex> lock(mu);
+          ticket.Cancel();  // no-op until the ticket is stored
+          sink_died = true;
+        }) {}
+
+  /// Written by the handler thread and, during a query, the engine's
+  /// delivery.
+  SocketSink sink;
+  /// Guarded by `mu`; valid once submitted.
+  QueryTicket ticket;
+  /// Set by the sink's on_dead hook (guarded by `mu`).
+  bool sink_died = false;
+};
+
 NetServer::NetServer(ShardRouter* router, NetServerOptions options)
-    : router_(router), options_(std::move(options)) {}
+    : router_(router),
+      options_(std::move(options)),
+      server_(options_, MakeTier()) {}
 
 NetServer::~NetServer() { Stop(); }
 
+net::LineServer::Tier NetServer::MakeTier() {
+  using Method = void (NetServer::*)(Connection*, const std::string&);
+  const auto handler = [this](Method method) -> net::LineServer::Handler {
+    return [this, method](net::LineServer::Connection* connection,
+                          const std::string& line) {
+      (this->*method)(static_cast<Connection*>(connection), line);
+    };
+  };
+  net::LineServer::Tier tier;
+  tier.adopt = [this](int fd) {
+    if (options_.send_buffer_bytes > 0) {
+      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
+                 sizeof(options_.send_buffer_bytes));
+    }
+    connections_.Add();
+    return std::make_shared<Connection>(fd, options_.sink);
+  };
+  tier.verbs["STATS"] = handler(&NetServer::HandleStats);
+  tier.verbs["EPOCH"] = handler(&NetServer::HandleEpoch);
+  tier.verbs["FAILPOINT"] = handler(&NetServer::HandleFailpoint);
+  tier.fallback = handler(&NetServer::HandleQuery);
+  tier.mutate = [this](net::LineServer::Connection* connection,
+                       const std::string& line) {
+    return HandleMutation(static_cast<Connection*>(connection), line);
+  };
+  tier.send = [this](net::LineServer::Connection* connection,
+                     const std::string& frames) {
+    return Send(static_cast<Connection*>(connection), frames);
+  };
+  tier.unblock = [](net::LineServer::Connection* connection) {
+    // Cancel the query: the engine drops the remaining work at the next
+    // delivery.
+    static_cast<Connection*>(connection)->ticket.Cancel();
+  };
+  tier.finish = [](net::LineServer::Connection* connection) {
+    // The wire-volume counters only the sink knows, settled once per
+    // connection (the sink is single-owner here, so the reads are safe).
+    const SocketSink& sink = static_cast<Connection*>(connection)->sink;
+    ServerMetrics::Get().bytes_sent->Add(sink.bytes_sent());
+    ServerMetrics::Get().pairs_sent->Add(sink.emitted());
+    ServerMetrics::Get().backpressure_stalls->Add(sink.stalls());
+  };
+  tier.rejected = &rejected_;
+  tier.metrics = &metrics_;
+  tier.idle_closed = &idle_closed_;
+  tier.idle_timeout_ms = options_.idle_timeout_ms;
+  return tier;
+}
+
 Status NetServer::Start() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::IoError(Errno("socket"));
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-           sizeof(addr)) != 0) {
-    const Status status = Status::IoError(Errno("bind"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (listen(listen_fd_, options_.backlog) != 0) {
-    const Status status = Status::IoError(Errno("listen"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  &addr_len) != 0) {
-    const Status status = Status::IoError(Errno("getsockname"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  port_ = ntohs(addr.sin_port);
-
-  stop_.store(false, std::memory_order_relaxed);
-  started_ = true;
+  RINGJOIN_RETURN_IF_ERROR(server_.Start());
   // The slow-query log is process-wide; only a non-negative threshold
   // reconfigures it, so embedding several servers (tests, the fleet's
   // in-process backends) composes without clobbering.
@@ -134,151 +137,81 @@ Status NetServer::Start() {
     obs::MetricsRegistry::Default().slow_log()->Configure(
         options_.slow_query_ms / 1000.0);
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (options_.metrics_snapshot_ms > 0) {
+    {
+      std::lock_guard<std::mutex> lock(snapshot_mu_);
+      snapshot_stop_ = false;
+    }
     snapshot_thread_ = std::thread([this] { SnapshotLoop(); });
   }
   return Status::OK();
 }
 
 void NetServer::SnapshotLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    {
-      std::unique_lock<std::mutex> lock(snapshot_mu_);
-      snapshot_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.metrics_snapshot_ms),
-          [this] { return stop_.load(std::memory_order_relaxed); });
-    }
-    if (stop_.load(std::memory_order_relaxed)) return;
+  std::unique_lock<std::mutex> lock(snapshot_mu_);
+  while (!snapshot_cv_.wait_for(
+      lock, std::chrono::milliseconds(options_.metrics_snapshot_ms),
+      [this] { return snapshot_stop_; })) {
     uint64_t queued = 0;
     for (const ShardStatus& shard : router_->Stats()) {
       queued += shard.queued;
     }
     ServerMetrics::Get().shards_queued->Set(static_cast<int64_t>(queued));
-    size_t active;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      active = connections_.size();
-    }
     ServerMetrics::Get().active_connections->Set(
-        static_cast<int64_t>(active));
+        static_cast<int64_t>(server_.active_connections()));
   }
 }
 
 void NetServer::Stop() {
-  if (!started_) return;
-  stop_.store(true, std::memory_order_relaxed);
-  snapshot_cv_.notify_all();
-  if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
-
-  // Unblock every connection: cancel its query (the engine drops the
-  // remaining work at the next delivery) and shut the socket down so reads
-  // and writes in the handler return immediately.
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections = connections_;
+  if (snapshot_thread_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(snapshot_mu_);
+      snapshot_stop_ = true;
+    }
+    snapshot_cv_.notify_all();
+    snapshot_thread_.join();
   }
-  for (const std::shared_ptr<Connection>& connection : connections) {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    connection->ticket.Cancel();
-    if (connection->fd >= 0) shutdown(connection->fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(threads_);
-    connections_.clear();
-  }
-  for (std::thread& thread : threads) thread.join();
-  started_ = false;
+  server_.Stop();
 }
 
 NetServer::Counters NetServer::counters() const {
   Counters counters;
-  counters.connections = connections_count_.load(std::memory_order_relaxed);
-  counters.ok = ok_count_.load(std::memory_order_relaxed);
-  counters.rejected = rejected_count_.load(std::memory_order_relaxed);
-  counters.shed = shed_count_.load(std::memory_order_relaxed);
-  counters.cancelled = cancelled_count_.load(std::memory_order_relaxed);
-  counters.failed = failed_count_.load(std::memory_order_relaxed);
-  counters.stats = stats_count_.load(std::memory_order_relaxed);
-  counters.mutations = mutations_count_.load(std::memory_order_relaxed);
-  counters.metrics = metrics_count_.load(std::memory_order_relaxed);
-  counters.expired = expired_count_.load(std::memory_order_relaxed);
-  counters.idle_closed = idle_closed_count_.load(std::memory_order_relaxed);
-  counters.epochs = epochs_count_.load(std::memory_order_relaxed);
+  counters.connections = connections_.value();
+  counters.ok = ok_.value();
+  counters.rejected = rejected_.value();
+  counters.shed = shed_.value();
+  counters.cancelled = cancelled_.value();
+  counters.failed = failed_.value();
+  counters.stats = stats_.value();
+  counters.mutations = mutations_.value();
+  counters.metrics = metrics_.value();
+  counters.expired = expired_.value();
+  counters.idle_closed = idle_closed_.value();
+  counters.epochs = epochs_.value();
   return counters;
 }
 
-void NetServer::ReapFinishedConnections() {
-  // Swap-remove keeps connections_[i] and threads_[i] paired. Joining a
-  // finished handler returns immediately, but still happens outside the
-  // lock so a slow exit never blocks Submit-path accounting.
-  std::vector<std::thread> finished;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t i = 0;
-    while (i < connections_.size()) {
-      if (connections_[i]->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(threads_[i]));
-        connections_[i] = std::move(connections_.back());
-        connections_.pop_back();
-        threads_[i] = std::move(threads_.back());
-        threads_.pop_back();
-      } else {
-        ++i;
-      }
-    }
+bool NetServer::Send(Connection* connection, const std::string& frames) {
+  // One SendLine per frame, then one flush: the socket sees the same
+  // sends whether an answer is written here or frame by frame.
+  size_t begin = 0;
+  while (begin < frames.size()) {
+    const size_t end = frames.find('\n', begin);
+    connection->sink.SendLine(frames.substr(begin, end - begin));
+    begin = end + 1;
   }
-  for (std::thread& thread : finished) thread.join();
+  return connection->sink.Flush(options_.sink.drain_grace_ms);
 }
 
-void NetServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    ReapFinishedConnections();
-    bool saturated;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      saturated = connections_.size() >= options_.max_connections;
-    }
-    if (saturated) {
-      // Let peers queue in the kernel backlog until a handler finishes,
-      // instead of growing the thread count without bound.
-      poll(nullptr, 0, 20);
-      continue;
-    }
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (options_.send_buffer_bytes > 0) {
-      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
-                 sizeof(options_.send_buffer_bytes));
-    }
-    connections_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().connections->Add();
-    auto connection = std::make_shared<Connection>();
-    connection->fd = fd;
-    std::lock_guard<std::mutex> lock(mu_);
-    connections_.push_back(connection);
-    threads_.emplace_back(
-        [this, connection] { HandleConnection(connection.get()); });
+void NetServer::HandleStats(Connection* connection, const std::string& line) {
+  if (!net::IsStatsRequestLine(line)) {
+    server_.Reject(connection,
+                   Status::InvalidArgument("STATS takes no fields"));
+    return;
   }
-}
-
-void NetServer::HandleStats(SocketSink* sink) {
-  stats_count_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::Get().stats->Add();
+  stats_.Add();
   const std::vector<ShardStatus> stats = router_->Stats();
-  sink->SendLine("OK");
+  std::string out = "OK\n";
   for (const ShardStatus& shard : stats) {
     net::WireShardStats wire;
     wire.shard = shard.shard;
@@ -291,7 +224,7 @@ void NetServer::HandleStats(SocketSink* sink) {
     wire.completed = shard.counters.completed;
     wire.cancelled = shard.counters.cancelled;
     wire.failed = shard.counters.failed;
-    sink->SendLine(net::FormatShardStatsLine(wire));
+    out += net::FormatShardStatsLine(wire) + "\n";
   }
   const std::vector<EnvironmentStatus> envs = router_->EnvStats();
   for (const EnvironmentStatus& env : envs) {
@@ -306,65 +239,37 @@ void NetServer::HandleStats(SocketSink* sink) {
     wire.compactions = env.stats.compactions;
     wire.base_q = env.stats.base_q;
     wire.base_p = env.stats.base_p;
-    sink->SendLine(net::FormatEnvStatsLine(wire));
+    out += net::FormatEnvStatsLine(wire) + "\n";
   }
-  sink->SendLine(net::FormatStatsEndLine(stats.size(), envs.size()));
-  sink->Flush(options_.sink.drain_grace_ms);
+  Send(connection, out + net::FormatStatsEndLine(stats.size(), envs.size()) +
+                       "\n");
 }
 
-void NetServer::HandleMetrics(SocketSink* sink) {
-  metrics_count_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::Get().metrics_scrapes->Add();
-  const std::string exposition =
-      obs::MetricsRegistry::Default().RenderPrometheus();
-  // Split the newline-terminated exposition into wire lines; ENDMETRICS
-  // carries the count so a client can read the block without sniffing.
-  std::vector<std::string> lines;
-  size_t begin = 0;
-  while (begin < exposition.size()) {
-    size_t end = exposition.find('\n', begin);
-    if (end == std::string::npos) end = exposition.size();
-    lines.push_back(exposition.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  sink->SendLine("OK");
-  for (const std::string& line : lines) sink->SendLine(line);
-  sink->SendLine(net::FormatMetricsEndLine(lines.size()));
-  sink->Flush(options_.sink.drain_grace_ms);
-}
-
-void NetServer::HandleEpoch(SocketSink* sink, const std::string& line) {
+void NetServer::HandleEpoch(Connection* connection, const std::string& line) {
   std::string env_name;
   Status status = net::ParseEpochRequestLine(line, &env_name);
   uint64_t epoch = 0;
   if (status.ok()) {
-    bool found = false;
+    status = Status::NotFound("unknown environment '" + env_name + "'");
     for (const EnvironmentStatus& env : router_->EnvStats()) {
       if (env.name == env_name) {
         epoch = env.stats.epoch;
-        found = true;
+        status = Status::OK();
         break;
       }
     }
-    if (!found) {
-      status = Status::NotFound("unknown environment '" + env_name + "'");
-    }
   }
   if (!status.ok()) {
-    rejected_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().rejected->Add();
-    sink->SendLine(net::FormatErrLine(status));
-    sink->Flush(options_.sink.drain_grace_ms);
+    server_.Reject(connection, status);
     return;
   }
-  epochs_count_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::Get().epochs->Add();
-  sink->SendLine("OK");
-  sink->SendLine(net::FormatEpochResponseLine(env_name, epoch));
-  sink->Flush(options_.sink.drain_grace_ms);
+  epochs_.Add();
+  Send(connection,
+       "OK\n" + net::FormatEpochResponseLine(env_name, epoch) + "\n");
 }
 
-void NetServer::HandleFailpoint(SocketSink* sink, const std::string& line) {
+void NetServer::HandleFailpoint(Connection* connection,
+                                const std::string& line) {
   std::string site;
   std::string spec;
   Status status = net::ParseFailpointLine(line, &site, &spec);
@@ -374,17 +279,14 @@ void NetServer::HandleFailpoint(SocketSink* sink, const std::string& line) {
   }
   if (status.ok()) status = failpoint::Configure(site, spec);
   if (!status.ok()) {
-    rejected_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().rejected->Add();
-    sink->SendLine(net::FormatErrLine(status));
-    sink->Flush(options_.sink.drain_grace_ms);
+    server_.Reject(connection, status);
     return;
   }
-  sink->SendLine("OK");
-  sink->Flush(options_.sink.drain_grace_ms);
+  Send(connection, "OK\n");
 }
 
-bool NetServer::HandleMutation(SocketSink* sink, const std::string& line) {
+bool NetServer::HandleMutation(Connection* connection,
+                               const std::string& line) {
   net::WireMutation mutation;
   Status status = net::ParseMutationLine(line, &mutation);
   LiveStats after;
@@ -404,14 +306,10 @@ bool NetServer::HandleMutation(SocketSink* sink, const std::string& line) {
     }
   }
   if (!status.ok()) {
-    rejected_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().rejected->Add();
-    sink->SendLine(net::FormatErrLine(status));
-    sink->Flush(options_.sink.drain_grace_ms);
+    server_.Reject(connection, status);
     return false;
   }
-  mutations_count_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::Get().mutations->Add();
+  mutations_.Add();
   net::WireMutationAck ack;
   ack.op = mutation.op;
   ack.env_name = mutation.env_name;
@@ -420,112 +318,16 @@ bool NetServer::HandleMutation(SocketSink* sink, const std::string& line) {
   ack.delta = after.delta_size;
   ack.tombstones = after.tombstones;
   ack.compactions = after.compactions;
-  sink->SendLine("OK");
-  sink->SendLine(net::FormatMutationAckLine(ack));
-  sink->Flush(options_.sink.drain_grace_ms);
+  Send(connection, "OK\n" + net::FormatMutationAckLine(ack) + "\n");
   return true;
 }
 
-void NetServer::HandleMutations(int fd, SocketSink* sink, std::string line,
-                                std::string* carry) {
-  const net::RequestReadOptions read_options{options_.max_request_bytes,
-                                             options_.request_timeout_ms,
-                                             options_.idle_timeout_ms};
-  while (HandleMutation(sink, line)) {
-    bool clean_eof = false;
-    bool idle_closed = false;
-    const Status status =
-        net::ReadRequestLine(fd, read_options, &stop_, carry, &line,
-                             &clean_eof, &idle_closed);
-    if (!status.ok()) {
-      if (idle_closed) {
-        idle_closed_count_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().idle_closed->Add();
-      }
-      // A clean close (or the idle reaper with no partial line pending)
-      // simply ends the batch; a half-delivered line is a real error.
-      if (!clean_eof && !idle_closed && !line.empty()) {
-        rejected_count_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().rejected->Add();
-        sink->SendLine(net::FormatErrLine(status));
-        sink->Flush(options_.sink.drain_grace_ms);
-      }
-      return;
-    }
-    if (!net::IsMutationRequestLine(line)) {
-      rejected_count_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().rejected->Add();
-      sink->SendLine(net::FormatErrLine(Status::InvalidArgument(
-          "only mutation requests may follow a mutation on one "
-          "connection")));
-      sink->Flush(options_.sink.drain_grace_ms);
-      return;
-    }
-  }
-}
-
-void NetServer::HandleConnection(Connection* connection) {
+void NetServer::HandleQuery(Connection* connection, const std::string& line) {
   const int fd = connection->fd;
-  // The sink's death (peer gone, or backpressure past the grace) pulls the
-  // same cancellation hook a client drop does — from inside the failing
-  // Emit(), before it returns false — so the service resolves the query as
-  // Cancelled and the admission ledger classifies it exactly as the wire
-  // reported it. A death that lands before the ticket is stored is caught
-  // by the self-cancel after the store (the connection mutex orders the
-  // two, mirroring the Stop() pattern).
-  SocketSink sink(fd, options_.sink, [connection] {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    connection->ticket.Cancel();  // no-op until the ticket is stored
-    connection->sink_died = true;
-  });
-
-  const net::RequestReadOptions read_options{options_.max_request_bytes,
-                                             options_.request_timeout_ms,
-                                             options_.idle_timeout_ms};
-  std::string carry;
-  std::string line;
-  bool idle_closed = false;
-  Status status = net::ReadRequestLine(fd, read_options, &stop_, &carry,
-                                       &line, nullptr, &idle_closed);
-  if (idle_closed) {
-    // The peer connected and sent nothing for the idle window: reap it
-    // quietly — no ERR, it was never mid-conversation.
-    idle_closed_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().idle_closed->Add();
-  } else if (status.ok() && net::IsStatsRequestLine(line)) {
-    HandleStats(&sink);
-  } else if (status.ok() && net::IsMetricsRequestLine(line)) {
-    HandleMetrics(&sink);
-  } else if (status.ok() && net::IsEpochRequestLine(line)) {
-    HandleEpoch(&sink, line);
-  } else if (status.ok() && net::IsFailpointRequestLine(line)) {
-    HandleFailpoint(&sink, line);
-  } else if (status.ok() && net::IsMutationRequestLine(line)) {
-    HandleMutations(fd, &sink, std::move(line), &carry);
-  } else {
-    HandleQuery(connection, &sink, status, line);
-  }
-
-  // The wire-volume counters only the sink knows, settled once per
-  // connection (the sink is single-owner here, so the reads are safe).
-  ServerMetrics::Get().bytes_sent->Add(sink.bytes_sent());
-  ServerMetrics::Get().pairs_sent->Add(sink.emitted());
-  ServerMetrics::Get().backpressure_stalls->Add(sink.stalls());
-
-  {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    close(fd);
-    connection->fd = -1;
-  }
-  connection->done.store(true, std::memory_order_release);
-}
-
-void NetServer::HandleQuery(Connection* connection, SocketSink* sink,
-                            Status status, const std::string& line) {
-  const int fd = connection->fd;
+  SocketSink* sink = &connection->sink;
   const auto query_start = std::chrono::steady_clock::now();
   net::WireRequest request;
-  if (status.ok()) status = net::ParseRequestLine(line, &request);
+  Status status = net::ParseRequestLine(line, &request);
   // The wire carries a *relative* budget; anchor it to this process's
   // steady clock the moment the request is understood. Everything below —
   // admission, the engine's chunk boundaries, the final ERR — compares
@@ -559,19 +361,15 @@ void NetServer::HandleQuery(Connection* connection, SocketSink* sink,
 
   if (!status.ok()) {
     if (status.code() == StatusCode::kOverloaded) {
-      shed_count_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().shed->Add();
+      shed_.Add();
     } else if (status.code() == StatusCode::kDeadlineExceeded) {
       // Admission shed the query because its budget had already run out —
       // a deadline outcome, not a malformed request.
-      expired_count_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().expired->Add();
+      expired_.Add();
     } else {
-      rejected_count_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().rejected->Add();
+      rejected_.Add();
     }
-    sink->SendLine(net::FormatErrLine(status));
-    sink->Flush(options_.sink.drain_grace_ms);
+    Send(connection, net::FormatErrLine(status) + "\n");
     return;
   }
 
@@ -586,7 +384,7 @@ void NetServer::HandleQuery(Connection* connection, SocketSink* sink,
   // ticket — but then its flag was already set, so self-cancel here.
   // Either interleaving cancels the real ticket (the connection mutex
   // orders the two).
-  if (sink_died_early || stop_.load(std::memory_order_relaxed)) {
+  if (sink_died_early || server_.stopping()) {
     ticket.Cancel();
   }
 
@@ -641,56 +439,37 @@ void NetServer::HandleQuery(Connection* connection, SocketSink* sink,
     net::WireSummary summary;
     summary.pairs = sink->emitted();
     summary.stats = ticket.stats();
-    sink->SendLine(net::FormatEndLine(summary));
+    // The span tree rides after END: the result stream stays
+    // byte-identical to an untraced run up to and including END, and a
+    // trace-aware client reads on until ENDTRACE.
     if (trace != nullptr) {
-      // The span tree rides after END: the result stream stays
-      // byte-identical to an untraced run up to and including END, and a
-      // trace-aware client reads on until ENDTRACE.
       trace->Record("server", 0, trace->start_time(), obs::TraceClock::now());
-      const std::vector<obs::TraceSpan> spans = trace->Spans();
-      for (const obs::TraceSpan& span : spans) {
-        net::WireTraceSpan wire;
-        wire.id = trace->id();
-        wire.depth = static_cast<uint64_t>(span.depth);
-        wire.span = span.name;
-        wire.count = span.count;
-        wire.total_s = span.total_seconds;
-        wire.start_s = span.start_seconds;
-        sink->SendLine(net::FormatTraceLine(wire));
-      }
-      sink->SendLine(net::FormatTraceEndLine(trace->id(), spans.size()));
     }
-    if (sink->Flush(options_.sink.drain_grace_ms)) {
-      ok_count_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().ok->Add();
+    if (Send(connection,
+             net::FormatEndLine(summary) + "\n" +
+                 (trace != nullptr ? net::FormatTraceBlock(*trace) : ""))) {
+      ok_.Add();
       outcome = "ok";
     } else {
-      cancelled_count_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().cancelled->Add();
+      cancelled_.Add();
       outcome = "cancelled (final flush)";
     }
-  } else if (final.code() == StatusCode::kCancelled || sink->dead() ||
-             peer_gone) {
-    cancelled_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().cancelled->Add();
-    sink->SendLine(net::FormatErrLine(
-        Status::Cancelled("stream cancelled before completion")));
-    sink->Flush(options_.sink.drain_grace_ms);
-    outcome = "cancelled";
-  } else if (final.code() == StatusCode::kDeadlineExceeded) {
-    // The engine aborted the stream at a chunk boundary when the budget
-    // ran out mid-flight: same outcome class as the admission shed above.
-    expired_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().expired->Add();
-    sink->SendLine(net::FormatErrLine(final));
-    sink->Flush(options_.sink.drain_grace_ms);
-    outcome = "expired: " + final.message();
   } else {
-    failed_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().failed->Add();
-    sink->SendLine(net::FormatErrLine(final));
-    sink->Flush(options_.sink.drain_grace_ms);
-    outcome = "failed: " + final.message();
+    Status error = final;
+    if (final.code() == StatusCode::kCancelled || sink->dead() || peer_gone) {
+      cancelled_.Add();
+      error = Status::Cancelled("stream cancelled before completion");
+      outcome = "cancelled";
+    } else if (final.code() == StatusCode::kDeadlineExceeded) {
+      // The engine aborted the stream at a chunk boundary when the budget
+      // ran out mid-flight: same outcome class as the admission shed.
+      expired_.Add();
+      outcome = "expired: " + final.message();
+    } else {
+      failed_.Add();
+      outcome = "failed: " + final.message();
+    }
+    Send(connection, net::FormatErrLine(error) + "\n");
   }
 
   obs::SlowQueryEntry slow;

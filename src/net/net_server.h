@@ -25,46 +25,33 @@
 //   * slow consumer — the SocketSink's bounded pending buffer turns a
 //     stalled socket into Emit()->false, the same limit-style cancellation.
 //
-// Connections are served by one thread each (the joins themselves run on
-// the shard engines' pools; connection threads only shuttle bytes), and
-// every environment the server can answer for is registered by name on
-// the router — requests select one with the `env=` field.
+// The connection lifecycle — listener, accept loop, one thread per
+// connection (the joins themselves run on the shard engines' pools;
+// connection threads only shuttle bytes), Stop(), the mutation-batch loop
+// and METRICS — is the shared net::LineServer core; this class supplies
+// the handlers. Every environment the server can answer for is registered
+// by name on the router — requests select one with the `env=` field.
 #ifndef RINGJOIN_NET_NET_SERVER_H_
 #define RINGJOIN_NET_NET_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "net/line_server.h"
 #include "net/socket_sink.h"
+#include "obs/metrics.h"
 #include "shard/shard_router.h"
 
 namespace rcj {
 
-struct NetServerOptions {
-  /// TCP port to listen on; 0 picks an ephemeral port (read it back with
-  /// port() after Start()).
-  uint16_t port = 0;
-  /// Listen address. The default only accepts loopback peers; widen it
-  /// explicitly (e.g. "0.0.0.0") to serve remote callers.
-  std::string bind_address = "127.0.0.1";
-  int backlog = 64;
-  /// Cap on simultaneously served connections (each holds one thread).
-  /// At the cap the accept loop defers — further peers wait in the kernel
-  /// backlog instead of spawning unbounded threads.
-  size_t max_connections = 256;
-  /// Hard cap on the request line; longer requests are rejected.
-  size_t max_request_bytes = 4096;
-  /// How long a connection may take to deliver a request line (applied
-  /// per line: each mutation of a batch gets a fresh allowance).
-  int request_timeout_ms = 10000;
+/// NetServer's options: the shared listener options (port, bind address,
+/// backlog, connection cap, request-line limits) plus the server's own.
+struct NetServerOptions : LineServerOptions {
   /// Reap a connection that sits with no bytes of a next request for this
   /// long (0 = off). A keep-alive client that went quiet is closed without
   /// an ERR and counted in Counters::idle_closed; a peer that stalled
@@ -124,90 +111,62 @@ class NetServer {
   void Stop();
 
   /// The bound port (resolves ephemeral port 0); valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return server_.port(); }
 
   Counters counters() const;
 
  private:
   /// Per-connection state shared between its handler thread and Stop().
-  struct Connection {
-    std::mutex mu;
-    int fd = -1;           // -1 once the handler closed it
-    QueryTicket ticket;    // valid once submitted
-    /// Set by the sink's on_dead hook; lets the handler close the race
-    /// where the sink died before the ticket was stored (mirrors the
-    /// Stop() self-cancel pattern).
-    bool sink_died = false;
-    /// Set by the handler as its very last step; the accept loop reaps
-    /// (joins and erases) done connections so a long-lived server does
-    /// not accumulate dead threads.
-    std::atomic<bool> done{false};
-  };
+  struct Connection;
 
-  void AcceptLoop();
-  void HandleConnection(Connection* connection);
+  /// The handler table and hooks this tier plugs into the line server.
+  net::LineServer::Tier MakeTier();
+  /// Writes newline-terminated frames to the connection's sink, one
+  /// SendLine per frame, then flushes; false once the client is gone.
+  bool Send(Connection* connection, const std::string& frames);
   /// Routes one QUERY request: validation, admission, submission, and the
-  /// in-flight babysitting until the ticket resolves. `status` carries any
-  /// request-read error; `line` is the raw request line.
-  void HandleQuery(Connection* connection, SocketSink* sink, Status status,
-                   const std::string& line);
-  /// Answers a STATS request on `sink` with the router's per-shard and
+  /// in-flight babysitting until the ticket resolves.
+  void HandleQuery(Connection* connection, const std::string& line);
+  /// Answers a STATS request with the router's per-shard and
   /// per-environment ledgers.
-  void HandleStats(SocketSink* sink);
-  /// Answers a METRICS request on `sink` with the process-wide registry's
-  /// Prometheus exposition (OK, the exposition lines, ENDMETRICS).
-  void HandleMetrics(SocketSink* sink);
+  void HandleStats(Connection* connection, const std::string& line);
   /// Answers an EPOCH probe: OK plus one epoch response row for the named
   /// environment (static environments report epoch 0).
-  void HandleEpoch(SocketSink* sink, const std::string& line);
+  void HandleEpoch(Connection* connection, const std::string& line);
   /// Arms or disarms one failpoint site (test builds only; ERR
   /// NotSupported when failpoints are compiled out).
-  void HandleFailpoint(SocketSink* sink, const std::string& line);
-  /// Body of the periodic gauge-refresh thread (options.metrics_snapshot_ms).
-  void SnapshotLoop();
-  /// Serves a batch of mutation lines, the first already read into
-  /// `line`: each is applied through the router and acknowledged with
-  /// OK + MUT, then the next line is read off the same connection until
-  /// the client closes (clean end) or a line fails (ERR, conversation
-  /// over). Mutations are synchronous — no ticket, no admission slot;
-  /// the router serializes them against the target environment's locks.
-  void HandleMutations(int fd, SocketSink* sink, std::string line,
-                       std::string* carry);
+  void HandleFailpoint(Connection* connection, const std::string& line);
   /// Applies one INSERT/DELETE/COMPACT line through the router and
   /// acknowledges with OK + MUT; false when the line failed and an ERR
-  /// was sent instead (which ends the conversation).
-  bool HandleMutation(SocketSink* sink, const std::string& line);
-  /// Joins and erases the connections whose handlers have finished.
-  void ReapFinishedConnections();
+  /// was sent instead (which ends the batch). Mutations are synchronous —
+  /// no ticket, no admission slot; the router serializes them against the
+  /// target environment's locks.
+  bool HandleMutation(Connection* connection, const std::string& line);
+  /// Body of the periodic gauge-refresh thread (options.metrics_snapshot_ms).
+  void SnapshotLoop();
 
   ShardRouter* router_;
   NetServerOptions options_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  bool started_ = false;
-  std::thread accept_thread_;
+  obs::OutcomeCounter connections_{"rcj_server_connections_total"};
+  obs::OutcomeCounter ok_{"rcj_server_ok_total"};
+  obs::OutcomeCounter rejected_{"rcj_server_rejected_total"};
+  obs::OutcomeCounter shed_{"rcj_server_shed_total"};
+  obs::OutcomeCounter cancelled_{"rcj_server_cancelled_total"};
+  obs::OutcomeCounter failed_{"rcj_server_failed_total"};
+  obs::OutcomeCounter stats_{"rcj_server_stats_total"};
+  obs::OutcomeCounter mutations_{"rcj_server_mutations_total"};
+  obs::OutcomeCounter metrics_{"rcj_server_metrics_total"};
+  obs::OutcomeCounter expired_{"rcj_server_expired_total"};
+  obs::OutcomeCounter idle_closed_{"rcj_server_idle_closed_total"};
+  obs::OutcomeCounter epochs_{"rcj_server_epochs_total"};
+
+  net::LineServer server_;
+
   std::thread snapshot_thread_;
   std::mutex snapshot_mu_;
   std::condition_variable snapshot_cv_;
-
-  std::mutex mu_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> threads_;
-
-  std::atomic<uint64_t> connections_count_{0};
-  std::atomic<uint64_t> ok_count_{0};
-  std::atomic<uint64_t> rejected_count_{0};
-  std::atomic<uint64_t> shed_count_{0};
-  std::atomic<uint64_t> cancelled_count_{0};
-  std::atomic<uint64_t> failed_count_{0};
-  std::atomic<uint64_t> stats_count_{0};
-  std::atomic<uint64_t> mutations_count_{0};
-  std::atomic<uint64_t> metrics_count_{0};
-  std::atomic<uint64_t> expired_count_{0};
-  std::atomic<uint64_t> idle_closed_count_{0};
-  std::atomic<uint64_t> epochs_count_{0};
+  bool snapshot_stop_ = false;  ///< guarded by snapshot_mu_.
 };
 
 }  // namespace rcj

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -13,32 +15,38 @@ namespace rcj {
 namespace net {
 namespace {
 
-/// Splits on runs of spaces/tabs and drops a trailing CR, so both strict
-/// clients and interactive netcat sessions (which send CRLF) parse alike.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
+/// Splits on runs of spaces/tabs. The line may end in LF, CR or CRLF, so
+/// strict clients and interactive netcat sessions (which send CRLF) parse
+/// alike; a CR or LF anywhere before that end is rejected, because
+/// dropping the bytes after it would silently change the request
+/// ("COMPACT\r env=x" is not a compaction of the default environment).
+Status Tokenize(const std::string& line, std::vector<std::string>* tokens) {
+  size_t end = line.size();
+  if (end > 0 && line[end - 1] == '\n') --end;
+  if (end > 0 && line[end - 1] == '\r') --end;
+  tokens->clear();
   std::string current;
-  for (char c : line) {
-    if (c == '\n' || c == '\r') break;
-    if (c == ' ' || c == '\t') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
+  for (size_t i = 0; i < end; ++i) {
+    const char c = line[i];
+    if (c == '\r' || c == '\n') {
+      return Status::InvalidArgument("line break before the end of the line");
+    }
+    if (c != ' ' && c != '\t') {
       current.push_back(c);
+    } else if (!current.empty()) {
+      tokens->push_back(std::move(current));
+      current.clear();
     }
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
+  if (!current.empty()) tokens->push_back(std::move(current));
+  return Status::OK();
 }
 
-Status ParseBoolField(const std::string& key, const std::string& value,
-                      bool* out) {
-  if (!ParseBoolName(value, out)) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' wants 0/1/true/false, got '" + value +
-                                   "'");
-  }
-  return Status::OK();
+/// True iff the line is exactly the token `verb` (STATS, METRICS).
+bool IsBareRequest(const std::string& line, const char* verb) {
+  std::vector<std::string> tokens;
+  return Tokenize(line, &tokens).ok() && tokens.size() == 1 &&
+         tokens[0] == verb;
 }
 
 bool IsEnvName(const std::string& name) {
@@ -52,9 +60,9 @@ bool IsEnvName(const std::string& name) {
   return true;
 }
 
-std::string FormatDouble(double value) {
+std::string FormatDouble(double value, int digits = 17) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  std::snprintf(buffer, sizeof(buffer), "%.*g", digits, value);
   return buffer;
 }
 
@@ -238,113 +246,389 @@ Status ParseDoubleField(const std::string& key, const std::string& value,
   return Status::OK();
 }
 
-Status ParseRequestLine(const std::string& line, WireRequest* out) {
-  *out = WireRequest{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "QUERY") {
-    return Status::InvalidArgument("request must start with QUERY");
+bool IsValidTraceId(const std::string& id) {
+  if (id.empty() || id.size() > 64) return false;
+  for (char c : id) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
+                    c == '.';
+    if (!ok) return false;
   }
+  return true;
+}
 
-  std::vector<std::string> seen;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& field = tokens[i];
-    const size_t eq = field.find('=');
+std::string RequestVerb(const std::string& line) {
+  std::vector<std::string> tokens;
+  if (!Tokenize(line, &tokens).ok() || tokens.empty()) return "";
+  return tokens[0];
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// The key=value codec. Every key=value message is one table of Fields,
+// bound to the struct members it carries; ParseMessage and FormatMessage
+// are the only code that walks a line, so every message gets the same
+// strictness: a token that is not key=value, an empty, unknown or
+// repeated key, a malformed value and a missing required field are all
+// InvalidArgument (OutOfRange for numbers past their type).
+
+/// One field of a message. `parse` reads value text into the bound
+/// member; `format` writes the member back as value text. A positional
+/// field (SHARD's index, ENV's name) is a bare value ahead of the key=value
+/// fields. An optional field may be absent, and a formatted line leaves it
+/// out while it holds its default.
+struct Field {
+  const char* key;
+  std::function<Status(const std::string& value)> parse;
+  std::function<std::string()> format;
+  bool required = true;
+  bool positional = false;
+};
+
+/// One message: its verb and field table. An `ordered` message (the short
+/// ENDSTATS, ENDTRACE, ENDMETRICS and EPOCH-response frames) wants its
+/// fields in table order; the others take their keys in any order.
+struct Message {
+  std::string verb;
+  std::vector<Field> fields;
+  bool ordered = false;
+};
+
+Field U64(const char* key, uint64_t* slot) {
+  return {key,
+          [key, slot](const std::string& value) {
+            return ParseUint64Field(key, value, slot);
+          },
+          [slot] { return std::to_string(*slot); }};
+}
+
+Field I64(const char* key, int64_t* slot) {
+  return {key,
+          [key, slot](const std::string& value) {
+            return ParseInt64Field(key, value, slot);
+          },
+          [slot] { return std::to_string(*slot); }};
+}
+
+/// %.17g round-trips every double exactly; TRACE timings use %.9g.
+Field F64(const char* key, double* slot, int digits = 17) {
+  return {key,
+          [key, slot](const std::string& value) {
+            return ParseDoubleField(key, value, slot);
+          },
+          [slot, digits] { return FormatDouble(*slot, digits); }};
+}
+
+Field Bool(const char* key, bool* slot) {
+  return {key,
+          [key, slot](const std::string& value) {
+            if (ParseBoolName(value, slot)) return Status::OK();
+            return Status::InvalidArgument("field '" + std::string(key) +
+                                           "' wants 0/1/true/false, got '" +
+                                           value + "'");
+          },
+          [slot] { return std::string(*slot ? "1" : "0"); }};
+}
+
+/// A string member restricted by `valid` (env names, trace ids).
+Field Text(const char* key, std::string* slot,
+           bool (*valid)(const std::string&), const char* what) {
+  return {key,
+          [slot, valid, what](const std::string& value) {
+            if (!valid(value)) {
+              return Status::InvalidArgument(std::string("invalid ") + what +
+                                             " '" + value + "'");
+            }
+            *slot = value;
+            return Status::OK();
+          },
+          [slot] { return *slot; }};
+}
+
+/// An enum member spelled by its wire name.
+template <typename E>
+Field Enum(const char* key, E* slot, bool (*parse)(const std::string&, E*),
+           const char* (*name)(E), const char* choices) {
+  return {key,
+          [key, slot, parse, choices](const std::string& value) {
+            if (parse(value, slot)) return Status::OK();
+            return Status::InvalidArgument("field '" + std::string(key) +
+                                           "' wants " + choices + ", got '" +
+                                           value + "'");
+          },
+          [slot, name] { return std::string(name(*slot)); }};
+}
+
+/// `field`, plus a range check run once its value parsed.
+Field Checked(Field field, std::function<Status()> check) {
+  field.parse = [parse = std::move(field.parse),
+                 check = std::move(check)](const std::string& value) {
+    const Status status = parse(value);
+    return status.ok() ? check() : status;
+  };
+  return field;
+}
+
+Field Optional(Field field) {
+  field.required = false;
+  return field;
+}
+
+Field Positional(Field field) {
+  field.positional = true;
+  return field;
+}
+
+Status ParseMessage(const std::string& line, const Message& message) {
+  std::vector<std::string> tokens;
+  RINGJOIN_RETURN_IF_ERROR(Tokenize(line, &tokens));
+  const std::string& verb = message.verb;
+  const std::vector<Field>& fields = message.fields;
+  if (tokens.empty() || tokens[0] != verb) {
+    return Status::InvalidArgument("line must start with " + verb);
+  }
+  std::vector<bool> seen(fields.size(), false);
+  size_t next = 1;
+  for (size_t f = 0; f < fields.size() && fields[f].positional; ++f) {
+    if (next == tokens.size()) break;  // reported as missing below
+    RINGJOIN_RETURN_IF_ERROR(fields[f].parse(tokens[next++]));
+    seen[f] = true;
+  }
+  for (; next < tokens.size(); ++next) {
+    const std::string& token = tokens[next];
+    const size_t eq = token.find('=');
     if (eq == std::string::npos) {
-      return Status::InvalidArgument("field '" + field +
+      return Status::InvalidArgument(verb + " field '" + token +
                                      "' is not key=value");
     }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+    const std::string key = token.substr(0, eq);
     if (key.empty()) {
-      return Status::InvalidArgument("empty key in field '" + field + "'");
+      return Status::InvalidArgument("empty key in " + verb + " field '" +
+                                     token + "'");
     }
-    for (const std::string& earlier : seen) {
-      if (earlier == key) {
-        return Status::InvalidArgument("duplicate key '" + key + "'");
-      }
+    size_t f = 0;
+    while (f < fields.size() &&
+           (fields[f].positional || key != fields[f].key)) {
+      ++f;
     }
-    seen.push_back(key);
-
-    Status status = Status::OK();
-    if (key == "env") {
-      if (!IsEnvName(value)) {
-        status = Status::InvalidArgument("invalid env name '" + value + "'");
-      } else {
-        out->env_name = value;
-      }
-    } else if (key == "algo") {
-      if (!ParseAlgorithmName(value, &out->spec.algorithm)) {
-        status =
-            Status::InvalidArgument("unknown algorithm '" + value +
-                                    "' (want brute|inj|bij|obj)");
-      }
-    } else if (key == "order") {
-      if (!ParseSearchOrderName(value, &out->spec.order)) {
-        status = Status::InvalidArgument("unknown search order '" + value +
-                                         "' (want dfs|random)");
-      }
-    } else if (key == "verify") {
-      status = ParseBoolField(key, value, &out->spec.verify);
-    } else if (key == "seed") {
-      status = ParseUint64Field(key, value, &out->spec.random_seed);
-    } else if (key == "limit") {
-      status = ParseUint64Field(key, value, &out->spec.limit);
-    } else if (key == "io_ms") {
-      status = ParseDoubleField(key, value, &out->spec.io_ms_per_fault);
-      if (status.ok() && out->spec.io_ms_per_fault < 0.0) {
-        status = Status::OutOfRange("field 'io_ms' must be non-negative");
-      }
-    } else if (key == "deadline_ms") {
-      status = ParseUint64Field(key, value, &out->deadline_ms);
-      if (status.ok() && out->deadline_ms == 0) {
-        status = Status::OutOfRange("field 'deadline_ms' must be positive");
-      }
-    } else if (key == "trace") {
-      status = ParseBoolField(key, value, &out->trace);
-    } else if (key == "trace_id") {
-      if (!IsValidTraceId(value)) {
-        status = Status::InvalidArgument("invalid trace id '" + value + "'");
-      } else {
-        out->trace_id = value;
-      }
-    } else {
-      status = Status::InvalidArgument("unknown key '" + key + "'");
+    if (f == fields.size()) {
+      return Status::InvalidArgument("unknown " + verb + " key '" + key + "'");
     }
-    if (!status.ok()) return status;
+    if (seen[f]) {
+      return Status::InvalidArgument("duplicate key '" + key + "' in " + verb);
+    }
+    if (message.ordered && f + 1 != next) {
+      return Status::InvalidArgument(verb + " field '" + key +
+                                     "' is out of order");
+    }
+    RINGJOIN_RETURN_IF_ERROR(fields[f].parse(token.substr(eq + 1)));
+    seen[f] = true;
+  }
+  for (size_t f = 0; f < fields.size(); ++f) {
+    if (fields[f].required && !seen[f]) {
+      return Status::InvalidArgument(verb + " is missing field '" +
+                                     fields[f].key + "'");
+    }
   }
   return Status::OK();
 }
 
-std::string FormatRequestLine(const WireRequest& request) {
-  const WireRequest defaults;
-  std::string line = "QUERY";
-  if (request.env_name != defaults.env_name) {
-    line += " env=" + request.env_name;
+/// Formats `message`; an optional field is left out while its value
+/// matches the same field of `defaults` (the table bound to a
+/// default-constructed struct).
+std::string FormatMessage(const Message& message,
+                          const Message* defaults = nullptr) {
+  std::string line = message.verb;
+  for (size_t f = 0; f < message.fields.size(); ++f) {
+    const Field& field = message.fields[f];
+    const std::string value = field.format();
+    if (!field.required && defaults != nullptr &&
+        value == defaults->fields[f].format()) {
+      continue;
+    }
+    line += ' ';
+    if (!field.positional) line.append(field.key).push_back('=');
+    line += value;
   }
-  if (request.spec.algorithm != defaults.spec.algorithm) {
-    line += std::string(" algo=") + AlgorithmWireName(request.spec.algorithm);
-  }
-  if (request.spec.order != defaults.spec.order) {
-    line += std::string(" order=") + SearchOrderWireName(request.spec.order);
-  }
-  if (request.spec.verify != defaults.spec.verify) {
-    line += request.spec.verify ? " verify=1" : " verify=0";
-  }
-  if (request.spec.random_seed != defaults.spec.random_seed) {
-    line += " seed=" + std::to_string(request.spec.random_seed);
-  }
-  if (request.spec.limit != defaults.spec.limit) {
-    line += " limit=" + std::to_string(request.spec.limit);
-  }
-  if (request.spec.io_ms_per_fault != defaults.spec.io_ms_per_fault) {
-    line += " io_ms=" + FormatDouble(request.spec.io_ms_per_fault);
-  }
-  if (request.deadline_ms != 0) {
-    line += " deadline_ms=" + std::to_string(request.deadline_ms);
-  }
-  if (request.trace) line += " trace=1";
-  if (!request.trace_id.empty()) line += " trace_id=" + request.trace_id;
   return line;
+}
+
+/// Resets `*out`, then parses `line` into it through `table`.
+template <typename T>
+Status ParseWith(const std::string& line, T* out, Message (*table)(T*)) {
+  *out = T{};
+  return ParseMessage(line, table(out));
+}
+
+/// Formats `value` through `table`, leaving out optional fields that hold
+/// their T{} default.
+template <typename T>
+std::string FormatWith(T value, Message (*table)(T*)) {
+  T defaults{};
+  const Message default_message = table(&defaults);
+  return FormatMessage(table(&value), &default_message);
+}
+
+Status CheckNonNegativeIoMs(const WireRequest* request) {
+  return request->spec.io_ms_per_fault < 0.0
+             ? Status::OutOfRange("field 'io_ms' must be non-negative")
+             : Status::OK();
+}
+
+Message RequestMessage(WireRequest* r) {
+  Message message{
+      "QUERY",
+      {Text("env", &r->env_name, IsEnvName, "env name"),
+       Enum("algo", &r->spec.algorithm, ParseAlgorithmName,
+            AlgorithmWireName, "brute|inj|bij|obj"),
+       Enum("order", &r->spec.order, ParseSearchOrderName,
+            SearchOrderWireName, "dfs|random"),
+       Bool("verify", &r->spec.verify), U64("seed", &r->spec.random_seed),
+       U64("limit", &r->spec.limit),
+       Checked(F64("io_ms", &r->spec.io_ms_per_fault),
+               [r] { return CheckNonNegativeIoMs(r); }),
+       Checked(U64("deadline_ms", &r->deadline_ms),
+               [r] {
+                 return r->deadline_ms == 0
+                            ? Status::OutOfRange(
+                                  "field 'deadline_ms' must be positive")
+                            : Status::OK();
+               }),
+       Bool("trace", &r->trace),
+       Text("trace_id", &r->trace_id, IsValidTraceId, "trace id")}};
+  for (Field& field : message.fields) field.required = false;
+  return message;
+}
+
+Message EndMessage(WireSummary* s) {
+  return {"END",
+          {U64("pairs", &s->pairs), U64("candidates", &s->stats.candidates),
+           U64("results", &s->stats.results),
+           U64("node_accesses", &s->stats.node_accesses),
+           U64("faults", &s->stats.page_faults),
+           U64("cold_faults", &s->stats.cold_faults),
+           U64("warm_faults", &s->stats.warm_faults),
+           F64("io_s", &s->stats.io_seconds),
+           F64("io_wall_s", &s->stats.io_wall_seconds),
+           F64("cpu_s", &s->stats.cpu_seconds)}};
+}
+
+Message ShardStatsMessage(WireShardStats* s) {
+  return {"SHARD",
+          {Positional(U64("shard", &s->shard)),
+           U64("envs", &s->environments), U64("queued", &s->queued),
+           U64("inflight", &s->inflight), U64("submitted", &s->submitted),
+           U64("admitted", &s->admitted), U64("shed", &s->shed),
+           U64("completed", &s->completed), U64("cancelled", &s->cancelled),
+           U64("failed", &s->failed)}};
+}
+
+Message EnvStatsMessage(WireEnvStats* s) {
+  // `live` travels as 0/1 and is read as a number, then range-checked.
+  Field live{"live",
+             [s](const std::string& value) {
+               uint64_t parsed = 0;
+               RINGJOIN_RETURN_IF_ERROR(
+                   ParseUint64Field("live", value, &parsed));
+               if (parsed > 1) {
+                 return Status::InvalidArgument("field 'live' wants 0 or 1");
+               }
+               s->live = parsed != 0;
+               return Status::OK();
+             },
+             [s] { return std::string(s->live ? "1" : "0"); }};
+  return {"ENV",
+          {Positional(Text("name", &s->name, IsEnvName, "env name")),
+           U64("shard", &s->shard), std::move(live),
+           U64("generation", &s->generation), U64("epoch", &s->epoch),
+           U64("delta", &s->delta), U64("tombstones", &s->tombstones),
+           U64("compactions", &s->compactions), U64("base_q", &s->base_q),
+           U64("base_p", &s->base_p)}};
+}
+
+Message StatsEndMessage(uint64_t* shards, uint64_t* envs) {
+  return {"ENDSTATS", {U64("shards", shards), U64("envs", envs)}, true};
+}
+
+const char* MutationVerb(WireMutationOp op) {
+  switch (op) {
+    case WireMutationOp::kInsert:
+      return "INSERT";
+    case WireMutationOp::kDelete:
+      return "DELETE";
+    case WireMutationOp::kCompact:
+      return "COMPACT";
+  }
+  return "?";
+}
+
+/// INSERT owns env?, side, id, x, y; DELETE env?, side, id; COMPACT env?.
+Message MutationMessage(WireMutation* m) {
+  Message message{MutationVerb(m->op),
+                  {Optional(Text("env", &m->env_name, IsEnvName, "env name"))}};
+  if (m->op != WireMutationOp::kCompact) {
+    message.fields.push_back(
+        Enum("side", &m->side, ParseLiveSideName, LiveSideName, "q|p"));
+    message.fields.push_back(I64("id", &m->rec.id));
+  }
+  if (m->op == WireMutationOp::kInsert) {
+    message.fields.push_back(F64("x", &m->rec.pt.x));
+    message.fields.push_back(F64("y", &m->rec.pt.y));
+  }
+  return message;
+}
+
+Message MutationAckMessage(WireMutationAck* a) {
+  return {"MUT",
+          {Enum("op", &a->op, ParseMutationOpName, MutationOpWireName,
+                "insert|delete|compact"),
+           Text("env", &a->env_name, IsEnvName, "env name"),
+           U64("epoch", &a->epoch), U64("generation", &a->generation),
+           U64("delta", &a->delta), U64("tombstones", &a->tombstones),
+           U64("compactions", &a->compactions)}};
+}
+
+Message TraceMessage(WireTraceSpan* t) {
+  // Span names share the trace-id charset (they travel as bare tokens).
+  return {"TRACE",
+          {Text("id", &t->id, IsValidTraceId, "trace id"),
+           U64("depth", &t->depth),
+           Text("span", &t->span, IsValidTraceId, "span name"),
+           U64("count", &t->count), F64("total_s", &t->total_s, 9),
+           F64("start_s", &t->start_s, 9)}};
+}
+
+Message TraceEndMessage(std::string* id, uint64_t* spans) {
+  return {"ENDTRACE",
+          {Text("id", id, IsValidTraceId, "trace id"), U64("spans", spans)},
+          true};
+}
+
+Message MetricsEndMessage(uint64_t* lines) {
+  return {"ENDMETRICS", {U64("lines", lines)}, true};
+}
+
+Message EpochRequestMessage(std::string* env_name) {
+  return {"EPOCH",
+          {Optional(Text("env", env_name, IsEnvName, "env name"))}};
+}
+
+Message EpochResponseMessage(std::string* env_name, uint64_t* epoch) {
+  return {"EPOCH",
+          {Text("env", env_name, IsEnvName, "env name"),
+           U64("epoch", epoch)},
+          true};
+}
+
+}  // namespace
+
+Status ParseRequestLine(const std::string& line, WireRequest* out) {
+  return ParseWith(line, out, RequestMessage);
+}
+
+std::string FormatRequestLine(const WireRequest& request) {
+  return FormatWith(request, RequestMessage);
 }
 
 std::string FormatPairLine(const RcjPair& pair) {
@@ -357,7 +641,8 @@ std::string FormatPairLine(const RcjPair& pair) {
 }
 
 Status ParsePairLine(const std::string& line, RcjPair* out) {
-  const std::vector<std::string> tokens = Tokenize(line);
+  std::vector<std::string> tokens;
+  RINGJOIN_RETURN_IF_ERROR(Tokenize(line, &tokens));
   if (tokens.size() != 7 || tokens[0] != "PAIR") {
     return Status::InvalidArgument(
         "PAIR line wants 'PAIR p_id q_id x1 y1 x2 y2'");
@@ -393,85 +678,11 @@ Status ParsePairLine(const std::string& line, RcjPair* out) {
 }
 
 std::string FormatEndLine(const WireSummary& summary) {
-  char buffer[352];
-  std::snprintf(buffer, sizeof(buffer),
-                "END pairs=%llu candidates=%llu results=%llu "
-                "node_accesses=%llu faults=%llu cold_faults=%llu "
-                "warm_faults=%llu io_s=%.17g io_wall_s=%.17g cpu_s=%.17g",
-                static_cast<unsigned long long>(summary.pairs),
-                static_cast<unsigned long long>(summary.stats.candidates),
-                static_cast<unsigned long long>(summary.stats.results),
-                static_cast<unsigned long long>(summary.stats.node_accesses),
-                static_cast<unsigned long long>(summary.stats.page_faults),
-                static_cast<unsigned long long>(summary.stats.cold_faults),
-                static_cast<unsigned long long>(summary.stats.warm_faults),
-                summary.stats.io_seconds, summary.stats.io_wall_seconds,
-                summary.stats.cpu_seconds);
-  return buffer;
+  return FormatWith(summary, EndMessage);
 }
 
 Status ParseEndLine(const std::string& line, WireSummary* out) {
-  *out = WireSummary{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "END") {
-    return Status::InvalidArgument("END line must start with END");
-  }
-  bool seen[10] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("END field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "pairs") {
-      slot = 0;
-      status = ParseUint64Field(key, value, &out->pairs);
-    } else if (key == "candidates") {
-      slot = 1;
-      status = ParseUint64Field(key, value, &out->stats.candidates);
-    } else if (key == "results") {
-      slot = 2;
-      status = ParseUint64Field(key, value, &out->stats.results);
-    } else if (key == "node_accesses") {
-      slot = 3;
-      status = ParseUint64Field(key, value, &out->stats.node_accesses);
-    } else if (key == "faults") {
-      slot = 4;
-      status = ParseUint64Field(key, value, &out->stats.page_faults);
-    } else if (key == "cold_faults") {
-      slot = 5;
-      status = ParseUint64Field(key, value, &out->stats.cold_faults);
-    } else if (key == "warm_faults") {
-      slot = 6;
-      status = ParseUint64Field(key, value, &out->stats.warm_faults);
-    } else if (key == "io_s") {
-      slot = 7;
-      status = ParseDoubleField(key, value, &out->stats.io_seconds);
-    } else if (key == "io_wall_s") {
-      slot = 8;
-      status = ParseDoubleField(key, value, &out->stats.io_wall_seconds);
-    } else if (key == "cpu_s") {
-      slot = 9;
-      status = ParseDoubleField(key, value, &out->stats.cpu_seconds);
-    } else {
-      return Status::InvalidArgument("unknown END key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate END key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("END line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseWith(line, out, EndMessage);
 }
 
 std::string FormatErrLine(const Status& status) {
@@ -488,177 +699,32 @@ std::string FormatErrLine(const Status& status) {
 }
 
 bool IsStatsRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return tokens.size() == 1 && tokens[0] == "STATS";
+  return IsBareRequest(line, "STATS");
 }
 
 std::string FormatShardStatsLine(const WireShardStats& stats) {
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "SHARD %llu envs=%llu queued=%llu inflight=%llu "
-                "submitted=%llu admitted=%llu shed=%llu completed=%llu "
-                "cancelled=%llu failed=%llu",
-                static_cast<unsigned long long>(stats.shard),
-                static_cast<unsigned long long>(stats.environments),
-                static_cast<unsigned long long>(stats.queued),
-                static_cast<unsigned long long>(stats.inflight),
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.admitted),
-                static_cast<unsigned long long>(stats.shed),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.cancelled),
-                static_cast<unsigned long long>(stats.failed));
-  return buffer;
+  return FormatWith(stats, ShardStatsMessage);
 }
 
 Status ParseShardStatsLine(const std::string& line, WireShardStats* out) {
-  *out = WireShardStats{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() < 2 || tokens[0] != "SHARD") {
-    return Status::InvalidArgument("SHARD line wants 'SHARD idx key=N ...'");
-  }
-  RINGJOIN_RETURN_IF_ERROR(ParseUint64Field("shard", tokens[1], &out->shard));
-  struct Field {
-    const char* key;
-    uint64_t* slot;
-  };
-  const Field fields[] = {
-      {"envs", &out->environments},   {"queued", &out->queued},
-      {"inflight", &out->inflight},   {"submitted", &out->submitted},
-      {"admitted", &out->admitted},   {"shed", &out->shed},
-      {"completed", &out->completed}, {"cancelled", &out->cancelled},
-      {"failed", &out->failed},
-  };
-  constexpr size_t kFieldCount = sizeof(fields) / sizeof(fields[0]);
-  bool seen[kFieldCount] = {};
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("SHARD field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    size_t slot = kFieldCount;
-    for (size_t f = 0; f < kFieldCount; ++f) {
-      if (key == fields[f].key) {
-        slot = f;
-        break;
-      }
-    }
-    if (slot == kFieldCount) {
-      return Status::InvalidArgument("unknown SHARD key '" + key + "'");
-    }
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate SHARD key '" + key + "'");
-    }
-    seen[slot] = true;
-    RINGJOIN_RETURN_IF_ERROR(ParseUint64Field(key, value, fields[slot].slot));
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("SHARD line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseWith(line, out, ShardStatsMessage);
 }
 
 std::string FormatEnvStatsLine(const WireEnvStats& stats) {
-  char buffer[384];
-  std::snprintf(buffer, sizeof(buffer),
-                "ENV %s shard=%llu live=%d generation=%llu epoch=%llu "
-                "delta=%llu tombstones=%llu compactions=%llu base_q=%llu "
-                "base_p=%llu",
-                stats.name.c_str(),
-                static_cast<unsigned long long>(stats.shard),
-                stats.live ? 1 : 0,
-                static_cast<unsigned long long>(stats.generation),
-                static_cast<unsigned long long>(stats.epoch),
-                static_cast<unsigned long long>(stats.delta),
-                static_cast<unsigned long long>(stats.tombstones),
-                static_cast<unsigned long long>(stats.compactions),
-                static_cast<unsigned long long>(stats.base_q),
-                static_cast<unsigned long long>(stats.base_p));
-  return buffer;
+  return FormatWith(stats, EnvStatsMessage);
 }
 
 Status ParseEnvStatsLine(const std::string& line, WireEnvStats* out) {
-  *out = WireEnvStats{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() < 2 || tokens[0] != "ENV") {
-    return Status::InvalidArgument("ENV line wants 'ENV name key=N ...'");
-  }
-  if (!IsEnvName(tokens[1])) {
-    return Status::InvalidArgument("invalid env name '" + tokens[1] + "'");
-  }
-  out->name = tokens[1];
-  struct Field {
-    const char* key;
-    uint64_t* slot;
-  };
-  uint64_t live = 0;
-  const Field fields[] = {
-      {"shard", &out->shard},           {"live", &live},
-      {"generation", &out->generation}, {"epoch", &out->epoch},
-      {"delta", &out->delta},           {"tombstones", &out->tombstones},
-      {"compactions", &out->compactions},
-      {"base_q", &out->base_q},         {"base_p", &out->base_p},
-  };
-  constexpr size_t kFieldCount = sizeof(fields) / sizeof(fields[0]);
-  bool seen[kFieldCount] = {};
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("ENV field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    size_t slot = kFieldCount;
-    for (size_t f = 0; f < kFieldCount; ++f) {
-      if (key == fields[f].key) {
-        slot = f;
-        break;
-      }
-    }
-    if (slot == kFieldCount) {
-      return Status::InvalidArgument("unknown ENV key '" + key + "'");
-    }
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate ENV key '" + key + "'");
-    }
-    seen[slot] = true;
-    RINGJOIN_RETURN_IF_ERROR(ParseUint64Field(key, value, fields[slot].slot));
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("ENV line is missing fields");
-    }
-  }
-  if (live > 1) {
-    return Status::InvalidArgument("ENV field 'live' wants 0 or 1");
-  }
-  out->live = live != 0;
-  return Status::OK();
+  return ParseWith(line, out, EnvStatsMessage);
 }
 
 std::string FormatStatsEndLine(uint64_t shards, uint64_t envs) {
-  return "ENDSTATS shards=" + std::to_string(shards) +
-         " envs=" + std::to_string(envs);
+  return FormatMessage(StatsEndMessage(&shards, &envs));
 }
 
 Status ParseStatsEndLine(const std::string& line, uint64_t* shards,
                          uint64_t* envs) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 3 || tokens[0] != "ENDSTATS" ||
-      tokens[1].rfind("shards=", 0) != 0 ||
-      tokens[2].rfind("envs=", 0) != 0) {
-    return Status::InvalidArgument(
-        "ENDSTATS line wants 'ENDSTATS shards=N envs=N'");
-  }
-  RINGJOIN_RETURN_IF_ERROR(
-      ParseUint64Field("shards", tokens[1].substr(7), shards));
-  return ParseUint64Field("envs", tokens[2].substr(5), envs);
+  return ParseMessage(line, StatsEndMessage(shards, envs));
 }
 
 const char* MutationOpWireName(WireMutationOp op) {
@@ -686,389 +752,122 @@ bool ParseMutationOpName(const std::string& name, WireMutationOp* op) {
 }
 
 bool IsMutationRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() &&
-         (tokens[0] == "INSERT" || tokens[0] == "DELETE" ||
-          tokens[0] == "COMPACT");
+  const std::string verb = RequestVerb(line);
+  return verb == "INSERT" || verb == "DELETE" || verb == "COMPACT";
 }
 
 Status ParseMutationLine(const std::string& line, WireMutation* out) {
   *out = WireMutation{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) {
-    return Status::InvalidArgument(
-        "mutation must start with INSERT, DELETE, or COMPACT");
-  }
-  if (tokens[0] == "INSERT") {
-    out->op = WireMutationOp::kInsert;
-  } else if (tokens[0] == "DELETE") {
-    out->op = WireMutationOp::kDelete;
-  } else if (tokens[0] == "COMPACT") {
-    out->op = WireMutationOp::kCompact;
-  } else {
-    return Status::InvalidArgument(
-        "mutation must start with INSERT, DELETE, or COMPACT");
-  }
-  const bool wants_point = out->op == WireMutationOp::kInsert;
-  const bool wants_id = out->op != WireMutationOp::kCompact;
-
-  // seen slots: env, side, id, x, y.
-  bool seen[5] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& field = tokens[i];
-    const size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("field '" + field +
-                                     "' is not key=value");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "env") {
-      slot = 0;
-      if (!IsEnvName(value)) {
-        status = Status::InvalidArgument("invalid env name '" + value + "'");
-      } else {
-        out->env_name = value;
-      }
-    } else if (key == "side" && wants_id) {
-      slot = 1;
-      if (!ParseLiveSideName(value, &out->side)) {
-        status = Status::InvalidArgument("field 'side' wants q|p, got '" +
-                                         value + "'");
-      }
-    } else if (key == "id" && wants_id) {
-      slot = 2;
-      status = ParseInt64Field(key, value, &out->rec.id);
-    } else if (key == "x" && wants_point) {
-      slot = 3;
-      status = ParseDoubleField(key, value, &out->rec.pt.x);
-    } else if (key == "y" && wants_point) {
-      slot = 4;
-      status = ParseDoubleField(key, value, &out->rec.pt.y);
-    } else {
-      status = Status::InvalidArgument("unknown " +
-                                       std::string(tokens[0]) + " key '" +
-                                       key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  const int required_from = 1;
-  const int required_to = wants_point ? 4 : (wants_id ? 2 : 0);
-  for (int slot = required_from; slot <= required_to; ++slot) {
-    if (!seen[slot]) {
-      static const char* kNames[] = {"env", "side", "id", "x", "y"};
-      return Status::InvalidArgument(std::string(tokens[0]) +
-                                     " is missing field '" + kNames[slot] +
-                                     "'");
+  std::vector<std::string> tokens;
+  RINGJOIN_RETURN_IF_ERROR(Tokenize(line, &tokens));
+  for (WireMutationOp op : {WireMutationOp::kInsert, WireMutationOp::kDelete,
+                            WireMutationOp::kCompact}) {
+    if (!tokens.empty() && tokens[0] == MutationVerb(op)) {
+      out->op = op;
+      return ParseMessage(line, MutationMessage(out));
     }
   }
-  return Status::OK();
+  return Status::InvalidArgument(
+      "mutation must start with INSERT, DELETE, or COMPACT");
 }
 
 std::string FormatMutationLine(const WireMutation& mutation) {
-  std::string line;
-  switch (mutation.op) {
-    case WireMutationOp::kInsert:
-      line = "INSERT";
-      break;
-    case WireMutationOp::kDelete:
-      line = "DELETE";
-      break;
-    case WireMutationOp::kCompact:
-      line = "COMPACT";
-      break;
-  }
-  const WireMutation defaults;
-  if (mutation.env_name != defaults.env_name) {
-    line += " env=" + mutation.env_name;
-  }
-  if (mutation.op != WireMutationOp::kCompact) {
-    line += std::string(" side=") + LiveSideName(mutation.side);
-    line += " id=" + std::to_string(mutation.rec.id);
-  }
-  if (mutation.op == WireMutationOp::kInsert) {
-    line += " x=" + FormatDouble(mutation.rec.pt.x);
-    line += " y=" + FormatDouble(mutation.rec.pt.y);
-  }
-  return line;
+  return FormatWith(mutation, MutationMessage);
 }
 
 std::string FormatMutationAckLine(const WireMutationAck& ack) {
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "MUT op=%s env=%s epoch=%llu generation=%llu delta=%llu "
-                "tombstones=%llu compactions=%llu",
-                MutationOpWireName(ack.op), ack.env_name.c_str(),
-                static_cast<unsigned long long>(ack.epoch),
-                static_cast<unsigned long long>(ack.generation),
-                static_cast<unsigned long long>(ack.delta),
-                static_cast<unsigned long long>(ack.tombstones),
-                static_cast<unsigned long long>(ack.compactions));
-  return buffer;
+  return FormatWith(ack, MutationAckMessage);
 }
 
 Status ParseMutationAckLine(const std::string& line, WireMutationAck* out) {
-  *out = WireMutationAck{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "MUT") {
-    return Status::InvalidArgument("MUT line must start with MUT");
-  }
-  // seen slots: op, env, epoch, generation, delta, tombstones, compactions.
-  bool seen[7] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("MUT field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "op") {
-      slot = 0;
-      if (!ParseMutationOpName(value, &out->op)) {
-        status = Status::InvalidArgument(
-            "unknown op '" + value + "' (want insert|delete|compact)");
-      }
-    } else if (key == "env") {
-      slot = 1;
-      if (!IsEnvName(value)) {
-        status = Status::InvalidArgument("invalid env name '" + value + "'");
-      } else {
-        out->env_name = value;
-      }
-    } else if (key == "epoch") {
-      slot = 2;
-      status = ParseUint64Field(key, value, &out->epoch);
-    } else if (key == "generation") {
-      slot = 3;
-      status = ParseUint64Field(key, value, &out->generation);
-    } else if (key == "delta") {
-      slot = 4;
-      status = ParseUint64Field(key, value, &out->delta);
-    } else if (key == "tombstones") {
-      slot = 5;
-      status = ParseUint64Field(key, value, &out->tombstones);
-    } else if (key == "compactions") {
-      slot = 6;
-      status = ParseUint64Field(key, value, &out->compactions);
-    } else {
-      return Status::InvalidArgument("unknown MUT key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate MUT key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("MUT line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseWith(line, out, MutationAckMessage);
 }
-
-bool IsValidTraceId(const std::string& id) {
-  if (id.empty() || id.size() > 64) return false;
-  for (char c : id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
-                    c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// Span names share the trace-id charset (they travel as bare tokens).
-bool IsValidSpanName(const std::string& name) { return IsValidTraceId(name); }
-
-}  // namespace
 
 bool IsTraceLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "TRACE";
+  return RequestVerb(line) == "TRACE";
 }
 
 std::string FormatTraceLine(const WireTraceSpan& span) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "TRACE id=%s depth=%llu span=%s count=%llu total_s=%.9g "
-                "start_s=%.9g",
-                span.id.c_str(),
-                static_cast<unsigned long long>(span.depth),
-                span.span.c_str(),
-                static_cast<unsigned long long>(span.count), span.total_s,
-                span.start_s);
-  return buffer;
+  return FormatWith(span, TraceMessage);
 }
 
 Status ParseTraceLine(const std::string& line, WireTraceSpan* out) {
-  *out = WireTraceSpan{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "TRACE") {
-    return Status::InvalidArgument("TRACE line must start with TRACE");
-  }
-  // seen slots: id, depth, span, count, total_s, start_s.
-  bool seen[6] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("TRACE field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "id") {
-      slot = 0;
-      if (!IsValidTraceId(value)) {
-        status = Status::InvalidArgument("invalid trace id '" + value + "'");
-      } else {
-        out->id = value;
-      }
-    } else if (key == "depth") {
-      slot = 1;
-      status = ParseUint64Field(key, value, &out->depth);
-    } else if (key == "span") {
-      slot = 2;
-      if (!IsValidSpanName(value)) {
-        status = Status::InvalidArgument("invalid span name '" + value +
-                                         "'");
-      } else {
-        out->span = value;
-      }
-    } else if (key == "count") {
-      slot = 3;
-      status = ParseUint64Field(key, value, &out->count);
-    } else if (key == "total_s") {
-      slot = 4;
-      status = ParseDoubleField(key, value, &out->total_s);
-    } else if (key == "start_s") {
-      slot = 5;
-      status = ParseDoubleField(key, value, &out->start_s);
-    } else {
-      return Status::InvalidArgument("unknown TRACE key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate TRACE key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("TRACE line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseWith(line, out, TraceMessage);
 }
 
 bool IsTraceEndLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "ENDTRACE";
+  return RequestVerb(line) == "ENDTRACE";
 }
 
 std::string FormatTraceEndLine(const std::string& id, uint64_t spans) {
-  return "ENDTRACE id=" + id + " spans=" + std::to_string(spans);
+  std::string id_value = id;
+  return FormatMessage(TraceEndMessage(&id_value, &spans));
 }
 
 Status ParseTraceEndLine(const std::string& line, std::string* id,
                          uint64_t* spans) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 3 || tokens[0] != "ENDTRACE" ||
-      tokens[1].rfind("id=", 0) != 0 ||
-      tokens[2].rfind("spans=", 0) != 0) {
-    return Status::InvalidArgument(
-        "ENDTRACE line wants 'ENDTRACE id=token spans=N'");
+  return ParseMessage(line, TraceEndMessage(id, spans));
+}
+
+std::string FormatTraceBlock(const obs::TraceContext& trace,
+                             uint64_t relayed_spans) {
+  const std::vector<obs::TraceSpan> spans = trace.Spans();
+  std::string out;
+  for (const obs::TraceSpan& span : spans) {
+    WireTraceSpan wire;
+    wire.id = trace.id();
+    wire.depth = static_cast<uint64_t>(span.depth);
+    wire.span = span.name;
+    wire.count = span.count;
+    wire.total_s = span.total_seconds;
+    wire.start_s = span.start_seconds;
+    out += FormatTraceLine(wire) + "\n";
   }
-  const std::string id_value = tokens[1].substr(3);
-  if (!IsValidTraceId(id_value)) {
-    return Status::InvalidArgument("invalid trace id '" + id_value + "'");
-  }
-  *id = id_value;
-  return ParseUint64Field("spans", tokens[2].substr(6), spans);
+  return out + FormatTraceEndLine(trace.id(), relayed_spans + spans.size()) +
+         "\n";
 }
 
 bool IsMetricsRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return tokens.size() == 1 && tokens[0] == "METRICS";
+  return IsBareRequest(line, "METRICS");
 }
 
 std::string FormatMetricsEndLine(uint64_t lines) {
-  return "ENDMETRICS lines=" + std::to_string(lines);
+  return FormatMessage(MetricsEndMessage(&lines));
 }
 
 Status ParseMetricsEndLine(const std::string& line, uint64_t* lines) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 2 || tokens[0] != "ENDMETRICS" ||
-      tokens[1].rfind("lines=", 0) != 0) {
-    return Status::InvalidArgument(
-        "ENDMETRICS line wants 'ENDMETRICS lines=N'");
-  }
-  return ParseUint64Field("lines", tokens[1].substr(6), lines);
+  return ParseMessage(line, MetricsEndMessage(lines));
 }
 
 bool IsEpochRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "EPOCH";
+  return RequestVerb(line) == "EPOCH";
 }
 
 std::string FormatEpochRequestLine(const std::string& env_name) {
-  if (env_name == "default") return "EPOCH";
-  return "EPOCH env=" + env_name;
+  std::string name = env_name;
+  std::string default_name = "default";
+  const Message defaults = EpochRequestMessage(&default_name);
+  return FormatMessage(EpochRequestMessage(&name), &defaults);
 }
 
 Status ParseEpochRequestLine(const std::string& line, std::string* env_name) {
   *env_name = "default";
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "EPOCH" || tokens.size() > 2) {
-    return Status::InvalidArgument("EPOCH request wants 'EPOCH [env=name]'");
-  }
-  if (tokens.size() == 2) {
-    if (tokens[1].rfind("env=", 0) != 0 || !IsEnvName(tokens[1].substr(4))) {
-      return Status::InvalidArgument("EPOCH request wants 'EPOCH [env=name]'");
-    }
-    *env_name = tokens[1].substr(4);
-  }
-  return Status::OK();
+  return ParseMessage(line, EpochRequestMessage(env_name));
 }
 
 std::string FormatEpochResponseLine(const std::string& env_name,
                                     uint64_t epoch) {
-  return "EPOCH env=" + env_name + " epoch=" + std::to_string(epoch);
+  std::string name = env_name;
+  return FormatMessage(EpochResponseMessage(&name, &epoch));
 }
 
 Status ParseEpochResponseLine(const std::string& line, std::string* env_name,
                               uint64_t* epoch) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 3 || tokens[0] != "EPOCH" ||
-      tokens[1].rfind("env=", 0) != 0 ||
-      tokens[2].rfind("epoch=", 0) != 0) {
-    return Status::InvalidArgument(
-        "EPOCH response wants 'EPOCH env=name epoch=N'");
-  }
-  const std::string name = tokens[1].substr(4);
-  if (!IsEnvName(name)) {
-    return Status::InvalidArgument("invalid env name '" + name + "'");
-  }
-  *env_name = name;
-  return ParseUint64Field("epoch", tokens[2].substr(6), epoch);
+  return ParseMessage(line, EpochResponseMessage(env_name, epoch));
 }
 
 bool IsFailpointRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "FAILPOINT";
+  return RequestVerb(line) == "FAILPOINT";
 }
 
 std::string FormatFailpointLine(const std::string& site,
@@ -1078,7 +877,8 @@ std::string FormatFailpointLine(const std::string& site,
 
 Status ParseFailpointLine(const std::string& line, std::string* site,
                           std::string* spec) {
-  const std::vector<std::string> tokens = Tokenize(line);
+  std::vector<std::string> tokens;
+  RINGJOIN_RETURN_IF_ERROR(Tokenize(line, &tokens));
   if (tokens.size() < 3 || tokens[0] != "FAILPOINT") {
     return Status::InvalidArgument(
         "FAILPOINT request wants 'FAILPOINT site spec...'");

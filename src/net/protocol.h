@@ -64,10 +64,14 @@
 // stream stays minimal. Coordinates travel as %.17g, which round-trips
 // IEEE doubles exactly.
 //
-// Parsing is strict — empty keys, duplicate keys, unknown keys, malformed
-// or out-of-range numbers and unknown algorithm/order names are rejected
-// with InvalidArgument — and shared: rcj_tool's flag parsing uses the same
-// name tables, so the CLI and the wire accept the same spellings.
+// Tokens are separated by runs of spaces and tabs, and a line may end in
+// LF, CR or CRLF; a CR (or LF) with bytes after it is InvalidArgument.
+// Parsing is strict — empty keys, duplicate keys, unknown keys, missing
+// fields, malformed or out-of-range numbers and unknown algorithm/order
+// names are rejected with InvalidArgument (OutOfRange for numbers past
+// their type) — and shared: one field table per message drives both its
+// parser and its formatter, and rcj_tool's flag parsing uses the same name
+// tables, so the CLI and the wire accept the same spellings.
 #ifndef RINGJOIN_NET_PROTOCOL_H_
 #define RINGJOIN_NET_PROTOCOL_H_
 
@@ -78,6 +82,7 @@
 #include "core/delta_overlay.h"
 #include "core/query_spec.h"
 #include "core/rcj_types.h"
+#include "obs/trace.h"
 
 namespace rcj {
 namespace net {
@@ -129,6 +134,10 @@ Status ParseDoubleField(const std::string& key, const std::string& value,
 /// mutation files.
 Status ParseInt64Field(const std::string& key, const std::string& value,
                        int64_t* out);
+
+/// The first token of a request line (its verb: QUERY, STATS, INSERT...),
+/// or "" when the line is blank or has a line break before its end.
+std::string RequestVerb(const std::string& line);
 
 /// Parses one request line into `*out` (which is reset to defaults first).
 /// Unknown, empty, or repeated keys and malformed values are
@@ -273,6 +282,12 @@ bool IsTraceEndLine(const std::string& line);
 std::string FormatTraceEndLine(const std::string& id, uint64_t spans);
 Status ParseTraceEndLine(const std::string& line, std::string* id,
                          uint64_t* spans);
+
+/// The span tree of `trace` as frames, each ending in a newline: one TRACE
+/// line per aggregated span, then ENDTRACE counting those plus
+/// `relayed_spans` (the backend TRACE lines a proxy relayed before them).
+std::string FormatTraceBlock(const obs::TraceContext& trace,
+                             uint64_t relayed_spans = 0);
 
 /// True iff `line` opens with the EPOCH verb (prefix dispatch; the
 /// strict parses below may still reject it).

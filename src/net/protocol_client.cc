@@ -164,6 +164,26 @@ Status ProtocolClient::Mutate(const WireMutation& mutation,
   return Status::OK();  // connection stays open for the next Mutate().
 }
 
+Status ProtocolClient::Epoch(const std::string& env_name, uint64_t* epoch) {
+  if (!SendLine(FormatEpochRequestLine(env_name))) {
+    Close();
+    return Status::IoError("epoch: send failed, connection lost");
+  }
+  Status status = ReadAck("epoch");
+  if (!status.ok()) return status;
+  std::string line;
+  std::string got_env;
+  status = ReadLine(&line)
+               ? ParseEpochResponseLine(line, &got_env, epoch)
+               : Status::IoError("epoch: connection closed before its row");
+  Close();
+  if (status.ok() && got_env != env_name) {
+    status = Status::Corruption("epoch: probe for '" + env_name +
+                                "' answered for '" + got_env + "'");
+  }
+  return status;
+}
+
 Status ProtocolClient::Stats(std::vector<WireShardStats>* shards,
                              std::vector<WireEnvStats>* envs) {
   if (!SendLine("STATS")) {

@@ -97,6 +97,11 @@ class ProtocolClient {
   /// returned as the transported Status.
   Status Mutate(const WireMutation& mutation, WireMutationAck* ack);
 
+  /// Probes one environment's mutation epoch: sends `EPOCH`, expects `OK`
+  /// and the epoch row for `env_name` (Corruption when it names another
+  /// environment). Consumes the connection.
+  Status Epoch(const std::string& env_name, uint64_t* epoch);
+
   /// Fetches server statistics: sends `STATS`, expects `OK`, collects
   /// every SHARD row into `*shards` and every ENV row into `*envs`
   /// (either may be null), and validates the ENDSTATS totals against the

@@ -256,6 +256,27 @@ class MetricsRegistry {
   SlowQueryLog slow_log_;
 };
 
+/// One outcome count kept twice: exactly, per owning instance (a server's
+/// counters(), which stays exact under RINGJOIN_NO_METRICS and
+/// SetMetricsEnabled(false)), and on the default registry's counter of the
+/// same meaning (the METRICS exposition).
+class OutcomeCounter {
+ public:
+  explicit OutcomeCounter(const std::string& metric_name)
+      : metric_(MetricsRegistry::Default().counter(metric_name)) {}
+  RINGJOIN_DISALLOW_COPY_AND_ASSIGN(OutcomeCounter);
+
+  void Add() {
+    count_.fetch_add(1, std::memory_order_relaxed);
+    metric_->Add();
+  }
+  uint64_t value() const { return count_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> count_{0};
+  Counter* metric_;
+};
+
 }  // namespace obs
 }  // namespace rcj
 

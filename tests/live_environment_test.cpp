@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -15,11 +16,13 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/rcj_brute.h"
 #include "engine/engine.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace rcj {
 namespace {
@@ -559,6 +562,116 @@ TEST(LiveEnvironmentTest, SnapshotPinsItsBaseThroughCompaction) {
   live.value().reset();
   ExpectSamePairs(SerialMerged(survivor, RcjAlgorithm::kObj), expected,
                   "snapshot after environment destruction");
+}
+
+// Dynamic RCJ: the join maintained under insertions into two pointsets
+// that both start empty — the paper's decision-support scenario of a new
+// site opening, updated in place instead of re-running the batch join.
+
+std::unique_ptr<LiveEnvironment> EmptyLive() {
+  Result<std::unique_ptr<LiveEnvironment>> live =
+      LiveEnvironment::Create({}, {}, LiveOptions{});
+  EXPECT_TRUE(live.ok()) << live.status().ToString();
+  return std::move(live).value();
+}
+
+std::vector<RcjPair> MaintainedPairs(LiveEnvironment* live) {
+  return SerialMerged(live->TakeSnapshot(), RcjAlgorithm::kObj);
+}
+
+TEST(DynamicRcjTest, EmptyJoinHasNoPairs) {
+  std::unique_ptr<LiveEnvironment> live = EmptyLive();
+  EXPECT_TRUE(MaintainedPairs(live.get()).empty());
+}
+
+TEST(DynamicRcjTest, FirstPairAppearsAfterOnePointPerSide) {
+  std::unique_ptr<LiveEnvironment> live = EmptyLive();
+  ASSERT_TRUE(live->Insert(LiveSide::kP, PointRecord{{100.0, 100.0}, 0}).ok());
+  EXPECT_TRUE(MaintainedPairs(live.get()).empty()) << "no Q points yet";
+  ASSERT_TRUE(live->Insert(LiveSide::kQ, PointRecord{{200.0, 100.0}, 0}).ok());
+  const std::vector<RcjPair> pairs = MaintainedPairs(live.get());
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0].circle.center, (Point{150.0, 100.0}));
+}
+
+TEST(DynamicRcjTest, InsertionKillsBlockedPair) {
+  std::unique_ptr<LiveEnvironment> live = EmptyLive();
+  ASSERT_TRUE(live->Insert(LiveSide::kP, PointRecord{{0.0, 0.0}, 0}).ok());
+  ASSERT_TRUE(live->Insert(LiveSide::kQ, PointRecord{{10.0, 0.0}, 0}).ok());
+  ASSERT_EQ(MaintainedPairs(live.get()).size(), 1u);
+  // A new P point in the middle of the existing pair's circle kills it and
+  // forms a new, tighter pair with the Q point.
+  ASSERT_TRUE(live->Insert(LiveSide::kP, PointRecord{{5.0, 0.1}, 1}).ok());
+  const auto ids = testing_util::PairIds(MaintainedPairs(live.get()));
+  EXPECT_TRUE(ids.count({0, 0}) == 0) << "old pair must be invalidated";
+  EXPECT_TRUE(ids.count({1, 0}) != 0) << "new point pairs with q0";
+}
+
+class DynamicSequenceSweep
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+TEST_P(DynamicSequenceSweep, MatchesBatchJoinAfterEveryInsertion) {
+  const auto [n_per_side, seed] = GetParam();
+  const std::vector<PointRecord> pset = GenerateUniform(n_per_side, seed);
+  const std::vector<PointRecord> qset =
+      GenerateUniform(n_per_side, seed + 1000);
+  std::unique_ptr<LiveEnvironment> live = EmptyLive();
+  std::vector<PointRecord> inserted_p;
+  std::vector<PointRecord> inserted_q;
+
+  // Interleave insertions; cross-check against brute force at checkpoints
+  // (every insertion for small runs would be O(n^4) overall).
+  const size_t checkpoint = std::max<size_t>(1, n_per_side / 4);
+  for (size_t i = 0; i < n_per_side; ++i) {
+    ASSERT_TRUE(live->Insert(LiveSide::kP, pset[i]).ok());
+    inserted_p.push_back(pset[i]);
+    ASSERT_TRUE(live->Insert(LiveSide::kQ, qset[i]).ok());
+    inserted_q.push_back(qset[i]);
+    if ((i + 1) % checkpoint == 0 || i + 1 == n_per_side) {
+      ExpectSamePairs(MaintainedPairs(live.get()),
+                      BruteForceRcj(inserted_p, inserted_q),
+                      ("after " + std::to_string(i + 1) + " rounds").c_str());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, DynamicSequenceSweep,
+    ::testing::Combine(::testing::Values<size_t>(20, 60, 120),
+                       ::testing::Values<uint64_t>(900, 901)),
+    [](const auto& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(DynamicRcjTest, SkewedInsertionOrderStillCorrect) {
+  // All P first, then all Q — exercises the one-sided phases.
+  const std::vector<PointRecord> pset = GenerateUniform(80, 910);
+  const std::vector<PointRecord> qset = GenerateUniform(80, 911);
+  std::unique_ptr<LiveEnvironment> live = EmptyLive();
+  for (const PointRecord& p : pset) {
+    ASSERT_TRUE(live->Insert(LiveSide::kP, p).ok());
+  }
+  EXPECT_TRUE(MaintainedPairs(live.get()).empty());
+  for (const PointRecord& q : qset) {
+    ASSERT_TRUE(live->Insert(LiveSide::kQ, q).ok());
+  }
+  ExpectSamePairs(MaintainedPairs(live.get()), BruteForceRcj(pset, qset),
+                  "P-then-Q order");
+}
+
+TEST(DynamicRcjTest, ClusteredInsertions) {
+  const std::vector<PointRecord> pset =
+      GenerateGaussianClusters(100, 3, 600.0, 920);
+  const std::vector<PointRecord> qset =
+      GenerateGaussianClusters(100, 3, 600.0, 921);
+  std::unique_ptr<LiveEnvironment> live = EmptyLive();
+  for (size_t i = 0; i < pset.size(); ++i) {
+    ASSERT_TRUE(live->Insert(LiveSide::kP, pset[i]).ok());
+    ASSERT_TRUE(live->Insert(LiveSide::kQ, qset[i]).ok());
+  }
+  ExpectSamePairs(MaintainedPairs(live.get()), BruteForceRcj(pset, qset),
+                  "clustered");
 }
 
 }  // namespace

@@ -641,6 +641,52 @@ TEST(ProtocolFailpointTest, LineRoundTripsAndKeepsMultiTokenSpecs) {
       ParseFailpointLine("FAILPOINT s!te err", &site, &spec).ok());
 }
 
+TEST(ProtocolFramingTest, RejectsACarriageReturnInsideTheLine) {
+  // A CR with bytes after it used to end the line silently: the first line
+  // compacted "default", the second ran an OBJ query.
+  WireMutation mutation;
+  EXPECT_EQ(ParseMutationLine("COMPACT\r env=other", &mutation).code(),
+            StatusCode::kInvalidArgument);
+  WireRequest request;
+  EXPECT_EQ(ParseRequestLine("QUERY limit=5\r algo=inj", &request).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(IsMutationRequestLine("COMPACT\r env=other"));
+  EXPECT_FALSE(IsStatsRequestLine("STATS\r now"));
+
+  // A line may still end in LF, CR or CRLF.
+  for (const char* line : {"COMPACT env=other\n", "COMPACT env=other\r",
+                           "COMPACT env=other\r\n"}) {
+    ASSERT_TRUE(ParseMutationLine(line, &mutation).ok()) << line;
+    EXPECT_EQ(mutation.env_name, "other");
+  }
+}
+
+TEST(ProtocolFramingTest, LongEnvNamesRoundTripInEnvAndMutRows) {
+  // Environment names have no length bound, so no row may be cut short.
+  const std::string name(300, 'n');
+  WireEnvStats env;
+  env.name = name;
+  env.base_q = 1234;
+  env.base_p = 5678;
+  WireEnvStats env_back;
+  ASSERT_TRUE(ParseEnvStatsLine(FormatEnvStatsLine(env), &env_back).ok());
+  EXPECT_EQ(env_back.name, name);
+  EXPECT_EQ(env_back.base_q, 1234u);
+  EXPECT_EQ(env_back.base_p, 5678u);
+
+  WireMutationAck ack;
+  ack.op = WireMutationOp::kInsert;
+  ack.env_name = name;
+  ack.epoch = 7;
+  ack.compactions = 3;
+  WireMutationAck ack_back;
+  ASSERT_TRUE(
+      ParseMutationAckLine(FormatMutationAckLine(ack), &ack_back).ok());
+  EXPECT_EQ(ack_back.env_name, name);
+  EXPECT_EQ(ack_back.epoch, 7u);
+  EXPECT_EQ(ack_back.compactions, 3u);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace rcj
