@@ -19,6 +19,7 @@
 namespace rcj {
 
 class RcjEnvironment;
+class StopToken;
 struct DeltaOverlay;
 
 namespace obs {
@@ -61,9 +62,9 @@ struct QuerySpec {
   /// default-constructed time_point means "none". Set from the wire's
   /// relative `deadline_ms` at parse time. Enforced in three places:
   /// admission sheds already-expired work with kDeadlineExceeded before
-  /// it takes a slot, the engine aborts an in-flight query at the next
-  /// leaf-chunk boundary, and a fronting proxy budgets its retries
-  /// against the remaining time.
+  /// it takes a slot, the engine's stop check stops an in-flight query
+  /// (at a chunk claim or within a few dozen buffered pairs), and a
+  /// fronting proxy budgets its retries against the remaining time.
   std::chrono::steady_clock::time_point deadline{};
 
   /// True when a deadline was set.
@@ -82,6 +83,11 @@ struct QuerySpec {
   /// resolves). Null — the default — costs the instrumented paths nothing
   /// beyond a pointer check.
   obs::TraceContext* trace = nullptr;
+
+  /// This query's own stop signal (core/stop_token.h), settled when the
+  /// query resolves: stop it from any thread to cancel. Non-owning, like
+  /// `trace`; null lets the engine use a token of its own.
+  StopToken* stop = nullptr;
 
   /// Checks the spec describes an executable query: a bound environment,
   /// a known algorithm and search order, and a finite non-negative I/O

@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "core/rcj_inj.h"
+#include "core/stop_token.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/buffer_manager.h"
@@ -18,6 +19,23 @@ using Clock = std::chrono::steady_clock;
 
 /// Cached leaf orders the engine keeps across batches.
 constexpr size_t kPlanCacheCap = 32;
+
+/// Buffered pairs between two clock reads of a deadline-bound query.
+constexpr uint32_t kClockStride = 64;
+
+/// rcj_engine_stops_total{reason="..."}, indexed by StopReason.
+obs::Counter* StopsTotal(StopReason reason) {
+  static const std::vector<obs::Counter*> counters = [] {
+    std::vector<obs::Counter*> all(1, nullptr);  // kNone is not a stop
+    for (int r = 1; r <= static_cast<int>(StopReason::kFailed); ++r) {
+      all.push_back(obs::MetricsRegistry::Default().counter(
+          std::string("rcj_engine_stops_total{reason=\"") +
+          StopReasonName(static_cast<StopReason>(r)) + "\"}"));
+    }
+    return all;
+  }();
+  return counters[static_cast<size_t>(reason)];
+}
 
 size_t WorkerPoolPages(const RcjEnvironment& env,
                        const EngineOptions& options) {
@@ -40,26 +58,19 @@ struct QueryEmitState {
   /// Final delivery target: the caller's sink, or an engine-owned
   /// VectorSink into the result slot.
   PairSink* sink = nullptr;
-  uint64_t limit = 0;      ///< 0 = unlimited (from QuerySpec::limit).
+  /// The query's stop signal: QuerySpec::stop, or `own_stop` when null.
+  /// Once stopped, nothing more reaches the sink, tasks claim no chunk and
+  /// running traversals end at their next pair.
+  StopToken* stop = nullptr;
+  StopToken own_stop;
+  uint64_t limit = 0;      ///< 0 = unlimited (QuerySpec::limit).
   uint64_t delivered = 0;  ///< pairs handed to `sink` so far.
   size_t next_range = 0;   ///< first chunk not yet flushed.
   enum : char { kPending = 0, kDone = 1, kFailed = 2 };
   std::vector<char> range_done;  ///< per-chunk completion state.
-  /// True once nothing more may reach the sink: the limit was satisfied,
-  /// the sink refused a pair, or an earlier chunk failed (a later chunk's
-  /// output would no longer be a serial prefix).
-  bool delivery_closed = false;
-  /// First failure raised by the delivery sink itself (an Emit() that
-  /// threw); settled into the query's result status at merge time.
-  Status delivery_status;
-  /// Set (once) when a task observed the query's deadline expired at a
-  /// chunk boundary: the whole query resolves to this status at merge
-  /// time, since a partial stream past a blown budget is not a result.
-  Status abort_status;
-  /// Relaxed cross-thread signal that remaining work is pointless: tasks
-  /// stop claiming chunks and running traversals stop at their next
-  /// emission.
-  std::atomic<bool> cancelled{false};
+  /// First failure (a chunk's error or a throwing sink): the query's
+  /// status when its stop reason is kFailed.
+  Status failure;
 
   // ---- chunk scheduling (work stealing) ----
   /// The query's full T_Q leaf order (engine plan cache), or null when the
@@ -76,39 +87,54 @@ struct QueryEmitState {
   std::vector<std::vector<RcjPair>> chunk_pairs;
 };
 
-/// Task-local sink: buffers into the chunk's private vector and aborts the
-/// traversal as soon as the query was cancelled (limit satisfied
-/// elsewhere) or this chunk has buffered `limit` pairs itself. The
+/// Task-local sink: buffers into the claimed chunk's vector and aborts the
+/// traversal once the query stops or the chunk holds `limit` pairs. The
 /// per-chunk cap is sound because delivery is cumulative in chunk order:
-/// once a single chunk holds `limit` pairs, nothing past them can ever
-/// reach the user's sink — so a limit-capped query stops early even when
-/// it runs as one task (single worker, small tree, or BRUTE).
+/// nothing past one chunk's first `limit` pairs can reach the user's sink,
+/// so a limit-capped query stops early even when it runs as one task
+/// (single worker, small tree, or BRUTE).
 class TaskBufferSink final : public PairSink {
  public:
-  TaskBufferSink(std::vector<RcjPair>* buffer,
-                 const std::atomic<bool>* cancelled, uint64_t limit)
-      : buffer_(buffer), cancelled_(cancelled), limit_(limit) {}
+  TaskBufferSink(const QuerySpec& spec, StopToken* stop)
+      : spec_(spec), stop_(stop) {}
+
+  /// Points the sink at the claimed chunk's buffer.
+  void set_buffer(std::vector<RcjPair>* buffer) { buffer_ = buffer; }
+
+  /// The task's one stop check, run before each chunk claim (`claim`) and
+  /// on every buffered pair. With a deadline it also reads the clock — at
+  /// every claim and every kClockStride-th pair — and stops the token with
+  /// kDeadline once the budget is spent.
+  bool Stopped(bool claim) {
+    if (stop_->stopped()) return true;
+    if (!spec_.has_deadline() || (!claim && ++pairs_ % kClockStride != 0)) {
+      return false;
+    }
+    if (!spec_.deadline_expired(Clock::now())) return false;
+    stop_->Stop(StopReason::kDeadline);
+    return true;
+  }
 
   bool Emit(const RcjPair& pair) override {
-    if (cancelled_->load(std::memory_order_relaxed)) return false;
+    if (Stopped(/*claim=*/false)) return false;
     buffer_->push_back(pair);
-    return limit_ == 0 || buffer_->size() < limit_;
+    return spec_.limit == 0 || buffer_->size() < spec_.limit;
   }
 
  private:
-  std::vector<RcjPair>* buffer_;
-  const std::atomic<bool>* cancelled_;
-  uint64_t limit_;
+  const QuerySpec& spec_;
+  StopToken* stop_;
+  std::vector<RcjPair>* buffer_ = nullptr;
+  uint32_t pairs_ = 0;
 };
 
 /// One schedulable unit: a claimant of its query's chunk cursor. A query
 /// spawns min(max_tasks, num_chunks) of these; each loops, claiming and
-/// executing chunks until the cursor (or a cancellation) runs dry.
+/// executing chunks until the cursor runs dry or the query stops.
 struct EngineTask {
   size_t query_index = 0;
   QueryEmitState* emit = nullptr;
 
-  Status status;
   JoinStats stats;  ///< candidate/result counts accumulated by ExecuteRcj.
   // Buffer accounting of this task's chunks (deltas of the worker pool's
   // counters, so a warm cached pool attributes only this query's work).
@@ -144,64 +170,55 @@ void PrefetchChunkLeaves(const PageStore& store,
   }
 }
 
-/// Marks `range` complete and flushes every ready chunk at the frontier to
-/// the delivery sink, in order. Called by the worker that finished the
-/// chunk; the per-query mutex serializes delivery, so sinks see one thread
-/// at a time. On reaching the limit (or a sink refusal / chunk failure),
-/// closes delivery and raises the cancellation flag for the query's
-/// remaining chunks.
-void DeliverReadyRanges(QueryEmitState* st, size_t range, bool failed) {
+/// Records the query's first failure and stops it with kFailed (a later
+/// chunk's output would no longer be a serial prefix). Caller holds mu.
+void FailQuery(QueryEmitState* st, Status status) {
+  if (st->failure.ok()) st->failure = std::move(status);
+  st->stop->Stop(StopReason::kFailed);
+}
+
+/// Marks `range` complete (failed unless `status` is OK) and flushes every
+/// ready chunk at the frontier to the delivery sink, in order, until the
+/// query stops. Called by the worker that finished the chunk; the
+/// per-query mutex serializes delivery, so sinks see one thread at a time.
+/// Reaching the limit or a sink refusal stops the query with kLimit.
+void DeliverReadyRanges(QueryEmitState* st, size_t range,
+                        const Status& status) {
   std::lock_guard<std::mutex> lock(st->mu);
   st->range_done[range] =
-      failed ? QueryEmitState::kFailed : QueryEmitState::kDone;
-  if (failed) {
-    st->delivery_closed = true;
-    st->cancelled.store(true, std::memory_order_relaxed);
-  }
-  while (st->next_range < st->range_done.size() &&
-         st->range_done[st->next_range] != QueryEmitState::kPending) {
-    const std::vector<RcjPair>* ready =
-        st->range_done[st->next_range] == QueryEmitState::kDone
-            ? &st->chunk_pairs[st->next_range]
-            : nullptr;
-    if (!st->delivery_closed && ready != nullptr) {
-      // The sink is caller code (or a vector push_back that can hit
-      // bad_alloc); a throw must not escape into the thread pool with the
-      // frontier half-advanced — convert it to a per-query failure and
-      // close delivery, keeping this function's state transitions atomic.
-      try {
-        for (const RcjPair& pair : *ready) {
-          ++st->delivered;
-          const bool more = st->sink->Emit(pair);
-          const bool at_limit = st->limit != 0 && st->delivered >= st->limit;
-          if (!more || at_limit) {
-            st->delivery_closed = true;
-            st->cancelled.store(true, std::memory_order_relaxed);
-            break;
-          }
+      status.ok() ? QueryEmitState::kDone : QueryEmitState::kFailed;
+  if (!status.ok()) FailQuery(st, status);
+  for (; st->next_range < st->range_done.size() &&
+         st->range_done[st->next_range] != QueryEmitState::kPending;
+       ++st->next_range) {
+    if (st->range_done[st->next_range] != QueryEmitState::kDone) continue;
+    // The sink is caller code (or a vector push_back that can hit
+    // bad_alloc); a throw must not escape into the thread pool with the
+    // frontier half-advanced — convert it to a per-query failure, keeping
+    // this function's state transitions atomic.
+    try {
+      for (const RcjPair& pair : st->chunk_pairs[st->next_range]) {
+        if (st->stop->stopped()) break;
+        ++st->delivered;
+        if (!st->sink->Emit(pair) ||
+            (st->limit != 0 && st->delivered >= st->limit)) {
+          st->stop->Stop(StopReason::kLimit);
         }
-      } catch (const std::exception& e) {
-        st->delivery_status =
-            Status::IoError(std::string("result sink threw: ") + e.what());
-        st->delivery_closed = true;
-        st->cancelled.store(true, std::memory_order_relaxed);
-      } catch (...) {
-        st->delivery_status =
-            Status::IoError("result sink threw a non-std exception");
-        st->delivery_closed = true;
-        st->cancelled.store(true, std::memory_order_relaxed);
       }
+    } catch (const std::exception& e) {
+      FailQuery(st, Status::IoError(std::string("result sink threw: ") +
+                                    e.what()));
+    } catch (...) {
+      FailQuery(st, Status::IoError("result sink threw a non-std exception"));
     }
-    ++st->next_range;
   }
 }
 
 /// The task body: claim chunks from the query's cursor until it runs dry
-/// (or the query is cancelled), executing each against this worker's
-/// cached view — acquired lazily, so a task that never claims a chunk
-/// touches no index at all. All failure paths (Status and exceptions)
-/// collapse to a failed chunk, which closes delivery for the query without
-/// poisoning batchmates.
+/// (or the query stops), executing each against this worker's cached view
+/// — acquired lazily, so a task that never claims a chunk touches no index
+/// at all. All failure paths (Status and exceptions) collapse to a failed
+/// chunk, which stops the query without poisoning batchmates.
 void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
                    std::vector<std::unique_ptr<WorkerContext>>* contexts,
                    EngineTask* t) {
@@ -242,27 +259,8 @@ void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
     return Status::OK();
   };
 
-  for (;;) {
-    // An external cancel (service ticket, dropped network peer) joins the
-    // internal one here, so even a query that never emits a pair stops at
-    // the next chunk boundary.
-    if (query.cancel != nullptr &&
-        query.cancel->load(std::memory_order_relaxed)) {
-      emit->cancelled.store(true, std::memory_order_relaxed);
-    }
-    // Leaf-chunk boundaries are the engine's deadline enforcement points:
-    // a blown budget aborts the whole query (DeadlineExceeded at merge)
-    // instead of letting it keep claiming chunks it can no longer use.
-    if (query.spec.deadline_expired(Clock::now())) {
-      std::lock_guard<std::mutex> lock(emit->mu);
-      if (emit->abort_status.ok()) {
-        emit->abort_status = Status::DeadlineExceeded(
-            "query deadline expired at a leaf-chunk boundary");
-      }
-      emit->delivery_closed = true;
-      emit->cancelled.store(true, std::memory_order_relaxed);
-    }
-    if (emit->cancelled.load(std::memory_order_relaxed)) break;
+  TaskBufferSink sink(query.spec, emit->stop);
+  while (!sink.Stopped(/*claim=*/true)) {
     const size_t chunk =
         emit->next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= emit->num_chunks) break;
@@ -289,8 +287,7 @@ void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
           PrefetchChunkLeaves(*env.q_page_store(), subset,
                               options.readahead_leaves);
         }
-        TaskBufferSink sink(&emit->chunk_pairs[chunk], &emit->cancelled,
-                            query.spec.limit);
+        sink.set_buffer(&emit->chunk_pairs[chunk]);
         // Exactly one fragment of the query appends the overlay's delta-Q
         // tail: the last leaf chunk of a split query, or the whole query
         // when it was never split. Chunks deliver in index order, so the
@@ -315,10 +312,8 @@ void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
     } catch (...) {
       status = Status::IoError("engine task threw a non-std exception");
     }
-    const bool failed = !status.ok();
-    if (failed) t->status = status;
-    DeliverReadyRanges(emit, chunk, failed);
-    if (failed) break;
+    DeliverReadyRanges(emit, chunk, status);
+    if (!status.ok()) break;
   }
 
   if (view != nullptr) {
@@ -480,6 +475,8 @@ std::vector<EngineQueryResult> Engine::RunBatch(
           std::make_unique<VectorSink>(&results[qi].run.pairs);
       emit->sink = collect_sinks[qi].get();
     }
+    emit->stop = query.spec.stop != nullptr ? query.spec.stop
+                                            : &emit->own_stop;
     emit->limit = query.spec.limit;
 
     size_t num_tasks = 1;
@@ -541,19 +538,26 @@ std::vector<EngineQueryResult> Engine::RunBatch(
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     if (!results[qi].status.ok()) continue;  // planning already failed
     EngineQueryResult& result = results[qi];
+    const QueryEmitState& emit = *emit_states[qi];
+    // The one place a stop reason becomes the query's status. Settling
+    // the token keeps a later Stop() from contradicting that status.
+    const StopReason reason = emit.stop->Settle();
+    if (reason != StopReason::kNone) StopsTotal(reason)->Add();
+    if (reason == StopReason::kFailed) {
+      result.status = emit.failure.ok() ? StopStatus(reason) : emit.failure;
+      // The caller's sink may have received a serial prefix before the
+      // failing chunk was reached; the status is the source of truth.
+      result.run = RcjRunResult();
+      continue;
+    }
+    result.status = StopStatus(reason);
     double busy_seconds = 0.0;
     Clock::time_point first_start = Clock::time_point::max();
     Clock::time_point last_end = Clock::time_point::min();
     for (const size_t ti : tasks_of_query[qi]) {
-      first_start = std::min(first_start, tasks[ti].start);
-      last_end = std::max(last_end, tasks[ti].end);
-    }
-    for (const size_t ti : tasks_of_query[qi]) {
       const EngineTask& task = tasks[ti];
-      if (!task.status.ok()) {
-        result.status = task.status;
-        break;
-      }
+      first_start = std::min(first_start, task.start);
+      last_end = std::max(last_end, task.end);
       result.run.stats.candidates += task.stats.candidates;
       result.run.stats.node_accesses += task.node_accesses;
       result.run.stats.page_faults += task.page_faults;
@@ -566,22 +570,10 @@ std::vector<EngineQueryResult> Engine::RunBatch(
       busy_seconds +=
           std::chrono::duration<double>(task.end - task.start).count();
     }
-    if (result.status.ok() && !emit_states[qi]->abort_status.ok()) {
-      result.status = emit_states[qi]->abort_status;
-    }
-    if (result.status.ok() && !emit_states[qi]->delivery_status.ok()) {
-      result.status = emit_states[qi]->delivery_status;
-    }
-    if (!result.status.ok()) {
-      // The caller's sink may have received a serial prefix before the
-      // failing chunk was reached; the status is the source of truth.
-      result.run = RcjRunResult();
-      continue;
-    }
     // Results = pairs actually delivered to the sink (the in-order
-    // stream), not the sum of chunk buffers — chunks past a satisfied
-    // limit may have buffered pairs that were rightly dropped.
-    result.run.stats.results = emit_states[qi]->delivered;
+    // stream), not the sum of chunk buffers — chunks past a stop may have
+    // buffered pairs that were rightly dropped.
+    result.run.stats.results = emit.delivered;
     IoCostModel model;
     model.ms_per_fault = queries[qi].spec.io_ms_per_fault;
     BufferStats aggregated;

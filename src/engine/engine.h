@@ -20,10 +20,12 @@
 // delivered to it in the exact serial order as leaf-range tasks complete —
 // a range's output is flushed the moment every earlier range has been
 // flushed, so the head of the stream is available long before the join
-// finishes. A QuerySpec::limit (or a sink returning false) stops delivery
-// after the serial prefix and cancels the query's remaining tasks, which
-// is how a caller gets top-k middleman pairs without paying for the full
-// join.
+// finishes. Every early end is one StopReason on the query's StopToken
+// (QuerySpec::stop, or the engine's own when null): limit or sink refusal,
+// cancel, deadline, peer gone, failure. Each task checks the token before
+// it claims a chunk and on every pair it buffers (reading the clock every
+// few dozen pairs when a deadline is set), so even an unsplit query stops
+// mid-traversal; the merge maps the reason to the query's status.
 //
 // Workers execute through persistent execution contexts (worker_context.h):
 // each worker thread owns a long-lived cache of (environment -> view)
@@ -48,7 +50,6 @@
 #ifndef RINGJOIN_ENGINE_ENGINE_H_
 #define RINGJOIN_ENGINE_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <list>
 #include <memory>
@@ -116,18 +117,12 @@ struct EngineOptions {
 struct EngineQuery {
   QuerySpec spec;
   PairSink* sink = nullptr;
-  /// Optional external cancellation flag (a service ticket's, a session's).
-  /// Once true, the query winds down like a satisfied limit: leaf-range
-  /// tasks not yet started are skipped and delivery closes. Granularity is
-  /// the leaf-range task — a task already inside its traversal finishes
-  /// that range (per-pair abort still happens through the sink contract).
-  /// Must outlive the batch; null means not externally cancellable.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Outcome of one batch entry, in input order. `run` is meaningful only
-/// when `status.ok()`; for limit-capped queries its stats cover the work
-/// actually performed before cancellation.
+/// Outcome of one batch entry, in input order: the status its stop reason
+/// maps to (StopStatus), or the failing chunk's error. `run` covers the
+/// work performed and the pairs delivered before any stop; it is empty
+/// for a failed query.
 struct EngineQueryResult {
   Status status;
   RcjRunResult run;

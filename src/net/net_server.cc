@@ -10,6 +10,7 @@
 
 #include "common/failpoint.h"
 #include "core/runner.h"
+#include "core/stop_token.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,28 +49,15 @@ struct ServerMetrics {
 
 struct NetServer::Connection : net::LineServer::Connection {
   Connection(int fd, const SocketSinkOptions& options)
-      : net::LineServer::Connection(fd),
-        // The sink's death (peer gone, or backpressure past the grace)
-        // pulls the same cancellation hook a client drop does — from
-        // inside the failing Emit(), before it returns false — so the
-        // service resolves the query as Cancelled and the admission ledger
-        // classifies it exactly as the wire reported it. A death that
-        // lands before the ticket is stored is caught by the self-cancel
-        // after the store (`mu` orders the two, mirroring the Stop()
-        // pattern).
-        sink(fd, options, [this] {
-          std::lock_guard<std::mutex> lock(mu);
-          ticket.Cancel();  // no-op until the ticket is stored
-          sink_died = true;
-        }) {}
+      : net::LineServer::Connection(fd), sink(fd, options, &stop) {}
 
+  /// The stop signal of this connection's one query (QuerySpec::stop); a
+  /// stop before submission resolves the query before any chunk claim.
+  StopToken stop;
   /// Written by the handler thread and, during a query, the engine's
-  /// delivery.
+  /// delivery. Its death (peer gone, or backpressure past the grace)
+  /// stops `stop` with kPeerGone.
   SocketSink sink;
-  /// Guarded by `mu`; valid once submitted.
-  QueryTicket ticket;
-  /// Set by the sink's on_dead hook (guarded by `mu`).
-  bool sink_died = false;
 };
 
 NetServer::NetServer(ShardRouter* router, NetServerOptions options)
@@ -109,9 +97,7 @@ net::LineServer::Tier NetServer::MakeTier() {
     return Send(static_cast<Connection*>(connection), frames);
   };
   tier.unblock = [](net::LineServer::Connection* connection) {
-    // Cancel the query: the engine drops the remaining work at the next
-    // delivery.
-    static_cast<Connection*>(connection)->ticket.Cancel();
+    static_cast<Connection*>(connection)->stop.Stop(StopReason::kCancelled);
   };
   tier.finish = [](net::LineServer::Connection* connection) {
     // The wire-volume counters only the sink knows, settled once per
@@ -330,8 +316,8 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
   Status status = net::ParseRequestLine(line, &request);
   // The wire carries a *relative* budget; anchor it to this process's
   // steady clock the moment the request is understood. Everything below —
-  // admission, the engine's chunk boundaries, the final ERR — compares
-  // against this one absolute deadline.
+  // admission, the engine's stop check, the final ERR — compares against
+  // this one absolute deadline.
   if (status.ok() && request.deadline_ms != 0) {
     request.spec.deadline =
         std::chrono::steady_clock::now() +
@@ -345,6 +331,7 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     trace = std::make_unique<obs::TraceContext>(request.trace_id);
     request.spec.trace = trace.get();
   }
+  request.spec.stop = &connection->stop;
   // Name resolution, environment binding (a live environment binds a
   // pinned snapshot), and spec validation all happen inside Submit,
   // before admission — a malformed spec is a rejection (ERR before OK),
@@ -373,57 +360,32 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     return;
   }
 
-  bool sink_died_early;
-  {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    connection->ticket = ticket;
-    sink_died_early = connection->sink_died;
-  }
-  // Close the Stop() (and early sink-death) race: if the cancel pass ran
-  // before the ticket was stored above, it cancelled an invalid (no-op)
-  // ticket — but then its flag was already set, so self-cancel here.
-  // Either interleaving cancels the real ticket (the connection mutex
-  // orders the two).
-  if (sink_died_early || server_.stopping()) {
-    ticket.Cancel();
-  }
-
   // Babysit the in-flight query: resolve the ticket while watching the
   // socket's read side. A read *error* (ECONNRESET: the peer vanished
-  // with data in flight) cancels the query — the service stops delivery
-  // at the next pair, so the other connections' joins keep their
-  // workers. A plain EOF is NOT a cancellation: a netcat-style client
+  // with data in flight) stops the query with kPeerGone — the engine
+  // ends it within a few pairs, so the other connections' joins keep
+  // their workers. A plain EOF is NOT a cancellation: a netcat-style client
   // legitimately half-closes its write side after the request while it
   // keeps reading, so EOF only means "done sending" — a peer that truly
   // closed is caught by the sink's failing sends instead.
   Status final;
-  bool peer_gone = false;
   bool read_side_open = true;
   while (!ticket.TryGet(&final)) {
     if (!read_side_open) {
       final = ticket.Wait();  // sink death / Stop() resolve the ticket
       break;
     }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 20);
-    if (ready <= 0) continue;
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (poll(&pfd, 1, 20) <= 0) continue;
     char buffer[256];
     const ssize_t got = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
-    if (got > 0) continue;  // stray bytes: one request per connection
-    if (got < 0 &&
-        (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    // Stray bytes are ignored: one request per connection.
+    if (got > 0 || (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                                errno == EINTR))) {
       continue;
     }
-    if (got == 0) {
-      read_side_open = false;  // half-close: keep streaming
-    } else {
-      peer_gone = true;  // hard error: the peer is gone
-      ticket.Cancel();
-      read_side_open = false;
-    }
+    if (got < 0) connection->stop.Stop(StopReason::kPeerGone);
+    read_side_open = false;  // an EOF is a half-close: keep streaming
   }
 
   std::string outcome;
@@ -455,16 +417,16 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
       outcome = "cancelled (final flush)";
     }
   } else {
+    const StopReason reason = connection->stop.reason();
     Status error = final;
-    if (final.code() == StatusCode::kCancelled || sink->dead() || peer_gone) {
-      cancelled_.Add();
-      error = Status::Cancelled("stream cancelled before completion");
-      outcome = "cancelled";
-    } else if (final.code() == StatusCode::kDeadlineExceeded) {
-      // The engine aborted the stream at a chunk boundary when the budget
-      // ran out mid-flight: same outcome class as the admission shed.
+    if (reason == StopReason::kDeadline) {
+      // Same outcome class as the admission shed.
       expired_.Add();
       outcome = "expired: " + final.message();
+    } else if (final.code() == StatusCode::kCancelled || sink->dead()) {
+      cancelled_.Add();
+      error = Status::Cancelled("stream cancelled before completion");
+      outcome = std::string("cancelled: ") + StopReasonName(reason);
     } else {
       failed_.Add();
       outcome = "failed: " + final.message();

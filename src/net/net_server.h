@@ -15,15 +15,14 @@
 // in-flight cap) is answered with `ERR Overloaded` before any OK, so an
 // overloaded server fails fast instead of queueing unboundedly.
 //
-// The connection lifecycle maps onto the service's cancellation hook in
-// both directions:
+// Each connection owns its query's StopToken (QuerySpec::stop), and every
+// way the connection can end a query stops it:
 //
-//   * client drop — the connection thread watches the socket while the
-//     ticket is in flight; an EOF or error pulls QueryTicket::Cancel(), so
-//     the engine abandons the query's remaining leaf ranges instead of
-//     joining for a departed caller;
+//   * client drop — a read error on the socket while the ticket is in
+//     flight stops it with kPeerGone;
 //   * slow consumer — the SocketSink's bounded pending buffer turns a
-//     stalled socket into Emit()->false, the same limit-style cancellation.
+//     stalled socket into a dead sink, which stops it with kPeerGone;
+//   * Stop() — the line server's unblock hook stops it with kCancelled.
 //
 // The connection lifecycle — listener, accept loop, one thread per
 // connection (the joins themselves run on the shard engines' pools;
@@ -106,7 +105,7 @@ class NetServer {
   /// (e.g. the port is taken).
   Status Start();
 
-  /// Stops accepting, cancels every in-flight ticket, unblocks and joins
+  /// Stops accepting, stops every connection's query, unblocks and joins
   /// all connection threads. Idempotent; also run by the destructor.
   void Stop();
 

@@ -10,16 +10,14 @@
 
 namespace rcj {
 
-SocketSink::SocketSink(int fd, SocketSinkOptions options,
-                       std::function<void()> on_dead)
-    : fd_(fd), options_(options), on_dead_(std::move(on_dead)) {
+SocketSink::SocketSink(int fd, SocketSinkOptions options, StopToken* stop)
+    : fd_(fd), options_(options), stop_(stop) {
   if (options_.max_pending_bytes == 0) options_.max_pending_bytes = 1;
 }
 
 void SocketSink::MarkDead() {
-  if (dead_) return;
   dead_ = true;
-  if (on_dead_) on_dead_();
+  if (stop_ != nullptr) stop_->Stop(StopReason::kPeerGone);
 }
 
 bool SocketSink::Emit(const RcjPair& pair) {

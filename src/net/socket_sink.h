@@ -4,12 +4,12 @@
 // Every pair is serialized to one PAIR line and appended to a bounded
 // pending buffer that is drained with non-blocking sends, so a reading
 // client receives results incrementally while the join is still running.
-// Backpressure maps onto the engine's cancellation contract: when the
-// kernel send buffer is full and the pending buffer would exceed its bound
-// (after a short drain grace), or the peer disconnected, Emit() returns
-// false — exactly the signal a satisfied limit raises — and the engine
-// cancels the query's remaining work instead of joining for a client that
-// cannot or will not consume the stream.
+// Backpressure maps onto the query's stop signal: when the kernel send
+// buffer is full and the pending buffer would exceed its bound (after a
+// short drain grace), or the peer disconnected, the sink dies — it stops
+// the query's StopToken with kPeerGone and Emit() returns false — so the
+// engine drops the query's remaining work instead of joining for a client
+// that cannot or will not consume the stream.
 //
 // Threading: like every per-query sink, one thread drives Emit() at a time
 // (the engine serializes delivery per query). The connection thread only
@@ -20,11 +20,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 
 #include "core/pair_sink.h"
+#include "core/stop_token.h"
 
 namespace rcj {
 
@@ -40,14 +39,12 @@ struct SocketSinkOptions {
 class SocketSink final : public PairSink {
  public:
   /// Does not own `fd`; the caller closes it after the last Flush().
-  /// `on_dead`, when set, fires exactly once on the transition to dead(),
-  /// from whatever thread caused it (the engine's during Emit, the
-  /// connection's during SendLine/Flush) and before the failing call
-  /// returns — the server uses it to pull QueryTicket::Cancel() so the
-  /// service resolves a backpressure-killed stream as Cancelled, keeping
-  /// the admission ledger consistent with the wire's ERR frame.
+  /// `stop`, when set, is stopped with kPeerGone as the sink dies, on the
+  /// thread that killed it and before the failing call returns — so a
+  /// backpressure-killed stream resolves as Cancelled, keeping the
+  /// admission ledger consistent with the wire's ERR frame.
   explicit SocketSink(int fd, SocketSinkOptions options = {},
-                      std::function<void()> on_dead = nullptr);
+                      StopToken* stop = nullptr);
 
   /// Serializes and enqueues one PAIR line. Returns false — requesting
   /// engine-side cancellation — once the peer is gone or the bounded
@@ -81,14 +78,14 @@ class SocketSink final : public PairSink {
   bool Append(const std::string& line);
   /// Sends as much pending data as the socket accepts right now.
   void TryDrain();
-  /// Marks the sink dead, firing on_dead exactly once.
+  /// Marks the sink dead and stops `stop_` with kPeerGone.
   void MarkDead();
   /// Bytes enqueued but not yet handed to the kernel.
   size_t pending_bytes() const { return pending_.size() - drained_; }
 
   int fd_;
   SocketSinkOptions options_;
-  std::function<void()> on_dead_;
+  StopToken* stop_;
   std::string pending_;
   /// Length of pending_'s already-sent prefix (compacted lazily).
   size_t drained_ = 0;

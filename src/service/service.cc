@@ -43,25 +43,6 @@ NullSink* SharedNullSink() {
   return &sink;
 }
 
-/// Forwards to the request's sink until the ticket's cancellation flag is
-/// raised, then returns false — which the engine treats exactly like a
-/// satisfied limit: remaining leaf-range tasks are cancelled and the query
-/// winds down with the prefix it already delivered.
-class CancellableSink final : public PairSink {
- public:
-  CancellableSink(PairSink* inner, const std::atomic<bool>* cancelled)
-      : inner_(inner), cancelled_(cancelled) {}
-
-  bool Emit(const RcjPair& pair) override {
-    if (cancelled_->load(std::memory_order_relaxed)) return false;
-    return inner_->Emit(pair);
-  }
-
- private:
-  PairSink* inner_;
-  const std::atomic<bool>* cancelled_;
-};
-
 }  // namespace
 
 Status QueryTicket::Wait() {
@@ -80,11 +61,6 @@ bool QueryTicket::TryGet(Status* status) {
 JoinStats QueryTicket::stats() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->stats;
-}
-
-void QueryTicket::Cancel() {
-  if (state_ == nullptr) return;
-  state_->cancelled.store(true, std::memory_order_relaxed);
 }
 
 Service::Service(ServiceOptions options)
@@ -225,29 +201,13 @@ void Service::DispatcherLoop() {
     }
     if (round.empty()) continue;
 
-    // Requests cancelled while still queued never reach the engine; the
-    // rest run behind a cancellation-aware sink shim so a Cancel() during
-    // the join stops pair delivery like a satisfied limit. The shims live
-    // on this frame: sinks are only driven from inside RunBatch.
-    std::vector<EngineQuery> batch;
-    std::vector<CancellableSink> shims;
-    std::vector<size_t> batch_to_round;
-    batch.reserve(round.size());
-    shims.reserve(round.size());
+    // A query stopped while queued runs too: the engine resolves it
+    // before its first chunk claim, without touching an index.
+    std::vector<EngineQuery> batch(round.size());
     for (size_t i = 0; i < round.size(); ++i) {
-      if (round[i].state->cancelled.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      shims.emplace_back(round[i].sink, &round[i].state->cancelled);
-      EngineQuery query;
-      query.spec = round[i].spec;
-      // The engine also watches the flag between leaf-range tasks, so a
-      // cancelled query that emits no pairs still stops early.
-      query.cancel = &round[i].state->cancelled;
-      batch.push_back(query);
-      batch_to_round.push_back(i);
+      batch[i].spec = round[i].spec;
+      batch[i].sink = round[i].sink;
     }
-    for (size_t i = 0; i < batch.size(); ++i) batch[i].sink = &shims[i];
     // Pairs stream to the request sinks from inside this call, as the
     // engine's leaf-range tasks complete — completion of RunBatch only
     // settles statuses and stats.
@@ -258,32 +218,18 @@ void Service::DispatcherLoop() {
                                       batch_start)
             .count());
 
-    std::vector<Status> statuses(round.size(),
-                                 Status::Cancelled("cancelled before run"));
-    std::vector<JoinStats> stats(round.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      statuses[batch_to_round[i]] = results[i].status;
-      stats[batch_to_round[i]] = results[i].run.stats;
-    }
     for (size_t i = 0; i < round.size(); ++i) {
       QueryTicket::State* state = round[i].state.get();
-      // A cancel that lands mid-join leaves the engine status OK (early
-      // termination is not an engine error); surface it as Cancelled so
-      // the submitter can tell a dropped stream from a completed one.
-      if (state->cancelled.load(std::memory_order_relaxed) &&
-          statuses[i].ok()) {
-        statuses[i] = Status::Cancelled("cancelled during run");
-      }
       // Before the ticket is observable as done: anyone who saw the query
       // resolve must also see its completion side effects (an admission
       // ledger counting it as completed, its slot freed) — freeing the
       // slot a moment before the Wait()er wakes is harmless, the reverse
       // order would make a STATS probe after END racy.
-      if (round[i].on_done) round[i].on_done(statuses[i]);
+      if (round[i].on_done) round[i].on_done(results[i].status);
       {
         std::lock_guard<std::mutex> lock(state->mu);
-        state->status = statuses[i];
-        state->stats = stats[i];
+        state->status = results[i].status;
+        state->stats = results[i].run.stats;
         state->done = true;
       }
       state->cv.notify_all();

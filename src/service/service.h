@@ -9,8 +9,14 @@
 // to an owned Engine. Result pairs stream to the caller's PairSink in exact
 // serial order as leaf-range tasks complete (the engine's ordered flush),
 // so the head of a result is available while the tail is still being
-// joined, and a QuerySpec::limit cancels a query's remaining work the
+// joined, and a QuerySpec::limit stops a query's remaining work the
 // moment its top-k prefix has been delivered.
+//
+// To cancel, stop the query's StopToken (QuerySpec::stop) with
+// StopReason::kCancelled from any thread: the engine ends the query before
+// its first chunk claim if it is still queued, within a few pairs if it is
+// running, and the ticket resolves as Cancelled. A stop that lands after
+// the query finished changes nothing.
 //
 // This is the layer a network protocol would sit on: one Service per
 // process, one ticket + sink per connection. (ROADMAP: "then a network
@@ -18,7 +24,6 @@
 #ifndef RINGJOIN_SERVICE_SERVICE_H_
 #define RINGJOIN_SERVICE_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -31,6 +36,7 @@
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "core/stop_token.h"
 #include "engine/engine.h"
 
 namespace rcj {
@@ -68,15 +74,6 @@ class QueryTicket {
   /// returned true.
   JoinStats stats() const;
 
-  /// Requests cooperative cancellation — the hook a network front end pulls
-  /// when its client drops mid-stream. A still-queued query resolves as
-  /// Cancelled without running; an in-flight query stops at its next pair
-  /// delivery (the engine's limit-style cancellation) and its ticket
-  /// resolves as Cancelled. Queries that already finished are unaffected.
-  /// Safe to call from any thread, any number of times; a no-op on an
-  /// invalid ticket.
-  void Cancel();
-
  private:
   friend class Service;
   struct State {
@@ -85,7 +82,6 @@ class QueryTicket {
     bool done = false;
     Status status;
     JoinStats stats;
-    std::atomic<bool> cancelled{false};
   };
 
   explicit QueryTicket(std::shared_ptr<State> state)
@@ -136,7 +132,7 @@ class Service {
   /// owned engine, blocking until the dispatcher has applied it between
   /// batches — the hook to pull before destroying or rebuilding an
   /// environment mid-service. The caller must first ensure no queued or
-  /// in-flight query still targets `env` (cancel the tickets or wait them
+  /// in-flight query still targets `env` (stop their tokens or wait them
   /// out); this call then guarantees the engine holds nothing over its
   /// page stores. Safe from any thread except a Service callback (a
   /// DoneCallback or sink calling back in would deadlock the dispatcher).

@@ -1,7 +1,7 @@
 // End-to-end deadline enforcement at its three layers: admission sheds
 // already-expired work with kDeadlineExceeded before taking a slot (and
-// the ledger stays exact), the engine aborts an in-flight query at the
-// next leaf-chunk boundary, and a fleet proxy's retry loop spends its
+// the ledger stays exact), the engine's stop check aborts an in-flight
+// query mid-traversal, and a fleet proxy's retry loop spends its
 // backoffs from the same budget and relays ERR DeadlineExceeded once it
 // is gone.
 #include <gtest/gtest.h>
@@ -122,8 +122,8 @@ TEST(DeadlineTest, EngineAbortsMidStreamWhenTheDeadlineExpires) {
   Engine engine(engine_options);
 
   // A sink slow enough that the budget expires long before the stream
-  // ends; the engine must resolve the query as DeadlineExceeded at a
-  // later chunk boundary rather than finish it.
+  // ends; the engine must resolve the query as DeadlineExceeded mid-stream
+  // rather than finish it.
   uint64_t delivered = 0;
   CallbackSink slow_sink([&](const RcjPair&) {
     ++delivered;
@@ -154,8 +154,8 @@ TEST(DeadlineTest, ServerRelaysDeadlineExceededOnTheWire) {
       net::ProtocolClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
   net::ProtocolClient client = std::move(dialed).value();
-  // 1ms against a 4000x4050 join: expires at admission or at an early
-  // chunk boundary; either way the client must see ERR DeadlineExceeded.
+  // 1ms against a 4000x4050 join: expires at admission or early in the
+  // join; either way the client must see ERR DeadlineExceeded.
   ASSERT_TRUE(client.SendLine("QUERY algo=obj deadline_ms=1"));
   std::string line;
   bool saw_err = false;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/rcj.h"
+#include "core/stop_token.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -55,7 +56,7 @@ void ExpectSameSequence(const std::vector<RcjPair>& streamed,
 }
 
 TEST(EngineTest, ExternalCancelFlagSkipsWorkWithoutAnyPairDelivered) {
-  // The cancel flag must be honored at leaf-range-task boundaries, not
+  // A stopped token must be honored before the first chunk claim, not
   // only inside pair delivery — otherwise a query that never emits a pair
   // (or whose caller vanished before the first one) runs to completion.
   const std::vector<PointRecord> qset = GenerateUniform(2500, 17);
@@ -68,7 +69,8 @@ TEST(EngineTest, ExternalCancelFlagSkipsWorkWithoutAnyPairDelivered) {
   engine_options.num_threads = 4;
   Engine engine(engine_options);
 
-  std::atomic<bool> cancelled{true};  // cancelled before the batch starts
+  StopToken stop;
+  stop.Stop(StopReason::kCancelled);  // cancelled before the batch starts
   std::vector<RcjPair> cancelled_pairs;
   VectorSink cancelled_sink(&cancelled_pairs);
   std::vector<RcjPair> live_pairs;
@@ -76,13 +78,13 @@ TEST(EngineTest, ExternalCancelFlagSkipsWorkWithoutAnyPairDelivered) {
 
   std::vector<EngineQuery> batch(2);
   batch[0].spec = QuerySpec::For(env.value().get());
+  batch[0].spec.stop = &stop;
   batch[0].sink = &cancelled_sink;
-  batch[0].cancel = &cancelled;
   batch[1].spec = QuerySpec::For(env.value().get());
-  batch[1].sink = &live_sink;  // no cancel flag: runs in full
+  batch[1].sink = &live_sink;  // no stop token: runs in full
 
   const std::vector<EngineQueryResult> results = engine.RunBatch(batch);
-  ASSERT_TRUE(results[0].status.ok());
+  EXPECT_EQ(results[0].status.code(), StatusCode::kCancelled);
   ASSERT_TRUE(results[1].status.ok());
 
   EXPECT_TRUE(cancelled_pairs.empty())

@@ -232,8 +232,11 @@ TEST(ServiceTest, CancelWhileQueuedSkipsExecution) {
   QueryTicket gate = service.Submit(QuerySpec::For(env.get()), &gate_sink);
   std::vector<RcjPair> pairs;
   VectorSink sink(&pairs);
-  QueryTicket queued = service.Submit(QuerySpec::For(env.get()), &sink);
-  queued.Cancel();
+  StopToken stop;
+  QuerySpec spec = QuerySpec::For(env.get());
+  spec.stop = &stop;
+  QueryTicket queued = service.Submit(spec, &sink);
+  stop.Stop(StopReason::kCancelled);
 
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -258,25 +261,27 @@ TEST(ServiceTest, CancelMidFlightStopsDeliveryLikeALimit) {
   options.engine.num_threads = 4;
   Service service(options);
 
-  // The cancellation hook is pulled after the 5th delivered pair — the
-  // same moment a network front end notices its client dropped. The sink
-  // waits for the ticket handoff so Cancel() never races Submit()'s
-  // return value.
+  // The token is stopped after the 5th delivered pair — the same moment a
+  // network front end notices its client dropped. The sink waits for the
+  // ticket handoff so the stop never races Submit()'s return value.
   std::mutex mu;
   std::condition_variable cv;
   bool have_ticket = false;
   QueryTicket ticket;
+  StopToken stop;
+  QuerySpec spec = QuerySpec::For(env.get());
+  spec.stop = &stop;
   uint64_t delivered = 0;
   CallbackSink sink([&](const RcjPair&) {
     if (++delivered == 5) {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return have_ticket; });
-      ticket.Cancel();
+      stop.Stop(StopReason::kCancelled);
     }
     return true;
   });
   {
-    QueryTicket submitted = service.Submit(QuerySpec::For(env.get()), &sink);
+    QueryTicket submitted = service.Submit(spec, &sink);
     std::lock_guard<std::mutex> lock(mu);
     ticket = submitted;
     have_ticket = true;
@@ -297,22 +302,25 @@ TEST(ServiceTest, CancelAfterCompletionIsANoOp) {
 
   std::vector<RcjPair> pairs;
   VectorSink sink(&pairs);
-  QueryTicket ticket = service.Submit(QuerySpec::For(env.get()), &sink);
+  StopToken stop;
+  QuerySpec spec = QuerySpec::For(env.get());
+  spec.stop = &stop;
+  QueryTicket ticket = service.Submit(spec, &sink);
   ASSERT_TRUE(ticket.Wait().ok());
   const size_t delivered = pairs.size();
 
-  ticket.Cancel();  // already done: must change nothing
+  stop.Stop(StopReason::kCancelled);  // already done: must change nothing
   Status status;
   ASSERT_TRUE(ticket.TryGet(&status));
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(pairs.size(), delivered);
 
-  QueryTicket invalid;
-  invalid.Cancel();  // no-op on an invalid ticket, not a crash
+  StopToken unused;
+  unused.Stop(StopReason::kCancelled);  // a token no query holds: a no-op
 }
 
 TEST(ServiceTest, DestructorDrainsWhileTicketsAreCancelledConcurrently) {
-  // Teardown under load: the destructor's drain races real Cancel()
+  // Teardown under load: the destructor's drain races real stop
   // traffic — the shape a sharded server produces when it shuts down while
   // connections are still dropping. Every ticket must resolve (ok or
   // Cancelled), nothing may hang, and ASan must see no use-after-free of
@@ -322,6 +330,7 @@ TEST(ServiceTest, DestructorDrainsWhileTicketsAreCancelledConcurrently) {
   constexpr size_t kRequests = 12;
   std::vector<std::vector<RcjPair>> streams(kRequests);
   std::vector<std::unique_ptr<VectorSink>> sinks;
+  std::vector<StopToken> stops(kRequests);
   std::vector<QueryTicket> tickets;
   std::vector<std::thread> cancellers;
   {
@@ -331,15 +340,15 @@ TEST(ServiceTest, DestructorDrainsWhileTicketsAreCancelledConcurrently) {
     Service service(options);
     for (size_t i = 0; i < kRequests; ++i) {
       sinks.push_back(std::make_unique<VectorSink>(&streams[i]));
-      tickets.push_back(
-          service.Submit(QuerySpec::For(env.get()), sinks.back().get()));
+      QuerySpec spec = QuerySpec::For(env.get());
+      spec.stop = &stops[i];
+      tickets.push_back(service.Submit(spec, sinks.back().get()));
     }
     // Every odd ticket is cancelled from its own thread while the
     // destructor below drains the queue.
     for (size_t i = 1; i < kRequests; i += 2) {
-      cancellers.emplace_back([ticket = tickets[i]]() mutable {
-        ticket.Cancel();
-      });
+      cancellers.emplace_back(
+          [stop = &stops[i]] { stop->Stop(StopReason::kCancelled); });
     }
     // Service destroyed here, mid-cancellation.
   }
@@ -422,9 +431,12 @@ TEST(ServiceTest, DoneCallbackFiresOncePerOutcome) {
     });
     QueryTicket gate = service.Submit(QuerySpec::For(env.get()), &gate_sink,
                                       recorder("ok"));
-    QueryTicket cancelled = service.Submit(QuerySpec::For(env.get()),
-                                           nullptr, recorder("cancelled"));
-    cancelled.Cancel();
+    StopToken stop;
+    QuerySpec cancelled_spec = QuerySpec::For(env.get());
+    cancelled_spec.stop = &stop;
+    QueryTicket cancelled =
+        service.Submit(cancelled_spec, nullptr, recorder("cancelled"));
+    stop.Stop(StopReason::kCancelled);
     QuerySpec invalid;  // env == nullptr -> InvalidArgument
     QueryTicket bad = service.Submit(invalid, nullptr, recorder("invalid"));
     {
