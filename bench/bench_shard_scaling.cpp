@@ -5,7 +5,7 @@
 // This is a systems benchmark, not a paper reproduction (the paper's
 // closest analogue is its many dataset configurations — Fig. 16 sizes,
 // Fig. 18 cluster counts — served side by side). Each shard owns a full
-// Service (engine + dispatcher queue); the sweep measures how wall-clock
+// Service (engine + worker pool); the sweep measures how wall-clock
 // for a fixed mixed workload changes as the same environments are spread
 // over 1, 2, and 4 shards. Expected shape on a multi-core machine: the
 // uniform mix gains from added shards until engine threads saturate the

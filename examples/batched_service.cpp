@@ -53,7 +53,7 @@ int main() {
               restaurants.size(), cafes.size(), stations.size());
 
   Service service(ServiceOptions{});  // one worker per hardware thread
-  std::printf("service up: %zu worker threads behind the dispatcher\n",
+  std::printf("service up: %zu engine worker threads\n",
               service.num_threads());
 
   // Twelve simultaneous user requests: most want the fast planner (OBJ), a

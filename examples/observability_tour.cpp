@@ -194,7 +194,7 @@ int main() {
         line.rfind("rcj_server_ok_total", 0) == 0 ||
         line.rfind("rcj_admission_submitted_total", 0) == 0 ||
         line.rfind("rcj_engine_exec_seconds_count", 0) == 0 ||
-        line.rfind("rcj_service_queue_wait_seconds_count", 0) == 0) {
+        line.rfind("rcj_engine_queue_wait_seconds_count", 0) == 0) {
       std::printf("  %s\n", line.c_str());
     }
   }

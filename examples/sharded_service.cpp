@@ -6,7 +6,7 @@
 // without bound. This example stands up a ShardRouter instead: two shards
 // (downtown pinned alone on shard 1, the quiet districts pinned together
 // on shard 0 — unpinned names would be hash-placed instead),
-// each with its own engine and dispatcher, plus tight admission limits —
+// each with its own engine and worker pool, plus tight admission limits —
 // so a burst of downtown traffic is partly shed with
 // StatusCode::kOverloaded while the quiet districts keep answering, and
 // the per-shard ledger reconciles at the end exactly like the network

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 
 #include "core/rcj_inj.h"
@@ -17,7 +18,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Cached leaf orders the engine keeps across batches.
+/// Cached leaf orders the engine keeps across queries.
 constexpr size_t kPlanCacheCap = 32;
 
 /// Buffered pairs between two clock reads of a deadline-bound query.
@@ -36,6 +37,30 @@ obs::Counter* StopsTotal(StopReason reason) {
   }();
   return counters[static_cast<size_t>(reason)];
 }
+
+/// Registry mirrors of the engine's query lifecycle: how long a query
+/// waits for its first task, how many wait right now, and how long each
+/// runs once started.
+struct EngineMetrics {
+  obs::Histogram* queue_wait_seconds;
+  obs::Gauge* queue_depth;
+  obs::Counter* queries_total;
+  obs::Histogram* exec_seconds;
+
+  static const EngineMetrics& Get() {
+    static const EngineMetrics metrics = [] {
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+      EngineMetrics m;
+      m.queue_wait_seconds =
+          registry.histogram("rcj_engine_queue_wait_seconds");
+      m.queue_depth = registry.gauge("rcj_engine_queue_depth");
+      m.queries_total = registry.counter("rcj_engine_queries_total");
+      m.exec_seconds = registry.histogram("rcj_engine_exec_seconds");
+      return m;
+    }();
+    return metrics;
+  }
+};
 
 size_t WorkerPoolPages(const RcjEnvironment& env,
                        const EngineOptions& options) {
@@ -132,9 +157,6 @@ class TaskBufferSink final : public PairSink {
 /// spawns min(max_tasks, num_chunks) of these; each loops, claiming and
 /// executing chunks until the cursor runs dry or the query stops.
 struct EngineTask {
-  size_t query_index = 0;
-  QueryEmitState* emit = nullptr;
-
   JoinStats stats;  ///< candidate/result counts accumulated by ExecuteRcj.
   // Buffer accounting of this task's chunks (deltas of the worker pool's
   // counters, so a warm cached pool attributes only this query's work).
@@ -145,6 +167,27 @@ struct EngineTask {
   double io_wall_seconds = 0.0;
   Clock::time_point start;
   Clock::time_point end;
+};
+
+/// Everything one submitted query owns from Submit() to its DoneFn, shared
+/// by its tasks. The last task to finish merges and settles it.
+struct QueryRun {
+  EngineQuery query;
+  Engine::DoneFn done;
+  /// The query's leaf order (null when unsplit); emit.leaves points into
+  /// it, and holding it here keeps a plan-cache eviction from freeing it.
+  std::shared_ptr<const std::vector<uint64_t>> plan;
+  EngineQueryResult result;
+  /// Delivery target of a query submitted without a sink.
+  VectorSink collect{&result.run.pairs};
+  QueryEmitState emit;
+  std::vector<EngineTask> tasks;
+  /// Tasks not yet finished; the one that takes it to zero finishes the
+  /// query.
+  std::atomic<size_t> unfinished{0};
+  /// Set by the first task to start: the query leaves the engine's queue.
+  std::atomic<bool> started{false};
+  Clock::time_point submitted;
 };
 
 /// Announces a claimed chunk's leaf pages to the backing store before the
@@ -218,11 +261,12 @@ void DeliverReadyRanges(QueryEmitState* st, size_t range,
 /// (or the query stops), executing each against this worker's cached view
 /// — acquired lazily, so a task that never claims a chunk touches no index
 /// at all. All failure paths (Status and exceptions) collapse to a failed
-/// chunk, which stops the query without poisoning batchmates.
-void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
+/// chunk, which stops the query without poisoning other queries.
+void RunTaskChunks(QueryRun* run, const EngineOptions& options,
                    std::vector<std::unique_ptr<WorkerContext>>* contexts,
                    EngineTask* t) {
-  QueryEmitState* emit = t->emit;
+  const EngineQuery& query = run->query;
+  QueryEmitState* emit = &run->emit;
   WorkerView local_view;  // cache-off storage
   WorkerView* view = nullptr;
   BufferStats base;
@@ -267,7 +311,7 @@ void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
 
     // The join code reports errors via Status, but allocation can still
     // throw on oversized result sets; convert to a per-query failure so
-    // one starved query never poisons its batchmates (engine.h contract).
+    // one starved query never poisons the others (engine.h contract).
     Status status;
     try {
       status = ensure_view();
@@ -333,18 +377,111 @@ void RunTaskChunks(const EngineQuery& query, const EngineOptions& options,
   }
 }
 
-void SubmitTasks(const std::vector<EngineQuery>& queries,
-                 const EngineOptions& engine_options,
-                 std::vector<std::unique_ptr<WorkerContext>>* contexts,
-                 ThreadPool* pool, std::vector<EngineTask>* tasks) {
-  for (EngineTask& task : *tasks) {
-    const EngineQuery& query = queries[task.query_index];
-    EngineTask* t = &task;
-    pool->Submit([t, &query, &engine_options, contexts] {
-      t->start = Clock::now();
-      RunTaskChunks(query, engine_options, contexts, t);
-      t->end = Clock::now();
-    });
+/// Takes the query out of the engine's queue (once, by its first task):
+/// the queue-wait histogram, the depth gauge and a traced query's
+/// queue_wait span all measure submit to first task start.
+void MarkStarted(QueryRun* run, std::atomic<size_t>* queued) {
+  if (run->started.exchange(true, std::memory_order_relaxed)) return;
+  queued->fetch_sub(1, std::memory_order_relaxed);
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  metrics.queue_depth->Add(-1);
+  const Clock::time_point now = Clock::now();
+  metrics.queue_wait_seconds->Observe(
+      std::chrono::duration<double>(now - run->submitted).count());
+  if (run->query.spec.trace != nullptr) {
+    run->query.spec.trace->Record("queue_wait", 1, run->submitted, now);
+  }
+}
+
+/// The merge, run by the query's last task: delivery already happened in
+/// chunk order as tasks completed; here the worker pools' fault accounting
+/// is summed, the paper's I/O cost model charged, the status settled, and
+/// the DoneFn called.
+void FinishQuery(QueryRun* run) {
+  EngineQueryResult& result = run->result;
+  const QueryEmitState& emit = run->emit;
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  // The one place a stop reason becomes the query's status. Settling the
+  // token keeps a later Stop() from contradicting that status.
+  const StopReason reason = emit.stop->Settle();
+  if (reason != StopReason::kNone) StopsTotal(reason)->Add();
+  if (reason == StopReason::kFailed) {
+    result.status = emit.failure.ok() ? StopStatus(reason) : emit.failure;
+    // The caller's sink may have received a serial prefix before the
+    // failing chunk was reached; the status is the source of truth.
+    result.run = RcjRunResult();
+  } else {
+    result.status = StopStatus(reason);
+    double busy_seconds = 0.0;
+    Clock::time_point first_start = Clock::time_point::max();
+    Clock::time_point last_end = Clock::time_point::min();
+    for (const EngineTask& task : run->tasks) {
+      first_start = std::min(first_start, task.start);
+      last_end = std::max(last_end, task.end);
+      result.run.stats.candidates += task.stats.candidates;
+      result.run.stats.node_accesses += task.node_accesses;
+      result.run.stats.page_faults += task.page_faults;
+      result.run.stats.cold_faults += task.cold_faults;
+      result.run.stats.warm_faults += task.warm_faults;
+      // Summed across tasks: with several workers faulting concurrently
+      // this can exceed the query's wall clock — it is total device wait,
+      // the overlap is the speedup.
+      result.run.stats.io_wall_seconds += task.io_wall_seconds;
+      busy_seconds +=
+          std::chrono::duration<double>(task.end - task.start).count();
+    }
+    // Results = pairs actually delivered to the sink (the in-order
+    // stream), not the sum of chunk buffers — chunks past a stop may have
+    // buffered pairs that were rightly dropped.
+    result.run.stats.results = emit.delivered;
+    IoCostModel model;
+    model.ms_per_fault = run->query.spec.io_ms_per_fault;
+    BufferStats aggregated;
+    aggregated.page_faults = result.run.stats.page_faults;
+    aggregated.logical_accesses = result.run.stats.node_accesses;
+    result.run.stats.io_seconds = model.SecondsFor(aggregated);
+    // Summed execution time of the query's own tasks — comparable to the
+    // serial runner's cpu_seconds and never inflated by other queries'
+    // tasks interleaving on the pool.
+    result.run.stats.cpu_seconds = busy_seconds;
+    metrics.queries_total->Add();
+    if (last_end > first_start) {
+      // The query's wall window across its tasks (first start to last
+      // end): what a p50/p99 latency summary should see, not the summed
+      // busy time.
+      metrics.exec_seconds->Observe(
+          std::chrono::duration<double>(last_end - first_start).count());
+      if (run->query.spec.trace != nullptr) {
+        run->query.spec.trace->Record("exec", 1, first_start, last_end);
+      }
+    }
+  }
+  // Destroyed before the task returns, so whatever the callback captured
+  // is released as soon as the query is done.
+  const Engine::DoneFn done = std::move(run->done);
+  done(std::move(result));
+}
+
+/// The pool thunk of task `index`: run the claim loop, then finish the
+/// query if this was its last task.
+void RunTask(const std::shared_ptr<QueryRun>& run, size_t index,
+             const EngineOptions& options,
+             std::vector<std::unique_ptr<WorkerContext>>* contexts,
+             std::atomic<size_t>* queued) {
+  MarkStarted(run.get(), queued);
+  EngineTask* t = &run->tasks[index];
+  t->start = Clock::now();
+  try {
+    RunTaskChunks(run.get(), options, contexts, t);
+  } catch (...) {
+    // Chunks already convert their throws; this catches the accounting
+    // after them (bad_alloc), so the query still gets its last task.
+    std::lock_guard<std::mutex> lock(run->emit.mu);
+    FailQuery(&run->emit, Status::IoError("engine task threw"));
+  }
+  t->end = Clock::now();
+  if (run->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    FinishQuery(run.get());
   }
 }
 
@@ -365,6 +502,7 @@ void Engine::InvalidateCachedViews(const RcjEnvironment* env) {
   for (const std::unique_ptr<WorkerContext>& context : contexts_) {
     context->Invalidate(env);
   }
+  std::lock_guard<std::mutex> lock(plan_mu_);
   for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
     if (env == nullptr || it->env == env) {
       it = plan_cache_.erase(it);
@@ -377,7 +515,7 @@ void Engine::InvalidateCachedViews(const RcjEnvironment* env) {
 WorkerContextStats Engine::context_stats() const {
   WorkerContextStats total;
   for (const std::unique_ptr<WorkerContext>& context : contexts_) {
-    const WorkerContextStats& stats = context->stats();
+    const WorkerContextStats stats = context->stats();
     total.opens += stats.opens;
     total.reuses += stats.reuses;
     total.evictions += stats.evictions;
@@ -386,217 +524,167 @@ WorkerContextStats Engine::context_stats() const {
   return total;
 }
 
-Status Engine::LeavesFor(const QuerySpec& spec, uint64_t batch_id,
-                         const std::vector<uint64_t>** leaves) {
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
-    if (it->env != spec.env || it->order != spec.order ||
-        it->seed != spec.random_seed) {
-      continue;
+Result<Engine::Plan> Engine::LeavesFor(const QuerySpec& spec) {
+  {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
+      if (it->env != spec.env || it->order != spec.order ||
+          it->seed != spec.random_seed) {
+        continue;
+      }
+      if (it->generation == spec.env->generation()) {
+        plan_cache_.splice(plan_cache_.begin(), plan_cache_, it);
+        return plan_cache_.front().leaves;
+      }
+      // Same key, older generation: the environment was rebuilt — the
+      // plan can never be valid again.
+      plan_cache_.erase(it);
+      break;
     }
-    if (it->generation == spec.env->generation()) {
-      it->last_used_batch = batch_id;
-      plan_cache_.splice(plan_cache_.begin(), plan_cache_, it);
-      *leaves = &plan_cache_.front().leaves;
-      return Status::OK();
-    }
-    // Same key, older generation: the environment was rebuilt — the plan
-    // can never be valid again.
-    plan_cache_.erase(it);
-    break;
   }
+
+  // A miss walks T_Q through a throwaway private view, outside the lock:
+  // planning never touches the environment's shared buffer (a concurrent
+  // serial run owns it) nor a worker's cached pool (whose fault counts
+  // belong to the queries that run there).
+  WorkerView view;
+  RINGJOIN_RETURN_IF_ERROR(
+      OpenWorkerView(*spec.env, options_.worker_min_buffer_pages, &view));
+  auto leaves = std::make_shared<std::vector<uint64_t>>();
+  RINGJOIN_RETURN_IF_ERROR(LeafPagesInOrder(view.tq_ref(), spec.order,
+                                            spec.random_seed, leaves.get()));
 
   PlanEntry entry;
   entry.env = spec.env;
   entry.generation = spec.env->generation();
   entry.order = spec.order;
   entry.seed = spec.random_seed;
-  entry.last_used_batch = batch_id;
-  RINGJOIN_RETURN_IF_ERROR(LeafPagesInOrder(
-      spec.env->tq(), spec.order, spec.random_seed, &entry.leaves));
+  entry.leaves = leaves;
+  std::lock_guard<std::mutex> lock(plan_mu_);
   plan_cache_.push_front(std::move(entry));
+  if (plan_cache_.size() > kPlanCacheCap) plan_cache_.pop_back();
+  return Plan(std::move(leaves));
+}
 
-  // Evict past the cap, oldest first — but never an entry this batch
-  // already handed out (tasks hold pointers into its leaves).
-  auto it = plan_cache_.end();
-  while (plan_cache_.size() > kPlanCacheCap && it != plan_cache_.begin()) {
-    --it;
-    if (it->last_used_batch != batch_id) it = plan_cache_.erase(it);
+void Engine::Submit(EngineQuery query, DoneFn done) {
+  auto run = std::make_shared<QueryRun>();
+  run->submitted = Clock::now();
+  run->query = std::move(query);
+  run->done = std::move(done);
+  const QuerySpec& spec = run->query.spec;
+  QueryEmitState* emit = &run->emit;
+
+  // ---- Plan: one or more claimant tasks over a chunked leaf order. The
+  // depth-first (or seeded-shuffle) order is resolved once, here, then
+  // chunked, so flushing chunk outputs in order equals the serial run.
+  Status planned = spec.Validate();
+  if (planned.ok() && options_.intra_query_parallelism &&
+      spec.algorithm != RcjAlgorithm::kBrute && pool_.num_threads() > 1) {
+    try {
+      Result<Plan> plan = LeavesFor(spec);
+      planned = plan.status();
+      if (plan.ok() && plan.value()->size() >= options_.min_leaves_to_split) {
+        run->plan = std::move(plan).value();
+      }
+    } catch (const std::exception& e) {
+      planned = Status::IoError(std::string("engine planning threw: ") +
+                                e.what());
+    }
   }
-  *leaves = &plan_cache_.front().leaves;
-  return Status::OK();
+  if (!planned.ok()) {
+    run->result.status = planned;
+    run->done(std::move(run->result));
+    return;
+  }
+
+  emit->sink = run->query.sink != nullptr ? run->query.sink : &run->collect;
+  emit->stop = spec.stop != nullptr ? spec.stop : &emit->own_stop;
+  emit->limit = spec.limit;
+  size_t num_tasks = 1;
+  if (run->plan != nullptr) {
+    const std::vector<uint64_t>& leaves = *run->plan;
+    const size_t max_tasks = std::max<size_t>(
+        1, pool_.num_threads() * options_.tasks_per_thread);
+    // Auto chunks are several times finer than the task count, so the
+    // cursor can rebalance a dense region. An explicit chunk size is
+    // clamped to the static-split granularity (ceil(leaves/max_tasks)):
+    // an oversized request degenerates to exactly the static contiguous
+    // split, never below it — a huge --steal-chunk must not silently
+    // serialize the query onto one worker.
+    const size_t static_chunk = (leaves.size() + max_tasks - 1) / max_tasks;
+    size_t chunk = options_.steal_chunk_leaves;
+    if (chunk == 0) {
+      chunk = std::max<size_t>(1, leaves.size() / (max_tasks * 8));
+    }
+    chunk = std::min(std::max<size_t>(1, chunk), static_chunk);
+    emit->leaves = &leaves;
+    emit->chunk_size = chunk;
+    emit->num_chunks = (leaves.size() + chunk - 1) / chunk;
+    num_tasks = std::min(max_tasks, emit->num_chunks);
+  }
+  emit->range_done.assign(emit->num_chunks, QueryEmitState::kPending);
+  emit->chunk_pairs.resize(emit->num_chunks);
+  run->tasks.resize(num_tasks);
+  run->unfinished.store(num_tasks, std::memory_order_relaxed);
+
+  // ---- Execute: the tasks join the pool's one FIFO queue, interleaving
+  // with every other query's. The last one to finish merges the query.
+  queued_.fetch_add(1, std::memory_order_relaxed);
+  EngineMetrics::Get().queue_depth->Add(1);
+  size_t queued_tasks = 0;
+  try {
+    for (; queued_tasks < num_tasks; ++queued_tasks) {
+      pool_.Submit([this, run, i = queued_tasks] {
+        RunTask(run, i, options_, &contexts_, &queued_);
+      });
+    }
+  } catch (...) {
+    // Out of memory queueing a task: fail the query, and let the tasks
+    // already queued (or this thread, when there are none) finish it.
+    {
+      std::lock_guard<std::mutex> lock(emit->mu);
+      FailQuery(emit, Status::IoError("engine could not queue a task"));
+    }
+    const size_t missing = num_tasks - queued_tasks;
+    if (run->unfinished.fetch_sub(missing, std::memory_order_acq_rel) ==
+        missing) {
+      MarkStarted(run.get(), &queued_);
+      FinishQuery(run.get());
+    }
+  }
 }
 
 std::vector<EngineQueryResult> Engine::RunBatch(
     const std::vector<EngineQuery>& queries) {
   std::vector<EngineQueryResult> results(queries.size());
-  const uint64_t batch_id = ++batch_counter_;
-
-  // ---- Plan: expand each query into one or more claimant tasks over a
-  // chunked leaf order. Leaf orders come from the engine's persistent plan
-  // cache, so batches repeating the same environment skip the serial
-  // planning traversal entirely. ---------------------------------------
-  std::vector<EngineTask> tasks;
-  std::vector<std::vector<size_t>> tasks_of_query(queries.size());
-  // Per-query streaming state and engine-owned collection sinks. Both are
-  // stable vectors of pointers referenced by queued lambdas, so they must
-  // outlive pool_.WaitIdle() below.
-  std::vector<std::unique_ptr<QueryEmitState>> emit_states(queries.size());
-  std::vector<std::unique_ptr<VectorSink>> collect_sinks(queries.size());
-
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const EngineQuery& query = queries[qi];
-    const Status valid = query.spec.Validate();
-    if (!valid.ok()) {
-      results[qi].status = valid;
-      continue;
-    }
-
-    // The depth-first (or seeded-shuffle) leaf order is resolved once on
-    // the caller thread, then chunked, so flushing chunk outputs in order
-    // equals the serial run.
-    const std::vector<uint64_t>* leaves = nullptr;
-    if (options_.intra_query_parallelism &&
-        query.spec.algorithm != RcjAlgorithm::kBrute &&
-        pool_.num_threads() > 1) {
-      const Status status = LeavesFor(query.spec, batch_id, &leaves);
-      if (!status.ok()) {
-        results[qi].status = status;
-        continue;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t remaining = queries.size();
+  const auto wait_submitted = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return remaining == 0; });
+  };
+  for (size_t i = 0; i < queries.size(); ++i) {
+    try {
+      Submit(queries[i], [&, i](EngineQueryResult result) {
+        std::lock_guard<std::mutex> lock(mu);
+        results[i] = std::move(result);
+        // Notified under the lock: this frame may return the moment the
+        // lock is released.
+        if (--remaining == 0) cv.notify_all();
+      });
+    } catch (...) {
+      // The queries already submitted point into this frame: wait them
+      // out before unwinding it.
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        remaining -= queries.size() - i;
       }
-      if (leaves->size() < options_.min_leaves_to_split) leaves = nullptr;
-    }
-
-    emit_states[qi] = std::make_unique<QueryEmitState>();
-    QueryEmitState* emit = emit_states[qi].get();
-    if (query.sink != nullptr) {
-      emit->sink = query.sink;
-    } else {
-      collect_sinks[qi] =
-          std::make_unique<VectorSink>(&results[qi].run.pairs);
-      emit->sink = collect_sinks[qi].get();
-    }
-    emit->stop = query.spec.stop != nullptr ? query.spec.stop
-                                            : &emit->own_stop;
-    emit->limit = query.spec.limit;
-
-    size_t num_tasks = 1;
-    if (leaves != nullptr) {
-      const size_t max_tasks = std::max<size_t>(
-          1, pool_.num_threads() * options_.tasks_per_thread);
-      // Auto chunks are several times finer than the task count, so the
-      // cursor can rebalance a dense region. An explicit chunk size is
-      // clamped to the static-split granularity (ceil(leaves/max_tasks)):
-      // an oversized request degenerates to exactly the static contiguous
-      // split, never below it — a huge --steal-chunk must not silently
-      // serialize the query onto one worker.
-      const size_t static_chunk =
-          (leaves->size() + max_tasks - 1) / max_tasks;
-      size_t chunk = options_.steal_chunk_leaves;
-      if (chunk == 0) {
-        chunk = std::max<size_t>(1, leaves->size() / (max_tasks * 8));
-      }
-      chunk = std::min(std::max<size_t>(1, chunk), static_chunk);
-      emit->leaves = leaves;
-      emit->chunk_size = chunk;
-      emit->num_chunks = (leaves->size() + chunk - 1) / chunk;
-      num_tasks = std::min(max_tasks, emit->num_chunks);
-    }
-    emit->range_done.assign(emit->num_chunks, QueryEmitState::kPending);
-    emit->chunk_pairs.resize(emit->num_chunks);
-
-    for (size_t r = 0; r < num_tasks; ++r) {
-      EngineTask task;
-      task.query_index = qi;
-      task.emit = emit;
-      tasks_of_query[qi].push_back(tasks.size());
-      tasks.push_back(std::move(task));
+      wait_submitted();
+      throw;
     }
   }
-
-  // ---- Execute: one flat task list, so inter- and intra-query work
-  // interleaves freely across the pool. Queued lambdas hold pointers into
-  // `tasks` and `queries`, so if a Submit() allocation throws mid-loop we
-  // must drain the already-queued work before unwinding destroys them.
-  try {
-    SubmitTasks(queries, options_, &contexts_, &pool_, &tasks);
-  } catch (...) {
-    pool_.WaitIdle();
-    throw;
-  }
-  pool_.WaitIdle();
-
-  // ---- Merge: delivery already happened in chunk order as tasks
-  // completed; here we aggregate the worker pools' fault accounting,
-  // charge the paper's I/O cost model, and settle per-query statuses. ----
-  static obs::Counter* queries_total =
-      obs::MetricsRegistry::Default().counter("rcj_engine_queries_total");
-  static obs::Counter* batches_total =
-      obs::MetricsRegistry::Default().counter("rcj_engine_batches_total");
-  static obs::Histogram* exec_seconds =
-      obs::MetricsRegistry::Default().histogram("rcj_engine_exec_seconds");
-  batches_total->Add();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (!results[qi].status.ok()) continue;  // planning already failed
-    EngineQueryResult& result = results[qi];
-    const QueryEmitState& emit = *emit_states[qi];
-    // The one place a stop reason becomes the query's status. Settling
-    // the token keeps a later Stop() from contradicting that status.
-    const StopReason reason = emit.stop->Settle();
-    if (reason != StopReason::kNone) StopsTotal(reason)->Add();
-    if (reason == StopReason::kFailed) {
-      result.status = emit.failure.ok() ? StopStatus(reason) : emit.failure;
-      // The caller's sink may have received a serial prefix before the
-      // failing chunk was reached; the status is the source of truth.
-      result.run = RcjRunResult();
-      continue;
-    }
-    result.status = StopStatus(reason);
-    double busy_seconds = 0.0;
-    Clock::time_point first_start = Clock::time_point::max();
-    Clock::time_point last_end = Clock::time_point::min();
-    for (const size_t ti : tasks_of_query[qi]) {
-      const EngineTask& task = tasks[ti];
-      first_start = std::min(first_start, task.start);
-      last_end = std::max(last_end, task.end);
-      result.run.stats.candidates += task.stats.candidates;
-      result.run.stats.node_accesses += task.node_accesses;
-      result.run.stats.page_faults += task.page_faults;
-      result.run.stats.cold_faults += task.cold_faults;
-      result.run.stats.warm_faults += task.warm_faults;
-      // Summed across tasks: with several workers faulting concurrently
-      // this can exceed the batch's wall clock — it is total device wait,
-      // the overlap is the speedup.
-      result.run.stats.io_wall_seconds += task.io_wall_seconds;
-      busy_seconds +=
-          std::chrono::duration<double>(task.end - task.start).count();
-    }
-    // Results = pairs actually delivered to the sink (the in-order
-    // stream), not the sum of chunk buffers — chunks past a stop may have
-    // buffered pairs that were rightly dropped.
-    result.run.stats.results = emit.delivered;
-    IoCostModel model;
-    model.ms_per_fault = queries[qi].spec.io_ms_per_fault;
-    BufferStats aggregated;
-    aggregated.page_faults = result.run.stats.page_faults;
-    aggregated.logical_accesses = result.run.stats.node_accesses;
-    result.run.stats.io_seconds = model.SecondsFor(aggregated);
-    // Summed execution time of the query's own tasks — comparable to the
-    // serial runner's cpu_seconds and never inflated by other queries'
-    // tasks interleaving on the pool. Batch latency is the caller's wall
-    // clock around RunBatch.
-    result.run.stats.cpu_seconds = busy_seconds;
-    queries_total->Add();
-    if (last_end > first_start) {
-      // The query's wall window across its tasks (first start to last
-      // end): what a p50/p99 latency summary should see, not the summed
-      // busy time.
-      exec_seconds->Observe(
-          std::chrono::duration<double>(last_end - first_start).count());
-      if (queries[qi].spec.trace != nullptr) {
-        queries[qi].spec.trace->Record("exec", 1, first_start, last_end);
-      }
-    }
-  }
+  wait_submitted();
   return results;
 }
 

@@ -1,4 +1,4 @@
-// rcj::Engine — a thread-pool-backed execution layer for batches of
+// rcj::Engine — a thread-pool-backed execution layer for concurrent
 // ring-constrained joins.
 //
 // The paper's runner executes one algorithm at a time against a cold
@@ -6,15 +6,20 @@
 // queries (mixed algorithms, search orders, and pointset pairs) over a
 // small set of long-lived indexes. The engine separates those concerns:
 // environments are built once (RcjEnvironment::Build — trees, page stores,
-// headers persisted), after which the engine executes whole batches
-// concurrently over the shared immutable indexes.
+// headers persisted), after which the engine executes queries concurrently
+// over the shared immutable indexes.
 //
-// Two levels of parallelism compose inside one flat task list:
-//   * inter-query: every query of a batch becomes at least one task;
+// Every query has its own lifetime. Submit() validates and plans it, hands
+// its claimant tasks to the pool and returns; the last of those tasks to
+// finish settles the query and calls its DoneFn. Two levels of parallelism
+// compose on the one pool queue:
+//   * inter-query: every query becomes at least one task, and tasks of
+//     different queries interleave freely;
 //   * intra-query: an indexed join (INJ/BIJ/OBJ) is split into contiguous
 //     ranges of T_Q's depth-first leaf order — the unit the paper's
-//     algorithms already process independently — and each range becomes its
-//     own task.
+//     algorithms already process independently — claimed by several tasks.
+// A short query therefore resolves as soon as its own tasks finish, never
+// behind a long query submitted alongside it.
 //
 // Results stream: each query carries an optional PairSink, and pairs are
 // delivered to it in the exact serial order as leaf-range tasks complete —
@@ -31,13 +36,13 @@
 // each worker thread owns a long-lived cache of (environment -> view)
 // entries — private read-only R-tree views over the environment's page
 // stores, faulting through a private LRU pool that stays WARM across
-// tasks, batches, and service dispatch rounds. Repeat queries against the
-// same environment skip view construction and serve the root path from the
-// warm pool; JoinStats splits page_faults into cold_faults (first touches)
-// and warm_faults (capacity re-faults) so the effect is observable per
-// query. Entries are keyed by environment generation, so a rebuilt or
-// destroyed environment can never satisfy a stale entry; the owning layers
-// call InvalidateCachedViews() before tearing an environment down.
+// tasks and queries. Repeat queries against the same environment skip view
+// construction and serve the root path from the warm pool; JoinStats
+// splits page_faults into cold_faults (first touches) and warm_faults
+// (capacity re-faults) so the effect is observable per query. Entries are
+// keyed by environment generation, so a rebuilt or destroyed environment
+// can never satisfy a stale entry; the owning layers call
+// InvalidateCachedViews() before tearing an environment down.
 // EngineOptions::view_cache = false restores the original open-per-task
 // model (every fault cold, minimal resident memory).
 //
@@ -50,9 +55,12 @@
 #ifndef RINGJOIN_ENGINE_ENGINE_H_
 #define RINGJOIN_ENGINE_ENGINE_H_
 
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/macros.h"
@@ -80,7 +88,7 @@ struct EngineOptions {
   double worker_buffer_fraction = 0.01;
   size_t worker_min_buffer_pages = 32;
   /// Keep each worker's R-tree views and warm buffer pool alive across
-  /// tasks and batches (the persistent worker-view cache). Off restores
+  /// tasks and queries (the persistent worker-view cache). Off restores
   /// the original open-per-task model: fresh views and an all-cold pool
   /// for every task — the benchmark baseline and the memory floor.
   bool view_cache = true;
@@ -105,21 +113,21 @@ struct EngineOptions {
   size_t readahead_leaves = 256;
 };
 
-/// One query of a batch: the validated spec plus an optional streaming
-/// target. When `sink` is set, pairs are delivered to it in serial order as
-/// leaf-range tasks complete (and EngineQueryResult::run.pairs stays
-/// empty); when null, pairs are collected into the result. The spec's
-/// environment must outlive the batch and is treated as strictly read-only
-/// (its shared buffer is never touched by the engine's workers). A shared
-/// sink is driven by one thread at a time per query, but different queries
-/// may flush concurrently — point each query at its own sink unless the
-/// sink is thread-safe.
+/// One query: the validated spec plus an optional streaming target. When
+/// `sink` is set, pairs are delivered to it in serial order as leaf-range
+/// tasks complete (and EngineQueryResult::run.pairs stays empty); when
+/// null, pairs are collected into the result. The spec's environment must
+/// outlive the query and is treated as strictly read-only (neither
+/// planning nor the workers touch its shared buffer). A shared sink is
+/// driven by one thread at a time per query, but different queries may
+/// flush concurrently — point each query at its own sink unless the sink
+/// is thread-safe.
 struct EngineQuery {
   QuerySpec spec;
   PairSink* sink = nullptr;
 };
 
-/// Outcome of one batch entry, in input order: the status its stop reason
+/// Outcome of one query: the status its stop reason
 /// maps to (StopStatus), or the failing chunk's error. `run` covers the
 /// work performed and the pairs delivered before any stop; it is empty
 /// for a failed query.
@@ -128,14 +136,19 @@ struct EngineQueryResult {
   RcjRunResult run;
 };
 
-/// A reusable batched executor. Construct once (threads spin up
-/// immediately), then feed it any number of batches. One batch call at a
-/// time: RunBatch is not reentrant — external callers serialize, which is
-/// the natural shape for a service dispatch loop (rcj::Service owns
-/// exactly that loop).
+/// A reusable concurrent executor. Construct once (threads spin up
+/// immediately), then submit any number of queries from any number of
+/// threads.
 class Engine {
  public:
+  /// Receives a query's outcome exactly once, on the engine worker that
+  /// finished the query's last task — or inline in Submit() when the query
+  /// fails validation or planning. Must not block on other queries of the
+  /// same engine.
+  using DoneFn = std::function<void(EngineQueryResult)>;
+
   explicit Engine(EngineOptions options = {});
+  /// Runs every submitted query to completion, then joins the workers.
   ~Engine();
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(Engine);
@@ -143,9 +156,15 @@ class Engine {
   size_t num_threads() const { return pool_.num_threads(); }
   const EngineOptions& options() const { return options_; }
 
-  /// Executes every query of the batch concurrently; results are returned
-  /// in input order. Per-query failures are reported in the corresponding
-  /// slot — one bad query never poisons its batchmates.
+  /// Validates and plans `query`, hands its tasks to the pool and returns;
+  /// `done` receives the outcome once the query's own tasks have finished.
+  /// Thread-safe. A per-query failure is reported through `done` — one bad
+  /// query never poisons the others.
+  void Submit(EngineQuery query, DoneFn done);
+
+  /// Submits every query and blocks until each of them is done; results
+  /// are returned in input order. Waits only on these queries, so any
+  /// thread may call it while other queries run.
   std::vector<EngineQueryResult> RunBatch(
       const std::vector<EngineQuery>& queries);
 
@@ -157,39 +176,44 @@ class Engine {
   /// Drops every cached worker view and cached leaf-order plan matching
   /// `env` (all of them when null). Call before destroying or rebuilding
   /// an environment the engine has executed against, so no worker holds
-  /// views over freed page stores. Must not overlap a RunBatch call — the
-  /// same external serialization the batch API already requires (rcj::
-  /// Service runs it from its dispatcher, or after the dispatcher joined).
+  /// views over freed page stores. Thread-safe and safe while other
+  /// queries run, provided none of them targets `env` (a null `env` needs
+  /// an engine with no query in flight).
   void InvalidateCachedViews(const RcjEnvironment* env = nullptr);
 
   /// Aggregated view-cache counters across all workers (opens, reuses,
-  /// evictions, invalidations). Same serialization rule as RunBatch.
+  /// evictions, invalidations).
   WorkerContextStats context_stats() const;
 
+  /// Queries submitted whose first task has not started yet — the depth of
+  /// the engine's queue (rcj_engine_queue_depth sums it over engines).
+  size_t queued() const { return queued_.load(std::memory_order_relaxed); }
+
  private:
+  using Plan = std::shared_ptr<const std::vector<uint64_t>>;
+
   /// Cached T_Q leaf orders keyed by (env, generation, order, seed):
-  /// repeated batches over long-lived environments skip the serial
-  /// planning traversal entirely. LRU-capped; entries referenced by the
-  /// current batch are never evicted (tasks hold pointers into them).
+  /// repeated queries over long-lived environments skip the serial
+  /// planning traversal entirely. LRU-capped; a running query holds its
+  /// plan by shared_ptr, so eviction never pulls it from under the query.
   struct PlanEntry {
     const RcjEnvironment* env = nullptr;
     uint64_t generation = 0;
     SearchOrder order = SearchOrder::kDepthFirst;
     uint64_t seed = 0;
-    uint64_t last_used_batch = 0;
-    std::vector<uint64_t> leaves;
+    Plan leaves;
   };
 
-  Status LeavesFor(const QuerySpec& spec, uint64_t batch_id,
-                   const std::vector<uint64_t>** leaves);
+  Result<Plan> LeavesFor(const QuerySpec& spec);
 
   EngineOptions options_;
   /// Declared before pool_ so workers are joined (pool_ destroyed) before
-  /// their contexts go away.
+  /// anything their tasks touch goes away.
   std::vector<std::unique_ptr<WorkerContext>> contexts_;
-  ThreadPool pool_;
+  std::mutex plan_mu_;
   std::list<PlanEntry> plan_cache_;  // front = most recently used
-  uint64_t batch_counter_ = 0;
+  std::atomic<size_t> queued_{0};
+  ThreadPool pool_;
 };
 
 }  // namespace rcj

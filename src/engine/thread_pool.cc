@@ -53,12 +53,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock,
-                 [this] { return queue_.empty() && active_tasks_ == 0; });
-}
-
 void ThreadPool::WorkerLoop(size_t worker_index) {
   tls_worker_index = worker_index;
   for (;;) {
@@ -73,7 +67,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_tasks_;
     }
     // The library is Status-based and tasks are expected not to throw, but
     // an escaped exception (e.g. bad_alloc) must not take down the whole
@@ -81,13 +74,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     try {
       task();
     } catch (...) {
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_tasks_;
-      if (queue_.empty() && active_tasks_ == 0) {
-        all_idle_.notify_all();
-      }
     }
   }
 }

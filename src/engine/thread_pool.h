@@ -1,7 +1,7 @@
 // A fixed-size worker pool with a single FIFO task queue — the execution
-// substrate of the batched RCJ engine. Deliberately minimal: tasks are
+// substrate of the RCJ engine. Deliberately minimal: tasks are
 // type-erased thunks, there is no work stealing, and the only
-// synchronization primitives are one mutex and two condition variables, so
+// synchronization primitives are one mutex and one condition variable, so
 // the scheduling behavior stays easy to reason about under profiling.
 #ifndef RINGJOIN_ENGINE_THREAD_POOL_H_
 #define RINGJOIN_ENGINE_THREAD_POOL_H_
@@ -18,10 +18,10 @@
 
 namespace rcj {
 
-/// Fixed-size thread pool. Submit() enqueues a task; WaitIdle() blocks the
-/// caller until every submitted task has finished. Tasks must not Submit()
-/// recursively and then block on WaitIdle() from inside the pool — the
-/// engine schedules flat task lists only, so this never arises.
+/// Fixed-size thread pool. Submit() enqueues a task from any thread.
+/// Nothing waits for the pool as a whole: it is shared by independent
+/// queries, each of which counts its own tasks and is finished by the last
+/// of them.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1; 0 is promoted to
@@ -35,9 +35,6 @@ class ThreadPool {
 
   /// Enqueues one task. Thread-safe.
   void Submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no task is executing.
-  void WaitIdle();
 
   size_t num_threads() const { return threads_.size(); }
 
@@ -55,9 +52,7 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable all_idle_;
   std::deque<std::function<void()>> queue_;
-  size_t active_tasks_ = 0;
   bool shutting_down_ = false;
 };
 

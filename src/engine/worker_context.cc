@@ -58,6 +58,7 @@ WorkerContext::~WorkerContext() = default;
 Result<WorkerView*> WorkerContext::Acquire(const RcjEnvironment& env,
                                            size_t pool_pages,
                                            bool* opened_fresh) {
+  std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->env != &env) continue;
     if (it->generation == env.generation() &&
@@ -95,6 +96,7 @@ Result<WorkerView*> WorkerContext::Acquire(const RcjEnvironment& env,
 }
 
 void WorkerContext::Invalidate(const RcjEnvironment* env) {
+  std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (env == nullptr || it->env == env) {
       ++stats_.invalidations;
@@ -104,6 +106,16 @@ void WorkerContext::Invalidate(const RcjEnvironment* env) {
       ++it;
     }
   }
+}
+
+WorkerContextStats WorkerContext::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
+size_t WorkerContext::cached_environments() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 }  // namespace rcj

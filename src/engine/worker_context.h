@@ -1,4 +1,4 @@
-// Persistent per-worker execution contexts for the batched RCJ engine.
+// Persistent per-worker execution contexts for the RCJ engine.
 //
 // The engine's original model opened fresh R-tree views (and a fresh LRU
 // buffer pool) for every leaf-range task and threw them away afterwards: a
@@ -6,11 +6,11 @@
 // environments paid view construction plus the full cold root-path fault
 // sequence on every task. A WorkerContext is the fix: each engine worker
 // thread owns one for its whole lifetime, holding a small LRU cache of
-// (environment -> view) entries whose buffer pools stay warm across tasks,
-// batches, and service dispatch rounds. Repeat queries against the same
-// environment hit the cached view, so the root path (and whatever else
-// survived in the pool) is served from memory — the difference is reported
-// per query as JoinStats::cold_faults vs warm_faults.
+// (environment -> view) entries whose buffer pools stay warm across tasks
+// and queries. Repeat queries against the same environment hit the cached
+// view, so the root path (and whatever else survived in the pool) is served
+// from memory — the difference is reported per query as
+// JoinStats::cold_faults vs warm_faults.
 //
 // Safety against environment churn: entries are keyed by the environment's
 // pointer AND its process-unique generation (RcjEnvironment::generation()).
@@ -23,11 +23,15 @@
 // environment died is safe: cached pages are private copies and read-only
 // views never dirty a page, so teardown touches no backing store.
 //
-// Thread safety: none. A WorkerContext belongs to exactly one worker
-// thread; the engine indexes contexts by ThreadPool::CurrentWorkerIndex()
-// and only ever touches a context from its owner (or from the engine's
-// caller thread while no batch is in flight, which is when invalidation
-// hooks run).
+// Thread safety: only the owning worker thread (ThreadPool::
+// CurrentWorkerIndex()) calls Acquire and uses the views it returns; any
+// thread may call Invalidate and read the counters at any time. One mutex
+// per context guards the entry list and the counters; it is held inside
+// those calls only, never while a view is in use. Invalidate erases list
+// nodes, which leaves every other entry's view where it is, so a task
+// running over environment A is unaffected when B's entries are dropped —
+// the caller's part is to invalidate only environments no running query
+// targets.
 #ifndef RINGJOIN_ENGINE_WORKER_CONTEXT_H_
 #define RINGJOIN_ENGINE_WORKER_CONTEXT_H_
 
@@ -35,6 +39,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 
 #include "common/macros.h"
 #include "common/status.h"
@@ -85,8 +90,8 @@ class WorkerContext {
   /// cached entry otherwise. `*opened_fresh` (when non-null) reports
   /// whether this call constructed the view — the caller's cold/warm
   /// attribution signal beyond the buffer's own history. The returned
-  /// pointer stays valid until the next Acquire/Invalidate on this
-  /// context.
+  /// pointer stays valid until the next Acquire on this context or an
+  /// Invalidate that matches `env`.
   Result<WorkerView*> Acquire(const RcjEnvironment& env, size_t pool_pages,
                               bool* opened_fresh);
 
@@ -94,8 +99,8 @@ class WorkerContext {
   /// the owning layers run before an environment is destroyed or rebuilt.
   void Invalidate(const RcjEnvironment* env);
 
-  const WorkerContextStats& stats() const { return stats_; }
-  size_t cached_environments() const { return entries_.size(); }
+  WorkerContextStats stats() const;
+  size_t cached_environments() const;
 
  private:
   struct Entry {
@@ -106,6 +111,7 @@ class WorkerContext {
   };
 
   size_t max_entries_;
+  mutable std::mutex mu_;
   std::list<Entry> entries_;  // front = most recently used
   WorkerContextStats stats_;
 };

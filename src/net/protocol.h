@@ -162,8 +162,8 @@ std::string FormatErrLine(const Status& status);
 /// line is itself InvalidArgument.
 Status ParseErrLine(const std::string& line, Status* out);
 
-/// One shard's row of the STATS response. `queued` is the shard service's
-/// request-queue depth at snapshot time; `inflight` counts queries admitted
+/// One shard's row of the STATS response. `queued` counts the shard
+/// engine's queries with no task started yet, at snapshot time; `inflight` counts queries admitted
 /// but not yet resolved; the monotonic counters obey
 /// admitted + shed == submitted and
 /// completed + cancelled + failed == resolved (<= admitted).

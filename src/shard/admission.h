@@ -33,7 +33,7 @@ namespace rcj {
 /// shedding deliberately.
 struct AdmissionLimits {
   /// Max queries admitted-but-unresolved per shard (its bounded queue
-  /// depth: queued in the shard service plus executing on its engine).
+  /// depth: queued on the shard's engine plus executing there).
   size_t max_queue_per_shard = 0;
   /// Max queries admitted-but-unresolved across all shards.
   size_t max_inflight_total = 0;

@@ -1,12 +1,12 @@
 // ShardRouter — multi-environment sharded serving over rcj::Service.
 //
-// The service layer funnels every query through one dispatcher queue and
-// one engine: a hot environment's backlog delays every other environment,
+// The service layer funnels every query into one engine and its one pool
+// queue: a hot environment's backlog delays every other environment,
 // and nothing bounds the backlog. The router fixes both at the layer the
 // paper's evaluation implies (many dataset configurations, independently
 // queryable): it owns N shards, each pairing a slice of the named-
 // environment registry with its OWN rcj::Service — own Engine, own worker
-// pool, own dispatcher queue — so traffic to one environment can only
+// pool and pool queue — so traffic to one environment can only
 // queue behind its shardmates, never behind the whole process. An
 // AdmissionController in front enforces a bounded queue per shard and a
 // global in-flight cap: over-limit submissions resolve immediately with
@@ -39,7 +39,7 @@
 namespace rcj {
 
 struct ShardRouterOptions {
-  /// Number of shards; each owns a Service (engine + dispatcher). 0 is
+  /// Number of shards; each owns a Service (and its engine). 0 is
   /// treated as 1. Mind the multiplication: every shard's engine sizes
   /// itself to hardware threads unless service.engine.num_threads caps it.
   size_t num_shards = 1;
@@ -57,7 +57,7 @@ struct ShardRouterOptions {
 struct ShardStatus {
   size_t shard = 0;
   size_t environments = 0;  ///< environments registered on this shard.
-  size_t queued = 0;        ///< shard service's request-queue depth.
+  size_t queued = 0;        ///< Service::pending(): engine queue depth.
   AdmissionController::ShardCounters counters;
 };
 

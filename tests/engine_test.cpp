@@ -11,6 +11,8 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rcj.h"
@@ -512,6 +514,65 @@ TEST(EngineTest, EngineIsReusableAcrossBatchesAndWarmsUp) {
       << "a repeated query on warm views must not re-fault first touches";
   EXPECT_LE(second.value().stats.page_faults,
             first.value().stats.page_faults);
+}
+
+TEST(EngineTest, ConcurrentSubmittersGetSerialStreams) {
+  // Any thread may run queries on a shared engine: four callers submit
+  // at once, each waits only on its own queries, and every stream must be
+  // byte-identical to the serial runner's.
+  const std::vector<PointRecord> qset = GenerateUniform(2000, 101);
+  const std::vector<PointRecord> pset = GenerateUniform(2100, 102);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+
+  const RcjAlgorithm algorithms[] = {RcjAlgorithm::kObj, RcjAlgorithm::kInj,
+                                     RcjAlgorithm::kBij, RcjAlgorithm::kBrute};
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 3;
+  // Nine 8-byte fields and no padding, so the raw bytes are the stream.
+  static_assert(sizeof(RcjPair) == 9 * 8, "RcjPair gained padding");
+  const auto bytes_of = [](const std::vector<RcjPair>& pairs) {
+    return std::string(reinterpret_cast<const char*>(pairs.data()),
+                       pairs.size() * sizeof(RcjPair));
+  };
+  std::vector<std::string> serial(kCallers);
+  for (size_t i = 0; i < kCallers; ++i) {
+    QuerySpec spec = QuerySpec::For(env.value().get());
+    spec.algorithm = algorithms[i];
+    const Result<RcjRunResult> run = env.value()->Run(spec);
+    ASSERT_TRUE(run.ok());
+    ASSERT_FALSE(run.value().pairs.empty());
+    serial[i] = bytes_of(run.value().pairs);
+  }
+
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  Engine engine(engine_options);
+  std::vector<std::vector<std::string>> streams(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      QuerySpec spec = QuerySpec::For(env.value().get());
+      spec.algorithm = algorithms[i];
+      for (size_t round = 0; round < kRounds; ++round) {
+        std::vector<RcjPair> pairs;
+        VectorSink sink(&pairs);
+        JoinStats stats;
+        if (!engine.Run(spec, &sink, &stats).ok()) return;
+        streams[i].push_back(bytes_of(pairs));
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (size_t i = 0; i < kCallers; ++i) {
+    ASSERT_EQ(streams[i].size(), kRounds) << AlgorithmName(algorithms[i]);
+    for (const std::string& stream : streams[i]) {
+      EXPECT_TRUE(stream == serial[i])
+          << AlgorithmName(algorithms[i]) << ": stream differs from serial";
+    }
+  }
 }
 
 TEST(EngineTest, ViewCacheOffRestoresColdStartAccounting) {

@@ -389,11 +389,10 @@ TEST(LiveEnvironmentTest, QueriesRaceCompactionSafely) {
   EngineOptions engine_options;
   engine_options.num_threads = 8;
   Engine engine(engine_options);
-  // RunBatch and InvalidateCachedViews must not overlap (engine.h), and
-  // the serial runs share the base's buffer — one mutex covers both.
-  std::mutex engine_mu;
+  // The engine takes concurrent queries and invalidations (engine.h); only
+  // the serial runs, which share the base's buffer, need a mutex.
+  std::mutex serial_mu;
   env.set_invalidation_hook([&](const RcjEnvironment* retired) {
-    std::lock_guard<std::mutex> lock(engine_mu);
     engine.InvalidateCachedViews(retired);
   });
 
@@ -425,13 +424,15 @@ TEST(LiveEnvironmentTest, QueriesRaceCompactionSafely) {
         LiveSnapshot snapshot = env.TakeSnapshot();
         QuerySpec spec = snapshot.Spec();
         spec.algorithm = RcjAlgorithm::kObj;
-        std::lock_guard<std::mutex> lock(engine_mu);
         Result<RcjRunResult> parallel = engine.Run(spec);
         JoinStats serial_stats;
         std::vector<RcjPair> serial;
         VectorSink serial_sink(&serial);
-        const Status serial_status =
-            snapshot.Run(spec, &serial_sink, &serial_stats);
+        Status serial_status;
+        {
+          std::lock_guard<std::mutex> lock(serial_mu);
+          serial_status = snapshot.Run(spec, &serial_sink, &serial_stats);
+        }
         if (!parallel.ok() || !serial_status.ok() ||
             parallel.value().pairs.size() != serial.size()) {
           failures.fetch_add(1);

@@ -1,11 +1,12 @@
 // Tests for rcj::Service, the async front end: Submit() must be genuinely
 // non-blocking, tickets must resolve with per-query statuses, and sinks
 // must receive exactly the serial pair stream — including the limit=k
-// top-k prefix — no matter how requests interleave on the dispatcher.
+// top-k prefix — no matter how requests interleave on the engine.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -141,13 +142,68 @@ TEST(ServiceTest, SubmitIsNonBlockingWhileAJoinIsInFlight) {
   EXPECT_GT(second_pairs.size(), 0u);
 }
 
+TEST(ServiceTest, QueryResolvesWhileAnUnrelatedQueryIsBlocked) {
+  // Each query has its own lifetime: a top-1 submitted behind a query
+  // whose sink is stuck must still resolve, on the other worker, while
+  // the stuck query holds the first one. A 100-point T_Q has fewer leaves
+  // than min_leaves_to_split, so the gate runs as one task on one worker.
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(100, 327);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate_entered = false;
+  bool release = false;
+  CallbackSink gate_sink([&](const RcjPair&) {
+    std::unique_lock<std::mutex> lock(mu);
+    gate_entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    return true;
+  });
+
+  ServiceOptions options;
+  options.engine.num_threads = 2;
+  Service service(options);
+
+  QueryTicket gate = service.Submit(QuerySpec::For(env.get()), &gate_sink);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gate_entered; });
+  }
+
+  QuerySpec top1 = QuerySpec::For(env.get());
+  top1.limit = 1;
+  std::vector<RcjPair> pairs;
+  VectorSink sink(&pairs);
+  QueryTicket quick = service.Submit(top1, &sink);
+
+  Status status;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool resolved = false;
+  while (!(resolved = quick.TryGet(&status)) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(resolved) << "the top-1 waited on an unrelated blocked query";
+  EXPECT_FALSE(gate.TryGet()) << "the gate must still be blocked";
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(gate.Wait().ok());
+  ASSERT_TRUE(quick.Wait().ok());
+  EXPECT_EQ(pairs.size(), 1u);
+}
+
 TEST(ServiceTest, ManyConcurrentTicketsOverMixedEnvironments) {
   std::unique_ptr<RcjEnvironment> env_a = BuildEnv(900, 331);
   std::unique_ptr<RcjEnvironment> env_b = BuildEnv(1100, 333);
 
   ServiceOptions options;
   options.engine.num_threads = 4;
-  options.max_batch_size = 3;  // force several dispatch rounds
   Service service(options);
 
   const RcjAlgorithm algorithms[] = {RcjAlgorithm::kObj, RcjAlgorithm::kInj,
@@ -226,7 +282,7 @@ TEST(ServiceTest, CancelWhileQueuedSkipsExecution) {
   });
 
   ServiceOptions options;
-  options.max_batch_size = 1;  // one query per dispatch round
+  options.engine.num_threads = 1;  // the gated sink blocks the only worker
   Service service(options);
 
   QueryTicket gate = service.Submit(QuerySpec::For(env.get()), &gate_sink);
@@ -335,8 +391,7 @@ TEST(ServiceTest, DestructorDrainsWhileTicketsAreCancelledConcurrently) {
   std::vector<std::thread> cancellers;
   {
     ServiceOptions options;
-    options.max_batch_size = 2;  // several dispatch rounds: a real backlog
-    options.engine.num_threads = 2;
+    options.engine.num_threads = 1;  // one worker: a real backlog
     Service service(options);
     for (size_t i = 0; i < kRequests; ++i) {
       sinks.push_back(std::make_unique<VectorSink>(&streams[i]));
@@ -380,7 +435,7 @@ TEST(ServiceTest, SubmitAfterShutdownFailsCleanly) {
   EXPECT_TRUE(status.ok());
   EXPECT_GT(pairs.size(), 0u);
 
-  // A late Submit resolves immediately — no hang on a dead dispatcher —
+  // A late Submit resolves immediately — no hang on a drained engine —
   // with a clean error, and the completion hook still fires (an admission
   // layer's slot must never leak).
   std::vector<RcjPair> late_pairs;
@@ -416,7 +471,7 @@ TEST(ServiceTest, DoneCallbackFiresOncePerOutcome) {
 
   {
     ServiceOptions options;
-    options.max_batch_size = 1;
+    options.engine.num_threads = 1;  // the gated sink blocks the only worker
     Service service(options);
 
     // Gate the first query so the cancelled one is still queued when its
@@ -465,7 +520,7 @@ TEST(ServiceTest, DestructorDrainsSubmittedWork) {
   std::vector<QueryTicket> tickets;
   {
     ServiceOptions options;
-    options.max_batch_size = 1;  // one query per round: real queueing
+    options.engine.num_threads = 1;  // one worker: real queueing
     Service service(options);
     for (size_t i = 0; i < streams.size(); ++i) {
       sinks.push_back(std::make_unique<VectorSink>(&streams[i]));

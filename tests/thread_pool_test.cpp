@@ -1,4 +1,4 @@
-// Tests for the engine's thread pool: completion guarantees, reuse, and
+// Tests for the engine's thread pool: completion guarantees and
 // destruction draining.
 #include "engine/thread_pool.h"
 
@@ -10,25 +10,14 @@ namespace rcj {
 namespace {
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&counter] { ++counter; });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 50; ++i) {
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 1000; ++i) {
       pool.Submit([&counter] { ++counter; });
     }
-    pool.WaitIdle();
-    EXPECT_EQ(counter.load(), (round + 1) * 50);
   }
+  EXPECT_EQ(counter.load(), 1000);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
@@ -38,7 +27,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     for (int i = 0; i < 100; ++i) {
       pool.Submit([&counter] { ++counter; });
     }
-    // No WaitIdle: the destructor must still run all queued tasks.
+    // The destructor must run every queued task before joining.
   }
   EXPECT_EQ(counter.load(), 100);
 }
@@ -46,12 +35,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 TEST(ThreadPoolTest, ZeroThreadsPromotedToHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(3);
-  pool.WaitIdle();  // must not hang
-  SUCCEED();
 }
 
 }  // namespace

@@ -226,8 +226,8 @@ TEST(WorkerContextTest, ContextStatsReportReuseAcrossBatches) {
 
 TEST(ServiceInvalidationTest, InvalidateEnvironmentMidServiceIsSafe) {
   // An environment is rebuilt while the service keeps running other
-  // traffic: InvalidateEnvironment must block until the dispatcher dropped
-  // the views, after which destroying the environment is safe (ASan).
+  // traffic: InvalidateEnvironment drops the views while queries over the
+  // other environment run, after which destroying it is safe (ASan).
   ServiceOptions options;
   options.engine.num_threads = 2;
   Service service(options);

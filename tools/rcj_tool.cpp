@@ -78,7 +78,7 @@ int Usage() {
       "           [--no-intra] [--compare-serial] [engine knobs]\n"
       "  rcj_tool serve --q Q.csv [--p P.csv | --self]\n"
       "           [--algos obj,inj,bij] [--repeat N] [--limit K]\n"
-      "           [--threads T] [--max-batch B] [--out PAIRS.csv]\n"
+      "           [--threads T] [--out PAIRS.csv]\n"
       "           [engine knobs]\n"
       "                        (with --port, --threads is the server-wide\n"
       "                         worker budget, split across shards)\n"
@@ -934,12 +934,6 @@ int CmdServeNetwork(const std::map<std::string, std::string>& flags) {
   if (!ParseEngineFlags("serve", flags, &router_options.service.engine)) {
     return 2;
   }
-  if (!ParseCount(FlagOr(flags, "max-batch", "16"), 1u << 20,
-                  &router_options.service.max_batch_size)) {
-    std::fprintf(stderr, "serve: invalid --max-batch '%s'\n",
-                 FlagOr(flags, "max-batch", "16").c_str());
-    return 2;
-  }
 
   const bool live_mode = flags.count("live") != 0;
   size_t compact_threshold = 0;
@@ -1616,12 +1610,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   if (!ParseEngineFlags("serve", flags, &service_options.engine)) return 2;
-  if (!ParseCount(FlagOr(flags, "max-batch", "16"), 1u << 20,
-                  &service_options.max_batch_size)) {
-    std::fprintf(stderr, "serve: invalid --max-batch '%s'\n",
-                 FlagOr(flags, "max-batch", "16").c_str());
-    return 2;
-  }
 
   RcjRunOptions options;
   int exit_code = 0;
