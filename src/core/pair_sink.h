@@ -33,6 +33,12 @@ class PairSink {
   virtual ~PairSink() = default;
 
   virtual bool Emit(const RcjPair& pair) = 0;
+
+  /// Marks the end of one delivery batch. The engine calls it after each
+  /// pass that handed the sink pairs (one or more whole chunks), never
+  /// between two pairs of a chunk; a sink that buffers its output (the
+  /// network SocketSink) sends it here. The default does nothing.
+  virtual void EndBatch() {}
 };
 
 /// Collects every emitted pair into a caller-owned vector; never stops the

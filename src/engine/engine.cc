@@ -220,9 +220,26 @@ void FailQuery(QueryEmitState* st, Status status) {
   st->stop->Stop(StopReason::kFailed);
 }
 
+/// Runs `call` against the query's sink. The sink is caller code (or a
+/// vector push_back that can hit bad_alloc); a throw must not escape into
+/// the thread pool with the frontier half-advanced, so it becomes a
+/// per-query failure. Caller holds mu.
+template <typename Call>
+void CallSink(QueryEmitState* st, const Call& call) {
+  try {
+    call();
+  } catch (const std::exception& e) {
+    FailQuery(st, Status::IoError(std::string("result sink threw: ") +
+                                  e.what()));
+  } catch (...) {
+    FailQuery(st, Status::IoError("result sink threw a non-std exception"));
+  }
+}
+
 /// Marks `range` complete (failed unless `status` is OK) and flushes every
 /// ready chunk at the frontier to the delivery sink, in order, until the
-/// query stops. Called by the worker that finished the chunk; the
+/// query stops, then ends the batch (PairSink::EndBatch) if the pass
+/// delivered any pair. Called by the worker that finished the chunk; the
 /// per-query mutex serializes delivery, so sinks see one thread at a time.
 /// Reaching the limit or a sink refusal stops the query with kLimit.
 void DeliverReadyRanges(QueryEmitState* st, size_t range,
@@ -231,15 +248,12 @@ void DeliverReadyRanges(QueryEmitState* st, size_t range,
   st->range_done[range] =
       status.ok() ? QueryEmitState::kDone : QueryEmitState::kFailed;
   if (!status.ok()) FailQuery(st, status);
+  const uint64_t delivered_before = st->delivered;
   for (; st->next_range < st->range_done.size() &&
          st->range_done[st->next_range] != QueryEmitState::kPending;
        ++st->next_range) {
     if (st->range_done[st->next_range] != QueryEmitState::kDone) continue;
-    // The sink is caller code (or a vector push_back that can hit
-    // bad_alloc); a throw must not escape into the thread pool with the
-    // frontier half-advanced — convert it to a per-query failure, keeping
-    // this function's state transitions atomic.
-    try {
+    CallSink(st, [st] {
       for (const RcjPair& pair : st->chunk_pairs[st->next_range]) {
         if (st->stop->stopped()) break;
         ++st->delivered;
@@ -248,12 +262,10 @@ void DeliverReadyRanges(QueryEmitState* st, size_t range,
           st->stop->Stop(StopReason::kLimit);
         }
       }
-    } catch (const std::exception& e) {
-      FailQuery(st, Status::IoError(std::string("result sink threw: ") +
-                                    e.what()));
-    } catch (...) {
-      FailQuery(st, Status::IoError("result sink threw a non-std exception"));
-    }
+    });
+  }
+  if (st->delivered != delivered_before) {
+    CallSink(st, [st] { st->sink->EndBatch(); });
   }
 }
 

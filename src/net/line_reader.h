@@ -9,31 +9,39 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstring>
 #include <string>
+#include <vector>
 
 namespace rcj {
 namespace net {
 
-/// Reads LF-terminated lines off a blocking socket through a small
-/// internal buffer. Not thread-safe; one reader per connection.
+/// Reads LF-terminated lines off a blocking socket through an internal
+/// 64 KiB buffer: one recv() fills it, and each line is cut out of it
+/// with memchr and appended as whole spans. Not thread-safe; one reader
+/// per connection.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  explicit LineReader(int fd) : fd_(fd), buffer_(kBufferBytes) {}
 
   /// Fills `*line` with the next line (LF consumed, trailing CR
   /// stripped). False on EOF or a hard error before a complete line.
   bool ReadLine(std::string* line) {
     line->clear();
     for (;;) {
-      for (; next_ < buffered_; ++next_) {
-        if (buffer_[next_] == '\n') {
-          ++next_;
-          if (!line->empty() && line->back() == '\r') line->pop_back();
-          return true;
-        }
-        line->push_back(buffer_[next_]);
+      const char* begin = buffer_.data() + next_;
+      const size_t available = buffered_ - next_;
+      const char* newline =
+          static_cast<const char*>(std::memchr(begin, '\n', available));
+      if (newline != nullptr) {
+        line->append(begin, newline);
+        next_ += static_cast<size_t>(newline - begin) + 1;
+        if (!line->empty() && line->back() == '\r') line->pop_back();
+        return true;
       }
-      const ssize_t got = recv(fd_, buffer_, sizeof(buffer_), 0);
+      line->append(begin, available);
+      next_ = buffered_;
+      const ssize_t got = recv(fd_, buffer_.data(), buffer_.size(), 0);
       if (got <= 0) {
         if (got < 0 && errno == EINTR) continue;
         return false;
@@ -44,8 +52,10 @@ class LineReader {
   }
 
  private:
+  static constexpr size_t kBufferBytes = 64 * 1024;
+
   int fd_;
-  char buffer_[4096];
+  std::vector<char> buffer_;
   size_t buffered_ = 0;
   size_t next_ = 0;
 };

@@ -1,7 +1,9 @@
 #include "net/net_server.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -49,7 +51,12 @@ struct ServerMetrics {
 
 struct NetServer::Connection : net::LineServer::Connection {
   Connection(int fd, const SocketSinkOptions& options)
-      : net::LineServer::Connection(fd), sink(fd, options, &stop) {}
+      : net::LineServer::Connection(fd),
+        sink(fd, options, &stop),
+        wake_fd(eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+  ~Connection() override {
+    if (wake_fd >= 0) close(wake_fd);
+  }
 
   /// The stop signal of this connection's one query (QuerySpec::stop); a
   /// stop before submission resolves the query before any chunk claim.
@@ -58,6 +65,10 @@ struct NetServer::Connection : net::LineServer::Connection {
   /// delivery. Its death (peer gone, or backpressure past the grace)
   /// stops `stop` with kPeerGone.
   SocketSink sink;
+  /// Made readable once by the query's completion (the router's on_done
+  /// hook), so the handler's poll wakes the moment the ticket resolves.
+  /// -1 when no eventfd could be made: the handler then polls on a timer.
+  int wake_fd;
 };
 
 NetServer::NetServer(ShardRouter* router, NetServerOptions options)
@@ -340,10 +351,15 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
   if (status.ok()) {
     // The router decides admission synchronously; on_admit puts the OK
     // acknowledgement on the wire before the query can emit its first
-    // PAIR, preserving the frame order with zero buffering tricks.
+    // PAIR, preserving the frame order with zero buffering tricks. on_done
+    // wakes this thread as the query completes.
     obs::ScopedSpan admit_span(trace.get(), "admit", 1);
+    const int wake_fd = connection->wake_fd;
+    const auto wake = [wake_fd] {
+      if (wake_fd >= 0) eventfd_write(wake_fd, 1);
+    };
     status = router_->Submit(request.env_name, request.spec, sink, &ticket,
-                             [sink] { sink->SendLine("OK"); });
+                             [sink] { sink->SendLine("OK"); }, wake);
   }
 
   if (!status.ok()) {
@@ -360,23 +376,29 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     return;
   }
 
-  // Babysit the in-flight query: resolve the ticket while watching the
-  // socket's read side. A read *error* (ECONNRESET: the peer vanished
-  // with data in flight) stops the query with kPeerGone — the engine
-  // ends it within a few pairs, so the other connections' joins keep
-  // their workers. A plain EOF is NOT a cancellation: a netcat-style client
-  // legitimately half-closes its write side after the request while it
-  // keeps reading, so EOF only means "done sending" — a peer that truly
-  // closed is caught by the sink's failing sends instead.
+  // Babysit the in-flight query: sleep until the completion wake fires,
+  // while watching the socket's read side. A read *error* (ECONNRESET:
+  // the peer vanished with data in flight) stops the query with
+  // kPeerGone — the engine ends it within a few pairs, so the other
+  // connections' joins keep their workers. A plain EOF is NOT a
+  // cancellation: a netcat-style client legitimately half-closes its
+  // write side after the request while it keeps reading, so EOF only
+  // means "done sending" (the socket leaves the poll set) — a peer that
+  // truly closed is caught by the sink's failing sends instead.
   Status final;
   bool read_side_open = true;
   while (!ticket.TryGet(&final)) {
-    if (!read_side_open) {
-      final = ticket.Wait();  // sink death / Stop() resolve the ticket
+    struct pollfd pfds[2] = {{connection->wake_fd, POLLIN, 0},
+                             {read_side_open ? fd : -1, POLLIN, 0}};
+    if (poll(pfds, 2, connection->wake_fd >= 0 ? -1 : 20) <= 0) continue;
+    if (pfds[0].revents != 0) {
+      // The completion hook runs just before the ticket resolves.
+      eventfd_t ignored;
+      eventfd_read(connection->wake_fd, &ignored);
+      final = ticket.Wait();
       break;
     }
-    struct pollfd pfd = {fd, POLLIN, 0};
-    if (poll(&pfd, 1, 20) <= 0) continue;
+    if (pfds[1].revents == 0) continue;
     char buffer[256];
     const ssize_t got = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
     // Stray bytes are ignored: one request per connection.

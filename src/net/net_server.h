@@ -24,6 +24,11 @@
 //     stalled socket into a dead sink, which stops it with kPeerGone;
 //   * Stop() — the line server's unblock hook stops it with kCancelled.
 //
+// While its query runs, the connection thread sleeps in poll() on the
+// client socket (for a read error) and on a per-connection eventfd that
+// the query's completion writes once, so END leaves as soon as the query
+// is done.
+//
 // The connection lifecycle — listener, accept loop, one thread per
 // connection (the joins themselves run on the shard engines' pools;
 // connection threads only shuttle bytes), Stop(), the mutation-batch loop

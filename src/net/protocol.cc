@@ -1,10 +1,10 @@
 #include "net/protocol.h"
 
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -58,12 +58,6 @@ bool IsEnvName(const std::string& name) {
     if (!ok) return false;
   }
   return true;
-}
-
-std::string FormatDouble(double value, int digits = 17) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*g", digits, value);
-  return buffer;
 }
 
 const char* StatusCodeWireName(StatusCode code) {
@@ -311,7 +305,8 @@ Field I64(const char* key, int64_t* slot) {
           [slot] { return std::to_string(*slot); }};
 }
 
-/// %.17g round-trips every double exactly; TRACE timings use %.9g.
+/// 17 significant digits round-trip every double exactly; TRACE timings
+/// use 9.
 Field F64(const char* key, double* slot, int digits = 17) {
   return {key,
           [key, slot](const std::string& value) {
@@ -623,6 +618,14 @@ Message EpochResponseMessage(std::string* env_name, uint64_t* epoch) {
 
 }  // namespace
 
+std::string FormatDouble(double value, int digits) {
+  char buffer[64];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, digits);
+  return std::string(buffer, result.ptr);
+}
+
 Status ParseRequestLine(const std::string& line, WireRequest* out) {
   return ParseWith(line, out, RequestMessage);
 }
@@ -631,13 +634,30 @@ std::string FormatRequestLine(const WireRequest& request) {
   return FormatWith(request, RequestMessage);
 }
 
+void AppendPairLine(const RcjPair& pair, std::string* out) {
+  // "PAIR " + 2 ids (<= 20 chars) + 4 doubles at 17 digits (<= 24 chars)
+  // + 6 separators fits comfortably.
+  char buffer[160];
+  char* const end = buffer + sizeof(buffer);
+  std::memcpy(buffer, "PAIR", 4);
+  char* cursor = buffer + 4;
+  for (const PointId id : {pair.p.id, pair.q.id}) {
+    *cursor++ = ' ';
+    cursor = std::to_chars(cursor, end, id).ptr;
+  }
+  constexpr std::chars_format kGeneral = std::chars_format::general;
+  for (const double value :
+       {pair.p.pt.x, pair.p.pt.y, pair.q.pt.x, pair.q.pt.y}) {
+    *cursor++ = ' ';
+    cursor = std::to_chars(cursor, end, value, kGeneral, 17).ptr;
+  }
+  out->append(buffer, cursor);
+}
+
 std::string FormatPairLine(const RcjPair& pair) {
-  char buffer[192];
-  std::snprintf(buffer, sizeof(buffer),
-                "PAIR %" PRId64 " %" PRId64 " %.17g %.17g %.17g %.17g",
-                pair.p.id, pair.q.id, pair.p.pt.x, pair.p.pt.y, pair.q.pt.x,
-                pair.q.pt.y);
-  return buffer;
+  std::string line;
+  AppendPairLine(pair, &line);
+  return line;
 }
 
 Status ParsePairLine(const std::string& line, RcjPair* out) {

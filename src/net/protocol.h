@@ -61,8 +61,10 @@
 //
 // A PAIR line carries the two matched points; the fair-middleman circle is
 // re-derived on the client (Circle::Enclosing is deterministic), so the
-// stream stays minimal. Coordinates travel as %.17g, which round-trips
-// IEEE doubles exactly.
+// stream stays minimal. Coordinates travel as 17 significant digits in
+// %g style (the bytes of printf's %.17g), which round-trips IEEE doubles
+// exactly. Every float on the wire (PAIR, END, TRACE) is encoded with
+// std::to_chars, so the bytes do not depend on the process's LC_NUMERIC.
 //
 // Tokens are separated by runs of spaces and tabs, and a line may end in
 // LF, CR or CRLF; a CR (or LF) with bytes after it is InvalidArgument.
@@ -149,10 +151,22 @@ Status ParseRequestLine(const std::string& line, WireRequest* out);
 /// minimal query is the bare line "QUERY".
 std::string FormatRequestLine(const WireRequest& request);
 
+/// Appends one PAIR line (no newline) to `*out`: the ids as decimal
+/// integers, then the four coordinates at 17 significant digits in %g
+/// style, formatted with std::to_chars (locale-independent, no
+/// allocation beyond `*out`'s growth). The streaming sink encodes straight
+/// into its send buffer through this.
+void AppendPairLine(const RcjPair& pair, std::string* out);
+/// The PAIR line as its own string (AppendPairLine into an empty one).
 std::string FormatPairLine(const RcjPair& pair);
 /// Rebuilds the pair — including its enclosing middleman circle — from a
 /// PAIR line.
 Status ParsePairLine(const std::string& line, RcjPair* out);
+
+/// `value` at `digits` significant digits in %g style (the bytes of
+/// printf's "%.*g" for finite values), locale-independent. END fields use
+/// 17 digits; TRACE timings use 9.
+std::string FormatDouble(double value, int digits = 17);
 
 std::string FormatEndLine(const WireSummary& summary);
 Status ParseEndLine(const std::string& line, WireSummary* out);

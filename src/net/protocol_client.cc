@@ -46,7 +46,7 @@ Result<ProtocolClient> ProtocolClient::Connect(const std::string& host,
 ProtocolClient::~ProtocolClient() { Close(); }
 
 ProtocolClient::ProtocolClient(ProtocolClient&& other) noexcept
-    : fd_(other.fd_), reader_(other.reader_) {
+    : fd_(other.fd_), reader_(std::move(other.reader_)) {
   other.fd_ = -1;
 }
 
@@ -54,7 +54,7 @@ ProtocolClient& ProtocolClient::operator=(ProtocolClient&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    reader_ = other.reader_;
+    reader_ = std::move(other.reader_);
     other.fd_ = -1;
   }
   return *this;

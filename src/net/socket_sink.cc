@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 
@@ -13,6 +14,7 @@ namespace rcj {
 SocketSink::SocketSink(int fd, SocketSinkOptions options, StopToken* stop)
     : fd_(fd), options_(options), stop_(stop) {
   if (options_.max_pending_bytes == 0) options_.max_pending_bytes = 1;
+  drain_threshold_ = std::max<size_t>(1, options_.max_pending_bytes / 8);
 }
 
 void SocketSink::MarkDead() {
@@ -21,17 +23,26 @@ void SocketSink::MarkDead() {
 }
 
 bool SocketSink::Emit(const RcjPair& pair) {
-  if (!Append(net::FormatPairLine(pair))) return false;
+  if (dead_) return false;
+  net::AppendPairLine(pair, &pending_);
+  pending_ += '\n';
+  if (pending_bytes() >= drain_threshold_ && !Drain()) return false;
   ++emitted_;
   return true;
 }
 
-bool SocketSink::SendLine(const std::string& line) { return Append(line); }
+void SocketSink::EndBatch() {
+  if (!dead_) TryDrain();
+}
 
-bool SocketSink::Append(const std::string& line) {
+bool SocketSink::SendLine(const std::string& line) {
   if (dead_) return false;
   pending_ += line;
   pending_ += '\n';
+  return Drain();
+}
+
+bool SocketSink::Drain() {
   TryDrain();
   if (dead_) return false;
   if (pending_bytes() > options_.max_pending_bytes) {

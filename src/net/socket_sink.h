@@ -1,9 +1,12 @@
 // SocketSink — the PairSink that turns a connected TCP socket into a
 // streaming result channel.
 //
-// Every pair is serialized to one PAIR line and appended to a bounded
-// pending buffer that is drained with non-blocking sends, so a reading
-// client receives results incrementally while the join is still running.
+// Every pair is encoded as one PAIR line straight into a bounded pending
+// buffer, with no string per line. The buffer is drained with one
+// non-blocking send() per delivered engine chunk (EndBatch) or whenever
+// it passes a threshold (an eighth of its bound), not one per line, so a
+// reading client receives results incrementally while the join is still
+// running and the socket sees kernel-sized writes.
 // Backpressure maps onto the query's stop signal: when the kernel send
 // buffer is full and the pending buffer would exceed its bound (after a
 // short drain grace), or the peer disconnected, the sink dies — it stops
@@ -11,10 +14,10 @@
 // engine drops the query's remaining work instead of joining for a client
 // that cannot or will not consume the stream.
 //
-// Threading: like every per-query sink, one thread drives Emit() at a time
-// (the engine serializes delivery per query). The connection thread only
-// calls SendLine()/Flush() before submitting and after the ticket resolved,
-// so no internal locking is needed.
+// Threading: like every per-query sink, one thread drives Emit() and
+// EndBatch() at a time (the engine serializes delivery per query). The
+// connection thread only calls SendLine()/Flush() before submitting and
+// after the ticket resolved, so no internal locking is needed.
 #ifndef RINGJOIN_NET_SOCKET_SINK_H_
 #define RINGJOIN_NET_SOCKET_SINK_H_
 
@@ -46,13 +49,19 @@ class SocketSink final : public PairSink {
   explicit SocketSink(int fd, SocketSinkOptions options = {},
                       StopToken* stop = nullptr);
 
-  /// Serializes and enqueues one PAIR line. Returns false — requesting
+  /// Encodes one PAIR line into the pending buffer, sending only once the
+  /// buffer passes the drain threshold. Returns false — requesting
   /// engine-side cancellation — once the peer is gone or the bounded
   /// pending buffer cannot be drained.
   bool Emit(const RcjPair& pair) override;
 
-  /// Enqueues one control frame (OK/END/ERR, without the newline). Returns
-  /// false when the sink is already dead.
+  /// Hands everything pending to the socket, as far as it accepts it
+  /// without blocking: the engine calls this once per delivered batch of
+  /// chunks, so a chunk's pairs leave as soon as the chunk is delivered.
+  void EndBatch() override;
+
+  /// Enqueues one control frame (OK/END/ERR, without the newline) and
+  /// sends it at once. Returns false when the sink is already dead.
   bool SendLine(const std::string& line);
 
   /// Blocks up to `timeout_ms` draining the pending buffer; true when every
@@ -75,7 +84,9 @@ class SocketSink final : public PairSink {
   uint64_t stalls() const { return stalls_; }
 
  private:
-  bool Append(const std::string& line);
+  /// TryDrain, then the backpressure bound: past max_pending_bytes, one
+  /// drain grace, then death. False once the sink is dead.
+  bool Drain();
   /// Sends as much pending data as the socket accepts right now.
   void TryDrain();
   /// Marks the sink dead and stops `stop_` with kPeerGone.
@@ -86,6 +97,8 @@ class SocketSink final : public PairSink {
   int fd_;
   SocketSinkOptions options_;
   StopToken* stop_;
+  /// Pending bytes at which Emit() drains (max_pending_bytes / 8).
+  size_t drain_threshold_ = 1;
   std::string pending_;
   /// Length of pending_'s already-sent prefix (compacted lazily).
   size_t drained_ = 0;

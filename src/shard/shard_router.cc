@@ -155,7 +155,8 @@ Status ShardRouter::Compact(const std::string& env_name, LiveStats* after) {
 
 Status ShardRouter::Submit(const std::string& env_name, QuerySpec spec,
                            PairSink* sink, QueryTicket* ticket,
-                           const std::function<void()>& on_admit) {
+                           const std::function<void()>& on_admit,
+                           std::function<void()> on_done) {
   const auto it = environments_.find(env_name);
   if (it == environments_.end()) {
     return Status::NotFound("unknown environment '" + env_name + "'");
@@ -198,7 +199,8 @@ Status ShardRouter::Submit(const std::string& env_name, QuerySpec spec,
   QueryTicket submitted = shards_[shard].service->Submit(
       spec, sink,
       [this, shard, snapshot, admitted_at, snapshot_bound_at,
-       pinned_snapshot, trace](const Status& final_status) {
+       pinned_snapshot, trace,
+       on_done = std::move(on_done)](const Status& final_status) {
         // Admit-to-release is the full time the query held its slot —
         // the latency an operator reconciles against the inflight gauge.
         const auto released_at = std::chrono::steady_clock::now();
@@ -215,6 +217,7 @@ Status ShardRouter::Submit(const std::string& env_name, QuerySpec spec,
           trace->Record("snapshot_pin", 1, snapshot_bound_at, released_at);
         }
         admission_.Release(shard, final_status);
+        if (on_done) on_done();
       });
   if (ticket != nullptr) *ticket = submitted;
   return Status::OK();

@@ -143,10 +143,14 @@ class ShardRouter {
   /// `on_admit`, when set, runs synchronously inside the call after the
   /// query is admitted but before it can produce pairs — the hook the
   /// network server uses to put its OK acknowledgement on the wire ahead
-  /// of any PAIR line.
+  /// of any PAIR line. `on_done`, when set, runs once as the admitted
+  /// query completes, after its slot is released and just before the
+  /// ticket resolves (on an engine worker, or inline for a query the
+  /// shut-down service refuses) — the network server's wake-up.
   Status Submit(const std::string& env_name, QuerySpec spec, PairSink* sink,
                 QueryTicket* ticket,
-                const std::function<void()>& on_admit = nullptr);
+                const std::function<void()>& on_admit = nullptr,
+                std::function<void()> on_done = nullptr);
 
   /// Per-shard snapshot, indexed by shard.
   std::vector<ShardStatus> Stats() const;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -571,6 +572,74 @@ TEST(EngineTest, ConcurrentSubmittersGetSerialStreams) {
     for (const std::string& stream : streams[i]) {
       EXPECT_TRUE(stream == serial[i])
           << AlgorithmName(algorithms[i]) << ": stream differs from serial";
+    }
+  }
+}
+
+// Records the stream and, for each EndBatch, how many pairs preceded it.
+class BatchRecordingSink final : public PairSink {
+ public:
+  bool Emit(const RcjPair& pair) override {
+    pairs.push_back(pair);
+    return true;
+  }
+  void EndBatch() override { batch_ends.push_back(pairs.size()); }
+
+  std::vector<RcjPair> pairs;
+  std::vector<size_t> batch_ends;
+};
+
+TEST(EngineTest, EndBatchClosesWholeChunksAfterTheirPairs) {
+  // One-leaf chunks: a chunk boundary in the serial stream is a place
+  // where the pair's T_Q leaf changes. Every EndBatch must sit on such a
+  // boundary (never inside a chunk's pairs), follow at least one new pair,
+  // and the last one must close the stream.
+  const std::vector<PointRecord> qset = GenerateUniform(3000, 81);
+  const std::vector<PointRecord> pset = GenerateUniform(3000, 82);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  std::map<PointId, size_t> leaf_of;
+  size_t leaves = 0;
+  const Status visited =
+      env.value()->tq().VisitLeavesDepthFirst([&](const Node& leaf) {
+        for (const LeafEntry& entry : leaf.points) {
+          leaf_of[entry.rec.id] = leaves;
+        }
+        ++leaves;
+        return true;
+      });
+  ASSERT_TRUE(visited.ok());
+  const QuerySpec spec = QuerySpec::For(env.value().get());
+  const Result<RcjRunResult> serial = env.value()->Run(spec);
+  ASSERT_TRUE(serial.ok());
+  const std::vector<RcjPair>& expected = serial.value().pairs;
+  ASSERT_GT(expected.size(), 0u);
+
+  for (const size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineOptions engine_options;
+    engine_options.num_threads = threads;
+    engine_options.steal_chunk_leaves = 1;
+    Engine engine(engine_options);
+    BatchRecordingSink sink;
+    JoinStats stats;
+    ASSERT_TRUE(engine.Run(spec, &sink, &stats).ok());
+    ExpectSameSequence(sink.pairs, expected, "batched stream");
+    ASSERT_FALSE(sink.batch_ends.empty());
+    EXPECT_EQ(sink.batch_ends.back(), expected.size());
+    size_t previous = 0;
+    for (const size_t end : sink.batch_ends) {
+      EXPECT_GT(end, previous) << "an EndBatch without new pairs";
+      previous = end;
+      if (end == expected.size()) continue;
+      EXPECT_NE(leaf_of.at(expected[end - 1].q.id),
+                leaf_of.at(expected[end].q.id))
+          << "EndBatch inside a chunk, after pair " << end;
+    }
+    if (threads == 1) {
+      // One worker runs the query unsplit: one chunk, one batch.
+      EXPECT_EQ(sink.batch_ends.size(), 1u);
     }
   }
 }

@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/rcj.h"
 #include "workload/generator.h"
@@ -214,6 +221,102 @@ TEST(ProtocolPairTest, RejectsMalformedPairLines) {
   EXPECT_FALSE(ParsePairLine("PAIR x 2 3 4 5 6", &pair).ok());
   EXPECT_FALSE(ParsePairLine("PAIR 1 2 3 4 5 nan", &pair).ok());
   EXPECT_FALSE(ParsePairLine("pair 1 2 3 4 5 6", &pair).ok());
+}
+
+// The printf encoding the wire used before std::to_chars, kept only as the
+// oracle of the differential tests below: the to_chars encoders must
+// reproduce its bytes exactly.
+std::string OracleDouble(double value, int digits) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*g", digits, value);
+  return buffer;
+}
+
+std::string OraclePairLine(const RcjPair& pair) {
+  char buffer[192];
+  std::snprintf(buffer, sizeof(buffer),
+                "PAIR %" PRId64 " %" PRId64 " %.17g %.17g %.17g %.17g",
+                pair.p.id, pair.q.id, pair.p.pt.x, pair.p.pt.y, pair.q.pt.x,
+                pair.q.pt.y);
+  return buffer;
+}
+
+// Finite doubles that stress the shortest/exponent/padding rules: signed
+// zeros, subnormal and normal extremes, and signed powers of ten across
+// the whole exponent range.
+std::vector<double> EdgeDoubles() {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0, -0.0, tiny, -tiny, DBL_MIN, DBL_MAX};
+  values.push_back(-DBL_MAX);
+  values.push_back(DBL_EPSILON);
+  values.push_back(1.0 / 3.0);
+  values.push_back(123.456789012345678);
+  for (int exponent = -324; exponent <= 308; ++exponent) {
+    const double power = std::pow(10.0, exponent);
+    values.push_back(power);
+    values.push_back(-power);
+  }
+  return values;
+}
+
+// Random bit patterns, rejected until finite: every exponent and mantissa
+// shape is equally likely, unlike uniform reals.
+double RandomFiniteDouble(std::mt19937_64* rng) {
+  for (;;) {
+    const uint64_t bits = (*rng)();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) return value;
+  }
+}
+
+TEST(ProtocolEncodingTest, DoublesMatchThePrintfOracle) {
+  const uint64_t seed = 0x5eed2026;
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  std::vector<double> values = EdgeDoubles();
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 1000000; ++i) {
+    values.push_back(RandomFiniteDouble(&rng));
+  }
+  for (const double value : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (const int digits : {17, 9}) {
+      ASSERT_EQ(FormatDouble(value, digits), OracleDouble(value, digits))
+          << "bits=0x" << std::hex << bits << std::dec << " digits=" << digits;
+    }
+  }
+}
+
+TEST(ProtocolEncodingTest, PairLinesMatchThePrintfOracle) {
+  const uint64_t seed = 0x5eed2027;
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  const PointId lowest = std::numeric_limits<PointId>::min();
+  const PointId highest = std::numeric_limits<PointId>::max();
+  const std::vector<PointId> ids = {0, -1, 1, lowest, highest};
+  const std::vector<double> edges = EdgeDoubles();
+  std::mt19937_64 rng(seed);
+  std::string appended = "prefix";
+  for (int i = 0; i < 250000; ++i) {
+    // Every fourth line draws its coordinates from the edge set, the rest
+    // from random bits; ids cycle through the extremes, then random bits.
+    double coords[4];
+    for (double& coord : coords) {
+      coord = i % 4 == 0 ? edges[rng() % edges.size()]
+                         : RandomFiniteDouble(&rng);
+    }
+    const PointId p_id = i < 25 ? ids[i % 5] : static_cast<PointId>(rng());
+    const PointId q_id = i < 25 ? ids[i / 5] : static_cast<PointId>(rng());
+    const PointRecord p{Point{coords[0], coords[1]}, p_id};
+    const PointRecord q{Point{coords[2], coords[3]}, q_id};
+    const RcjPair pair = RcjPair::Make(p, q);
+    const std::string oracle = OraclePairLine(pair);
+    ASSERT_EQ(FormatPairLine(pair), oracle) << "line " << i;
+    // AppendPairLine appends after whatever the buffer already holds.
+    appended.resize(6);
+    AppendPairLine(pair, &appended);
+    ASSERT_EQ(appended, "prefix" + oracle) << "line " << i;
+  }
 }
 
 TEST(ProtocolEndTest, RoundTripsSummary) {

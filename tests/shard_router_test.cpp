@@ -244,6 +244,43 @@ TEST(ShardRouterTest, OnAdmitRunsBeforeAnyPairIsDelivered) {
   ASSERT_TRUE(gate.Wait().ok());
 }
 
+TEST(ShardRouterTest, OnDoneRunsOnceAfterThePairsAndTheSlotRelease) {
+  // The network server's completion wake: on_done fires exactly once per
+  // admitted query, after every pair was delivered and the slot released.
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(600, 537);
+  ShardRouter router(ShardRouterOptions{});
+  ASSERT_TRUE(router.RegisterEnvironment("default", env.get()).ok());
+
+  CountingSink sink;
+  QueryTicket ticket;
+  int done_calls = 0;
+  uint64_t pairs_at_done = 0;
+  uint64_t inflight_at_done = 1;
+  const size_t shard = router.ShardOf("default");
+  const auto on_done = [&] {
+    ++done_calls;
+    pairs_at_done = sink.count();
+    inflight_at_done = router.Stats()[shard].counters.inflight;
+  };
+  ASSERT_TRUE(router
+                  .Submit("default", QuerySpec{}, &sink, &ticket, nullptr,
+                          on_done)
+                  .ok());
+  ASSERT_TRUE(ticket.Wait().ok());
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_GT(sink.count(), 0u);
+  EXPECT_EQ(pairs_at_done, sink.count());
+  EXPECT_EQ(inflight_at_done, 0u);
+
+  // A rejected submission never runs on_done.
+  bool rejected_done_ran = false;
+  const Status rejected =
+      router.Submit("missing", QuerySpec{}, nullptr, nullptr, nullptr,
+                    [&] { rejected_done_ran = true; });
+  EXPECT_EQ(rejected.code(), StatusCode::kNotFound);
+  EXPECT_FALSE(rejected_done_ran);
+}
+
 TEST(ShardRouterTest, FloodAgainstTightLimitsShedsAndReconciles) {
   // The admission acceptance shape, in-process: tiny caps, a concurrent
   // flood, and the invariant admitted + shed == submitted with a mix of
