@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(env->total_tree_pages()));
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kInj, RcjAlgorithm::kObj}) {
-      options.algorithm = algorithm;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      const RcjRunResult run = MustRun(env.get(), spec);
       const std::string label = std::string(bulk ? "STR / " : "R*-ins / ") +
                                 AlgorithmName(algorithm);
       ReportStatsRow(&reporter, label, run.stats);

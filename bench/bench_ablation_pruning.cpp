@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
     uint64_t bij_candidates = 0;
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-      RcjRunOptions options;
-      options.algorithm = algorithm;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      const RcjRunResult run = MustRun(env.get(), spec);
       const std::string label =
           std::string(workload.name) + " / " + AlgorithmName(algorithm);
       ReportStatsRow(&reporter, label, run.stats);

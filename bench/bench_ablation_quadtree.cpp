@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "quadtree/quad_rcj.h"
+#include "storage/cost_model.h"
 
 using namespace rcj;
 using namespace rcj::bench;
@@ -25,9 +26,9 @@ int main(int argc, char** argv) {
   // R-tree pipeline (INJ: the per-point algorithm, closest in structure to
   // the quadtree join).
   auto env = MustBuild(qset, pset);
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kInj;
-  const RcjRunResult rtree_run = MustRun(env.get(), options);
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kInj;
+  const RcjRunResult rtree_run = MustRun(env.get(), spec);
 
   // Quadtree pipeline over the same data with the same buffer budget.
   constexpr Rect kDomain{{0.0, 0.0}, {10000.0, 10000.0}};

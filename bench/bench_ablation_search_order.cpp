@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
     std::string random_label;
     for (const SearchOrder order :
          {SearchOrder::kDepthFirst, SearchOrder::kRandom}) {
-      RcjRunOptions options;
-      options.algorithm = RcjAlgorithm::kInj;
-      options.order = order;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = RcjAlgorithm::kInj;
+      spec.order = order;
+      const RcjRunResult run = MustRun(env.get(), spec);
       char label[64];
       std::snprintf(label, sizeof(label), "buf %.1f%% / %s", percent,
                     order == SearchOrder::kDepthFirst ? "depth-first"

@@ -51,9 +51,8 @@ int main(int argc, char** argv) {
   const std::vector<PointRecord> qset = GenerateUniform(n, 101);
   const std::vector<PointRecord> pset = GenerateUniform(n, 102);
 
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kObj;
-  std::unique_ptr<RcjEnvironment> env = bench::MustBuild(qset, pset, options);
+  std::unique_ptr<RcjEnvironment> env = bench::MustBuild(qset, pset);
+  const QuerySpec spec = QuerySpec::For(env.get());  // OBJ, depth-first
 
   bench::JsonReporter reporter("engine_scaling");
   reporter.AddMetric("workload", "points_per_side",
@@ -61,7 +60,7 @@ int main(int argc, char** argv) {
 
   // ---- Serial baseline (the paper's runner, warm trees, cold buffer). ---
   const Clock::time_point serial_start = Clock::now();
-  const RcjRunResult serial = bench::MustRun(env.get(), options);
+  const RcjRunResult serial = bench::MustRun(env.get(), spec);
   const double serial_seconds = SecondsSince(serial_start);
   std::printf("%-14s %10s %10s %10s %9s %9s\n", "configuration", "results",
               "faults", "wall(s)", "speedup", "eff.");
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
   reporter.AddMetric("serial", "speedup", 1.0);
 
   // ---- Intra-query parallelism sweep. -----------------------------------
-  QuerySpec spec = QuerySpec::For(env.get());
-  spec.algorithm = options.algorithm;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
@@ -120,9 +117,8 @@ int main(int argc, char** argv) {
     const std::vector<PointRecord> skew_p =
         GenerateGaussianClusters(n, 2, 400.0, 112);
     std::unique_ptr<RcjEnvironment> skew_env =
-        bench::MustBuild(skew_q, skew_p, options);
-    QuerySpec skew_spec = QuerySpec::For(skew_env.get());
-    skew_spec.algorithm = options.algorithm;
+        bench::MustBuild(skew_q, skew_p);
+    const QuerySpec skew_spec = QuerySpec::For(skew_env.get());
 
     // The leaf count determines the chunk size that reproduces the static
     // contiguous split (one chunk per task).
@@ -135,9 +131,7 @@ int main(int argc, char** argv) {
     }
 
     const Clock::time_point skew_serial_start = Clock::now();
-    RcjRunOptions skew_options = options;
-    const RcjRunResult skew_serial =
-        bench::MustRun(skew_env.get(), skew_options);
+    const RcjRunResult skew_serial = bench::MustRun(skew_env.get(), skew_spec);
     const double skew_serial_seconds = SecondsSince(skew_serial_start);
 
     std::printf("\nskewed leaf work (P in 2 tight clusters), %zu leaves:\n",
@@ -193,12 +187,13 @@ int main(int argc, char** argv) {
   // cold device reads; results are checked against the mem-backed serial
   // run, which doubles as a backend-identity self-check.
   {
-    RcjRunOptions file_options = options;
+    RcjRunOptions file_options;
     file_options.storage = StorageBackend::kFile;
     const char* storage_dir = std::getenv("RINGJOIN_BENCH_STORAGE_DIR");
     file_options.storage_dir = storage_dir != nullptr ? storage_dir : ".";
     std::unique_ptr<RcjEnvironment> file_env =
         bench::MustBuild(qset, pset, file_options);
+    const QuerySpec file_spec = QuerySpec::For(file_env.get());
     const auto drop_cache = [&file_env] {
       (void)file_env->q_page_store()->DropOsCache();
       if (file_env->p_page_store() != nullptr) {
@@ -209,7 +204,7 @@ int main(int argc, char** argv) {
     drop_cache();
     const Clock::time_point file_serial_start = Clock::now();
     const RcjRunResult file_serial =
-        bench::MustRun(file_env.get(), file_options);
+        bench::MustRun(file_env.get(), file_spec);
     const double file_serial_seconds = SecondsSince(file_serial_start);
     if (file_serial.stats.results != serial.stats.results) {
       std::fprintf(stderr, "file-backed serial results diverge from mem\n");
@@ -226,8 +221,6 @@ int main(int argc, char** argv) {
     reporter.AddMetric("file/serial", "io_wall_seconds",
                        file_serial.stats.io_wall_seconds);
 
-    QuerySpec file_spec = QuerySpec::For(file_env.get());
-    file_spec.algorithm = options.algorithm;
     for (const size_t threads : {1u, 2u, 4u, 8u}) {
       EngineOptions engine_options;
       engine_options.num_threads = threads;
@@ -270,9 +263,7 @@ int main(int argc, char** argv) {
 
   const Clock::time_point loop_start = Clock::now();
   for (const EngineQuery& query : batch) {
-    RcjRunOptions serial_options = options;
-    serial_options.algorithm = query.spec.algorithm;
-    (void)bench::MustRun(env.get(), serial_options);
+    (void)bench::MustRun(env.get(), query.spec);
   }
   const double loop_seconds = SecondsSince(loop_start);
 

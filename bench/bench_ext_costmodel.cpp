@@ -17,8 +17,9 @@ CostSample Measure(RcjAlgorithm algorithm, size_t n, uint64_t seed) {
   RcjRunOptions options;
   options.buffer_fraction = 1.0;  // cost model targets logical accesses
   auto env = MustBuild(qset, pset, options);
-  options.algorithm = algorithm;
-  const RcjRunResult run = MustRun(env.get(), options);
+  QuerySpec spec;
+  spec.algorithm = algorithm;
+  const RcjRunResult run = MustRun(env.get(), spec);
   CostSample sample;
   sample.q_size = qset.size();
   sample.tp_height = env->tp().height();

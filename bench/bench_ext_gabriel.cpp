@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     const auto pset = GenerateUniform(n, 42);
 
     auto env = MustBuild(qset, pset);
-    RcjRunOptions options;
-    options.algorithm = RcjAlgorithm::kObj;
-    const RcjRunResult obj = MustRun(env.get(), options);
+    QuerySpec spec;
+    spec.algorithm = RcjAlgorithm::kObj;
+    const RcjRunResult obj = MustRun(env.get(), spec);
 
     const auto start = std::chrono::steady_clock::now();
     const std::vector<RcjPair> oracle = GabrielRcj(pset, qset);

@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
               "|Q|", "|RCJ|", "|RCJ|/(|P|+|Q|)", "planar bound");
   for (Case& c : cases) {
     auto env = MustBuild(c.qset, c.pset);
-    RcjRunOptions options;
-    options.algorithm = RcjAlgorithm::kObj;
-    const RcjRunResult run = MustRun(env.get(), options);
+    QuerySpec spec;
+    spec.algorithm = RcjAlgorithm::kObj;
+    const RcjRunResult run = MustRun(env.get(), spec);
     const double total = static_cast<double>(c.pset.size() + c.qset.size());
     std::printf("%-16s %10zu %10zu %12llu %16.3f %14.0f\n", c.name,
                 c.pset.size(), c.qset.size(),

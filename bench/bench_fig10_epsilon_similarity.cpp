@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
     const auto pset = Surrogate(combo.p_kind, scale);
     auto env = MustBuild(qset, pset);
 
-    RcjRunOptions options;
-    options.algorithm = RcjAlgorithm::kObj;
-    const RcjRunResult reference = MustRun(env.get(), options);
+    QuerySpec spec;
+    spec.algorithm = RcjAlgorithm::kObj;
+    const RcjRunResult reference = MustRun(env.get(), spec);
 
     // Density-matched sweep: at the paper's ~172K cardinality the grid is
     // eps in {1..10}; with n points the same neighborhood scale needs

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
     const auto pset = Surrogate(combo.p_kind, scale);
     auto env = MustBuild(qset, pset);
 
-    RcjRunOptions options;
-    options.algorithm = RcjAlgorithm::kObj;
-    const RcjRunResult reference = MustRun(env.get(), options);
+    QuerySpec spec;
+    spec.algorithm = RcjAlgorithm::kObj;
+    const RcjRunResult reference = MustRun(env.get(), spec);
     const size_t rcj_size = reference.pairs.size();
 
     std::printf("\ncombination %s: |RCJ| = %zu\n", combo.name, rcj_size);

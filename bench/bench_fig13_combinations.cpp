@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
     auto env = MustBuild(qset, pset);
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-      RcjRunOptions options;
-      options.algorithm = algorithm;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      const RcjRunResult run = MustRun(env.get(), spec);
       ReportStatsRow(&reporter,
                      std::string(combo.name) + " / " +
                          AlgorithmName(algorithm),

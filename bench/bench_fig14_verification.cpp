@@ -27,10 +27,10 @@ int main(int argc, char** argv) {
     double with_total = 0.0;
     double without_total = 0.0;
     for (const bool verify : {true, false}) {
-      RcjRunOptions options;
-      options.algorithm = algorithm;
-      options.verify = verify;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      spec.verify = verify;
+      const RcjRunResult run = MustRun(env.get(), spec);
       ReportStatsRow(&reporter,
                      std::string(AlgorithmName(algorithm)) +
                          (verify ? " (with verif.)" : " (no verif.)"),

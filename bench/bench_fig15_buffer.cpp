@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     }
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-      RcjRunOptions options;
-      options.algorithm = algorithm;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      const RcjRunResult run = MustRun(env.get(), spec);
       char label[64];
       std::snprintf(label, sizeof(label), "buffer %.1f%% / %s", percent,
                     AlgorithmName(algorithm));

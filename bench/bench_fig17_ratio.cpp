@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
     uint64_t results = 0;
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-      RcjRunOptions options;
-      options.algorithm = algorithm;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      const RcjRunResult run = MustRun(env.get(), spec);
       char label[64];
       std::snprintf(label, sizeof(label), "%s / %s", ratio.name,
                     AlgorithmName(algorithm));

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
       auto env = MustBuild(qset, pset);
       for (const RcjAlgorithm algorithm :
            {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-        RcjRunOptions options;
-        options.algorithm = algorithm;
-        const RcjRunResult run = MustRun(env.get(), options);
+        QuerySpec spec;
+        spec.algorithm = algorithm;
+        const RcjRunResult run = MustRun(env.get(), spec);
         char label[64];
         std::snprintf(label, sizeof(label), "w=%-3zu / %s", w,
                       AlgorithmName(algorithm));
@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
       const auto pset =
           GenerateGaussianClusters(n, w, 1000.0, 107 + w + 1000u * s);
       auto env = MustBuild(qset, pset);
-      RcjRunOptions options;
-      options.algorithm = RcjAlgorithm::kObj;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = RcjAlgorithm::kObj;
+      const RcjRunResult run = MustRun(env.get(), spec);
       mean_results += static_cast<double>(run.stats.results);
     }
     cardinalities.emplace_back(w, mean_results / kSeeds);

@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
     uint64_t results = 0;
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-      RcjRunOptions options;
-      options.algorithm = algorithm;
-      const RcjRunResult run = MustRun(env.get(), options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      const RcjRunResult run = MustRun(env.get(), spec);
       std::printf("%-10s %16llu %13.2E\n", AlgorithmName(algorithm),
                   static_cast<unsigned long long>(run.stats.candidates),
                   static_cast<double>(run.stats.candidates) / cartesian);

@@ -157,8 +157,8 @@ void ReportStatsRow(JsonReporter* reporter, const std::string& label,
   reporter->AddStats(label, stats);
 }
 
-RcjRunResult MustRun(RcjEnvironment* env, RcjRunOptions options) {
-  Result<RcjRunResult> result = env->Run(options);
+RcjRunResult MustRun(RcjEnvironment* env, const QuerySpec& spec) {
+  Result<RcjRunResult> result = env->Run(spec);
   if (!result.ok()) {
     std::fprintf(stderr, "bench run failed: %s\n",
                  result.status().ToString().c_str());

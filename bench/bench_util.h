@@ -109,9 +109,9 @@ class JsonReporter {
 void ReportStatsRow(JsonReporter* reporter, const std::string& label,
                     const JoinStats& stats);
 
-/// Builds an environment and runs one algorithm with the default options,
-/// dying with a message on error (benches have no error recovery story).
-RcjRunResult MustRun(RcjEnvironment* env, RcjRunOptions options);
+/// Runs `spec` cold on `env` (binding it when `spec.env` is null), dying
+/// with a message on error (benches have no error recovery story).
+RcjRunResult MustRun(RcjEnvironment* env, const QuerySpec& spec);
 
 /// Builds the standard two-tree environment, dying on error.
 std::unique_ptr<RcjEnvironment> MustBuild(

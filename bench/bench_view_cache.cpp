@@ -194,7 +194,6 @@ int main(int argc, char** argv) {
   const char* storage_dir_env = std::getenv("RINGJOIN_BENCH_STORAGE_DIR");
   for (Workload& workload : workloads) {
     RcjRunOptions options;
-    options.algorithm = RcjAlgorithm::kObj;
     options.storage = workload.storage;
     options.storage_dir = storage_dir_env != nullptr ? storage_dir_env : ".";
     std::unique_ptr<RcjEnvironment> env =

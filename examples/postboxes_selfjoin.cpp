@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "core/rcj.h"
 #include "workload/generator.h"
@@ -18,7 +19,10 @@ int main(int argc, char** argv) {
   const auto buildings = rcj::MakeRealSurrogate(
       rcj::RealDataset::kPopulatedPlaces, /*seed=*/21, n_buildings);
 
-  rcj::Result<rcj::RcjRunResult> result = rcj::RunRcjSelf(buildings);
+  rcj::Result<std::unique_ptr<rcj::RcjEnvironment>> env =
+      rcj::RcjEnvironment::BuildSelf(buildings, rcj::RcjRunOptions{});
+  rcj::Result<rcj::RcjRunResult> result =
+      env.ok() ? env.value()->Run(rcj::QuerySpec{}) : env.status();
   if (!result.ok()) {
     std::fprintf(stderr, "self-join failed: %s\n",
                  result.status().ToString().c_str());

@@ -22,8 +22,8 @@ int main() {
       /*n=*/80, /*seed=*/2);
 
   // One-shot setup: T_Q over restaurants, T_P over cinemas (the outer loop
-  // iterates Q, matching the paper's INJ(T_Q, T_P) convention). Defaults:
-  // 1 KiB pages, shared LRU buffer of 1% of both trees, 10 ms per fault.
+  // iterates Q, matching the paper's INJ(T_Q, T_P) convention). Build
+  // defaults: 1 KiB pages, shared LRU buffer of 1% of both trees.
   rcj::Result<std::unique_ptr<rcj::RcjEnvironment>> env =
       rcj::RcjEnvironment::Build(restaurants, cinemas, rcj::RcjRunOptions{});
   if (!env.ok()) {
@@ -32,8 +32,9 @@ int main() {
     return 1;
   }
 
-  // The query: OBJ (the paper's best algorithm) is the default; `limit`
-  // caps the stream at the first 10 pairs of the serial order.
+  // The query: OBJ (the paper's best algorithm) and 10 ms charged per page
+  // fault are the defaults; `limit` caps the stream at the first 10 pairs
+  // of the serial order.
   rcj::QuerySpec spec = rcj::QuerySpec::For(env.value().get());
   spec.limit = 10;
 
@@ -67,7 +68,7 @@ int main() {
               stats.io_seconds, stats.cpu_seconds);
 
   // The classic materialized form is one call away when the full result
-  // set is wanted (spec.limit = 0 — or just RunRcj for throwaway setups).
+  // set is wanted: the same spec with spec.limit = 0 collects every pair.
   spec.limit = 0;
   rcj::Result<rcj::RcjRunResult> full = env.value()->Run(spec);
   if (full.ok()) {

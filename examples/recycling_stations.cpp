@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "core/rcj.h"
 #include "workload/generator.h"
@@ -26,10 +27,12 @@ int main(int argc, char** argv) {
   const auto complexes = rcj::MakeRealSurrogate(rcj::RealDataset::kSchools,
                                                 /*seed=*/11, n_complexes);
 
-  rcj::RcjRunOptions options;
-  options.algorithm = rcj::RcjAlgorithm::kObj;
+  rcj::Result<std::unique_ptr<rcj::RcjEnvironment>> env =
+      rcj::RcjEnvironment::Build(complexes, restaurants, rcj::RcjRunOptions{});
+  rcj::QuerySpec spec;
+  spec.algorithm = rcj::RcjAlgorithm::kObj;
   rcj::Result<rcj::RcjRunResult> result =
-      rcj::RunRcj(complexes, restaurants, options);
+      env.ok() ? env.value()->Run(spec) : env.status();
   if (!result.ok()) {
     std::fprintf(stderr, "join failed: %s\n",
                  result.status().ToString().c_str());

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <random>
 
 #include "core/rcj.h"
@@ -26,7 +27,10 @@ int main(int argc, char** argv) {
     children[i] = static_cast<int>(size_dist(rng)) + 1;
   }
 
-  rcj::Result<rcj::RcjRunResult> result = rcj::RunRcjSelf(estates);
+  rcj::Result<std::unique_ptr<rcj::RcjEnvironment>> env =
+      rcj::RcjEnvironment::BuildSelf(estates, rcj::RcjRunOptions{});
+  rcj::Result<rcj::RcjRunResult> result =
+      env.ok() ? env.value()->Run(rcj::QuerySpec{}) : env.status();
   if (!result.ok()) {
     std::fprintf(stderr, "self-join failed: %s\n",
                  result.status().ToString().c_str());

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "core/rcj.h"
 #include "workload/generator.h"
@@ -23,7 +24,10 @@ int main(int argc, char** argv) {
   const auto restaurants = rcj::MakeRealSurrogate(
       rcj::RealDataset::kPopulatedPlaces, /*seed=*/3, n_restaurants);
 
-  rcj::Result<rcj::RcjRunResult> result = rcj::RunRcj(restaurants, cinemas);
+  rcj::Result<std::unique_ptr<rcj::RcjEnvironment>> env =
+      rcj::RcjEnvironment::Build(restaurants, cinemas, rcj::RcjRunOptions{});
+  rcj::Result<rcj::RcjRunResult> result =
+      env.ok() ? env.value()->Run(rcj::QuerySpec{}) : env.status();
   if (!result.ok()) {
     std::fprintf(stderr, "join failed: %s\n",
                  result.status().ToString().c_str());

@@ -1,12 +1,13 @@
 // QuerySpec — the validated description of one RCJ query.
 //
-// The runner's RcjRunOptions conflates two concerns: structural knobs that
-// are fixed when an environment is built (page size, buffer sizing, bulk
-// loading) and per-query execution knobs (algorithm, order, verification).
-// Every layer that re-used it for the latter had to document which fields
-// it actually honored. QuerySpec is the per-query half only, bound to the
-// environment it runs against, with an explicit Validate() so malformed
-// queries fail fast with a Status instead of being silently reinterpreted.
+// An environment's structure is fixed when it is built (RcjRunOptions:
+// page size, buffer sizing, bulk loading, storage). Everything a query
+// chooses — algorithm, search order, verification, the I/O charge per
+// fault, a result limit, a deadline — is a QuerySpec, the one description
+// every layer (serial runner, engine, service, wire, live snapshots)
+// executes. It is bound to the environment it runs against and has an
+// explicit Validate() so malformed queries fail fast with a Status instead
+// of being silently reinterpreted.
 #ifndef RINGJOIN_CORE_QUERY_SPEC_H_
 #define RINGJOIN_CORE_QUERY_SPEC_H_
 

@@ -2,7 +2,8 @@
 //
 //   #include "core/rcj.h"
 //
-//   auto result = rcj::RunRcj(restaurants, complexes);   // OBJ by default
+//   auto env = rcj::RcjEnvironment::Build(restaurants, complexes, {});
+//   auto result = env.value()->Run(rcj::QuerySpec{});   // OBJ by default
 //   for (const rcj::RcjPair& pair : result.value().pairs) {
 //     // pair.circle.center is the fair middleman location.
 //   }

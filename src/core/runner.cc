@@ -11,6 +11,7 @@
 #include "core/rcj_brute.h"
 #include "core/rcj_bulk.h"
 #include "core/rcj_inj.h"
+#include "storage/cost_model.h"
 
 namespace rcj {
 namespace {
@@ -99,7 +100,6 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::PrepareStores(
   env->self_join_ = self_join;
   env->storage_ = options.storage;
   env->keep_storage_files_ = options.keep_storage_files;
-  env->cost_model_.ms_per_fault = options.io_ms_per_fault;
   env->rtree_options_ = options.rtree_options;
 
   // Build with a generous buffer, then shrink to the experiment size — the
@@ -352,9 +352,8 @@ Status RcjEnvironment::Run(const QuerySpec& spec, PairSink* sink,
   stats->page_faults = buffer_stats.page_faults;
   stats->cold_faults = buffer_stats.cold_faults;
   stats->warm_faults = buffer_stats.warm_faults();
-  IoCostModel model = cost_model_;
-  model.ms_per_fault = bound.io_ms_per_fault;
-  stats->io_seconds = model.SecondsFor(buffer_stats);
+  stats->io_seconds =
+      IoCostModel{bound.io_ms_per_fault}.SecondsFor(buffer_stats);
   stats->io_wall_seconds = buffer_stats.io_wall_seconds;
   stats->cpu_seconds = std::chrono::duration<double>(end - start).count();
   return Status::OK();
@@ -366,33 +365,6 @@ Result<RcjRunResult> RcjEnvironment::Run(const QuerySpec& spec) {
   const Status status = Run(spec, &sink, &result.stats);
   if (!status.ok()) return status;
   return result;
-}
-
-Result<RcjRunResult> RcjEnvironment::Run(const RcjRunOptions& options) {
-  QuerySpec spec = QuerySpec::For(this);
-  spec.algorithm = options.algorithm;
-  spec.order = options.order;
-  spec.verify = options.verify;
-  spec.random_seed = options.random_seed;
-  spec.io_ms_per_fault = options.io_ms_per_fault;
-  return Run(spec);
-}
-
-Result<RcjRunResult> RunRcj(const std::vector<PointRecord>& qset,
-                            const std::vector<PointRecord>& pset,
-                            const RcjRunOptions& options) {
-  Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::Build(qset, pset, options);
-  if (!env.ok()) return env.status();
-  return env.value()->Run(options);
-}
-
-Result<RcjRunResult> RunRcjSelf(const std::vector<PointRecord>& set,
-                                const RcjRunOptions& options) {
-  Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::BuildSelf(set, options);
-  if (!env.ok()) return env.status();
-  return env.value()->Run(options);
 }
 
 void NormalizePairs(std::vector<RcjPair>* pairs) {

@@ -4,10 +4,11 @@
 // and report paper-style statistics.
 //
 // Environment setup (tree construction, buffer sizing) is deliberately
-// separated from execution: Build() is the one-shot expensive phase, after
-// which Run() — or the parallel engine's worker views opened over the same
-// page stores — can execute any number of algorithm configurations against
-// the warm, immutable indexes.
+// separated from execution: Build() is the one-shot expensive phase, shaped
+// by RcjRunOptions, after which Run() — or the parallel engine's worker
+// views opened over the same page stores — can execute any number of
+// queries, each described by a QuerySpec, against the warm, immutable
+// indexes.
 #ifndef RINGJOIN_CORE_RUNNER_H_
 #define RINGJOIN_CORE_RUNNER_H_
 
@@ -23,7 +24,6 @@
 #include "rtree/point_source.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_manager.h"
-#include "storage/cost_model.h"
 #include "storage/page_store.h"
 
 namespace rcj {
@@ -41,14 +41,10 @@ const char* StorageBackendName(StorageBackend backend);
 /// Parses "mem" / "file" / "mmap"; returns false on anything else.
 bool ParseStorageBackend(const std::string& name, StorageBackend* out);
 
-/// Knobs of one join execution, defaulting to the paper's setup: 1 KiB
-/// pages, a shared buffer of 1% of the total tree sizes, 10 ms charged per
-/// page fault, OBJ with depth-first search order.
+/// Build-time knobs of an environment, defaulting to the paper's setup:
+/// 1 KiB pages and a shared buffer of 1% of the total tree sizes. What a
+/// query runs (algorithm, order, verification, I/O charge) is a QuerySpec.
 struct RcjRunOptions {
-  RcjAlgorithm algorithm = RcjAlgorithm::kObj;
-  SearchOrder order = SearchOrder::kDepthFirst;
-  bool verify = true;
-
   /// Backing storage for the built trees. kMem keeps the paper's modeled
   /// I/O; kFile/kMmap put every page in a real file under `storage_dir`,
   /// which is what JoinStats::io_wall_seconds measures.
@@ -71,9 +67,6 @@ struct RcjRunOptions {
   /// STR bulk loading (fast, default) or one-by-one R* insertion.
   bool bulk_load = true;
   RTreeOptions rtree_options;
-
-  uint64_t random_seed = 42;
-  double io_ms_per_fault = 10.0;
 };
 
 /// Result of one join execution.
@@ -83,9 +76,9 @@ struct RcjRunResult {
 };
 
 /// The assembled experimental environment. Build once, then Run() any
-/// number of algorithm configurations against the same trees; every Run()
-/// starts with a cold buffer and fresh statistics, like the paper's
-/// per-algorithm measurements.
+/// number of queries against the same trees; every Run() starts with a
+/// cold buffer and fresh statistics, like the paper's per-algorithm
+/// measurements.
 class RcjEnvironment {
  public:
   /// Builds T_Q over `qset` and T_P over `pset` (note the order: the outer
@@ -127,11 +120,6 @@ class RcjEnvironment {
   /// Collecting convenience over the streaming primary: materializes the
   /// (possibly limit-capped) stream into an RcjRunResult.
   Result<RcjRunResult> Run(const QuerySpec& spec);
-
-  /// Legacy shim: runs the per-query fields of `options`
-  /// (algorithm/order/verify/seed/io cost — the structural fields were
-  /// fixed at Build time) as an unlimited QuerySpec.
-  Result<RcjRunResult> Run(const RcjRunOptions& options);
 
   const RTree& tq() const { return *tq_; }
   const RTree& tp() const { return *tp_; }
@@ -196,7 +184,6 @@ class RcjEnvironment {
   std::unique_ptr<RTree> tp_;  // null in self-join mode (alias tq_)
   std::vector<PointRecord> qset_;
   std::vector<PointRecord> pset_;
-  IoCostModel cost_model_;
 };
 
 /// The repeatable execution core shared by RcjEnvironment::Run and the
@@ -221,15 +208,6 @@ Status ExecuteRcj(const RTree& tq, const RTree& tp,
                   const QuerySpec& spec,
                   const std::vector<uint64_t>* tq_leaf_subset, bool delta_tail,
                   PairSink* sink, JoinStats* stats);
-
-/// One-shot convenience: build an environment and run one algorithm.
-Result<RcjRunResult> RunRcj(const std::vector<PointRecord>& qset,
-                            const std::vector<PointRecord>& pset,
-                            const RcjRunOptions& options = {});
-
-/// One-shot self-join convenience (paper's postbox scenario).
-Result<RcjRunResult> RunRcjSelf(const std::vector<PointRecord>& set,
-                                const RcjRunOptions& options = {});
 
 /// Sorts pairs by (q.id, p.id) for deterministic comparison and output.
 void NormalizePairs(std::vector<RcjPair>* pairs);

@@ -21,6 +21,10 @@ using Clock = std::chrono::steady_clock;
 /// Cached leaf orders the engine keeps across queries.
 constexpr size_t kPlanCacheCap = 32;
 
+/// Environments one worker keeps warm at once; least recently used
+/// entries beyond the cap are dropped (views + buffer pool freed).
+constexpr size_t kCachedEnvsPerWorker = 4;
+
 /// Buffered pairs between two clock reads of a deadline-bound query.
 constexpr uint32_t kClockStride = 64;
 
@@ -446,12 +450,8 @@ void FinishQuery(QueryRun* run) {
     // stream), not the sum of chunk buffers — chunks past a stop may have
     // buffered pairs that were rightly dropped.
     result.run.stats.results = emit.delivered;
-    IoCostModel model;
-    model.ms_per_fault = run->query.spec.io_ms_per_fault;
-    BufferStats aggregated;
-    aggregated.page_faults = result.run.stats.page_faults;
-    aggregated.logical_accesses = result.run.stats.node_accesses;
-    result.run.stats.io_seconds = model.SecondsFor(aggregated);
+    result.run.stats.io_seconds = IoCostModel{run->query.spec.io_ms_per_fault}
+                                      .Seconds(result.run.stats.page_faults);
     // Summed execution time of the query's own tasks — comparable to the
     // serial runner's cpu_seconds and never inflated by other queries'
     // tasks interleaving on the pool.
@@ -503,8 +503,8 @@ Engine::Engine(EngineOptions options)
     : options_(options), pool_(options.num_threads) {
   contexts_.reserve(pool_.num_threads());
   for (size_t i = 0; i < pool_.num_threads(); ++i) {
-    contexts_.push_back(std::make_unique<WorkerContext>(
-        options_.max_cached_envs_per_worker));
+    contexts_.push_back(
+        std::make_unique<WorkerContext>(kCachedEnvsPerWorker));
   }
 }
 

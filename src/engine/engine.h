@@ -100,9 +100,6 @@ struct EngineOptions {
   /// oversized chunk degenerates to exactly the static contiguous split —
   /// never to fewer tasks than that.
   size_t steal_chunk_leaves = 0;
-  /// Environments one worker keeps warm at once; least recently used
-  /// entries beyond the cap are dropped (views + buffer pool freed).
-  size_t max_cached_envs_per_worker = 4;
   /// Leaf-order readahead: when a task claims a chunk of its query's T_Q
   /// leaf order, up to this many of the chunk's leaf pages are announced
   /// to the backing store (PageStore::Prefetch — posix_fadvise/madvise

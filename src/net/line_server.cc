@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,7 +42,9 @@ LineServer::LineServer(const LineServerOptions& options, Tier tier)
 LineServer::~LineServer() { Stop(); }
 
 Status LineServer::Start() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+  // Non-blocking, so an accept that loses its peer between poll and
+  // accept cannot park the loop where no wake reaches it.
+  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) return Status::IoError(Errno("socket"));
   const int one = 1;
   setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -64,6 +67,8 @@ Status LineServer::Start() {
   } else if (getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
                          &addr_len) != 0) {
     status = Status::IoError(Errno("getsockname"));
+  } else if ((wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) < 0) {
+    status = Status::IoError(Errno("eventfd"));
   }
   if (!status.ok()) {
     close(listen_fd_);
@@ -81,6 +86,7 @@ Status LineServer::Start() {
 void LineServer::Stop() {
   if (!started_) return;
   stop_.store(true, std::memory_order_relaxed);
+  Wake();
   accept_thread_.join();
   close(listen_fd_);
   listen_fd_ = -1;
@@ -105,8 +111,13 @@ void LineServer::Stop() {
     connections_.clear();
   }
   for (std::thread& thread : threads) thread.join();
+  // Every handler that could still wake the loop has been joined.
+  close(wake_fd_);
+  wake_fd_ = -1;
   started_ = false;
 }
+
+void LineServer::Wake() { eventfd_write(wake_fd_, 1); }
 
 size_t LineServer::active_connections() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -139,18 +150,17 @@ void LineServer::ReapFinishedConnections() {
 void LineServer::AcceptLoop() {
   while (!stopping()) {
     ReapFinishedConnections();
-    if (active_connections() >= options_.max_connections) {
-      // Let peers queue in the kernel backlog until a handler finishes,
-      // instead of growing the thread count without bound.
-      poll(nullptr, 0, 20);
-      continue;
+    // At the cap only the wake fd is polled: peers queue in the kernel
+    // backlog until a handler finishes and wakes the loop, instead of the
+    // thread count growing without bound. Stop() wakes it too.
+    const bool at_cap = active_connections() >= options_.max_connections;
+    struct pollfd pfds[2] = {{wake_fd_, POLLIN, 0}, {listen_fd_, POLLIN, 0}};
+    if (poll(pfds, at_cap ? 1 : 2, -1) <= 0) continue;
+    if ((pfds[0].revents & POLLIN) != 0) {
+      eventfd_t ignored;
+      eventfd_read(wake_fd_, &ignored);
     }
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
+    if (at_cap || (pfds[1].revents & POLLIN) == 0) continue;
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     std::shared_ptr<Connection> connection = tier_.adopt(fd);
@@ -198,7 +208,9 @@ void LineServer::Serve(Connection* connection) {
     close(connection->fd);
     connection->fd = -1;
   }
+  // Done before the wake, so the woken loop reaps this connection.
   connection->done.store(true, std::memory_order_release);
+  Wake();
 }
 
 void LineServer::ServeMutations(Connection* connection, std::string line) {

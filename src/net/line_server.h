@@ -6,12 +6,14 @@
 // defers at max_connections so further peers wait in the kernel backlog
 // instead of spawning unbounded threads. It runs one thread per accepted
 // connection, reaps finished ones, and unblocks and joins the rest on
-// Stop(). It reads the request line, answers a read failure with ERR, and
-// dispatches the line on its first token (its verb) to the tier's handler
-// table. It also owns the two answers that do not depend on the tier: the
-// mutation-batch loop (one connection, many INSERT/DELETE/COMPACT lines,
-// one ack each) and METRICS. A tier supplies only its handlers and a few
-// hooks (LineServer::Tier).
+// Stop(). The loop sleeps in poll with no timeout: a finishing handler
+// and Stop() each wake it through an eventfd. It reads the request line,
+// answers a read failure with ERR, and dispatches the line on its first
+// token (its verb) to the tier's handler table. It also owns the two
+// answers that do not depend on the tier: the mutation-batch loop (one
+// connection, many INSERT/DELETE/COMPACT lines, one ack each) and
+// METRICS. A tier supplies only its handlers and a few hooks
+// (LineServer::Tier).
 #ifndef RINGJOIN_NET_LINE_SERVER_H_
 #define RINGJOIN_NET_LINE_SERVER_H_
 
@@ -119,7 +121,8 @@ class LineServer {
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(LineServer);
 
   /// Binds, listens, and starts accepting. IoError on bind/listen failure
-  /// (e.g. the port is taken), InvalidArgument on a bad bind address.
+  /// (e.g. the port is taken) or when no wake eventfd can be made,
+  /// InvalidArgument on a bad bind address.
   Status Start();
 
   /// Stops accepting, unblocks every connection (the tier's unblock hook,
@@ -141,6 +144,8 @@ class LineServer {
 
  private:
   void AcceptLoop();
+  /// Wakes the accept loop out of its poll (a slot freed, or Stop()).
+  void Wake();
   /// Joins and erases the connections whose handlers have finished.
   void ReapFinishedConnections();
   /// The per-connection thread body: read, dispatch, finish, close.
@@ -161,6 +166,8 @@ class LineServer {
   Tier tier_;
 
   int listen_fd_ = -1;
+  /// eventfd the accept loop polls beside listen_fd_; open while started.
+  int wake_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   bool started_ = false;

@@ -34,8 +34,9 @@ TEST(CostEstimatorTest, PredictionWithinToleranceOnRealRuns) {
     options.buffer_fraction = 1.0;
     auto env = RcjEnvironment::Build(qset, pset, options);
     EXPECT_TRUE(env.ok());
-    options.algorithm = RcjAlgorithm::kInj;
-    auto run = env.value()->Run(options);
+    QuerySpec spec;
+    spec.algorithm = RcjAlgorithm::kInj;
+    auto run = env.value()->Run(spec);
     EXPECT_TRUE(run.ok());
     CostSample sample;
     sample.q_size = n;

@@ -101,20 +101,18 @@ TEST(EngineTest, ParallelBatchMatchesSerialRunPairForPair) {
   const std::vector<PointRecord> qset = GenerateUniform(4000, 11);
   const std::vector<PointRecord> pset = GenerateUniform(4000, 12);
 
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kObj;
-  const Result<RcjRunResult> serial = RunRcj(qset, pset, options);
-  ASSERT_TRUE(serial.ok());
-
   Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::Build(qset, pset, options);
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
   ASSERT_TRUE(env.ok());
+  QuerySpec spec = QuerySpec::For(env.value().get());
+  spec.algorithm = RcjAlgorithm::kObj;
+  const Result<RcjRunResult> serial = env.value()->Run(spec);
+  ASSERT_TRUE(serial.ok());
 
   EngineOptions engine_options;
   engine_options.num_threads = 4;
   Engine engine(engine_options);
-  const Result<RcjRunResult> parallel =
-      engine.Run(QuerySpec::For(env.value().get()));
+  const Result<RcjRunResult> parallel = engine.Run(spec);
   ASSERT_TRUE(parallel.ok());
 
   ExpectIdenticalPairs(parallel.value().pairs, serial.value().pairs, "OBJ");
@@ -151,16 +149,15 @@ TEST(EngineTest, EveryAlgorithmMatchesSerial) {
 
 TEST(EngineTest, SelfJoinMatchesSerial) {
   const std::vector<PointRecord> set = GenerateUniform(2500, 31);
-  RcjRunOptions options;
-  const Result<RcjRunResult> serial = RunRcjSelf(set, options);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::BuildSelf(set, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  const QuerySpec spec = QuerySpec::For(env.value().get());
+  const Result<RcjRunResult> serial = env.value()->Run(spec);
   ASSERT_TRUE(serial.ok());
 
-  Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::BuildSelf(set, options);
-  ASSERT_TRUE(env.ok());
   Engine engine(EngineOptions{});
-  const Result<RcjRunResult> parallel =
-      engine.Run(QuerySpec::For(env.value().get()));
+  const Result<RcjRunResult> parallel = engine.Run(spec);
   ASSERT_TRUE(parallel.ok());
   ExpectIdenticalPairs(parallel.value().pairs, serial.value().pairs, "self");
 }

@@ -84,9 +84,12 @@ TEST(GabrielTest, OracleMatchesIndexedObjAtScale) {
   const std::vector<PointRecord> pset =
       MakeRealSurrogate(RealDataset::kPopulatedPlaces, 7, 1500);
 
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kObj;
-  Result<RcjRunResult> indexed = RunRcj(qset, pset, options);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kObj;
+  Result<RcjRunResult> indexed = env.value()->Run(spec);
   ASSERT_TRUE(indexed.ok());
 
   const std::vector<RcjPair> oracle = GabrielRcj(pset, qset);

@@ -1,7 +1,7 @@
 // Tests of the connection core NetServer and FleetProxy share: the
 // max_connections deferral (a peer past the cap waits in the kernel backlog
-// and is served once a slot is reaped), first-token verb dispatch, and the
-// mutation-batch loop.
+// and is served once a slot is reaped), a prompt Stop() of an idle server,
+// first-token verb dispatch, and the mutation-batch loop.
 #include "net/line_server.h"
 
 #include <gtest/gtest.h>
@@ -104,6 +104,24 @@ TEST(LineServerTest, PeerPastTheConnectionCapWaitsUntilASlotIsReaped) {
   close(b.value());
   server.Stop();
   EXPECT_EQ(server.active_connections(), 0u);
+}
+
+TEST(LineServerTest, StopWakesTheIdleAcceptLoopAtOnce) {
+  // The accept loop sleeps in poll with no timeout; Stop() wakes it through
+  // the wake fd, so stopping an idle server costs no polling slice. The
+  // short pause lets each loop reach its poll before Stop() runs.
+  EchoTier echo;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 10; ++i) {
+    LineServer server(LineServerOptions{}, echo.Make());
+    ASSERT_TRUE(server.Start().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    server.Stop();
+  }
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(elapsed_ms, 250);
 }
 
 TEST(LineServerTest, DispatchesOnTheFirstTokenAndFallsBackOtherwise) {

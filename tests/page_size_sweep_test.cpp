@@ -29,8 +29,9 @@ TEST_P(PageSizeSweep, ResultsIndependentOfPageSize) {
     ASSERT_TRUE(env.ok()) << env.status().ToString();
     for (const RcjAlgorithm algorithm :
          {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-      options.algorithm = algorithm;
-      Result<RcjRunResult> result = env.value()->Run(options);
+      QuerySpec spec;
+      spec.algorithm = algorithm;
+      Result<RcjRunResult> result = env.value()->Run(spec);
       ASSERT_TRUE(result.ok());
       ExpectSamePairs(result.value().pairs, expected,
                       AlgorithmName(algorithm));
@@ -51,7 +52,10 @@ TEST(PageSizeTest, FanoutOneLeafTreeStillJoins) {
   const std::vector<PointRecord> pset = GenerateUniform(64, 84);
   RcjRunOptions options;
   options.page_size = 256;
-  Result<RcjRunResult> result = RunRcj(qset, pset, options);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, options);
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   ExpectSamePairs(result.value().pairs, BruteForceRcj(pset, qset));
 }

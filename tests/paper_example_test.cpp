@@ -34,11 +34,14 @@ TEST_F(PaperFigure1, BruteForceReproducesTheFigure) {
 }
 
 TEST_F(PaperFigure1, AllIndexedAlgorithmsReproduceTheFigure) {
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset_, pset_, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    RcjRunOptions options;
-    options.algorithm = algorithm;
-    Result<RcjRunResult> result = RunRcj(qset_, pset_, options);
+    QuerySpec spec;
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok());
     const auto ids = PairIds(result.value().pairs);
     EXPECT_EQ(ids.size(), 3u) << AlgorithmName(algorithm);
@@ -55,7 +58,10 @@ TEST_F(PaperFigure1, ExcludedPairFailsTheConstraintBecauseOfP2) {
 TEST_F(PaperFigure1, CircleCentersAreFairMiddlemanLocations) {
   // Section 1's fairness property: the center is equidistant from both
   // facilities, at half the pair distance (minimax-optimal meeting point).
-  Result<RcjRunResult> result = RunRcj(qset_, pset_);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset_, pset_, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   for (const RcjPair& pair : result.value().pairs) {
     const Point c = pair.circle.center;

@@ -103,9 +103,12 @@ TEST(QuadRcjTest, AgreesWithRTreePipelineOnSkewedData) {
   ASSERT_TRUE(
       RunQuadRcj(*quad_env.tq, *quad_env.tp, &quad_sink, &quad_stats).ok());
 
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kObj;
-  Result<RcjRunResult> rtree_result = RunRcj(qset, pset, options);
+  Result<std::unique_ptr<RcjEnvironment>> rtree_env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(rtree_env.ok());
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kObj;
+  Result<RcjRunResult> rtree_result = rtree_env.value()->Run(spec);
   ASSERT_TRUE(rtree_result.ok());
 
   ExpectSamePairs(quad_pairs, rtree_result.value().pairs,

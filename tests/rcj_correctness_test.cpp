@@ -65,8 +65,9 @@ TEST_P(RcjEquivalenceSweep, IndexedAlgorithmsMatchBruteForce) {
 
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    options.algorithm = algorithm;
-    Result<RcjRunResult> result = env.value()->Run(options);
+    QuerySpec spec;
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSamePairs(result.value().pairs, expected,
                     AlgorithmName(algorithm));
@@ -96,7 +97,10 @@ TEST(RcjCorrectnessTest, PaperFigure1Semantics) {
   // Degenerate and small configurations.
   const std::vector<PointRecord> pset{{{1.0, 1.0}, 0}};
   const std::vector<PointRecord> qset{{{2.0, 2.0}, 0}};
-  Result<RcjRunResult> result = RunRcj(qset, pset);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().pairs.size(), 1u)
       << "a single pair with no other points always joins";
@@ -106,14 +110,20 @@ TEST(RcjCorrectnessTest, PaperFigure1Semantics) {
 TEST(RcjCorrectnessTest, EmptyInputs) {
   const std::vector<PointRecord> empty;
   const std::vector<PointRecord> one{{{1.0, 1.0}, 0}};
+  Result<std::unique_ptr<RcjEnvironment>> empty_q =
+      RcjEnvironment::Build(empty, one, RcjRunOptions{});
+  ASSERT_TRUE(empty_q.ok());
+  Result<std::unique_ptr<RcjEnvironment>> empty_p =
+      RcjEnvironment::Build(one, empty, RcjRunOptions{});
+  ASSERT_TRUE(empty_p.ok());
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    RcjRunOptions options;
-    options.algorithm = algorithm;
-    Result<RcjRunResult> r1 = RunRcj(empty, one, options);
+    QuerySpec spec;
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> r1 = empty_q.value()->Run(spec);
     ASSERT_TRUE(r1.ok());
     EXPECT_TRUE(r1.value().pairs.empty());
-    Result<RcjRunResult> r2 = RunRcj(one, empty, options);
+    Result<RcjRunResult> r2 = empty_p.value()->Run(spec);
     ASSERT_TRUE(r2.ok());
     EXPECT_TRUE(r2.value().pairs.empty());
   }
@@ -128,12 +138,16 @@ TEST(RcjCorrectnessTest, CollinearPoints) {
     qset.push_back(PointRecord{{static_cast<double>(2 * i + 1), 0.0}, i});
   }
   const std::vector<RcjPair> expected = BruteForceRcj(pset, qset);
+  RcjRunOptions options;
+  options.page_size = 256;
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, options);
+  ASSERT_TRUE(env.ok());
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    RcjRunOptions options;
-    options.algorithm = algorithm;
-    options.page_size = 256;
-    Result<RcjRunResult> result = RunRcj(qset, pset, options);
+    QuerySpec spec;
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok());
     ExpectSamePairs(result.value().pairs, expected, AlgorithmName(algorithm));
   }
@@ -148,11 +162,14 @@ TEST(RcjCorrectnessTest, CoincidentPointsAcrossDatasets) {
   std::vector<PointRecord> qset{
       {{10.0, 10.0}, 0}, {{30.0, 10.0}, 1}, {{15.0, 18.0}, 2}};
   const std::vector<RcjPair> expected = BruteForceRcj(pset, qset);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    RcjRunOptions options;
-    options.algorithm = algorithm;
-    Result<RcjRunResult> result = RunRcj(qset, pset, options);
+    QuerySpec spec;
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok());
     ExpectSamePairs(result.value().pairs, expected, AlgorithmName(algorithm));
   }
@@ -163,13 +180,16 @@ TEST(RcjCorrectnessTest, RandomLeafOrderProducesIdenticalResults) {
   const std::vector<PointRecord> pset = GenerateUniform(150, 32);
   const std::vector<RcjPair> expected = BruteForceRcj(pset, qset);
 
-  RcjRunOptions options;
-  options.order = SearchOrder::kRandom;
-  options.random_seed = 123;
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  QuerySpec spec;
+  spec.order = SearchOrder::kRandom;
+  spec.random_seed = 123;
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    options.algorithm = algorithm;
-    Result<RcjRunResult> result = RunRcj(qset, pset, options);
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok());
     ExpectSamePairs(result.value().pairs, expected, AlgorithmName(algorithm));
   }
@@ -181,7 +201,10 @@ TEST(RcjCorrectnessTest, ResultsAdaptToLocalDensityAndIgnoreGlobalDistance) {
   // <p2, q1> in Fig. 1, a far-apart pair can qualify.
   std::vector<PointRecord> pset{{{0.0, 0.0}, 0}, {{5000.0, 5000.0}, 1}};
   std::vector<PointRecord> qset{{{1.0, 0.0}, 0}, {{5001.0, 5000.0}, 1}};
-  Result<RcjRunResult> result = RunRcj(qset, pset);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   const auto ids = PairIds(result.value().pairs);
   EXPECT_TRUE(ids.count({0, 0}) != 0) << "dense pair (radius 0.5)";
@@ -203,12 +226,15 @@ TEST(RcjCorrectnessTest, ResultsAdaptToLocalDensityAndIgnoreGlobalDistance) {
 TEST(RcjCorrectnessTest, VerificationDisabledYieldsSuperset) {
   const std::vector<PointRecord> qset = GenerateUniform(100, 41);
   const std::vector<PointRecord> pset = GenerateUniform(100, 42);
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kInj;
-  Result<RcjRunResult> verified = RunRcj(qset, pset, options);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kInj;
+  Result<RcjRunResult> verified = env.value()->Run(spec);
   ASSERT_TRUE(verified.ok());
-  options.verify = false;
-  Result<RcjRunResult> unverified = RunRcj(qset, pset, options);
+  spec.verify = false;
+  Result<RcjRunResult> unverified = env.value()->Run(spec);
   ASSERT_TRUE(unverified.ok());
 
   const auto verified_ids = PairIds(verified.value().pairs);

@@ -30,8 +30,9 @@ TEST_P(SelfJoinSweep, MatchesBruteForceSelfOracle) {
 
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    options.algorithm = algorithm;
-    Result<RcjRunResult> result = env.value()->Run(options);
+    QuerySpec spec;
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSamePairs(result.value().pairs, expected, AlgorithmName(algorithm));
 
@@ -55,7 +56,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SelfJoinTest, TwoPointsAlwaysJoin) {
   const std::vector<PointRecord> set{{{0.0, 0.0}, 0}, {{10.0, 0.0}, 1}};
-  Result<RcjRunResult> result = RunRcjSelf(set);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::BuildSelf(set, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().pairs.size(), 1u);
   EXPECT_EQ(result.value().pairs[0].p.id, 0);
@@ -67,7 +71,10 @@ TEST(SelfJoinTest, GabrielGraphDegreeBound) {
   // Gabriel graphs are planar: |edges| <= 3n - 6. The self-RCJ result is
   // exactly the Gabriel edge set, so the bound must hold.
   const std::vector<PointRecord> set = GenerateUniform(300, 9);
-  Result<RcjRunResult> result = RunRcjSelf(set);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::BuildSelf(set, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result.value().pairs.size(), 3 * set.size() - 6);
   EXPECT_GE(result.value().pairs.size(), set.size() - 1)
@@ -82,7 +89,10 @@ TEST(SelfJoinTest, SquareWithCenter) {
                                      {{2.0, 2.0}, 2},
                                      {{0.0, 2.0}, 3},
                                      {{1.0, 1.0}, 4}};
-  Result<RcjRunResult> result = RunRcjSelf(set);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::BuildSelf(set, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  Result<RcjRunResult> result = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(result.ok());
   const auto ids = PairIds(result.value().pairs);
   EXPECT_TRUE(ids.count({0, 4}) != 0);

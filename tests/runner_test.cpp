@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rcj.h"
+#include "engine/engine.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -14,9 +15,12 @@ namespace {
 TEST(RunnerTest, StatsAreInternallyConsistent) {
   const std::vector<PointRecord> qset = GenerateUniform(2000, 50);
   const std::vector<PointRecord> pset = GenerateUniform(2000, 51);
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kObj;
-  Result<RcjRunResult> result = RunRcj(qset, pset, options);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kObj;
+  Result<RcjRunResult> result = env.value()->Run(spec);
   ASSERT_TRUE(result.ok());
   const JoinStats& stats = result.value().stats;
 
@@ -36,26 +40,40 @@ TEST(RunnerTest, StatsAreInternallyConsistent) {
 TEST(RunnerTest, CustomIoChargeIsApplied) {
   const std::vector<PointRecord> set = GenerateUniform(500, 52);
   RcjRunOptions options;
-  options.io_ms_per_fault = 1.0;
   options.buffer_fraction = 0.001;  // force faults
-  Result<RcjRunResult> result = RunRcj(set, set, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value().stats.io_seconds,
-                   static_cast<double>(result.value().stats.page_faults) *
-                       0.001);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(set, set, options);
+  ASSERT_TRUE(env.ok());
+  QuerySpec spec = QuerySpec::For(env.value().get());
+  spec.io_ms_per_fault = 1.0;
+
+  // The charge is per query, so the serial runner and the engine (whose
+  // worker pools are sized like the environment's buffer) both apply it.
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  engine_options.worker_buffer_fraction = options.buffer_fraction;
+  Engine engine(engine_options);
+  const Result<RcjRunResult> runs[] = {env.value()->Run(spec),
+                                       engine.Run(spec)};
+  for (const Result<RcjRunResult>& result : runs) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result.value().stats.page_faults, 0u);
+    EXPECT_DOUBLE_EQ(result.value().stats.io_seconds,
+                     static_cast<double>(result.value().stats.page_faults) *
+                         0.001);
+  }
 }
 
 TEST(RunnerTest, RunsAreColdAndReproducible) {
   const std::vector<PointRecord> qset = GenerateUniform(1500, 53);
   const std::vector<PointRecord> pset = GenerateUniform(1500, 54);
-  RcjRunOptions options;
   Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::Build(qset, pset, options);
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
   ASSERT_TRUE(env.ok());
 
-  Result<RcjRunResult> first = env.value()->Run(options);
+  Result<RcjRunResult> first = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(first.ok());
-  Result<RcjRunResult> second = env.value()->Run(options);
+  Result<RcjRunResult> second = env.value()->Run(QuerySpec{});
   ASSERT_TRUE(second.ok());
   // Cold start each time: identical fault counts and node accesses.
   EXPECT_EQ(first.value().stats.page_faults,
@@ -68,18 +86,18 @@ TEST(RunnerTest, RunsAreColdAndReproducible) {
 TEST(RunnerTest, LargerBufferMeansFewerFaults) {
   const std::vector<PointRecord> qset = GenerateUniform(3000, 55);
   const std::vector<PointRecord> pset = GenerateUniform(3000, 56);
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kInj;
   Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::Build(qset, pset, options);
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
   ASSERT_TRUE(env.ok());
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kInj;
 
   ASSERT_TRUE(env.value()->SetBufferFraction(0.002).ok());
-  Result<RcjRunResult> small = env.value()->Run(options);
+  Result<RcjRunResult> small = env.value()->Run(spec);
   ASSERT_TRUE(small.ok());
 
   ASSERT_TRUE(env.value()->SetBufferFraction(0.5).ok());
-  Result<RcjRunResult> large = env.value()->Run(options);
+  Result<RcjRunResult> large = env.value()->Run(spec);
   ASSERT_TRUE(large.ok());
 
   EXPECT_LT(large.value().stats.page_faults,
@@ -91,15 +109,18 @@ TEST(RunnerTest, LargerBufferMeansFewerFaults) {
 TEST(RunnerTest, BruteAlgorithmViaRunnerMatchesIndexed) {
   const std::vector<PointRecord> qset = GenerateUniform(80, 57);
   const std::vector<PointRecord> pset = GenerateUniform(90, 58);
-  RcjRunOptions options;
-  options.algorithm = RcjAlgorithm::kBrute;
-  Result<RcjRunResult> brute = RunRcj(qset, pset, options);
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(env.ok());
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kBrute;
+  Result<RcjRunResult> brute = env.value()->Run(spec);
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(brute.value().stats.candidates, 80u * 90u)
       << "BRUTE examines the whole Cartesian product (Table 4)";
 
-  options.algorithm = RcjAlgorithm::kObj;
-  Result<RcjRunResult> obj = RunRcj(qset, pset, options);
+  spec.algorithm = RcjAlgorithm::kObj;
+  Result<RcjRunResult> obj = env.value()->Run(spec);
   ASSERT_TRUE(obj.ok());
   testing_util::ExpectSamePairs(obj.value().pairs, brute.value().pairs);
   EXPECT_LT(obj.value().stats.candidates, brute.value().stats.candidates);
@@ -119,9 +140,9 @@ TEST(RunnerTest, CandidateOrderingMatchesTable4) {
   const RcjAlgorithm algorithms[3] = {RcjAlgorithm::kInj, RcjAlgorithm::kBij,
                                       RcjAlgorithm::kObj};
   for (int i = 0; i < 3; ++i) {
-    RcjRunOptions options;
-    options.algorithm = algorithms[i];
-    Result<RcjRunResult> result = env.value()->Run(options);
+    QuerySpec spec;
+    spec.algorithm = algorithms[i];
+    Result<RcjRunResult> result = env.value()->Run(spec);
     ASSERT_TRUE(result.ok());
     candidates[i] = result.value().stats.candidates;
   }

@@ -608,9 +608,9 @@ bool ApplyMutationFile(const char* cmd, const std::string& path,
 }
 
 int CmdJoin(const std::map<std::string, std::string>& flags) {
-  RcjRunOptions options;
+  QuerySpec spec;
   const std::string algo_name = FlagOr(flags, "algo", "obj");
-  if (!ParseAlgo(algo_name, &options.algorithm)) {
+  if (!ParseAlgo(algo_name, &spec.algorithm)) {
     std::fprintf(stderr, "join: unknown algorithm '%s'\n", algo_name.c_str());
     return 2;
   }
@@ -632,9 +632,10 @@ int CmdJoin(const std::map<std::string, std::string>& flags) {
   const bool self = flags.count("self") != 0;
   const std::string mutations = FlagOr(flags, "mutations", "");
   int exit_code = 0;
-  Result<RcjRunResult> result(Status::InvalidArgument("not yet run"));
+  RcjRunOptions options;
   std::unique_ptr<RcjEnvironment> env;
   std::unique_ptr<LiveEnvironment> live;
+  LiveSnapshot snapshot;
   if (!mutations.empty()) {
     // Live path: wrap the datasets, replay the mutation file, then join
     // the mutated view through a snapshot — the in-process oracle a wire
@@ -648,30 +649,24 @@ int CmdJoin(const std::map<std::string, std::string>& flags) {
     if (!built.ok()) return exit_code;
     live = std::move(built).value();
     if (!ApplyMutationFile("join", mutations, live.get())) return 1;
-    const LiveSnapshot snapshot = live->TakeSnapshot();
-    QuerySpec spec = snapshot.Spec();
-    spec.algorithm = options.algorithm;
-    if (engine_mode) {
-      engine_options.worker_buffer_fraction = options.buffer_fraction;
-      Engine engine(engine_options);
-      result = engine.Run(spec);
-    } else {
-      result = snapshot.Run(spec);
-    }
+    snapshot = live->TakeSnapshot();
+    spec.env = snapshot.env();
+    spec.overlay = snapshot.overlay();
   } else {
     Result<std::unique_ptr<RcjEnvironment>> built =
         BuildEnvFromFlags("join", flags, &options, &exit_code);
     if (!built.ok()) return exit_code;
     env = std::move(built).value();
-    if (engine_mode) {
-      engine_options.worker_buffer_fraction = options.buffer_fraction;
-      Engine engine(engine_options);
-      QuerySpec spec = QuerySpec::For(env.get());
-      spec.algorithm = options.algorithm;
-      result = engine.Run(spec);
-    } else {
-      result = env->Run(options);
-    }
+    spec.env = env.get();
+  }
+
+  Result<RcjRunResult> result(Status::InvalidArgument("not yet run"));
+  if (engine_mode) {
+    engine_options.worker_buffer_fraction = options.buffer_fraction;
+    Engine engine(engine_options);
+    result = engine.Run(spec);
+  } else {
+    result = live != nullptr ? snapshot.Run(spec) : env->Run(spec);
   }
   if (!result.ok()) {
     std::fprintf(stderr, "join: %s\n", result.status().ToString().c_str());
@@ -704,7 +699,7 @@ int CmdJoin(const std::map<std::string, std::string>& flags) {
   std::printf("%s%s: %llu pairs | candidates %llu | node accesses %llu | "
               "faults %llu (%llu cold, %llu warm) | I/O %.2fs "
               "(wall %.3fs) | CPU %.3fs\n",
-              AlgorithmName(options.algorithm), self ? " (self)" : "",
+              AlgorithmName(spec.algorithm), self ? " (self)" : "",
               static_cast<unsigned long long>(run.stats.results),
               static_cast<unsigned long long>(run.stats.candidates),
               static_cast<unsigned long long>(run.stats.node_accesses),
@@ -1974,10 +1969,8 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
     return 1;
   }
 
-  RcjRunOptions options;
-  Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::Build(qset.value().points, pset.value().points,
-                            options);
+  Result<std::unique_ptr<RcjEnvironment>> env = RcjEnvironment::Build(
+      qset.value().points, pset.value().points, RcjRunOptions{});
   if (!env.ok()) {
     std::fprintf(stderr, "stats: %s\n", env.status().ToString().c_str());
     return 1;
@@ -1986,8 +1979,9 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
               "results", "node-access", "faults", "I/O(s)", "CPU(s)");
   for (const RcjAlgorithm algorithm :
        {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    options.algorithm = algorithm;
-    Result<RcjRunResult> run = env.value()->Run(options);
+    QuerySpec spec = QuerySpec::For(env.value().get());
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> run = env.value()->Run(spec);
     if (!run.ok()) {
       std::fprintf(stderr, "stats: %s\n", run.status().ToString().c_str());
       return 1;
