@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/rcj_inj.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
 
@@ -106,12 +105,10 @@ int main(int argc, char** argv) {
 
   // ---- Work stealing on skewed leaf work. -------------------------------
   // P collapses into two tight clusters, so a handful of T_Q leaves carry
-  // most of the join. A coarse static split (chunk size = range size, the
-  // pre-stealing engine) pins each dense range to whichever worker drew
-  // it; the fine-grained chunk cursor (steal-chunk auto) lets idle workers
-  // steal the dense region chunk by chunk. Expected shape: on multi-core
-  // machines the auto rows beat the static rows at equal thread counts;
-  // on one hardware thread both collapse to ~1x, recorded honestly.
+  // most of the join; the fine-grained chunk cursor lets idle workers
+  // steal the dense region chunk by chunk. Expected shape: speedup over
+  // serial grows with the thread count on multi-core machines; on one
+  // hardware thread it collapses to ~1x, recorded honestly.
   {
     const std::vector<PointRecord> skew_q = GenerateUniform(n, 111);
     const std::vector<PointRecord> skew_p =
@@ -120,22 +117,11 @@ int main(int argc, char** argv) {
         bench::MustBuild(skew_q, skew_p);
     const QuerySpec skew_spec = QuerySpec::For(skew_env.get());
 
-    // The leaf count determines the chunk size that reproduces the static
-    // contiguous split (one chunk per task).
-    std::vector<uint64_t> leaves;
-    if (!LeafPagesInOrder(skew_env->tq(), skew_spec.order,
-                          skew_spec.random_seed, &leaves)
-             .ok()) {
-      std::fprintf(stderr, "leaf enumeration failed\n");
-      return 1;
-    }
-
     const Clock::time_point skew_serial_start = Clock::now();
     const RcjRunResult skew_serial = bench::MustRun(skew_env.get(), skew_spec);
     const double skew_serial_seconds = SecondsSince(skew_serial_start);
 
-    std::printf("\nskewed leaf work (P in 2 tight clusters), %zu leaves:\n",
-                leaves.size());
+    std::printf("\nskewed leaf work (P in 2 tight clusters):\n");
     std::printf("%-22s %10s %10s %9s\n", "configuration", "results",
                 "wall(s)", "speedup");
     std::printf("%-22s %10llu %10.3f %9s\n", "serial",
@@ -144,37 +130,26 @@ int main(int argc, char** argv) {
     reporter.AddMetric("skew/serial", "wall_seconds", skew_serial_seconds);
 
     for (const size_t threads : {2u, 4u, 8u}) {
-      for (const bool steal : {false, true}) {
-        EngineOptions engine_options;
-        engine_options.num_threads = threads;
-        if (!steal) {
-          // Static split: exactly one chunk per task, like the engine
-          // before the shared claim cursor existed.
-          const size_t max_tasks =
-              threads * engine_options.tasks_per_thread;
-          engine_options.steal_chunk_leaves =
-              (leaves.size() + max_tasks - 1) / max_tasks;
-        }
-        Engine engine(engine_options);
-        const Clock::time_point start = Clock::now();
-        const Result<RcjRunResult> run = engine.Run(skew_spec);
-        const double wall = SecondsSince(start);
-        if (!run.ok() ||
-            run.value().stats.results != skew_serial.stats.results) {
-          std::fprintf(stderr, "skewed run failed or mismatched\n");
-          return 1;
-        }
-        const double speedup = skew_serial_seconds / wall;
-        const std::string label =
-            std::string("skew/threads=") + std::to_string(threads) +
-            (steal ? "/steal=auto" : "/steal=static");
-        std::printf("%-22s %10llu %10.3f %8.2fx\n", label.c_str(),
-                    static_cast<unsigned long long>(
-                        run.value().stats.results),
-                    wall, speedup);
-        reporter.AddMetric(label, "wall_seconds", wall);
-        reporter.AddMetric(label, "speedup", speedup);
+      EngineOptions engine_options;
+      engine_options.num_threads = threads;
+      Engine engine(engine_options);
+      const Clock::time_point start = Clock::now();
+      const Result<RcjRunResult> run = engine.Run(skew_spec);
+      const double wall = SecondsSince(start);
+      if (!run.ok() ||
+          run.value().stats.results != skew_serial.stats.results) {
+        std::fprintf(stderr, "skewed run failed or mismatched\n");
+        return 1;
       }
+      const double speedup = skew_serial_seconds / wall;
+      const std::string label =
+          std::string("skew/threads=") + std::to_string(threads) +
+          "/steal=auto";
+      std::printf("%-22s %10llu %10.3f %8.2fx\n", label.c_str(),
+                  static_cast<unsigned long long>(run.value().stats.results),
+                  wall, speedup);
+      reporter.AddMetric(label, "wall_seconds", wall);
+      reporter.AddMetric(label, "speedup", speedup);
     }
   }
 

@@ -1,19 +1,17 @@
 // Persistent worker-view cache: repeated-environment batches through the
-// engine with the per-worker view cache ON vs OFF, swept over worker
-// threads and over uniform vs skewed (clustered) leaf-work distributions,
-// plus the ROADMAP's shared-vs-private buffer-mode comparison (one mutexed
-// pool shared by all workers vs the engine's private warm pools).
+// engine's per-worker warm views, swept over worker threads and over
+// uniform vs skewed (clustered) leaf-work distributions, plus the ROADMAP's
+// shared-vs-private buffer-mode comparison (one mutexed pool shared by all
+// workers vs the engine's private warm pools).
 //
 // This is a systems benchmark, not a paper reproduction. Expected shape:
-// cache-on beats cache-off on every repeated-environment batch — the
-// second and later batches reuse warm views, so their compulsory
-// (cold) faults collapse and the paper's 10 ms/fault I/O charge drops with
-// them; wall clock follows on multi-core machines. Skewed workloads profit
-// additionally from the chunk-cursor work stealing, which the companion
-// bench_engine_scaling sweep isolates. The shared mutexed pool serializes
-// every fault behind one latch, which is exactly why the engine gives each
-// worker a private pool — the row pair makes that design decision
-// measurable.
+// the second and later batches reuse warm views, so the last batch's
+// compulsory (cold) faults collapse and the paper's 10 ms/fault I/O charge
+// drops with them. Skewed workloads profit additionally from the
+// chunk-cursor work stealing (bench_engine_scaling). The shared mutexed
+// pool serializes every fault behind one latch, which is exactly why the
+// engine gives each worker a private pool — the row pair makes that design
+// decision measurable.
 //
 // Default workload: 2 x 20k points per environment, batches of 16 OBJ
 // queries, 3 consecutive batches per configuration; --full for 2 x 160k.
@@ -154,10 +152,10 @@ double RunSharedPoolThreads(RcjEnvironment* env, size_t num_threads,
 int main(int argc, char** argv) {
   const bench::Scale scale = bench::ParseScale(argc, argv);
   bench::PrintBanner(
-      "Worker-view cache: warm per-worker views vs open-per-task, "
+      "Worker-view cache: warm per-worker views over repeated batches, "
       "uniform and skewed leaf work",
-      "no paper counterpart; cache-on should cut cold faults and modeled "
-      "I/O on repeated-environment batches",
+      "no paper counterpart; warm views should cut the last batch's cold "
+      "faults and modeled I/O",
       scale);
 
   const size_t n = scale.N(20000);  // per side, per environment
@@ -207,60 +205,43 @@ int main(int argc, char** argv) {
     bool have_reference = false;
     uint64_t reference_results = 0;
     for (const size_t threads : {1u, 2u, 4u, 8u}) {
-      double off_wall = 0.0;
-      for (const bool cache_on : {false, true}) {
-        EngineOptions engine_options;
-        engine_options.num_threads = threads;
-        engine_options.view_cache = cache_on;
-        const BatchOutcome outcome = RunRepeatedBatches(
-            env.get(), engine_options, batch_size, num_batches);
-        if (!have_reference) {
-          have_reference = true;
-          reference_results = outcome.results;
-        }
-        if (outcome.results != reference_results) {
-          std::fprintf(stderr, "result mismatch: cache=%d threads=%zu\n",
-                       cache_on ? 1 : 0, threads);
-          return 1;
-        }
-
-        const double qps = static_cast<double>(batch_size * num_batches) /
-                           outcome.wall_seconds;
-        const std::string label = workload.name + std::string("/threads=") +
-                                  std::to_string(threads) +
-                                  (cache_on ? "/cache=on" : "/cache=off");
-        std::printf("%-26s %10llu %10llu %10llu %10llu %10.2f %9.3f "
-                    "%8.1f\n",
-                    label.c_str(),
-                    static_cast<unsigned long long>(outcome.results),
-                    static_cast<unsigned long long>(
-                        outcome.last_batch.page_faults),
-                    static_cast<unsigned long long>(
-                        outcome.last_batch.cold_faults),
-                    static_cast<unsigned long long>(
-                        outcome.last_batch.warm_faults),
-                    outcome.last_batch.io_seconds, outcome.wall_seconds,
-                    qps);
-        reporter.AddMetric(label, "wall_seconds", outcome.wall_seconds);
-        reporter.AddMetric(label, "queries_per_second", qps);
-        reporter.AddMetric(label, "last_batch_io_seconds",
-                           outcome.last_batch.io_seconds);
-        reporter.AddMetric(label, "last_batch_page_faults",
-                           static_cast<double>(
-                               outcome.last_batch.page_faults));
-        reporter.AddMetric(label, "last_batch_cold_faults",
-                           static_cast<double>(
-                               outcome.last_batch.cold_faults));
-        reporter.AddMetric(label, "last_batch_warm_faults",
-                           static_cast<double>(
-                               outcome.last_batch.warm_faults));
-        if (!cache_on) {
-          off_wall = outcome.wall_seconds;
-        } else if (off_wall > 0.0) {
-          reporter.AddMetric(label, "speedup_vs_cache_off",
-                             off_wall / outcome.wall_seconds);
-        }
+      EngineOptions engine_options;
+      engine_options.num_threads = threads;
+      const BatchOutcome outcome = RunRepeatedBatches(
+          env.get(), engine_options, batch_size, num_batches);
+      if (!have_reference) {
+        have_reference = true;
+        reference_results = outcome.results;
       }
+      if (outcome.results != reference_results) {
+        std::fprintf(stderr, "result mismatch: threads=%zu\n", threads);
+        return 1;
+      }
+
+      const double qps = static_cast<double>(batch_size * num_batches) /
+                         outcome.wall_seconds;
+      const std::string label = workload.name + std::string("/threads=") +
+                                std::to_string(threads) + "/cache=on";
+      std::printf("%-26s %10llu %10llu %10llu %10llu %10.2f %9.3f %8.1f\n",
+                  label.c_str(),
+                  static_cast<unsigned long long>(outcome.results),
+                  static_cast<unsigned long long>(
+                      outcome.last_batch.page_faults),
+                  static_cast<unsigned long long>(
+                      outcome.last_batch.cold_faults),
+                  static_cast<unsigned long long>(
+                      outcome.last_batch.warm_faults),
+                  outcome.last_batch.io_seconds, outcome.wall_seconds, qps);
+      reporter.AddMetric(label, "wall_seconds", outcome.wall_seconds);
+      reporter.AddMetric(label, "queries_per_second", qps);
+      reporter.AddMetric(label, "last_batch_io_seconds",
+                         outcome.last_batch.io_seconds);
+      reporter.AddMetric(label, "last_batch_page_faults",
+                         static_cast<double>(outcome.last_batch.page_faults));
+      reporter.AddMetric(label, "last_batch_cold_faults",
+                         static_cast<double>(outcome.last_batch.cold_faults));
+      reporter.AddMetric(label, "last_batch_warm_faults",
+                         static_cast<double>(outcome.last_batch.warm_faults));
     }
 
     // Shared concurrent buffer mode (ROADMAP): one mutexed pool behind

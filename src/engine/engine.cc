@@ -28,6 +28,23 @@ constexpr size_t kCachedEnvsPerWorker = 4;
 /// Buffered pairs between two clock reads of a deadline-bound query.
 constexpr uint32_t kClockStride = 64;
 
+/// Claimant tasks per worker thread when one query is split; more than one
+/// lets the cursor rebalance a skewed leaf region.
+constexpr size_t kTasksPerThread = 2;
+
+/// Queries whose T_Q has fewer leaves than this run as one task — the
+/// per-worker view setup would outweigh the traversal.
+constexpr size_t kMinLeavesToSplit = 8;
+
+/// Chunks per claimant task of a split query: chunk size is
+/// max(1, leaves / (tasks * kChunksPerTask)), several times finer than the
+/// task count so idle workers can steal a dense region's remainder.
+constexpr size_t kChunksPerTask = 8;
+
+/// Leaf pages of a claimed chunk announced to the backing store before the
+/// traversal reads them (PrefetchChunkLeaves).
+constexpr size_t kReadaheadLeaves = 256;
+
 /// rcj_engine_stops_total{reason="..."}, indexed by StopReason.
 obs::Counter* StopsTotal(StopReason reason) {
   static const std::vector<obs::Counter*> counters = [] {
@@ -103,7 +120,7 @@ struct QueryEmitState {
 
   // ---- chunk scheduling (work stealing) ----
   /// The query's full T_Q leaf order (engine plan cache), or null when the
-  /// query runs as one unsplit task (BRUTE, small tree, intra off).
+  /// query runs as one unsplit task (BRUTE, small tree, one worker).
   const std::vector<uint64_t>* leaves = nullptr;
   size_t chunk_size = 0;
   size_t num_chunks = 1;
@@ -112,7 +129,8 @@ struct QueryEmitState {
   /// fewer chunks while idle workers steal the rest.
   std::atomic<size_t> next_chunk{0};
   /// Stable per-chunk buffers (sized up front, never resized) so a chunk
-  /// finished out of order survives until the frontier reaches it.
+  /// finished out of order survives until the frontier reaches it; each is
+  /// freed once the frontier passes it.
   std::vector<std::vector<RcjPair>> chunk_pairs;
 };
 
@@ -194,11 +212,13 @@ struct QueryRun {
   Clock::time_point submitted;
 };
 
-/// Announces a claimed chunk's leaf pages to the backing store before the
-/// traversal reads them (EngineOptions::readahead_leaves). STR leaves are
-/// nearly sequential on disk, so consecutive page numbers are coalesced
-/// into single Prefetch ranges — one fadvise/madvise per run instead of
-/// one per page.
+/// Announces up to `cap` of a claimed chunk's leaf pages to the backing
+/// store before the traversal reads them (PageStore::Prefetch —
+/// posix_fadvise/madvise WILLNEED on the file backends, a no-op in memory).
+/// The leaf order is computed up front, so this is a perfect prefetch
+/// oracle. STR leaves are nearly sequential on disk, so consecutive page
+/// numbers are coalesced into single Prefetch ranges — one fadvise/madvise
+/// per run instead of one per page.
 void PrefetchChunkLeaves(const PageStore& store,
                          const std::vector<uint64_t>& leaves, size_t cap) {
   size_t issued = 0;
@@ -245,7 +265,8 @@ void CallSink(QueryEmitState* st, const Call& call) {
 /// query stops, then ends the batch (PairSink::EndBatch) if the pass
 /// delivered any pair. Called by the worker that finished the chunk; the
 /// per-query mutex serializes delivery, so sinks see one thread at a time.
-/// Reaching the limit or a sink refusal stops the query with kLimit.
+/// Reaching the limit or a sink refusal stops the query with kLimit. Every
+/// chunk the frontier passes has its buffer released.
 void DeliverReadyRanges(QueryEmitState* st, size_t range,
                         const Status& status) {
   std::lock_guard<std::mutex> lock(st->mu);
@@ -256,17 +277,21 @@ void DeliverReadyRanges(QueryEmitState* st, size_t range,
   for (; st->next_range < st->range_done.size() &&
          st->range_done[st->next_range] != QueryEmitState::kPending;
        ++st->next_range) {
-    if (st->range_done[st->next_range] != QueryEmitState::kDone) continue;
-    CallSink(st, [st] {
-      for (const RcjPair& pair : st->chunk_pairs[st->next_range]) {
-        if (st->stop->stopped()) break;
-        ++st->delivered;
-        if (!st->sink->Emit(pair) ||
-            (st->limit != 0 && st->delivered >= st->limit)) {
-          st->stop->Stop(StopReason::kLimit);
+    if (st->range_done[st->next_range] == QueryEmitState::kDone) {
+      CallSink(st, [st] {
+        for (const RcjPair& pair : st->chunk_pairs[st->next_range]) {
+          if (st->stop->stopped()) break;
+          ++st->delivered;
+          if (!st->sink->Emit(pair) ||
+              (st->limit != 0 && st->delivered >= st->limit)) {
+            st->stop->Stop(StopReason::kLimit);
+          }
         }
-      }
-    });
+      });
+    }
+    // Delivered, skipped after a stop, or failed: nothing more comes of
+    // this chunk, so its pairs stop occupying memory until END.
+    std::vector<RcjPair>().swap(st->chunk_pairs[st->next_range]);
   }
   if (st->delivered != delivered_before) {
     CallSink(st, [st] { st->sink->EndBatch(); });
@@ -283,31 +308,23 @@ void RunTaskChunks(QueryRun* run, const EngineOptions& options,
                    EngineTask* t) {
   const EngineQuery& query = run->query;
   QueryEmitState* emit = &run->emit;
-  WorkerView local_view;  // cache-off storage
   WorkerView* view = nullptr;
   BufferStats base;
 
   const auto ensure_view = [&]() -> Status {
     if (view != nullptr) return Status::OK();
     const RcjEnvironment& env = *query.spec.env;
-    const size_t pool_pages = WorkerPoolPages(env, options);
     obs::TraceContext* trace = query.spec.trace;
     const obs::TraceClock::time_point open_start =
         trace != nullptr ? obs::TraceClock::now()
                          : obs::TraceClock::time_point();
-    bool opened_fresh = true;  // the cache-off path always opens cold
-    if (options.view_cache) {
-      const size_t worker = ThreadPool::CurrentWorkerIndex();
-      // Tasks only run on pool workers, so the index is always in range.
-      Result<WorkerView*> acquired =
-          (*contexts)[worker]->Acquire(env, pool_pages, &opened_fresh);
-      if (!acquired.ok()) return acquired.status();
-      view = acquired.value();
-    } else {
-      RINGJOIN_RETURN_IF_ERROR(
-          OpenWorkerView(env, pool_pages, &local_view));
-      view = &local_view;
-    }
+    bool opened_fresh = false;
+    // Tasks only run on pool workers, so the index is always in range.
+    Result<WorkerView*> acquired =
+        (*contexts)[ThreadPool::CurrentWorkerIndex()]->Acquire(
+            env, WorkerPoolPages(env, options), &opened_fresh);
+    if (!acquired.ok()) return acquired.status();
+    view = acquired.value();
     if (trace != nullptr) {
       trace->Record(opened_fresh ? "view_open_cold" : "view_open_warm", 2,
                     open_start, obs::TraceClock::now());
@@ -343,9 +360,8 @@ void RunTaskChunks(QueryRun* run, const EngineOptions& options,
           subset_ptr = &subset;
         }
         const RcjEnvironment& env = *query.spec.env;
-        if (subset_ptr != nullptr && options.readahead_leaves > 0) {
-          PrefetchChunkLeaves(*env.q_page_store(), subset,
-                              options.readahead_leaves);
+        if (subset_ptr != nullptr) {
+          PrefetchChunkLeaves(*env.q_page_store(), subset, kReadaheadLeaves);
         }
         sink.set_buffer(&emit->chunk_pairs[chunk]);
         // Exactly one fragment of the query appends the overlay's delta-Q
@@ -590,12 +606,12 @@ void Engine::Submit(EngineQuery query, DoneFn done) {
   // depth-first (or seeded-shuffle) order is resolved once, here, then
   // chunked, so flushing chunk outputs in order equals the serial run.
   Status planned = spec.Validate();
-  if (planned.ok() && options_.intra_query_parallelism &&
-      spec.algorithm != RcjAlgorithm::kBrute && pool_.num_threads() > 1) {
+  if (planned.ok() && spec.algorithm != RcjAlgorithm::kBrute &&
+      pool_.num_threads() > 1) {
     try {
       Result<Plan> plan = LeavesFor(spec);
       planned = plan.status();
-      if (plan.ok() && plan.value()->size() >= options_.min_leaves_to_split) {
+      if (plan.ok() && plan.value()->size() >= kMinLeavesToSplit) {
         run->plan = std::move(plan).value();
       }
     } catch (const std::exception& e) {
@@ -615,20 +631,9 @@ void Engine::Submit(EngineQuery query, DoneFn done) {
   size_t num_tasks = 1;
   if (run->plan != nullptr) {
     const std::vector<uint64_t>& leaves = *run->plan;
-    const size_t max_tasks = std::max<size_t>(
-        1, pool_.num_threads() * options_.tasks_per_thread);
-    // Auto chunks are several times finer than the task count, so the
-    // cursor can rebalance a dense region. An explicit chunk size is
-    // clamped to the static-split granularity (ceil(leaves/max_tasks)):
-    // an oversized request degenerates to exactly the static contiguous
-    // split, never below it — a huge --steal-chunk must not silently
-    // serialize the query onto one worker.
-    const size_t static_chunk = (leaves.size() + max_tasks - 1) / max_tasks;
-    size_t chunk = options_.steal_chunk_leaves;
-    if (chunk == 0) {
-      chunk = std::max<size_t>(1, leaves.size() / (max_tasks * 8));
-    }
-    chunk = std::min(std::max<size_t>(1, chunk), static_chunk);
+    const size_t max_tasks = pool_.num_threads() * kTasksPerThread;
+    const size_t chunk =
+        std::max<size_t>(1, leaves.size() / (max_tasks * kChunksPerTask));
     emit->leaves = &leaves;
     emit->chunk_size = chunk;
     emit->num_chunks = (leaves.size() + chunk - 1) / chunk;

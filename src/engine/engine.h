@@ -43,15 +43,14 @@
 // keyed by environment generation, so a rebuilt or destroyed environment
 // can never satisfy a stale entry; the owning layers call
 // InvalidateCachedViews() before tearing an environment down.
-// EngineOptions::view_cache = false restores the original open-per-task
-// model (every fault cold, minimal resident memory).
 //
 // Intra-query scheduling is adaptive: a split query's serial leaf order is
 // divided into fine-grained chunks claimed from a shared atomic cursor, so
 // a worker that drew a dense (skewed) leaf region simply claims fewer
 // chunks while idle workers steal the rest — no static range assignment,
 // and delivery still flushes strictly in chunk order, preserving the exact
-// serial pair stream.
+// serial pair stream. The split rule (tasks per thread, the smallest tree
+// worth splitting, chunk size, leaf readahead) is fixed in engine.cc.
 #ifndef RINGJOIN_ENGINE_ENGINE_H_
 #define RINGJOIN_ENGINE_ENGINE_H_
 
@@ -75,39 +74,10 @@ namespace rcj {
 struct EngineOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   size_t num_threads = 0;
-  /// Split single indexed queries across workers (intra-query parallelism).
-  bool intra_query_parallelism = true;
-  /// Target number of leaf-range tasks per worker thread when splitting one
-  /// query; >1 lets the pool rebalance skewed ranges.
-  size_t tasks_per_thread = 2;
-  /// Queries whose T_Q has fewer leaves than this run as one task — the
-  /// per-worker view/buffer setup would outweigh the traversal.
-  size_t min_leaves_to_split = 8;
   /// Sizing of each worker's private buffer pool, mirroring the serial
   /// runner's buffer_fraction/min_buffer_pages pair.
   double worker_buffer_fraction = 0.01;
   size_t worker_min_buffer_pages = 32;
-  /// Keep each worker's R-tree views and warm buffer pool alive across
-  /// tasks and queries (the persistent worker-view cache). Off restores
-  /// the original open-per-task model: fresh views and an all-cold pool
-  /// for every task — the benchmark baseline and the memory floor.
-  bool view_cache = true;
-  /// Leaves claimed per scheduling step when one query is split across
-  /// workers. Tasks pull chunks of this size from a shared cursor (work
-  /// stealing), so skewed leaf regions no longer pin their whole static
-  /// range to one worker. 0 = auto: leaves / (max_tasks * 8), at least 1.
-  /// Explicit values are clamped to ceil(leaves / max_tasks), so an
-  /// oversized chunk degenerates to exactly the static contiguous split —
-  /// never to fewer tasks than that.
-  size_t steal_chunk_leaves = 0;
-  /// Leaf-order readahead: when a task claims a chunk of its query's T_Q
-  /// leaf order, up to this many of the chunk's leaf pages are announced
-  /// to the backing store (PageStore::Prefetch — posix_fadvise/madvise
-  /// WILLNEED on the file backends, a no-op in memory) before the
-  /// traversal reads them one by one. The leaf order is computed up front,
-  /// so this is a perfect prefetch oracle: the kernel can stream the pages
-  /// in while the worker is still verifying circles. 0 disables.
-  size_t readahead_leaves = 256;
 };
 
 /// One query: the validated spec plus an optional streaming target. When
@@ -166,7 +136,7 @@ class Engine {
       const std::vector<EngineQuery>& queries);
 
   /// Single-query conveniences: a one-element batch, so an indexed join
-  /// still fans out across all workers when intra-query parallelism is on.
+  /// still fans out across all workers.
   Result<RcjRunResult> Run(const QuerySpec& spec);
   Status Run(const QuerySpec& spec, PairSink* sink, JoinStats* stats);
 

@@ -61,8 +61,10 @@ struct WorkerView {
   const RTree& tp_ref() const { return tp != nullptr ? *tp : *tq; }
 };
 
-/// Opens a one-shot view over `env` with a fresh pool of `pool_pages` —
-/// the engine's cache-off path. The cached path is WorkerContext::Acquire.
+/// Opens a one-shot view over `env` with a fresh pool of `pool_pages`. The
+/// engine plans through one (a leaf-order walk that must not fault through
+/// a worker's warm pool); its workers execute through
+/// WorkerContext::Acquire.
 Status OpenWorkerView(const RcjEnvironment& env, size_t pool_pages,
                       WorkerView* view);
 

@@ -37,8 +37,8 @@ namespace rcj {
 
 /// Service-wide knobs, fixed at construction.
 struct ServiceOptions {
-  /// Knobs of the owned execution engine (worker threads, intra-query
-  /// parallelism, per-worker buffer sizing).
+  /// Knobs of the owned execution engine (worker threads, per-worker
+  /// buffer sizing).
   EngineOptions engine;
 };
 

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rcj.h"
@@ -56,6 +58,35 @@ void ExpectSameSequence(const std::vector<RcjPair>& streamed,
     ASSERT_EQ(streamed[i].p.id, serial[i].p.id) << label << " at " << i;
     ASSERT_EQ(streamed[i].q.id, serial[i].q.id) << label << " at " << i;
   }
+}
+
+// Records the stream and, for each EndBatch, how many pairs preceded it.
+class BatchRecordingSink final : public PairSink {
+ public:
+  bool Emit(const RcjPair& pair) override {
+    pairs.push_back(pair);
+    return true;
+  }
+  void EndBatch() override { batch_ends.push_back(pairs.size()); }
+
+  std::vector<RcjPair> pairs;
+  std::vector<size_t> batch_ends;
+};
+
+// T_Q's depth-first leaves, each Q point mapped to its leaf's index.
+size_t MapLeaves(const RcjEnvironment& env,
+                 std::map<PointId, size_t>* leaf_of) {
+  size_t leaves = 0;
+  const Status visited =
+      env.tq().VisitLeavesDepthFirst([&](const Node& leaf) {
+        for (const LeafEntry& entry : leaf.points) {
+          (*leaf_of)[entry.rec.id] = leaves;
+        }
+        ++leaves;
+        return true;
+      });
+  EXPECT_TRUE(visited.ok());
+  return leaves;
 }
 
 TEST(EngineTest, ExternalCancelFlagSkipsWorkWithoutAnyPairDelivered) {
@@ -466,24 +497,43 @@ TEST(EngineTest, LimitStopsSingleTaskQueriesEarly) {
          "join";
 }
 
-TEST(EngineTest, IntraQueryParallelismOffStillMatchesSerial) {
+TEST(EngineTest, UnsplitQueriesOnTwoWorkersMatchSerial) {
+  // Two workers, yet neither query is split: BRUTE never is, and a T_Q
+  // with fewer leaves than engine.cc's kMinLeavesToSplit (8) runs as one
+  // task. Either way the stream is the serial one, delivered as a single
+  // chunk — one batch.
   const std::vector<PointRecord> qset = GenerateUniform(1300, 81);
   const std::vector<PointRecord> pset = GenerateUniform(1300, 82);
   Result<std::unique_ptr<RcjEnvironment>> env =
       RcjEnvironment::Build(qset, pset, RcjRunOptions{});
   ASSERT_TRUE(env.ok());
-  const QuerySpec spec = QuerySpec::For(env.value().get());
-  const Result<RcjRunResult> serial = env.value()->Run(spec);
-  ASSERT_TRUE(serial.ok());
+  QuerySpec brute = QuerySpec::For(env.value().get());
+  brute.algorithm = RcjAlgorithm::kBrute;
+
+  Result<std::unique_ptr<RcjEnvironment>> small = RcjEnvironment::Build(
+      GenerateUniform(100, 83), pset, RcjRunOptions{});
+  ASSERT_TRUE(small.ok());
+  std::map<PointId, size_t> leaf_of;
+  ASSERT_LT(MapLeaves(*small.value(), &leaf_of), 8u);
+  const QuerySpec small_obj = QuerySpec::For(small.value().get());
 
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.intra_query_parallelism = false;
   Engine engine(engine_options);
-  const Result<RcjRunResult> parallel = engine.Run(spec);
-  ASSERT_TRUE(parallel.ok());
-  ExpectIdenticalPairs(parallel.value().pairs, serial.value().pairs,
-                       "no intra");
+  const std::pair<RcjEnvironment*, QuerySpec> cases[] = {
+      {env.value().get(), brute}, {small.value().get(), small_obj}};
+  for (const auto& [target, spec] : cases) {
+    const char* label = AlgorithmName(spec.algorithm);
+    const Result<RcjRunResult> serial = target->Run(spec);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_FALSE(serial.value().pairs.empty()) << label;
+    BatchRecordingSink sink;
+    JoinStats stats;
+    ASSERT_TRUE(engine.Run(spec, &sink, &stats).ok()) << label;
+    ExpectSameSequence(sink.pairs, serial.value().pairs, label);
+    ExpectIdenticalPairs(sink.pairs, serial.value().pairs, label);
+    EXPECT_EQ(sink.batch_ends.size(), 1u) << label << ": split into chunks";
+  }
 }
 
 TEST(EngineTest, EngineIsReusableAcrossBatchesAndWarmsUp) {
@@ -573,40 +623,18 @@ TEST(EngineTest, ConcurrentSubmittersGetSerialStreams) {
   }
 }
 
-// Records the stream and, for each EndBatch, how many pairs preceded it.
-class BatchRecordingSink final : public PairSink {
- public:
-  bool Emit(const RcjPair& pair) override {
-    pairs.push_back(pair);
-    return true;
-  }
-  void EndBatch() override { batch_ends.push_back(pairs.size()); }
-
-  std::vector<RcjPair> pairs;
-  std::vector<size_t> batch_ends;
-};
-
 TEST(EngineTest, EndBatchClosesWholeChunksAfterTheirPairs) {
   // One-leaf chunks: a chunk boundary in the serial stream is a place
   // where the pair's T_Q leaf changes. Every EndBatch must sit on such a
   // boundary (never inside a chunk's pairs), follow at least one new pair,
   // and the last one must close the stream.
-  const std::vector<PointRecord> qset = GenerateUniform(3000, 81);
+  const std::vector<PointRecord> qset = GenerateUniform(1200, 81);
   const std::vector<PointRecord> pset = GenerateUniform(3000, 82);
   Result<std::unique_ptr<RcjEnvironment>> env =
       RcjEnvironment::Build(qset, pset, RcjRunOptions{});
   ASSERT_TRUE(env.ok());
   std::map<PointId, size_t> leaf_of;
-  size_t leaves = 0;
-  const Status visited =
-      env.value()->tq().VisitLeavesDepthFirst([&](const Node& leaf) {
-        for (const LeafEntry& entry : leaf.points) {
-          leaf_of[entry.rec.id] = leaves;
-        }
-        ++leaves;
-        return true;
-      });
-  ASSERT_TRUE(visited.ok());
+  const size_t leaves = MapLeaves(*env.value(), &leaf_of);
   const QuerySpec spec = QuerySpec::For(env.value().get());
   const Result<RcjRunResult> serial = env.value()->Run(spec);
   ASSERT_TRUE(serial.ok());
@@ -615,9 +643,17 @@ TEST(EngineTest, EndBatchClosesWholeChunksAfterTheirPairs) {
 
   for (const size_t threads : {1, 2, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
+    if (threads > 1) {
+      // engine.cc's split rule: kTasksPerThread (2) claimants per worker,
+      // kChunksPerTask (8) chunks per claimant, at least one leaf each —
+      // this tree is small enough for every chunk to be one leaf, and big
+      // enough (kMinLeavesToSplit = 8) to be split at all.
+      ASSERT_GE(leaves, 8u);
+      ASSERT_EQ(std::max<size_t>(1, leaves / (threads * 2 * 8)), 1u)
+          << leaves << " leaves";
+    }
     EngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.steal_chunk_leaves = 1;
     Engine engine(engine_options);
     BatchRecordingSink sink;
     JoinStats stats;
@@ -641,27 +677,28 @@ TEST(EngineTest, EndBatchClosesWholeChunksAfterTheirPairs) {
   }
 }
 
-TEST(EngineTest, ViewCacheOffRestoresColdStartAccounting) {
+TEST(EngineTest, InvalidateCachedViewsRestoresColdStartAccounting) {
   const std::vector<PointRecord> set = GenerateUniform(1000, 92);
   Result<std::unique_ptr<RcjEnvironment>> env =
       RcjEnvironment::BuildSelf(set, RcjRunOptions{});
   ASSERT_TRUE(env.ok());
 
-  EngineOptions engine_options;
-  engine_options.view_cache = false;
   // One worker: with more, the chunk partition across tasks (and so each
   // fresh pool's fault count) is timing-dependent.
+  EngineOptions engine_options;
   engine_options.num_threads = 1;
   Engine engine(engine_options);
   const QuerySpec spec = QuerySpec::For(env.value().get());
   const Result<RcjRunResult> first = engine.Run(spec);
+  engine.InvalidateCachedViews(env.value().get());
   const Result<RcjRunResult> second = engine.Run(spec);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().pairs.size(), second.value().pairs.size());
   EXPECT_EQ(first.value().stats.page_faults,
             second.value().stats.page_faults)
-      << "fresh worker pools each run: identical cold-start accounting";
+      << "a dropped view reopens with a fresh pool: identical cold-start "
+         "accounting";
 }
 
 }  // namespace

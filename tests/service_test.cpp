@@ -146,7 +146,8 @@ TEST(ServiceTest, QueryResolvesWhileAnUnrelatedQueryIsBlocked) {
   // Each query has its own lifetime: a top-1 submitted behind a query
   // whose sink is stuck must still resolve, on the other worker, while
   // the stuck query holds the first one. A 100-point T_Q has fewer leaves
-  // than min_leaves_to_split, so the gate runs as one task on one worker.
+  // than the engine splits (kMinLeavesToSplit in engine.cc), so the gate
+  // runs as one task on one worker.
   std::unique_ptr<RcjEnvironment> env = BuildEnv(100, 327);
 
   std::mutex mu;

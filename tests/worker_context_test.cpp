@@ -1,13 +1,14 @@
 // Tests for the persistent worker execution contexts: the per-worker
 // (environment -> view) cache itself, its generation-keyed invalidation
 // across environment rebuild/destroy, the engine/service/router hooks that
-// drain cached views, and — the contract that matters most — cached and
-// uncached execution emitting byte-identical pair streams under
-// concurrency, across steal-chunk sizes.
+// drain cached views, and — the contract that matters most — cached
+// execution emitting the serial pair stream under concurrency, across
+// steal-chunk sizes.
 #include "engine/worker_context.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -107,9 +108,9 @@ TEST(WorkerContextTest, InvalidateDropsMatchingEntries) {
   EXPECT_EQ(context.cached_environments(), 0u);
 }
 
-TEST(WorkerContextTest, CachedAndUncachedStreamsIdenticalUnder8Threads) {
-  // The headline contract: turning the view cache on must not change a
-  // single emitted pair, in content or order, even with 8 workers racing
+TEST(WorkerContextTest, CachedStreamsIdenticalUnder8Threads) {
+  // The headline contract: executing through cached views must not change
+  // a single emitted pair, in content or order, even with 8 workers racing
   // over chunked leaf ranges — and repeat batches (warm views) must stay
   // identical too.
   const std::vector<PointRecord> qset = GenerateUniform(3000, 41);
@@ -123,56 +124,72 @@ TEST(WorkerContextTest, CachedAndUncachedStreamsIdenticalUnder8Threads) {
   const Result<RcjRunResult> serial = env.value()->Run(spec);
   ASSERT_TRUE(serial.ok());
 
-  for (const bool cache_on : {false, true}) {
-    EngineOptions engine_options;
-    engine_options.num_threads = 8;
-    engine_options.view_cache = cache_on;
-    Engine engine(engine_options);
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      // A whole batch of the same query, every slot streaming to its own
-      // sink: inter-query and intra-query concurrency at once.
-      std::vector<std::vector<RcjPair>> streams(4);
-      std::vector<std::unique_ptr<VectorSink>> sinks;
-      std::vector<EngineQuery> batch(streams.size());
-      for (size_t i = 0; i < streams.size(); ++i) {
-        sinks.push_back(std::make_unique<VectorSink>(&streams[i]));
-        batch[i].spec = spec;
-        batch[i].sink = sinks[i].get();
-      }
-      const std::vector<EngineQueryResult> results = engine.RunBatch(batch);
-      for (size_t i = 0; i < streams.size(); ++i) {
-        ASSERT_TRUE(results[i].status.ok());
-        ExpectSameSequence(streams[i], serial.value().pairs,
-                           cache_on ? "cache=on" : "cache=off");
-      }
+  EngineOptions engine_options;
+  engine_options.num_threads = 8;
+  Engine engine(engine_options);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    // A whole batch of the same query, every slot streaming to its own
+    // sink: inter-query and intra-query concurrency at once.
+    std::vector<std::vector<RcjPair>> streams(4);
+    std::vector<std::unique_ptr<VectorSink>> sinks;
+    std::vector<EngineQuery> batch(streams.size());
+    for (size_t i = 0; i < streams.size(); ++i) {
+      sinks.push_back(std::make_unique<VectorSink>(&streams[i]));
+      batch[i].spec = spec;
+      batch[i].sink = sinks[i].get();
+    }
+    const std::vector<EngineQueryResult> results = engine.RunBatch(batch);
+    for (size_t i = 0; i < streams.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok());
+      ExpectSameSequence(streams[i], serial.value().pairs,
+                         repeat == 0 ? "first batch" : "warm repeat");
     }
   }
 }
 
 TEST(WorkerContextTest, StealChunkSizesPreserveTheSerialStream) {
-  const std::vector<PointRecord> qset = GenerateUniform(2500, 51);
-  const std::vector<PointRecord> pset = GenerateUniform(2500, 52);
-  Result<std::unique_ptr<RcjEnvironment>> env =
-      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
-  ASSERT_TRUE(env.ok());
+  // The engine sizes a split query's chunks as max(1, leaves / (threads *
+  // 2 * 8)) (engine.cc: kTasksPerThread, kChunksPerTask). Two tree sizes
+  // swept over four thread counts cover one-leaf chunks and multi-leaf
+  // ones; every stream must be the serial one.
+  bool saw_one_leaf = false;
+  bool saw_multi_leaf = false;
+  for (const size_t n : {size_t{2500}, size_t{10000}}) {
+    const std::vector<PointRecord> qset = GenerateUniform(n, 51);
+    const std::vector<PointRecord> pset = GenerateUniform(2500, 52);
+    Result<std::unique_ptr<RcjEnvironment>> env =
+        RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+    ASSERT_TRUE(env.ok());
+    size_t leaves = 0;
+    ASSERT_TRUE(env.value()
+                    ->tq()
+                    .VisitLeavesDepthFirst([&](const Node&) {
+                      ++leaves;
+                      return true;
+                    })
+                    .ok());
 
-  QuerySpec spec = QuerySpec::For(env.value().get());
-  const Result<RcjRunResult> serial = env.value()->Run(spec);
-  ASSERT_TRUE(serial.ok());
+    QuerySpec spec = QuerySpec::For(env.value().get());
+    const Result<RcjRunResult> serial = env.value()->Run(spec);
+    ASSERT_TRUE(serial.ok());
 
-  for (const size_t chunk : {size_t{1}, size_t{3}, size_t{16},
-                             size_t{1u << 16}}) {
-    EngineOptions engine_options;
-    engine_options.num_threads = 4;
-    engine_options.steal_chunk_leaves = chunk;
-    Engine engine(engine_options);
-    std::vector<RcjPair> streamed;
-    VectorSink sink(&streamed);
-    JoinStats stats;
-    ASSERT_TRUE(engine.Run(spec, &sink, &stats).ok()) << "chunk=" << chunk;
-    ExpectSameSequence(streamed, serial.value().pairs, "steal chunk");
-    EXPECT_EQ(stats.cold_faults + stats.warm_faults, stats.page_faults);
+    for (const size_t threads : {2, 3, 4, 8}) {
+      const size_t chunk = std::max<size_t>(1, leaves / (threads * 2 * 8));
+      (chunk == 1 ? saw_one_leaf : saw_multi_leaf) = true;
+      EngineOptions engine_options;
+      engine_options.num_threads = threads;
+      Engine engine(engine_options);
+      std::vector<RcjPair> streamed;
+      VectorSink sink(&streamed);
+      JoinStats stats;
+      ASSERT_TRUE(engine.Run(spec, &sink, &stats).ok())
+          << "threads=" << threads << " chunk=" << chunk;
+      ExpectSameSequence(streamed, serial.value().pairs, "steal chunk");
+      EXPECT_EQ(stats.cold_faults + stats.warm_faults, stats.page_faults);
+    }
   }
+  EXPECT_TRUE(saw_one_leaf) << "no sweep point had one-leaf chunks";
+  EXPECT_TRUE(saw_multi_leaf) << "no sweep point had multi-leaf chunks";
 }
 
 TEST(WorkerContextTest, EngineSurvivesEnvironmentRebuildAndDestroy) {

@@ -7,7 +7,7 @@
 //   rcj_tool join --q buildings.csv --self --out postboxes.csv
 //   rcj_tool stats --q q.csv --p p.csv
 //   rcj_tool batch --q q.csv --p p.csv --algos obj,inj --repeat 4 --threads 8
-//   rcj_tool serve --q q.csv --p p.csv --algos obj,inj --repeat 8 --limit 10
+//   rcj_tool batch --q q.csv --p p.csv --algos obj --limit 10 --out top.csv
 //   rcj_tool serve --q q.csv --p p.csv --port 7341
 //   rcj_tool client --port 7341 --algo obj --limit 10 --out pairs.csv
 //
@@ -44,7 +44,6 @@
 #include "net/protocol.h"
 #include "net/protocol_client.h"
 #include "obs/metrics.h"
-#include "service/service.h"
 #include "shard/shard_router.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
@@ -62,10 +61,9 @@ int Usage() {
       "  rcj_tool join --q Q.csv [--p P.csv | --self]\n"
       "           [--algo brute|inj|bij|obj] [--buffer-frac F]\n"
       "           [--page-size B] [--out PAIRS.csv] [storage knobs]\n"
-      "           [engine knobs]\n"
-      "                        (any engine knob runs the join through the\n"
-      "                         parallel engine instead of the serial\n"
-      "                         runner)\n"
+      "           [--threads T]  (run the join through the parallel engine\n"
+      "                         instead of the serial runner; 0 = one\n"
+      "                         worker per hardware thread)\n"
       "           [--mutations FILE]  (wrap the datasets in a live\n"
       "                         environment, apply the file's wire-grammar\n"
       "                         INSERT/DELETE/COMPACT lines in order, then\n"
@@ -75,28 +73,26 @@ int Usage() {
       "  rcj_tool stats --q Q.csv --p P.csv\n"
       "  rcj_tool batch --q Q.csv [--p P.csv | --self]\n"
       "           [--algos obj,inj,bij] [--repeat N] [--threads T]\n"
-      "           [--no-intra] [--compare-serial] [engine knobs]\n"
+      "           [--limit K]  (every query stops after its first K pairs)\n"
+      "           [--out PAIRS.csv]  (the first query's pairs, in serial\n"
+      "                         order, as they stream)\n"
+      "           [--compare-serial]\n"
       "  rcj_tool serve --q Q.csv [--p P.csv | --self]\n"
-      "           [--algos obj,inj,bij] [--repeat N] [--limit K]\n"
-      "           [--threads T] [--out PAIRS.csv]\n"
-      "           [engine knobs]\n"
-      "                        (with --port, --threads is the server-wide\n"
-      "                         worker budget, split across shards)\n"
-      "           [--port P]   (with --port: TCP line-protocol server\n"
-      "                         until SIGINT/SIGTERM; 0 = ephemeral)\n"
+      "           [--port P]   (TCP line-protocol server until\n"
+      "                         SIGINT/SIGTERM; 0 = ephemeral, the default)\n"
+      "           [--threads T]  (server-wide worker budget, split across\n"
+      "                         shards)\n"
       "           [--shards N] [--max-queue N] [--max-inflight N]\n"
       "           [--envs NAME:Q.csv:P.csv,NAME2:Q2.csv:self,...]\n"
-      "                        (extra named environments besides 'default';\n"
-      "                         network mode only)\n"
+      "                        (extra named environments besides 'default')\n"
       "           [--live]     (serve 'default' as a live environment that\n"
-      "                         accepts INSERT/DELETE/COMPACT; network\n"
-      "                         mode only)\n"
+      "                         accepts INSERT/DELETE/COMPACT)\n"
       "           [--compact-threshold N]  (with --live: background-compact\n"
       "                         once N mutations are pending; 0 = manual\n"
       "                         COMPACT only)\n"
       "           [--slow-query-ms MS]  (record queries slower than MS in\n"
       "                         the slow-query log, dumped via METRICS;\n"
-      "                         network mode only; 0 = record every query)\n"
+      "                         0 = record every query)\n"
       "           [--wal-dir DIR]  (with --live: durable mutation journal —\n"
       "                         replayed on startup, appended before every\n"
       "                         mutation is applied, checkpointed by\n"
@@ -104,8 +100,7 @@ int Usage() {
       "           [--wal-sync-ms MS]  (group-commit window: fdatasync at\n"
       "                         most once per MS; 0 = sync every append)\n"
       "           [--idle-timeout-ms MS]  (reap connections idle longer\n"
-      "                         than MS between requests; 0 = never;\n"
-      "                         network mode only)\n"
+      "                         than MS between requests; 0 = never)\n"
       "  rcj_tool client [--host H] --port P [--env NAME]\n"
       "           [--algo brute|inj|bij|obj] [--order dfs|random]\n"
       "           [--verify 0|1] [--seed S] [--limit K] [--io-ms F]\n"
@@ -158,12 +153,7 @@ int Usage() {
       "  storage knobs (join/batch/serve — where the R-tree pages live):\n"
       "           [--storage mem|file|mmap]  (default mem; file = pread,\n"
       "                         mmap = memory-mapped reads)\n"
-      "           [--storage-dir DIR]  (file/mmap page files; default .)\n"
-      "  engine knobs (join/batch/serve, demo and network alike):\n"
-      "           [--tasks-per-thread N] [--min-leaves-to-split N]\n"
-      "           [--view-cache on|off] [--steal-chunk N]  (0 = auto)\n"
-      "           [--readahead N]  (leaf pages prefetched per task chunk\n"
-      "                         on file/mmap storage; 0 = off)\n");
+      "           [--storage-dir DIR]  (file/mmap page files; default .)\n");
   return 2;
 }
 
@@ -258,86 +248,8 @@ bool ParseU64Flag(const std::string& key, const std::string& text,
   return net::ParseUint64Field(key, text, out).ok();
 }
 
-// The engine execution knobs shared by join/batch/serve (demo and network
-// alike — every mode owns at least one engine). One name table, so the
-// parser, join's engine-mode trigger, and client's rejection can never
-// drift apart.
-constexpr const char* kEngineKnobFlags[] = {
-    "tasks-per-thread", "min-leaves-to-split", "view-cache", "steal-chunk",
-    "readahead"};
-
-// Parses the engine knobs into `engine_options`, printing a `cmd`-prefixed
-// message on a bad value. Flags not passed leave the corresponding
-// EngineOptions field at whatever the caller seeded (the library default,
-// usually), so CLI and library defaults cannot diverge. --view-cache takes
-// on/off (or the wire's boolean spellings); --steal-chunk 0 = auto-sized
-// chunks.
-bool ParseEngineFlags(const char* cmd,
-                      const std::map<std::string, std::string>& flags,
-                      EngineOptions* engine_options) {
-  const auto tasks_it = flags.find("tasks-per-thread");
-  if (tasks_it != flags.end() &&
-      (!ParseCount(tasks_it->second, 1u << 10,
-                   &engine_options->tasks_per_thread) ||
-       engine_options->tasks_per_thread == 0)) {
-    std::fprintf(stderr,
-                 "%s: invalid --tasks-per-thread '%s' (want 1..1024)\n", cmd,
-                 tasks_it->second.c_str());
-    return false;
-  }
-  const auto split_it = flags.find("min-leaves-to-split");
-  if (split_it != flags.end() &&
-      !ParseCount(split_it->second, 1u << 20,
-                  &engine_options->min_leaves_to_split)) {
-    std::fprintf(stderr, "%s: invalid --min-leaves-to-split '%s'\n", cmd,
-                 split_it->second.c_str());
-    return false;
-  }
-  const auto cache_it = flags.find("view-cache");
-  if (cache_it != flags.end()) {
-    if (cache_it->second == "on") {
-      engine_options->view_cache = true;
-    } else if (cache_it->second == "off") {
-      engine_options->view_cache = false;
-    } else if (!net::ParseBoolName(cache_it->second,
-                                   &engine_options->view_cache)) {
-      std::fprintf(stderr, "%s: invalid --view-cache '%s' (want on|off)\n",
-                   cmd, cache_it->second.c_str());
-      return false;
-    }
-  }
-  const auto chunk_it = flags.find("steal-chunk");
-  if (chunk_it != flags.end() &&
-      !ParseCount(chunk_it->second, 1u << 20,
-                  &engine_options->steal_chunk_leaves)) {
-    std::fprintf(stderr, "%s: invalid --steal-chunk '%s' (0 = auto)\n", cmd,
-                 chunk_it->second.c_str());
-    return false;
-  }
-  const auto readahead_it = flags.find("readahead");
-  if (readahead_it != flags.end() &&
-      !ParseCount(readahead_it->second, 1u << 20,
-                  &engine_options->readahead_leaves)) {
-    std::fprintf(stderr, "%s: invalid --readahead '%s' (0 = off)\n", cmd,
-                 readahead_it->second.c_str());
-    return false;
-  }
-  return true;
-}
-
-// True when any engine execution knob was passed — `join` switches from
-// the paper's serial runner to the parallel engine exactly then, so the
-// default join output keeps its historical cold-start accounting.
-bool HasEngineFlags(const std::map<std::string, std::string>& flags) {
-  if (flags.count("threads") != 0) return true;
-  for (const char* knob : kEngineKnobFlags) {
-    if (flags.count(knob) != 0) return true;
-  }
-  return false;
-}
-
-// Shared by batch/serve: parses the comma-separated --algos list, printing
-// a `cmd`-prefixed message on bad or missing names.
+// Parses batch's comma-separated --algos list, printing a `cmd`-prefixed
+// message on bad or missing names.
 bool ParseAlgoList(const char* cmd,
                    const std::map<std::string, std::string>& flags,
                    std::vector<RcjAlgorithm>* algorithms) {
@@ -615,18 +527,16 @@ int CmdJoin(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  // Any engine knob switches the join from the serial runner to the
-  // parallel engine; parse them before the expensive environment build.
-  const bool engine_mode = HasEngineFlags(flags);
+  // --threads switches the join from the serial runner to the parallel
+  // engine, so the default join output keeps its historical cold-start
+  // accounting; parsed before the expensive environment build.
+  const bool engine_mode = flags.count("threads") != 0;
   EngineOptions engine_options;
-  if (engine_mode) {
-    if (!ParseCount(FlagOr(flags, "threads", "0"), 4096,
-                    &engine_options.num_threads)) {
-      std::fprintf(stderr, "join: invalid --threads '%s'\n",
-                   FlagOr(flags, "threads", "0").c_str());
-      return 2;
-    }
-    if (!ParseEngineFlags("join", flags, &engine_options)) return 2;
+  if (engine_mode && !ParseCount(FlagOr(flags, "threads", "0"), 4096,
+                                 &engine_options.num_threads)) {
+    std::fprintf(stderr, "join: invalid --threads '%s'\n",
+                 FlagOr(flags, "threads", "0").c_str());
+    return 2;
   }
 
   const bool self = flags.count("self") != 0;
@@ -714,7 +624,10 @@ int CmdJoin(const std::map<std::string, std::string>& flags) {
 
 // Executes a batch of queries (the --algos list, repeated --repeat times)
 // through the parallel engine over one warm environment — the service
-// shape: build once, answer many.
+// shape: build once, answer many. Every query streams to its own sink in
+// serial order; --limit K turns each into a top-k query that stops its
+// remaining work once the prefix is delivered, and --out writes the first
+// query's pairs to CSV as they arrive.
 int CmdBatch(const std::map<std::string, std::string>& flags) {
   // Validate the cheap flags first — a typo must fail in milliseconds, not
   // after minutes of tree construction.
@@ -726,6 +639,12 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
                  FlagOr(flags, "repeat", "1").c_str());
     return 2;
   }
+  size_t limit = 0;
+  if (!ParseCount(FlagOr(flags, "limit", "0"), 1u << 30, &limit)) {
+    std::fprintf(stderr, "batch: invalid --limit '%s'\n",
+                 FlagOr(flags, "limit", "0").c_str());
+    return 2;
+  }
   EngineOptions engine_options;
   if (!ParseCount(FlagOr(flags, "threads", "0"), 4096,
                   &engine_options.num_threads)) {
@@ -733,14 +652,33 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
                  FlagOr(flags, "threads", "0").c_str());
     return 2;
   }
-  engine_options.intra_query_parallelism = flags.count("no-intra") == 0;
-  if (!ParseEngineFlags("batch", flags, &engine_options)) return 2;
 
   RcjRunOptions options;
   int exit_code = 0;
   Result<std::unique_ptr<RcjEnvironment>> env =
       BuildEnvFromFlags("batch", flags, &options, &exit_code);
   if (!env.ok()) return exit_code;
+
+  const std::string out = FlagOr(flags, "out", "");
+  std::FILE* out_file = nullptr;
+  if (!out.empty()) {
+    out_file = std::fopen(out.c_str(), "w");
+    if (out_file == nullptr) {
+      std::fprintf(stderr, "batch: cannot open %s\n", out.c_str());
+      return 1;
+    }
+    std::fprintf(out_file, "p_id,q_id,center_x,center_y,radius\n");
+  }
+  // Pairs are counted by the engine (stats.results), never collected: the
+  // first query may write them out, the rest discard them.
+  CallbackSink write_csv([out_file](const RcjPair& pair) {
+    std::fprintf(out_file, "%lld,%lld,%.17g,%.17g,%.17g\n",
+                 static_cast<long long>(pair.p.id),
+                 static_cast<long long>(pair.q.id), pair.circle.center.x,
+                 pair.circle.center.y, pair.circle.Radius());
+    return true;
+  });
+  CallbackSink discard([](const RcjPair&) { return true; });
 
   // Expand --algos x --repeat into the query list.
   std::vector<EngineQuery> queries;
@@ -749,6 +687,9 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
       EngineQuery query;
       query.spec = QuerySpec::For(env.value().get());
       query.spec.algorithm = algorithm;
+      query.spec.limit = limit;
+      query.sink =
+          queries.empty() && out_file != nullptr ? &write_csv : &discard;
       queries.push_back(query);
     }
   }
@@ -762,10 +703,11 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  if (out_file != nullptr) std::fclose(out_file);
 
-  std::printf("%-6s %10s %12s %10s %8s %8s %9s %10s %9s\n", "algo",
-              "results", "node-access", "faults", "cold", "warm", "I/O(s)",
-              "IOwall(s)", "CPU(s)");
+  std::printf("%-6s %10s %12s %12s %10s %8s %8s %9s %10s %9s\n", "algo",
+              "results", "candidates", "node-access", "faults", "cold",
+              "warm", "I/O(s)", "IOwall(s)", "CPU(s)");
   int failures = 0;
   for (size_t i = 0; i < results.size(); ++i) {
     if (!results[i].status.ok()) {
@@ -775,9 +717,11 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
       continue;
     }
     const JoinStats& stats = results[i].run.stats;
-    std::printf("%-6s %10llu %12llu %10llu %8llu %8llu %9.2f %10.3f %9.3f\n",
+    std::printf("%-6s %10llu %12llu %12llu %10llu %8llu %8llu %9.2f %10.3f "
+                "%9.3f\n",
                 AlgorithmName(queries[i].spec.algorithm),
                 static_cast<unsigned long long>(stats.results),
+                static_cast<unsigned long long>(stats.candidates),
                 static_cast<unsigned long long>(stats.node_accesses),
                 static_cast<unsigned long long>(stats.page_faults),
                 static_cast<unsigned long long>(stats.cold_faults),
@@ -786,6 +730,9 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   }
   std::printf("batch: %zu queries in %.3f s on %zu threads\n",
               queries.size(), wall, engine.num_threads());
+  if (out_file != nullptr) {
+    std::printf("first query's pairs written to %s\n", out.c_str());
+  }
 
   if (flags.count("compare-serial") != 0) {
     const auto serial_start = std::chrono::steady_clock::now();
@@ -807,13 +754,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
   return failures == 0 ? 0 : 1;
 }
 
-// Drives the async service front end: submits the whole request mix
-// up front (every Submit returns immediately), then harvests tickets as
-// they resolve. Pairs stream to per-request sinks in serial order while
-// later requests are still queued; --limit K turns every request into a
-// top-k query that cancels its remaining work once the prefix is
-// delivered. With --out, the first request's pairs are written to CSV
-// incrementally, straight from its sink.
+// Set by SIGINT/SIGTERM: serve and fleet leave their loops and shut down.
 volatile std::sig_atomic_t g_serve_stop = 0;
 
 void HandleStopSignal(int) { g_serve_stop = 1; }
@@ -858,21 +799,21 @@ bool BuildExtraEnvs(
   return true;
 }
 
-// `serve --port`: the real network server. Builds the environments, wires
-// them into a ShardRouter + NetServer, and blocks until SIGINT/SIGTERM,
-// then shuts down cleanly (so `kill $pid; wait $pid` in scripts observes
-// exit 0).
-int CmdServeNetwork(const std::map<std::string, std::string>& flags) {
-  // Demo-mode knobs have no meaning for the network server (clients bring
-  // their own algorithm/limit per request); reject them loudly instead of
+// `serve`: the network server. Builds the environments, wires them into a
+// ShardRouter + NetServer, and blocks until SIGINT/SIGTERM, then shuts
+// down cleanly (so `kill $pid; wait $pid` in scripts observes exit 0).
+int CmdServe(const std::map<std::string, std::string>& flags) {
+  // Per-query flags have no meaning for the server (clients bring their
+  // own algorithm/limit per request); reject them loudly instead of
   // dropping them on the floor.
-  for (const char* demo_only :
+  for (const char* per_query :
        {"algos", "repeat", "limit", "out", "compare-serial"}) {
-    if (flags.count(demo_only) != 0) {
+    if (flags.count(per_query) != 0) {
       std::fprintf(stderr,
-                   "serve: --%s is a demo-mode flag and is not used with "
-                   "--port (pass it to `rcj_tool client` instead)\n",
-                   demo_only);
+                   "serve: --%s is not a server flag (run queries "
+                   "in-process with `rcj_tool batch`, or over the wire "
+                   "with `rcj_tool client`)\n",
+                   per_query);
       return 2;
     }
   }
@@ -926,9 +867,6 @@ int CmdServeNetwork(const std::map<std::string, std::string>& flags) {
       total_threads / router_options.num_shards > 0
           ? total_threads / router_options.num_shards
           : 1;
-  if (!ParseEngineFlags("serve", flags, &router_options.service.engine)) {
-    return 2;
-  }
 
   const bool live_mode = flags.count("live") != 0;
   size_t compact_threshold = 0;
@@ -1332,18 +1270,6 @@ int CmdClientMutations(const std::string& host, size_t port,
 // Scripted wire-protocol client: one connection, one query, pairs written
 // as CSV (same columns as `join --out`) to --out or stdout as they stream.
 int CmdClient(const std::map<std::string, std::string>& flags) {
-  // Engine knobs configure a server-side engine (join/batch/serve); a
-  // wire client passing them is confused — reject loudly instead of
-  // dropping them on the floor, like the other mode-mismatched flags.
-  for (const char* server_only : kEngineKnobFlags) {
-    if (flags.count(server_only) != 0) {
-      std::fprintf(stderr,
-                   "client: --%s is an engine knob of join/batch/serve and "
-                   "has no meaning for a wire client\n",
-                   server_only);
-      return 2;
-    }
-  }
   const std::string host = FlagOr(flags, "host", "127.0.0.1");
   size_t port = 0;
   if (!ParseCount(FlagOr(flags, "port", ""), 65535, &port) || port == 0) {
@@ -1566,139 +1492,6 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
   if (out_file != stdout) std::fclose(out_file);
   close(fd);
   return exit_code;
-}
-
-int CmdServe(const std::map<std::string, std::string>& flags) {
-  if (flags.count("port") != 0) return CmdServeNetwork(flags);
-  // Mirror of the demo-only check in CmdServeNetwork: sharding knobs mean
-  // nothing without the network server, so refuse instead of ignoring.
-  for (const char* network_only :
-       {"shards", "max-queue", "max-inflight", "envs", "live",
-        "compact-threshold", "slow-query-ms", "wal-dir", "wal-sync-ms",
-        "idle-timeout-ms"}) {
-    if (flags.count(network_only) != 0) {
-      std::fprintf(stderr,
-                   "serve: --%s needs the network server (add --port)\n",
-                   network_only);
-      return 2;
-    }
-  }
-  std::vector<RcjAlgorithm> algorithms;
-  if (!ParseAlgoList("serve", flags, &algorithms)) return 2;
-  size_t repeat = 1;
-  if (!ParseCount(FlagOr(flags, "repeat", "1"), 1u << 20, &repeat)) {
-    std::fprintf(stderr, "serve: invalid --repeat '%s'\n",
-                 FlagOr(flags, "repeat", "1").c_str());
-    return 2;
-  }
-  size_t limit = 0;
-  if (!ParseCount(FlagOr(flags, "limit", "0"), 1u << 30, &limit)) {
-    std::fprintf(stderr, "serve: invalid --limit '%s'\n",
-                 FlagOr(flags, "limit", "0").c_str());
-    return 2;
-  }
-  ServiceOptions service_options;
-  if (!ParseCount(FlagOr(flags, "threads", "0"), 4096,
-                  &service_options.engine.num_threads)) {
-    std::fprintf(stderr, "serve: invalid --threads '%s'\n",
-                 FlagOr(flags, "threads", "0").c_str());
-    return 2;
-  }
-  if (!ParseEngineFlags("serve", flags, &service_options.engine)) return 2;
-
-  RcjRunOptions options;
-  int exit_code = 0;
-  Result<std::unique_ptr<RcjEnvironment>> env =
-      BuildEnvFromFlags("serve", flags, &options, &exit_code);
-  if (!env.ok()) return exit_code;
-  service_options.engine.worker_buffer_fraction = options.buffer_fraction;
-
-  const std::string out = FlagOr(flags, "out", "");
-  std::FILE* out_file = nullptr;
-  if (!out.empty()) {
-    out_file = std::fopen(out.c_str(), "w");
-    if (out_file == nullptr) {
-      std::fprintf(stderr, "serve: cannot open %s\n", out.c_str());
-      return 1;
-    }
-    std::fprintf(out_file, "p_id,q_id,center_x,center_y,radius\n");
-  }
-
-  Service service(service_options);
-
-  struct Request {
-    RcjAlgorithm algorithm = RcjAlgorithm::kObj;
-    uint64_t streamed = 0;
-    std::unique_ptr<PairSink> sink;
-    QueryTicket ticket;
-  };
-  std::vector<Request> requests;
-  requests.reserve((repeat == 0 ? 1 : repeat) * algorithms.size());
-  const auto submit_start = std::chrono::steady_clock::now();
-  for (size_t r = 0; r < (repeat == 0 ? 1 : repeat); ++r) {
-    for (const RcjAlgorithm algorithm : algorithms) {
-      requests.emplace_back();
-      Request& request = requests.back();
-      request.algorithm = algorithm;
-      uint64_t* streamed = &request.streamed;
-      // The first request optionally streams to the CSV as pairs arrive;
-      // everything else just counts its stream.
-      std::FILE* file = requests.size() == 1 ? out_file : nullptr;
-      request.sink = std::make_unique<CallbackSink>(
-          [streamed, file](const RcjPair& pair) {
-            ++*streamed;
-            if (file != nullptr) {
-              std::fprintf(file, "%lld,%lld,%.17g,%.17g,%.17g\n",
-                           static_cast<long long>(pair.p.id),
-                           static_cast<long long>(pair.q.id),
-                           pair.circle.center.x, pair.circle.center.y,
-                           pair.circle.Radius());
-            }
-            return true;
-          });
-      QuerySpec spec = QuerySpec::For(env.value().get());
-      spec.algorithm = algorithm;
-      spec.limit = limit;
-      request.ticket = service.Submit(spec, request.sink.get());
-    }
-  }
-  const double submit_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    submit_start)
-          .count();
-  std::printf("submitted %zu requests in %.6f s (%zu still queued); "
-              "joins run on %zu worker threads\n",
-              requests.size(), submit_seconds, service.pending(),
-              service.num_threads());
-
-  std::printf("%-8s %-6s %10s %12s %10s %8s %8s %9s %10s %9s\n", "ticket",
-              "algo", "streamed", "candidates", "faults", "cold", "warm",
-              "I/O(s)", "IOwall(s)", "CPU(s)");
-  int failures = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const Status status = requests[i].ticket.Wait();
-    if (!status.ok()) {
-      std::fprintf(stderr, "request %zu: %s\n", i,
-                   status.ToString().c_str());
-      ++failures;
-      continue;
-    }
-    const JoinStats stats = requests[i].ticket.stats();
-    std::printf("%-8zu %-6s %10llu %12llu %10llu %8llu %8llu %9.2f "
-                "%10.3f %9.3f\n",
-                i, AlgorithmName(requests[i].algorithm),
-                static_cast<unsigned long long>(requests[i].streamed),
-                static_cast<unsigned long long>(stats.candidates),
-                static_cast<unsigned long long>(stats.page_faults),
-                static_cast<unsigned long long>(stats.cold_faults),
-                static_cast<unsigned long long>(stats.warm_faults),
-                stats.io_seconds, stats.io_wall_seconds, stats.cpu_seconds);
-  }
-  if (out_file != nullptr) {
-    std::fclose(out_file);
-    std::printf("first request's pairs streamed to %s\n", out.c_str());
-  }
-  return failures == 0 ? 0 : 1;
 }
 
 /// Shared flag parsing of the fleet router tier (`proxy` and `fleet`).
