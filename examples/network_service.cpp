@@ -13,21 +13,14 @@
 //   $ printf 'QUERY env=hubs algo=obj limit=3\n' | nc 127.0.0.1 <port>
 //
 //   $ ./network_service
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "net/line_reader.h"
 #include "net/net_server.h"
-#include "net/protocol.h"
+#include "net/protocol_client.h"
 #include "shard/shard_router.h"
 #include "workload/generator.h"
 
@@ -37,49 +30,15 @@ using namespace rcj;
 
 /// One scripted caller: connect, send `request`, stream the response.
 /// Returns the number of PAIR lines received, or -1 on a protocol error.
+/// rcj_tool's client command reads its answers through the same
+/// ProtocolClient.
 long RunClient(uint16_t port, const net::WireRequest& request,
                net::WireSummary* summary) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    close(fd);
-    return -1;
-  }
-
-  if (!net::SendAll(fd, net::FormatRequestLine(request) + "\n")) {
-    close(fd);
-    return -1;
-  }
-
-  // The shared LF-framed reader; rcj_tool's client command is the grown-up
-  // version of this loop.
-  net::LineReader reader(fd);
-  std::string current;
-  long pairs = -1;
-  bool saw_ok = false;
-  while (reader.ReadLine(&current)) {
-    RcjPair pair;
-    if (!saw_ok) {
-      if (current != "OK") break;
-      saw_ok = true;
-      pairs = 0;
-    } else if (net::ParsePairLine(current, &pair).ok()) {
-      ++pairs;
-    } else if (net::ParseEndLine(current, summary).ok()) {
-      close(fd);
-      return pairs;
-    } else {
-      break;
-    }
-  }
-  close(fd);
-  return -1;
+  Result<net::ProtocolClient> client =
+      net::ProtocolClient::Connect("127.0.0.1", port);
+  if (!client.ok()) return -1;
+  const Status status = client.value().RunQuery(request, nullptr, summary);
+  return status.ok() ? static_cast<long>(summary->pairs) : -1;
 }
 
 }  // namespace

@@ -6,6 +6,12 @@
 
 namespace rcj {
 namespace fleet {
+namespace {
+
+/// Idle connections parked per backend; further releases are closed.
+constexpr size_t kMaxIdlePerBackend = 8;
+
+}  // namespace
 
 std::string BackendAddressToString(const BackendAddress& address) {
   return address.host + ":" + std::to_string(address.port);
@@ -51,9 +57,7 @@ Status ParseBackendList(const std::string& text,
   return Status::OK();
 }
 
-BackendPool::BackendPool(std::vector<BackendAddress> backends,
-                         BackendPoolOptions options)
-    : options_(options) {
+BackendPool::BackendPool(std::vector<BackendAddress> backends) {
   entries_.reserve(backends.size());
   for (BackendAddress& address : backends) {
     Entry entry;
@@ -114,7 +118,7 @@ void BackendPool::Release(size_t index, net::ProtocolClient client) {
   if (!client.connected()) return;
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[index];
-  if (entry.idle.size() < options_.max_idle_per_backend) {
+  if (entry.idle.size() < kMaxIdlePerBackend) {
     entry.idle.push_back(std::move(client));
   }
   // else: `client` destructs (closes) as it leaves scope.

@@ -42,15 +42,9 @@ Status ParseBackendAddress(const std::string& text, BackendAddress* out);
 Status ParseBackendList(const std::string& text,
                         std::vector<BackendAddress>* out);
 
-struct BackendPoolOptions {
-  /// Idle connections parked per backend; further releases are closed.
-  size_t max_idle_per_backend = 8;
-};
-
 class BackendPool {
  public:
-  explicit BackendPool(std::vector<BackendAddress> backends,
-                       BackendPoolOptions options = BackendPoolOptions());
+  explicit BackendPool(std::vector<BackendAddress> backends);
 
   size_t size() const { return entries_.size(); }
 
@@ -72,9 +66,10 @@ class BackendPool {
   /// connection with a fresh dial.
   Result<net::ProtocolClient> Acquire(size_t index, bool* reused = nullptr);
 
-  /// Parks a still-connected conversation for reuse. Connections the
-  /// server consumed (queries, STATS) or that errored must simply be
-  /// dropped instead.
+  /// Parks a still-connected conversation for reuse (at most 8 idle per
+  /// backend; further releases are closed). Connections the server
+  /// consumed (queries, STATS) or that errored must simply be dropped
+  /// instead.
   void Release(size_t index, net::ProtocolClient client);
 
   struct Counters {
@@ -90,7 +85,6 @@ class BackendPool {
     std::vector<net::ProtocolClient> idle;
   };
 
-  BackendPoolOptions options_;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   Counters counters_;

@@ -81,7 +81,7 @@ struct FleetProxy::Connection : net::LineServer::Connection {
 FleetProxy::FleetProxy(std::vector<BackendAddress> backends,
                        FleetProxyOptions options)
     : options_(std::move(options)),
-      pool_(std::move(backends), options_.pool),
+      pool_(std::move(backends)),
       excluded_(pool_.size()),
       server_(options_, MakeTier()) {
   // vector<atomic> default-constructs its elements; make the initial

@@ -81,8 +81,6 @@ struct FleetProxyOptions : LineServerOptions {
   /// Test seam: sleeps `ms` between failed replica cycles. Defaults to a
   /// stop-aware condition-variable wait; tests inject a recorder.
   std::function<void(uint64_t ms)> sleep_fn;
-  /// Pool sizing.
-  BackendPoolOptions pool;
 };
 
 class FleetProxy {

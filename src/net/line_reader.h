@@ -1,7 +1,10 @@
 // Client-side socket I/O helpers for the ringjoin wire protocol — the
-// consuming counterpart of SocketSink. One LF-framed reader shared by
-// every in-tree client (rcj_tool client, examples) so framing details
-// (CR stripping, EINTR, partial recv) live in exactly one place.
+// consuming counterpart of SocketSink. LineReader is the one LF-framed
+// reader: net::ProtocolClient reads every answer through it (and with it
+// `rcj_tool client`, the examples, the fleet proxy and perfbench's
+// harness), and tests that assert raw wire bytes use it directly, so
+// framing details (CR stripping, EINTR, partial recv) live in exactly one
+// place. SendAll is also the fleet proxy's verbatim relay write.
 #ifndef RINGJOIN_NET_LINE_READER_H_
 #define RINGJOIN_NET_LINE_READER_H_
 

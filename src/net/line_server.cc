@@ -175,8 +175,8 @@ Status LineServer::ReadLine(Connection* connection, std::string* line,
   const RequestReadOptions read_options{options_.max_request_bytes,
                                         options_.request_timeout_ms,
                                         tier_.idle_timeout_ms};
-  return ReadRequestLine(connection->fd, read_options, &stop_,
-                         &connection->carry, line, clean_eof, idle_closed);
+  return ReadRequestLine(connection->fd, read_options, &connection->carry,
+                         line, clean_eof, idle_closed);
 }
 
 void LineServer::Reject(Connection* connection, const Status& status) {

@@ -22,14 +22,13 @@ namespace {
 
 /// Registry metrics beyond the connection-outcome counters: the
 /// wire-volume counters only the sinks know (bytes to the kernel, pairs
-/// delivered, backpressure stalls) and the gauges the snapshot thread
-/// refreshes.
+/// delivered, backpressure stalls) and the open-connection gauge, which
+/// moves as connections are adopted and finish.
 struct ServerMetrics {
   obs::Counter* bytes_sent;
   obs::Counter* pairs_sent;
   obs::Counter* backpressure_stalls;
   obs::Gauge* active_connections;
-  obs::Gauge* shards_queued;
 
   static const ServerMetrics& Get() {
     static const ServerMetrics metrics = [] {
@@ -40,7 +39,6 @@ struct ServerMetrics {
       m.backpressure_stalls =
           registry.counter("rcj_server_backpressure_stalls_total");
       m.active_connections = registry.gauge("rcj_server_active_connections");
-      m.shards_queued = registry.gauge("rcj_server_shards_queued");
       return m;
     }();
     return metrics;
@@ -67,7 +65,7 @@ struct NetServer::Connection : net::LineServer::Connection {
   SocketSink sink;
   /// Made readable once by the query's completion (the router's on_done
   /// hook), so the handler's poll wakes the moment the ticket resolves.
-  /// -1 when no eventfd could be made: the handler then polls on a timer.
+  /// -1 when no eventfd could be made: a query is then refused.
   int wake_fd;
 };
 
@@ -93,6 +91,7 @@ net::LineServer::Tier NetServer::MakeTier() {
                  sizeof(options_.send_buffer_bytes));
     }
     connections_.Add();
+    ServerMetrics::Get().active_connections->Add(1);
     return std::make_shared<Connection>(fd, options_.sink);
   };
   tier.verbs["STATS"] = handler(&NetServer::HandleStats);
@@ -117,6 +116,7 @@ net::LineServer::Tier NetServer::MakeTier() {
     ServerMetrics::Get().bytes_sent->Add(sink.bytes_sent());
     ServerMetrics::Get().pairs_sent->Add(sink.emitted());
     ServerMetrics::Get().backpressure_stalls->Add(sink.stalls());
+    ServerMetrics::Get().active_connections->Add(-1);
   };
   tier.rejected = &rejected_;
   tier.metrics = &metrics_;
@@ -134,42 +134,10 @@ Status NetServer::Start() {
     obs::MetricsRegistry::Default().slow_log()->Configure(
         options_.slow_query_ms / 1000.0);
   }
-  if (options_.metrics_snapshot_ms > 0) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      snapshot_stop_ = false;
-    }
-    snapshot_thread_ = std::thread([this] { SnapshotLoop(); });
-  }
   return Status::OK();
 }
 
-void NetServer::SnapshotLoop() {
-  std::unique_lock<std::mutex> lock(snapshot_mu_);
-  while (!snapshot_cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.metrics_snapshot_ms),
-      [this] { return snapshot_stop_; })) {
-    uint64_t queued = 0;
-    for (const ShardStatus& shard : router_->Stats()) {
-      queued += shard.queued;
-    }
-    ServerMetrics::Get().shards_queued->Set(static_cast<int64_t>(queued));
-    ServerMetrics::Get().active_connections->Set(
-        static_cast<int64_t>(server_.active_connections()));
-  }
-}
-
-void NetServer::Stop() {
-  if (snapshot_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      snapshot_stop_ = true;
-    }
-    snapshot_cv_.notify_all();
-    snapshot_thread_.join();
-  }
-  server_.Stop();
-}
+void NetServer::Stop() { server_.Stop(); }
 
 NetServer::Counters NetServer::counters() const {
   Counters counters;
@@ -325,6 +293,15 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
   const auto query_start = std::chrono::steady_clock::now();
   net::WireRequest request;
   Status status = net::ParseRequestLine(line, &request);
+  if (status.ok() && connection->wake_fd < 0) {
+    // Without its completion eventfd the handler could not learn when the
+    // query ends; refuse it rather than poll on a timer.
+    failed_.Add();
+    Send(connection, net::FormatErrLine(Status::IoError(
+                         "no completion eventfd for this connection")) +
+                         "\n");
+    return;
+  }
   // The wire carries a *relative* budget; anchor it to this process's
   // steady clock the moment the request is understood. Everything below —
   // admission, the engine's stop check, the final ERR — compares against
@@ -355,9 +332,7 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     // wakes this thread as the query completes.
     obs::ScopedSpan admit_span(trace.get(), "admit", 1);
     const int wake_fd = connection->wake_fd;
-    const auto wake = [wake_fd] {
-      if (wake_fd >= 0) eventfd_write(wake_fd, 1);
-    };
+    const auto wake = [wake_fd] { eventfd_write(wake_fd, 1); };
     status = router_->Submit(request.env_name, request.spec, sink, &ticket,
                              [sink] { sink->SendLine("OK"); }, wake);
   }
@@ -390,7 +365,7 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
   while (!ticket.TryGet(&final)) {
     struct pollfd pfds[2] = {{connection->wake_fd, POLLIN, 0},
                              {read_side_open ? fd : -1, POLLIN, 0}};
-    if (poll(pfds, 2, connection->wake_fd >= 0 ? -1 : 20) <= 0) continue;
+    if (poll(pfds, 2, -1) <= 0) continue;
     if (pfds[0].revents != 0) {
       // The completion hook runs just before the ticket resolves.
       eventfd_t ignored;

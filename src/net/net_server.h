@@ -38,11 +38,8 @@
 #ifndef RINGJOIN_NET_NET_SERVER_H_
 #define RINGJOIN_NET_NET_SERVER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/macros.h"
 #include "common/status.h"
@@ -72,10 +69,6 @@ struct NetServerOptions : LineServerOptions {
   /// Negative leaves the log's current configuration alone (off by
   /// default); 0 records every query.
   double slow_query_ms = -1.0;
-  /// Period of the background thread that refreshes registry gauges
-  /// (active connections, shard queue depths) from the router's ledgers.
-  /// 0 or negative disables the thread.
-  int metrics_snapshot_ms = 1000;
 };
 
 class NetServer {
@@ -146,8 +139,6 @@ class NetServer {
   /// no ticket, no admission slot; the router serializes them against the
   /// target environment's locks.
   bool HandleMutation(Connection* connection, const std::string& line);
-  /// Body of the periodic gauge-refresh thread (options.metrics_snapshot_ms).
-  void SnapshotLoop();
 
   ShardRouter* router_;
   NetServerOptions options_;
@@ -166,11 +157,6 @@ class NetServer {
   obs::OutcomeCounter epochs_{"rcj_server_epochs_total"};
 
   net::LineServer server_;
-
-  std::thread snapshot_thread_;
-  std::mutex snapshot_mu_;
-  std::condition_variable snapshot_cv_;
-  bool snapshot_stop_ = false;  ///< guarded by snapshot_mu_.
 };
 
 }  // namespace rcj

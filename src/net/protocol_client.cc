@@ -9,6 +9,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/macros.h"
+
 namespace rcj {
 namespace net {
 
@@ -96,7 +98,7 @@ Status ProtocolClient::ReadAck(const char* what) {
 Status ProtocolClient::RunQuery(
     const WireRequest& request,
     const std::function<bool(const std::string& pair_line)>& on_pair,
-    WireSummary* summary) {
+    WireSummary* summary, std::vector<WireTraceSpan>* spans) {
   if (!SendLine(FormatRequestLine(request))) {
     Close();
     return Status::IoError("query: send failed, connection lost");
@@ -123,21 +125,48 @@ Status ProtocolClient::RunQuery(
     if (line.rfind("END", 0) == 0) {
       WireSummary parsed;
       Status status = ParseEndLine(line, &parsed);
-      Close();
-      if (!status.ok()) return status;
-      if (parsed.pairs != pairs) {
-        return Status::Corruption(
+      if (status.ok() && parsed.pairs != pairs) {
+        status = Status::Corruption(
             "query: END reports " + std::to_string(parsed.pairs) +
             " pairs but " + std::to_string(pairs) + " were streamed");
       }
-      if (summary) *summary = parsed;
-      return Status::OK();
+      // The span tree follows END only when the request asked for it.
+      if (status.ok() && request.trace) status = ReadTrace(spans);
+      Close();
+      if (status.ok() && summary) *summary = parsed;
+      return status;
     }
     Status transported = Status::Corruption("query: unexpected line '" +
                                             line + "' in pair stream");
     ParseErrLine(line, &transported);
     Close();
     return transported;
+  }
+}
+
+Status ProtocolClient::ReadTrace(std::vector<WireTraceSpan>* spans) {
+  uint64_t rows = 0;
+  std::string line;
+  for (;;) {
+    if (!ReadLine(&line)) {
+      return Status::IoError("trace: connection lost after " +
+                             std::to_string(rows) + " rows, before ENDTRACE");
+    }
+    if (IsTraceEndLine(line)) {
+      std::string id;
+      uint64_t reported = 0;
+      RINGJOIN_RETURN_IF_ERROR(ParseTraceEndLine(line, &id, &reported));
+      if (reported != rows) {
+        return Status::Corruption("trace: ENDTRACE reports " +
+                                  std::to_string(reported) + " spans but " +
+                                  std::to_string(rows) + " were streamed");
+      }
+      return Status::OK();
+    }
+    WireTraceSpan span;
+    RINGJOIN_RETURN_IF_ERROR(ParseTraceLine(line, &span));
+    ++rows;
+    if (spans) spans->push_back(std::move(span));
   }
 }
 
@@ -181,6 +210,42 @@ Status ProtocolClient::Epoch(const std::string& env_name, uint64_t* epoch) {
     status = Status::Corruption("epoch: probe for '" + env_name +
                                 "' answered for '" + got_env + "'");
   }
+  return status;
+}
+
+Status ProtocolClient::Metrics(std::string* exposition) {
+  if (!SendLine("METRICS")) {
+    Close();
+    return Status::IoError("metrics: send failed, connection lost");
+  }
+  Status status = ReadAck("metrics");
+  if (!status.ok()) return status;
+  std::string text;
+  uint64_t lines = 0;
+  std::string line;
+  for (;;) {
+    if (!ReadLine(&line)) {
+      status = Status::IoError("metrics: connection lost after " +
+                               std::to_string(lines) +
+                               " lines, before ENDMETRICS");
+      break;
+    }
+    if (line.rfind("ENDMETRICS", 0) == 0) {
+      uint64_t reported = 0;
+      status = ParseMetricsEndLine(line, &reported);
+      if (status.ok() && reported != lines) {
+        status = Status::Corruption(
+            "metrics: ENDMETRICS reports " + std::to_string(reported) +
+            " lines but " + std::to_string(lines) + " were streamed");
+      }
+      break;
+    }
+    text += line;
+    text += '\n';
+    ++lines;
+  }
+  Close();
+  if (status.ok() && exposition) *exposition = std::move(text);
   return status;
 }
 

@@ -1,20 +1,21 @@
 // Client side of the ringjoin wire protocol — the consuming counterpart
-// of NetServer. Until now only tests and rcj_tool parsed responses, each
-// with its own ad-hoc loop; ProtocolClient centralizes dialing, request
-// framing, and strict response parsing (OK/PAIR/END/ERR, MUT, STATS) so
-// every in-tree client — `rcj_tool client`, the fleet proxy, benches —
-// speaks through one implementation.
+// of NetServer. ProtocolClient owns dialing, request framing, and strict
+// response parsing (OK/PAIR/END/TRACE/ERR, MUT, EPOCH, STATS, METRICS), so
+// a server's answer is read in one place.
 //
 // Two API levels:
-//   * raw lines (SendLine/ReadLine) — what the fleet proxy uses to relay
-//     responses verbatim without re-serializing (byte-identical streams
-//     are the contract the CI smoke `cmp`s);
-//   * typed calls (RunQuery/Mutate/Stats) — what the CLI and benches use.
+//   * raw lines (SendLine/ReadLine) — for callers that must see the bytes
+//     themselves: the fleet proxy relays responses verbatim (and hashes
+//     them for its replay skip), perfbench's harness stamps each line's
+//     arrival, and tests assert raw wire bytes;
+//   * typed calls (RunQuery/Mutate/Epoch/Stats/Metrics) — what every
+//     other client uses: `rcj_tool client`, the examples, the proxy's
+//     STATS fan-out and mutation relay.
 //
-// One client owns one connection. Queries and STATS consume it (the
-// server ends the conversation after END/ENDSTATS); mutations keep it
-// open, so a mutation batch is a loop of Mutate() calls on one client —
-// the PR 7 follow-up that motivated batched wire mutations.
+// One client owns one connection. Queries, EPOCH, STATS and METRICS
+// consume it (the server ends the conversation after its last line);
+// mutations keep it open, so a mutation batch is a loop of Mutate() calls
+// on one client.
 #ifndef RINGJOIN_NET_PROTOCOL_CLIENT_H_
 #define RINGJOIN_NET_PROTOCOL_CLIENT_H_
 
@@ -84,10 +85,17 @@ class ProtocolClient {
   /// closed — the server maps the disconnect onto cancellation) and
   /// returns Cancelled. `on_pair` may be null to discard pairs (summary
   /// still counts them). The connection is consumed either way.
+  ///
+  /// A traced request (`request.trace`) also reads the span tree after
+  /// END: every TRACE row is appended to `*spans` (may be null) and the
+  /// row count must equal ENDTRACE's (Corruption otherwise; IoError when
+  /// the connection ends before ENDTRACE). An untraced query reads
+  /// nothing after END.
   Status RunQuery(const WireRequest& request,
                   const std::function<bool(const std::string& pair_line)>&
                       on_pair,
-                  WireSummary* summary);
+                  WireSummary* summary,
+                  std::vector<WireTraceSpan>* spans = nullptr);
 
   /// Applies one mutation: sends the INSERT/DELETE/COMPACT line, expects
   /// `OK` + `MUT` and parses the acknowledgement into `*ack` (may be
@@ -110,11 +118,21 @@ class ProtocolClient {
   Status Stats(std::vector<WireShardStats>* shards,
                std::vector<WireEnvStats>* envs);
 
+  /// Scrapes the server's metrics: sends `METRICS`, expects `OK`, and
+  /// collects the Prometheus exposition into `*exposition` (may be null),
+  /// each line newline-terminated as sent. The line count must equal
+  /// ENDMETRICS's (Corruption otherwise; IoError when the connection ends
+  /// before ENDMETRICS). Consumes the connection.
+  Status Metrics(std::string* exposition);
+
  private:
   /// Reads the initial OK/ERR acknowledgement line shared by every
   /// conversation. OK() when acknowledged; the transported error for ERR;
   /// IoError/Corruption otherwise.
   Status ReadAck(const char* what);
+  /// Reads a query's TRACE rows through ENDTRACE into `*spans` (may be
+  /// null), checking ENDTRACE's count against the rows received.
+  Status ReadTrace(std::vector<WireTraceSpan>* spans);
 
   int fd_ = -1;
   LineReader reader_;

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -28,8 +29,7 @@ bool TakeLineFromCarry(std::string* carry, std::string* line) {
 }  // namespace
 
 Status ReadRequestLine(int fd, const RequestReadOptions& options,
-                       const std::atomic<bool>* stop, std::string* carry,
-                       std::string* line, bool* clean_eof,
+                       std::string* carry, std::string* line, bool* clean_eof,
                        bool* idle_closed) {
   line->clear();
   if (clean_eof) *clean_eof = false;
@@ -54,22 +54,28 @@ Status ReadRequestLine(int fd, const RequestReadOptions& options,
     // The idle reaper only applies while not a single byte of the next
     // request has arrived (carry included, via the initial line fill): a
     // peer that started typing is governed by the request timeout alone.
-    if (options.idle_timeout_ms > 0 && line->empty() &&
-        now >= idle_deadline) {
+    const bool idle_applies = options.idle_timeout_ms > 0 && line->empty();
+    if (idle_applies && now >= idle_deadline) {
       if (idle_closed) *idle_closed = true;
       return Status::InvalidArgument(
           "connection idle for " +
           std::to_string(options.idle_timeout_ms) + " ms");
     }
-    if (now >= deadline ||
-        (stop && stop->load(std::memory_order_relaxed))) {
+    if (now >= deadline) {
       return Status::InvalidArgument("timed out waiting for request line");
     }
+    // Sleep until data arrives or the nearer deadline passes, rounded up
+    // so the wake lands at or after it.
+    const auto wake_at =
+        idle_applies ? std::min(deadline, idle_deadline) : deadline;
+    const auto wait_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(wake_at - now)
+            .count();
     struct pollfd pfd;
     pfd.fd = fd;
     pfd.events = POLLIN;
     pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 100);
+    const int ready = poll(&pfd, 1, static_cast<int>((wait_us + 999) / 1000));
     if (ready < 0 && errno != EINTR) {
       return Status::IoError(std::string("poll: ") + std::strerror(errno));
     }

@@ -10,7 +10,6 @@
 #ifndef RINGJOIN_NET_REQUEST_READER_H_
 #define RINGJOIN_NET_REQUEST_READER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <string>
 
@@ -39,17 +38,16 @@ struct RequestReadOptions {
 /// On a clean EOF — the peer closed with no partial line pending —
 /// `*clean_eof` (when non-null) is set and InvalidArgument is returned;
 /// batch loops use the flag to end without treating the close as an
-/// error. `stop` (when non-null) aborts the wait when set, so server
-/// shutdown unblocks handler threads promptly.
+/// error. The wait is one poll up to the nearer deadline; server shutdown
+/// unblocks it by shutting the socket down, which reads as that EOF.
 ///
 /// When `idle_timeout_ms` elapses with zero bytes of a next request
 /// received, `*idle_closed` (when non-null) is set and InvalidArgument is
 /// returned — the reaper path for keep-alive connections that went quiet,
 /// distinguishable from a peer that stalled mid-request.
 Status ReadRequestLine(int fd, const RequestReadOptions& options,
-                       const std::atomic<bool>* stop, std::string* carry,
-                       std::string* line, bool* clean_eof = nullptr,
-                       bool* idle_closed = nullptr);
+                       std::string* carry, std::string* line,
+                       bool* clean_eof = nullptr, bool* idle_closed = nullptr);
 
 }  // namespace net
 }  // namespace rcj

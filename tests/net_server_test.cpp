@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -406,22 +407,74 @@ TEST(NetServerTest, LimitQueryStreamsExactPrefixOverTheWire) {
   server.Stop();
 }
 
-TEST(NetServerTest, StopWithIdleConnectionDoesNotHang) {
+/// Stops a server whose one connection has sent `partial` (no newline)
+/// and returns how long Stop() took. The request timeout is 60 s, so only
+/// the shutdown of the waiting reader's socket can end the wait early.
+std::chrono::milliseconds StopWithPendingRequest(const std::string& partial) {
   std::unique_ptr<RcjEnvironment> env = BuildEnv(400, 461);
   RouterFixture fixture({{"default", env.get()}});
   NetServerOptions server_options;
   server_options.request_timeout_ms = 60 * 1000;  // Stop must not wait this
   NetServer server(&fixture.router, server_options);
-  ASSERT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server.Start().ok());
 
-  // A connection that never sends its request line.
   const int fd = ConnectLoopback(server.port());
+  if (!partial.empty()) SendAll(fd, partial);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
   server.Stop();  // must unblock the reader and return promptly
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
   close(fd);
   const NetServer::Counters counters = server.counters();
   EXPECT_EQ(counters.connections, 1u);
   EXPECT_EQ(counters.ok, 0u);
+  return took;
+}
+
+TEST(NetServerTest, StopWithIdleConnectionDoesNotHang) {
+  // A connection that never sends its request line.
+  EXPECT_LT(StopWithPendingRequest("").count(), 1000);
+}
+
+TEST(NetServerTest, StopWithHalfARequestLineDoesNotHang) {
+  EXPECT_LT(StopWithPendingRequest("QUERY env=def").count(), 1000);
+}
+
+/// The rcj_server_active_connections gauge as one METRICS scrape reports
+/// it. The scrape reads on to EOF, so its own connection has left the
+/// gauge before this returns.
+int64_t ScrapeActiveConnections(uint16_t port) {
+  const int fd = ConnectLoopback(port);
+  SendAll(fd, "METRICS\n");
+  std::string response;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t got = recv(fd, chunk, sizeof(chunk), 0);
+    if (got <= 0) break;
+    response.append(chunk, static_cast<size_t>(got));
+  }
+  close(fd);
+  const std::string key = "\nrcj_server_active_connections ";
+  const size_t at = response.find(key);
+  EXPECT_NE(at, std::string::npos) << response;
+  if (at == std::string::npos) return -1;
+  return std::strtoll(response.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(NetServerTest, ActiveConnectionsGaugeMovesWithEachConnection) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(100, 471);
+  RouterFixture fixture({{"default", env.get()}});
+  NetServer server(&fixture.router);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int64_t before = ScrapeActiveConnections(server.port());
+  // The extra connection is accepted before the scrape that follows it
+  // (the listener's backlog is FIFO), so the gauge already counts it.
+  const int extra = ConnectLoopback(server.port());
+  EXPECT_EQ(ScrapeActiveConnections(server.port()), before + 1);
+  close(extra);
+  server.Stop();
 }
 
 /// One STATS probe, fully parsed: the per-shard rows, the per-environment

@@ -1,9 +1,10 @@
 // End-to-end tests for net::ProtocolClient against an in-process
-// NetServer: the typed conversations (RunQuery / Mutate / Stats) must
-// deliver exactly what the ad-hoc parsing loops in the older tests
-// deliver, server errors must come back as their transported Status, and
-// a mutation batch must ride one connection — the client half of the
-// batched-wire-mutations contract.
+// NetServer: the typed conversations (RunQuery / Mutate / Stats / Metrics)
+// must deliver exactly what the raw wire carries, server errors must come
+// back as their transported Status, and a mutation batch must ride one
+// connection — the client half of the batched-wire-mutations contract. A
+// fake LineServer tier checks that a trace block or METRICS exposition
+// whose closing count disagrees with the lines received is refused.
 #include "net/protocol_client.h"
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 
 #include "core/rcj.h"
 #include "live/live_environment.h"
+#include "net/line_server.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
+#include "obs/metrics.h"
 #include "shard/shard_router.h"
 #include "workload/generator.h"
 
@@ -215,6 +218,164 @@ TEST(ProtocolClientTest, StatsParsesRowsAndValidatesTotals) {
   EXPECT_EQ(envs[0].base_q, 400u);
   EXPECT_EQ(envs[0].base_p, 500u);
   server.Stop();
+}
+
+TEST(ProtocolClientTest, TracedRunQueryReturnsTheSpanTree) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(600, 661);
+  ServerFixture fixture(env.get());
+
+  Result<ProtocolClient> dialed =
+      ProtocolClient::Connect("127.0.0.1", fixture.server->port());
+  ASSERT_TRUE(dialed.ok());
+  WireRequest request;
+  request.spec.limit = 20;
+  request.trace = true;
+  request.trace_id = "client.t1";
+  WireSummary summary;
+  std::vector<WireTraceSpan> spans;
+  const Status status =
+      dialed.value().RunQuery(request, nullptr, &summary, &spans);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(summary.pairs, 20u);
+  ASSERT_FALSE(spans.empty());
+  bool saw_server = false;
+  for (const WireTraceSpan& span : spans) {
+    EXPECT_EQ(span.id, "client.t1") << span.span;
+    saw_server = saw_server || (span.span == "server" && span.depth == 0);
+  }
+  EXPECT_TRUE(saw_server) << "the server span closes every traced query";
+  // OK also means the rows matched ENDTRACE's count: a miscount is
+  // refused (TraceBlockIsCheckedAgainstEndTrace).
+}
+
+TEST(ProtocolClientTest, MetricsScrapesTheServerRegistry) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(100, 671);
+  ServerFixture fixture(env.get());
+
+  Result<ProtocolClient> dialed =
+      ProtocolClient::Connect("127.0.0.1", fixture.server->port());
+  ASSERT_TRUE(dialed.ok());
+  std::string exposition;
+  const Status status = dialed.value().Metrics(&exposition);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(dialed.value().connected())
+      << "METRICS consumes the connection";
+  EXPECT_NE(exposition.find("\nrcj_server_connections_total "),
+            std::string::npos)
+      << exposition;
+  ASSERT_FALSE(exposition.empty());
+  EXPECT_EQ(exposition.back(), '\n');
+}
+
+/// A fake server: a LineServer tier that answers every query with the
+/// canned `answer` bytes and then closes the connection, and whose send
+/// hook drops the first exposition line of every METRICS answer, so its
+/// ENDMETRICS count no longer matches what arrives.
+struct CannedTier {
+  std::string answer;
+  /// Also keeps the exposition non-empty, so there is a line to drop.
+  obs::OutcomeCounter scrapes{"rcj_protocol_client_test_metrics_total"};
+
+  LineServer::Tier Make() {
+    LineServer::Tier tier;
+    tier.adopt = [](int fd) {
+      return std::make_shared<LineServer::Connection>(fd);
+    };
+    tier.fallback = [this](LineServer::Connection* connection,
+                           const std::string&) {
+      SendAll(connection->fd, answer);
+    };
+    tier.send = [](LineServer::Connection* connection,
+                   const std::string& frames) {
+      std::string sent = frames;
+      if (sent.find("ENDMETRICS") != std::string::npos) {
+        const size_t first = sent.find('\n') + 1;  // past "OK"
+        sent.erase(first, sent.find('\n', first) + 1 - first);
+      }
+      return SendAll(connection->fd, sent);
+    };
+    tier.metrics = &scrapes;
+    return tier;
+  }
+};
+
+/// OK, one PAIR and its END, then `trace` verbatim.
+std::string OnePairThen(const std::string& trace) {
+  RcjPair pair;
+  pair.p.id = 1;
+  pair.q.id = 2;
+  WireSummary summary;
+  summary.pairs = 1;
+  return "OK\n" + FormatPairLine(pair) + "\n" + FormatEndLine(summary) +
+         "\n" + trace;
+}
+
+Status RunTracedAgainst(const std::string& answer,
+                        std::vector<WireTraceSpan>* spans) {
+  CannedTier canned;
+  canned.answer = answer;
+  LineServer server(LineServerOptions{}, canned.Make());
+  EXPECT_TRUE(server.Start().ok());
+  Result<ProtocolClient> client =
+      ProtocolClient::Connect("127.0.0.1", server.port());
+  EXPECT_TRUE(client.ok());
+  if (!client.ok()) return client.status();
+  WireRequest request;
+  request.trace = true;
+  request.trace_id = "fake";
+  uint64_t pairs = 0;
+  WireSummary summary;
+  const Status status = client.value().RunQuery(
+      request,
+      [&pairs](const std::string&) {
+        ++pairs;
+        return true;
+      },
+      &summary, spans);
+  EXPECT_EQ(pairs, 1u);
+  server.Stop();
+  return status;
+}
+
+TEST(ProtocolClientTest, TraceBlockIsCheckedAgainstEndTrace) {
+  WireTraceSpan row;
+  row.id = "fake";
+  row.span = "server";
+  const std::string trace_row = FormatTraceLine(row) + "\n";
+
+  std::vector<WireTraceSpan> spans;
+  EXPECT_TRUE(RunTracedAgainst(OnePairThen(trace_row +
+                                           FormatTraceEndLine("fake", 1) +
+                                           "\n"),
+                               &spans)
+                  .ok());
+  EXPECT_EQ(spans.size(), 1u);
+
+  // ENDTRACE claims two rows, one arrived.
+  const Status miscounted = RunTracedAgainst(
+      OnePairThen(trace_row + FormatTraceEndLine("fake", 2) + "\n"),
+      nullptr);
+  EXPECT_EQ(miscounted.code(), StatusCode::kCorruption)
+      << miscounted.ToString();
+
+  // The server closes after the rows without ENDTRACE.
+  const Status truncated = RunTracedAgainst(OnePairThen(trace_row), nullptr);
+  EXPECT_EQ(truncated.code(), StatusCode::kIoError) << truncated.ToString();
+}
+
+TEST(ProtocolClientTest, MetricsCountIsCheckedAgainstEndMetrics) {
+  CannedTier canned;
+  LineServer server(LineServerOptions{}, canned.Make());
+  ASSERT_TRUE(server.Start().ok());
+  Result<ProtocolClient> client =
+      ProtocolClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  std::string exposition = "untouched";
+  const Status status = client.value().Metrics(&exposition);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(exposition, "untouched") << "a failed scrape returns nothing";
+  server.Stop();
+  EXPECT_EQ(canned.scrapes.value(), 1u);
 }
 
 }  // namespace

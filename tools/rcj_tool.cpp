@@ -12,12 +12,8 @@
 //   rcj_tool client --port 7341 --algo obj --limit 10 --out pairs.csv
 //
 // Pair output CSV columns: p_id, q_id, center_x, center_y, radius.
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -39,7 +35,6 @@
 #include "fleet/fleet_supervisor.h"
 #include "live/live_environment.h"
 #include "live/mutation_log.h"
-#include "net/line_reader.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
 #include "net/protocol_client.h"
@@ -153,7 +148,9 @@ int Usage() {
       "  storage knobs (join/batch/serve — where the R-tree pages live):\n"
       "           [--storage mem|file|mmap]  (default mem; file = pread,\n"
       "                         mmap = memory-mapped reads)\n"
-      "           [--storage-dir DIR]  (file/mmap page files; default .)\n");
+      "           [--storage-dir DIR]  (file/mmap page files; default .)\n"
+      "  every command rejects a flag it does not list above with exit 2\n"
+      "  ('rcj_tool CMD: unknown flag --NAME')\n");
   return 2;
 }
 
@@ -803,20 +800,6 @@ bool BuildExtraEnvs(
 // ShardRouter + NetServer, and blocks until SIGINT/SIGTERM, then shuts
 // down cleanly (so `kill $pid; wait $pid` in scripts observes exit 0).
 int CmdServe(const std::map<std::string, std::string>& flags) {
-  // Per-query flags have no meaning for the server (clients bring their
-  // own algorithm/limit per request); reject them loudly instead of
-  // dropping them on the floor.
-  for (const char* per_query :
-       {"algos", "repeat", "limit", "out", "compare-serial"}) {
-    if (flags.count(per_query) != 0) {
-      std::fprintf(stderr,
-                   "serve: --%s is not a server flag (run queries "
-                   "in-process with `rcj_tool batch`, or over the wire "
-                   "with `rcj_tool client`)\n",
-                   per_query);
-      return 2;
-    }
-  }
   // Installed before any slow work (environment build, bind) so a
   // supervisor's immediate `kill $pid; wait $pid` always observes the
   // clean-shutdown exit path, never the default signal disposition.
@@ -1003,218 +986,95 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-// Connects to host:port, returning the fd, or a negated process exit code
-// (message already printed): -1 = runtime failure (retryable), -2 = usage
-// error (a malformed --host must keep exiting 2, not 1, so wrapper
-// scripts don't retry a permanently broken invocation).
-int ConnectClient(const std::string& host, size_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::fprintf(stderr, "client: socket: %s\n", std::strerror(errno));
-    return -1;
-  }
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    std::fprintf(stderr, "client: bad host '%s'\n", host.c_str());
-    close(fd);
-    return -2;
-  }
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    std::fprintf(stderr, "client: connect %s:%zu: %s\n", host.c_str(), port,
-                 std::strerror(errno));
-    close(fd);
-    return -1;
-  }
-  return fd;
+// Prints a failed dial and returns its exit code: 2 for a malformed --host
+// (a usage error that wrapper scripts must not retry), 1 for anything else.
+int DialFailed(const Status& status) {
+  std::fprintf(stderr, "client: %s\n", status.message().c_str());
+  return status.code() == StatusCode::kInvalidArgument ? 2 : 1;
+}
+
+// Prints a failed conversation; its exit code is always 1.
+int ClientFailed(const Status& status) {
+  std::fprintf(stderr, "client: %s\n", status.ToString().c_str());
+  return 1;
 }
 
 // `client --stats`: one STATS probe, printed as two tables (per-shard,
 // then per-environment). Exit 0 iff the response ends in a well-formed
 // ENDSTATS whose shard and environment counts match the rows received.
-int CmdClientStats(const std::string& host, size_t port) {
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  if (!net::SendAll(fd, "STATS\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
+int CmdClientStats(net::ProtocolClient* client) {
+  std::vector<net::WireShardStats> shards;
+  std::vector<net::WireEnvStats> envs;
+  const Status status = client->Stats(&shards, &envs);
+  if (!status.ok()) return ClientFailed(status);
+  std::printf("%-6s %5s %7s %9s %10s %9s %6s %10s %10s %7s\n", "shard",
+              "envs", "queued", "inflight", "submitted", "admitted", "shed",
+              "completed", "cancelled", "failed");
+  for (const net::WireShardStats& shard : shards) {
+    std::printf("%-6llu %5llu %7llu %9llu %10llu %9llu %6llu %10llu %10llu "
+                "%7llu\n",
+                static_cast<unsigned long long>(shard.shard),
+                static_cast<unsigned long long>(shard.environments),
+                static_cast<unsigned long long>(shard.queued),
+                static_cast<unsigned long long>(shard.inflight),
+                static_cast<unsigned long long>(shard.submitted),
+                static_cast<unsigned long long>(shard.admitted),
+                static_cast<unsigned long long>(shard.shed),
+                static_cast<unsigned long long>(shard.completed),
+                static_cast<unsigned long long>(shard.cancelled),
+                static_cast<unsigned long long>(shard.failed));
   }
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    net::ParseErrLine(line, &err);
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-  } else {
-    std::printf("%-6s %5s %7s %9s %10s %9s %6s %10s %10s %7s\n", "shard",
-                "envs", "queued", "inflight", "submitted", "admitted",
-                "shed", "completed", "cancelled", "failed");
-    uint64_t shard_rows = 0;
-    uint64_t env_rows = 0;
-    while (reader.ReadLine(&line)) {
-      net::WireShardStats shard;
-      net::WireEnvStats env;
-      uint64_t shards = 0;
-      uint64_t envs = 0;
-      Status err = Status::OK();
-      if (net::ParseShardStatsLine(line, &shard).ok()) {
-        ++shard_rows;
-        std::printf("%-6llu %5llu %7llu %9llu %10llu %9llu %6llu %10llu "
-                    "%10llu %7llu\n",
-                    static_cast<unsigned long long>(shard.shard),
-                    static_cast<unsigned long long>(shard.environments),
-                    static_cast<unsigned long long>(shard.queued),
-                    static_cast<unsigned long long>(shard.inflight),
-                    static_cast<unsigned long long>(shard.submitted),
-                    static_cast<unsigned long long>(shard.admitted),
-                    static_cast<unsigned long long>(shard.shed),
-                    static_cast<unsigned long long>(shard.completed),
-                    static_cast<unsigned long long>(shard.cancelled),
-                    static_cast<unsigned long long>(shard.failed));
-      } else if (net::ParseEnvStatsLine(line, &env).ok()) {
-        if (env_rows == 0) {
-          std::printf("%-16s %5s %4s %10s %8s %7s %10s %11s %8s %8s\n",
-                      "env", "shard", "live", "generation", "epoch",
-                      "delta", "tombstones", "compactions", "base_q",
-                      "base_p");
-        }
-        ++env_rows;
-        std::printf("%-16s %5llu %4d %10llu %8llu %7llu %10llu %11llu "
-                    "%8llu %8llu\n",
-                    env.name.c_str(),
-                    static_cast<unsigned long long>(env.shard),
-                    env.live ? 1 : 0,
-                    static_cast<unsigned long long>(env.generation),
-                    static_cast<unsigned long long>(env.epoch),
-                    static_cast<unsigned long long>(env.delta),
-                    static_cast<unsigned long long>(env.tombstones),
-                    static_cast<unsigned long long>(env.compactions),
-                    static_cast<unsigned long long>(env.base_q),
-                    static_cast<unsigned long long>(env.base_p));
-      } else if (net::ParseStatsEndLine(line, &shards, &envs).ok()) {
-        exit_code = (shards == shard_rows && envs == env_rows) ? 0 : 1;
-        if (exit_code != 0) {
-          std::fprintf(stderr,
-                       "client: ENDSTATS reports %llu shards / %llu envs "
-                       "but %llu / %llu rows streamed\n",
-                       static_cast<unsigned long long>(shards),
-                       static_cast<unsigned long long>(envs),
-                       static_cast<unsigned long long>(shard_rows),
-                       static_cast<unsigned long long>(env_rows));
-        }
-        break;
-      } else if (net::ParseErrLine(line, &err).ok()) {
-        std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-        break;
-      } else {
-        std::fprintf(stderr, "client: malformed line '%s'\n", line.c_str());
-        break;
-      }
-    }
+  if (!envs.empty()) {
+    std::printf("%-16s %5s %4s %10s %8s %7s %10s %11s %8s %8s\n", "env",
+                "shard", "live", "generation", "epoch", "delta", "tombstones",
+                "compactions", "base_q", "base_p");
   }
-  close(fd);
-  return exit_code;
+  for (const net::WireEnvStats& env : envs) {
+    std::printf("%-16s %5llu %4d %10llu %8llu %7llu %10llu %11llu %8llu "
+                "%8llu\n",
+                env.name.c_str(), static_cast<unsigned long long>(env.shard),
+                env.live ? 1 : 0,
+                static_cast<unsigned long long>(env.generation),
+                static_cast<unsigned long long>(env.epoch),
+                static_cast<unsigned long long>(env.delta),
+                static_cast<unsigned long long>(env.tombstones),
+                static_cast<unsigned long long>(env.compactions),
+                static_cast<unsigned long long>(env.base_q),
+                static_cast<unsigned long long>(env.base_p));
+  }
+  return 0;
 }
 
 // `client --metrics`: one METRICS scrape, the Prometheus text exposition
 // relayed to stdout verbatim (slow-query entries ride along as `# slowlog`
 // comments). Exit 0 iff the ENDMETRICS line count matches the lines
 // received.
-int CmdClientMetrics(const std::string& host, size_t port) {
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  if (!net::SendAll(fd, "METRICS\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
-  }
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    net::ParseErrLine(line, &err);
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-  } else {
-    uint64_t streamed = 0;
-    uint64_t reported = 0;
-    while (reader.ReadLine(&line)) {
-      if (net::ParseMetricsEndLine(line, &reported).ok()) {
-        exit_code = reported == streamed ? 0 : 1;
-        if (exit_code != 0) {
-          std::fprintf(stderr,
-                       "client: ENDMETRICS reports %llu lines but %llu "
-                       "streamed\n",
-                       static_cast<unsigned long long>(reported),
-                       static_cast<unsigned long long>(streamed));
-        }
-        break;
-      }
-      ++streamed;
-      std::printf("%s\n", line.c_str());
-    }
-    if (exit_code != 0 && reported == 0) {
-      std::fprintf(stderr, "client: stream ended without ENDMETRICS\n");
-    }
-  }
-  close(fd);
-  return exit_code;
+int CmdClientMetrics(net::ProtocolClient* client) {
+  std::string exposition;
+  const Status status = client->Metrics(&exposition);
+  if (!status.ok()) return ClientFailed(status);
+  std::fwrite(exposition.data(), 1, exposition.size(), stdout);
+  return 0;
 }
 
 // `client --epoch`: one EPOCH probe for --env, printed as "env epoch".
 // The chaos smoke uses it to assert a respawned backend's mutation epoch
 // matches the survivor's before comparing their query streams.
-int CmdClientEpoch(const std::string& host, size_t port,
-                   const std::string& env_name) {
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  if (!net::SendAll(fd, net::FormatEpochRequestLine(env_name) + "\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
-  }
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    net::ParseErrLine(line, &err);
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-  } else if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before the epoch row\n");
-  } else {
-    std::string name;
-    uint64_t epoch = 0;
-    const Status parsed = net::ParseEpochResponseLine(line, &name, &epoch);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "client: %s\n", parsed.ToString().c_str());
-    } else {
-      std::printf("%s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(epoch));
-      exit_code = 0;
-    }
-  }
-  close(fd);
-  return exit_code;
+int CmdClientEpoch(net::ProtocolClient* client, const std::string& env_name) {
+  uint64_t epoch = 0;
+  const Status status = client->Epoch(env_name, &epoch);
+  if (!status.ok()) return ClientFailed(status);
+  std::printf("%s %llu\n", env_name.c_str(),
+              static_cast<unsigned long long>(epoch));
+  return 0;
 }
 
 // `client --mutations FILE`: sends the file's INSERT/DELETE/COMPACT lines
-// to the server, one request (= one connection) each, in order. Lines
-// without an env= field are bound to `env_name` (the --env flag). Exits
-// non-zero at the first rejected or malformed exchange; on success prints
-// the final MUT acknowledgement's counters.
-int CmdClientMutations(const std::string& host, size_t port,
+// to the server in order, as one batch on one connection. Lines without an
+// env= field are bound to `env_name` (the --env flag). Exits non-zero at
+// the first rejected or malformed exchange; on success prints the final
+// MUT acknowledgement's counters.
+int CmdClientMutations(const std::string& host, uint16_t port,
                        const std::string& env_name,
                        const std::string& path) {
   std::ifstream in(path);
@@ -1222,12 +1082,10 @@ int CmdClientMutations(const std::string& host, size_t port,
     std::fprintf(stderr, "client: cannot open %s\n", path.c_str());
     return 1;
   }
-  // One connection carries the whole batch: the server acknowledges each
-  // op with OK + MUT and keeps the conversation open for the next line,
-  // so a mutation file costs one dial instead of one per op.
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  net::ProtocolClient client(fd);
+  // The server acknowledges each op with OK + MUT and keeps the
+  // conversation open for the next line, so a file costs one dial.
+  Result<net::ProtocolClient> client = net::ProtocolClient::Connect(host, port);
+  if (!client.ok()) return DialFailed(client.status());
   std::string line;
   int lineno = 0;
   uint64_t applied = 0;
@@ -1247,7 +1105,7 @@ int CmdClientMutations(const std::string& host, size_t port,
     if (mutation.env_name == defaults.env_name) {
       mutation.env_name = env_name;
     }
-    status = client.Mutate(mutation, &last_ack);
+    status = client.value().Mutate(mutation, &last_ack);
     if (!status.ok()) {
       std::fprintf(stderr, "client: %s:%d: %s\n", path.c_str(), lineno,
                    status.ToString().c_str());
@@ -1271,23 +1129,29 @@ int CmdClientMutations(const std::string& host, size_t port,
 // as CSV (same columns as `join --out`) to --out or stdout as they stream.
 int CmdClient(const std::map<std::string, std::string>& flags) {
   const std::string host = FlagOr(flags, "host", "127.0.0.1");
-  size_t port = 0;
-  if (!ParseCount(FlagOr(flags, "port", ""), 65535, &port) || port == 0) {
+  size_t port_value = 0;
+  if (!ParseCount(FlagOr(flags, "port", ""), 65535, &port_value) ||
+      port_value == 0) {
     std::fprintf(stderr, "client: --port (1..65535) is required\n");
     return 2;
   }
-  if (flags.count("stats") != 0) return CmdClientStats(host, port);
-  if (flags.count("metrics") != 0) return CmdClientMetrics(host, port);
-  if (flags.count("epoch") != 0) {
-    return CmdClientEpoch(host, port, FlagOr(flags, "env", "default"));
+  const uint16_t port = static_cast<uint16_t>(port_value);
+  const std::string env_name = FlagOr(flags, "env", "default");
+  if (flags.count("stats") != 0 || flags.count("metrics") != 0 ||
+      flags.count("epoch") != 0) {
+    Result<net::ProtocolClient> client =
+        net::ProtocolClient::Connect(host, port);
+    if (!client.ok()) return DialFailed(client.status());
+    if (flags.count("stats") != 0) return CmdClientStats(&client.value());
+    if (flags.count("metrics") != 0) return CmdClientMetrics(&client.value());
+    return CmdClientEpoch(&client.value(), env_name);
   }
   if (flags.count("mutations") != 0) {
-    return CmdClientMutations(host, port, FlagOr(flags, "env", "default"),
-                              flags.at("mutations"));
+    return CmdClientMutations(host, port, env_name, flags.at("mutations"));
   }
 
   net::WireRequest request;
-  request.env_name = FlagOr(flags, "env", "default");
+  request.env_name = env_name;
   request.trace = flags.count("trace") != 0;
   request.trace_id = FlagOr(flags, "trace-id", "");
   if (!request.trace_id.empty() && !request.trace) {
@@ -1354,14 +1218,8 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
   // error.
   const bool expect_shed = flags.count("expect-shed") != 0;
 
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-
-  if (!net::SendAll(fd, net::FormatRequestLine(request) + "\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
-  }
+  Result<net::ProtocolClient> client = net::ProtocolClient::Connect(host, port);
+  if (!client.ok()) return DialFailed(client.status());
 
   const std::string out = FlagOr(flags, "out", "");
   std::FILE* out_file = stdout;
@@ -1369,129 +1227,74 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
     out_file = std::fopen(out.c_str(), "w");
     if (out_file == nullptr) {
       std::fprintf(stderr, "client: cannot open %s\n", out.c_str());
-      close(fd);
       return 1;
     }
   }
   const bool quiet = flags.count("quiet") != 0;
 
-  const auto shed_like = [](const Status& err) {
-    return err.code() == StatusCode::kOverloaded ||
-           err.code() == StatusCode::kDeadlineExceeded;
-  };
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    const bool parsed = net::ParseErrLine(line, &err).ok();
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-    if (expect_shed && parsed && shed_like(err)) {
-      std::fprintf(stderr, "client: shed as expected (--expect-shed)\n");
-      exit_code = 0;
-    }
-  } else {
-    std::fprintf(out_file, "p_id,q_id,center_x,center_y,radius\n");
-    uint64_t streamed = 0;
-    while (reader.ReadLine(&line)) {
-      RcjPair pair;
-      net::WireSummary summary;
-      Status err = Status::OK();
-      if (net::ParsePairLine(line, &pair).ok()) {
-        ++streamed;
+  // The CSV header goes out with the first pair, or after a complete
+  // empty stream, so a refused query writes nothing.
+  const char* const csv_header = "p_id,q_id,center_x,center_y,radius\n";
+  uint64_t streamed = 0;
+  std::string malformed;
+  net::WireSummary summary;
+  std::vector<net::WireTraceSpan> spans;
+  const Status status = client.value().RunQuery(
+      request,
+      [&](const std::string& line) {
+        RcjPair pair;
+        if (!net::ParsePairLine(line, &pair).ok()) {
+          malformed = line;
+          return false;
+        }
+        if (streamed++ == 0) std::fputs(csv_header, out_file);
         std::fprintf(out_file, "%lld,%lld,%.17g,%.17g,%.17g\n",
                      static_cast<long long>(pair.p.id),
-                     static_cast<long long>(pair.q.id),
-                     pair.circle.center.x, pair.circle.center.y,
-                     pair.circle.Radius());
-      } else if (net::ParseEndLine(line, &summary).ok()) {
-        if (!quiet) {
-          std::fprintf(stderr,
-                       "%llu pairs | candidates %llu | node accesses %llu | "
-                       "faults %llu (%llu cold, %llu warm) | I/O %.2fs "
-                       "(wall %.3fs) | CPU %.3fs\n",
-                       static_cast<unsigned long long>(summary.pairs),
-                       static_cast<unsigned long long>(
-                           summary.stats.candidates),
-                       static_cast<unsigned long long>(
-                           summary.stats.node_accesses),
-                       static_cast<unsigned long long>(
-                           summary.stats.page_faults),
-                       static_cast<unsigned long long>(
-                           summary.stats.cold_faults),
-                       static_cast<unsigned long long>(
-                           summary.stats.warm_faults),
-                       summary.stats.io_seconds,
-                       summary.stats.io_wall_seconds,
-                       summary.stats.cpu_seconds);
-        }
-        exit_code = summary.pairs == streamed ? 0 : 1;
-        if (exit_code != 0) {
-          std::fprintf(stderr,
-                       "client: END reports %llu pairs but %llu streamed\n",
-                       static_cast<unsigned long long>(summary.pairs),
-                       static_cast<unsigned long long>(streamed));
-        }
-        if (exit_code == 0 && request.trace) {
-          // The span tree rides after END: TRACE rows (depth-indented
-          // here), closed by ENDTRACE whose count must match.
-          uint64_t rows = 0;
-          uint64_t reported_spans = 0;
-          std::string end_id;
-          bool trace_done = false;
-          while (reader.ReadLine(&line)) {
-            net::WireTraceSpan span;
-            if (net::ParseTraceEndLine(line, &end_id, &reported_spans)
-                    .ok()) {
-              trace_done = true;
-              break;
-            }
-            if (!net::ParseTraceLine(line, &span).ok()) {
-              std::fprintf(stderr, "client: malformed trace line '%s'\n",
-                           line.c_str());
-              break;
-            }
-            if (rows == 0) std::fprintf(stderr, "trace %s:\n", span.id.c_str());
-            ++rows;
-            std::fprintf(stderr,
-                         "%*s%-24s count=%llu total=%.3fms start=+%.3fms\n",
-                         static_cast<int>(2 * (span.depth + 1)), "",
-                         span.span.c_str(),
-                         static_cast<unsigned long long>(span.count),
-                         span.total_s * 1e3, span.start_s * 1e3);
-          }
-          if (!trace_done || reported_spans != rows) {
-            std::fprintf(
-                stderr,
-                "client: trace block ended badly (%llu rows, ENDTRACE %s)\n",
-                static_cast<unsigned long long>(rows),
-                trace_done ? std::to_string(reported_spans).c_str()
-                           : "missing");
-            exit_code = 1;
-          }
-        }
-        break;
-      } else if (net::ParseErrLine(line, &err).ok()) {
-        std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-        if (expect_shed && shed_like(err)) {
-          std::fprintf(stderr, "client: shed as expected (--expect-shed)\n");
-          exit_code = 0;
-        }
-        break;
-      } else {
-        std::fprintf(stderr, "client: malformed line '%s'\n", line.c_str());
-        break;
-      }
-    }
-    if (exit_code != 0 && line.empty()) {
-      std::fprintf(stderr, "client: stream ended without END\n");
-    }
-  }
+                     static_cast<long long>(pair.q.id), pair.circle.center.x,
+                     pair.circle.center.y, pair.circle.Radius());
+        return true;
+      },
+      &summary, &spans);
+  if (status.ok() && streamed == 0) std::fputs(csv_header, out_file);
   if (out_file != stdout) std::fclose(out_file);
-  close(fd);
-  return exit_code;
+
+  if (!status.ok()) {
+    if (!malformed.empty()) {
+      std::fprintf(stderr, "client: malformed line '%s'\n",
+                   malformed.c_str());
+      return 1;
+    }
+    ClientFailed(status);
+    if (expect_shed && (status.code() == StatusCode::kOverloaded ||
+                        status.code() == StatusCode::kDeadlineExceeded)) {
+      std::fprintf(stderr, "client: shed as expected (--expect-shed)\n");
+      return 0;
+    }
+    return 1;
+  }
+  if (!quiet) {
+    std::fprintf(stderr,
+                 "%llu pairs | candidates %llu | node accesses %llu | "
+                 "faults %llu (%llu cold, %llu warm) | I/O %.2fs "
+                 "(wall %.3fs) | CPU %.3fs\n",
+                 static_cast<unsigned long long>(summary.pairs),
+                 static_cast<unsigned long long>(summary.stats.candidates),
+                 static_cast<unsigned long long>(summary.stats.node_accesses),
+                 static_cast<unsigned long long>(summary.stats.page_faults),
+                 static_cast<unsigned long long>(summary.stats.cold_faults),
+                 static_cast<unsigned long long>(summary.stats.warm_faults),
+                 summary.stats.io_seconds, summary.stats.io_wall_seconds,
+                 summary.stats.cpu_seconds);
+  }
+  // The span tree, depth-indented under its trace id.
+  if (!spans.empty()) std::fprintf(stderr, "trace %s:\n", spans[0].id.c_str());
+  for (const net::WireTraceSpan& span : spans) {
+    std::fprintf(stderr, "%*s%-24s count=%llu total=%.3fms start=+%.3fms\n",
+                 static_cast<int>(2 * (span.depth + 1)), "", span.span.c_str(),
+                 static_cast<unsigned long long>(span.count),
+                 span.total_s * 1e3, span.start_s * 1e3);
+  }
+  return 0;
 }
 
 /// Shared flag parsing of the fleet router tier (`proxy` and `fleet`).
@@ -1791,12 +1594,48 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// The flags each command accepts. Any other flag exits 2, so a typo such
+// as --thread fails instead of running with a default. fleet also accepts
+// every serve flag: it passes them through to its backends.
+const char kDatasetFlags[] =
+    "q p self buffer-frac page-size storage storage-dir";
+const char kServeFlags[] =
+    "port threads shards max-queue max-inflight envs live compact-threshold "
+    "slow-query-ms wal-dir wal-sync-ms idle-timeout-ms";
+const char kProxyFlags[] =
+    "backends port replicas retry-attempts retry-base-ms retry-max-ms "
+    "slow-query-ms";
+const std::map<std::string, std::string> kCommandFlags = {
+    {"generate", "kind n seed clusters sigma out"},
+    {"join", std::string(kDatasetFlags) + " algo threads mutations out"},
+    {"stats", "q p"},
+    {"batch", std::string(kDatasetFlags) +
+                  " algos repeat threads limit out compare-serial"},
+    {"serve", std::string(kDatasetFlags) + " " + kServeFlags},
+    {"client",
+     "host port env algo order verify seed limit io-ms deadline-ms "
+     "expect-shed out quiet trace trace-id stats metrics epoch mutations"},
+    {"proxy", kProxyFlags},
+    {"fleet", std::string(kProxyFlags) + " log-dir no-respawn " +
+                  kDatasetFlags + " " + kServeFlags},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
+  const auto accepted = kCommandFlags.find(command);
+  if (accepted == kCommandFlags.end()) return Usage();
   const auto flags = ParseFlags(argc, argv, 2);
+  for (const auto& flag : flags) {
+    if ((" " + accepted->second + " ").find(" " + flag.first + " ") ==
+        std::string::npos) {
+      std::fprintf(stderr, "rcj_tool %s: unknown flag --%s\n",
+                   command.c_str(), flag.first.c_str());
+      return 2;
+    }
+  }
   if (command == "generate") return CmdGenerate(flags);
   if (command == "join") return CmdJoin(flags);
   if (command == "stats") return CmdStats(flags);
@@ -1804,6 +1643,5 @@ int main(int argc, char** argv) {
   if (command == "serve") return CmdServe(flags);
   if (command == "client") return CmdClient(flags);
   if (command == "proxy") return CmdProxy(flags);
-  if (command == "fleet") return CmdFleet(argc, argv);
-  return Usage();
+  return CmdFleet(argc, argv);
 }
