@@ -4,21 +4,20 @@
 //
 // This is a systems benchmark, not a paper reproduction (the paper's
 // closest analogue is its many dataset configurations — Fig. 16 sizes,
-// Fig. 18 cluster counts — served side by side). Each shard owns a full
-// Service (engine + worker pool); the sweep measures how wall-clock
-// for a fixed mixed workload changes as the same environments are spread
-// over 1, 2, and 4 shards. Expected shape on a multi-core machine: the
-// uniform mix gains from added shards until engine threads saturate the
-// cores, while the skewed mix (80% of traffic on one environment) gains
-// little — its hot shard is the bottleneck, which is exactly the
-// starvation the router's placement pins and admission limits exist to
-// manage. On a single hardware thread all configurations collapse to ~1x,
-// which the JSON artifact records honestly.
+// Fig. 18 cluster counts — served side by side). Shards partition
+// admission and scheduling, not threads: every router owns one engine
+// with the machine's whole worker budget, and the sweep spreads the same
+// environments over 1, 2 and 4 shards. Wall-clock should therefore stay
+// roughly flat across shard counts under both mixes — a query on a busy
+// shard still gets every idle worker, and the skewed mix (80% of traffic
+// on one environment) no longer leaves the cold shards' workers idle
+// while the hot shard's queue drains. On a single hardware thread all
+// configurations collapse to ~1x, which the JSON artifact records
+// honestly.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -42,16 +41,11 @@ size_t PickEnv(bool skewed, size_t i) {
   return (i % 5 < 4) ? 0 : 1 + (i / 5) % (kEnvironments - 1);
 }
 
-/// Router options with the machine's worker budget split across shards —
-/// every shard owns a full engine, so an uncapped sweep would measure
-/// thread oversubscription (4 shards x hardware threads), not routing.
+/// Router options: `shards` admission partitions over one engine with the
+/// machine's whole worker budget (num_threads 0 = hardware threads).
 ShardRouterOptions RouterOptionsFor(size_t shards) {
-  size_t budget = std::thread::hardware_concurrency();
-  if (budget == 0) budget = 1;
   ShardRouterOptions options;
   options.num_shards = shards;
-  options.service.engine.num_threads =
-      budget / shards > 0 ? budget / shards : 1;
   return options;
 }
 
@@ -60,9 +54,9 @@ ShardRouterOptions RouterOptionsFor(size_t shards) {
 int main(int argc, char** argv) {
   const bench::Scale scale = bench::ParseScale(argc, argv);
   bench::PrintBanner(
-      "Shard scaling: multi-environment routing over per-shard services",
-      "no paper counterpart; uniform mix should gain more from added "
-      "shards than the skewed mix",
+      "Shard scaling: multi-environment routing over one shared engine",
+      "no paper counterpart; wall-clock should stay flat across shard "
+      "counts under both mixes",
       scale);
 
   const size_t n = scale.N(20000);  // per side, per environment

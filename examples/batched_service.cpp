@@ -5,7 +5,7 @@
 // restaurants x cafes for "where should our group meet", and a stations
 // self-join for "which station pairs share a fair midpoint" — and answers
 // a continuous stream of requests. This example assembles that shape with
-// rcj::Service: two environments built once, a mixed stream of user
+// rcj::Engine: two environments built once, a mixed stream of user
 // requests submitted without blocking (every Submit returns a ticket
 // immediately), result pairs streamed to per-request sinks in serial order
 // while later requests are still queued, and one impatient user asking
@@ -18,7 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "service/service.h"
+#include "engine/engine.h"
 #include "workload/generator.h"
 
 namespace {
@@ -52,9 +52,9 @@ int main() {
   std::printf("service warm: %zu restaurants x %zu cafes, %zu stations\n\n",
               restaurants.size(), cafes.size(), stations.size());
 
-  Service service(ServiceOptions{});  // one worker per hardware thread
+  Engine engine;  // one worker per hardware thread
   std::printf("service up: %zu engine worker threads\n",
-              service.num_threads());
+              engine.num_threads());
 
   // Twelve simultaneous user requests: most want the fast planner (OBJ), a
   // few analytical clients ask for the other algorithms, and user 0 only
@@ -83,15 +83,16 @@ int main() {
         wants_hubs ? hubs.value().get() : meetups.value().get());
     request.spec.algorithm = request.algorithm;
     if (user == 0) request.spec.limit = 5;  // the impatient top-k user
-    request.ticket = service.Submit(request.spec, request.sink.get());
+    request.ticket = engine.Submit(EngineQuery{request.spec,
+                                               request.sink.get()});
   }
   const double submit_seconds = SecondsSince(submit_start);
   std::printf("submitted %zu requests in %.6f s — none of the joins is "
               "done yet (%zu queued)\n\n",
-              users.size(), submit_seconds, service.pending());
+              users.size(), submit_seconds, engine.queued());
 
   // Harvest tickets in submission order; the joins run concurrently on the
-  // service's engine regardless of the order we wait in.
+  // engine regardless of the order we wait in.
   std::printf("%5s %9s %8s %10s %12s %10s\n", "user", "scenario", "algo",
               "meetpoints", "candidates", "join(s)");
   const auto wait_start = std::chrono::steady_clock::now();

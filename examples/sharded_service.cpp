@@ -2,12 +2,12 @@
 //
 // A city's middleman service answers for several districts at once; one of
 // them ("downtown") is far hotter than the rest. Funnelled through a
-// single service, downtown's backlog would delay every district and grow
-// without bound. This example stands up a ShardRouter instead: two shards
-// (downtown pinned alone on shard 1, the quiet districts pinned together
-// on shard 0 — unpinned names would be hash-placed instead),
-// each with its own engine and worker pool, plus tight admission limits —
-// so a burst of downtown traffic is partly shed with
+// single unbounded queue, downtown's backlog would grow without bound.
+// This example stands up a ShardRouter instead: two shards (downtown
+// pinned alone on shard 1, the quiet districts pinned together on shard 0
+// — unpinned names would be hash-placed instead), each an admission
+// partition with its own queue bound and ledger over the router's one
+// engine, plus tight admission limits — so a burst of downtown traffic is partly shed with
 // StatusCode::kOverloaded while the quiet districts keep answering, and
 // the per-shard ledger reconciles at the end exactly like the network
 // server's STATS command.

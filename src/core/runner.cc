@@ -99,7 +99,6 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::PrepareStores(
       next_generation.fetch_add(1, std::memory_order_relaxed);
   env->self_join_ = self_join;
   env->storage_ = options.storage;
-  env->keep_storage_files_ = options.keep_storage_files;
   env->rtree_options_ = options.rtree_options;
 
   // Build with a generous buffer, then shrink to the experiment size — the
@@ -134,10 +133,8 @@ RcjEnvironment::~RcjEnvironment() {
   buffer_.reset();
   p_store_.reset();
   q_store_.reset();
-  if (!keep_storage_files_) {
-    if (!q_path_.empty()) std::remove(q_path_.c_str());
-    if (!p_path_.empty()) std::remove(p_path_.c_str());
-  }
+  if (!q_path_.empty()) std::remove(q_path_.c_str());
+  if (!p_path_.empty()) std::remove(p_path_.c_str());
 }
 
 Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(

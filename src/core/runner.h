@@ -52,9 +52,6 @@ struct RcjRunOptions {
   /// Directory for page files and external-build spill runs when
   /// storage != kMem; "" means the current directory.
   std::string storage_dir;
-  /// Keep the page files when the environment is destroyed (default:
-  /// unlink them — environments own their scratch files).
-  bool keep_storage_files = false;
 
   uint32_t page_size = kDefaultPageSize;
   /// Buffer capacity as a fraction of the page count of both trees.
@@ -173,7 +170,6 @@ class RcjEnvironment {
   bool self_join_ = false;
   bool resident_pointsets_ = true;
   StorageBackend storage_ = StorageBackend::kMem;
-  bool keep_storage_files_ = false;
   uint64_t generation_ = 0;
   RTreeOptions rtree_options_;
   std::unique_ptr<PageStore> q_store_;

@@ -83,6 +83,17 @@ struct EngineMetrics {
   }
 };
 
+/// Discards pairs of a query submitted without a sink (stats-only).
+class NullSink final : public PairSink {
+ public:
+  bool Emit(const RcjPair&) override { return true; }
+};
+
+NullSink* SharedNullSink() {
+  static NullSink sink;  // stateless, safe to share across threads
+  return &sink;
+}
+
 size_t WorkerPoolPages(const RcjEnvironment& env,
                        const EngineOptions& options) {
   const auto scaled = static_cast<size_t>(
@@ -101,8 +112,7 @@ size_t WorkerPoolPages(const RcjEnvironment& env,
 /// of completed chunks advances.
 struct QueryEmitState {
   std::mutex mu;
-  /// Final delivery target: the caller's sink, or an engine-owned
-  /// VectorSink into the result slot.
+  /// Final delivery target: the caller's sink, or the shared NullSink.
   PairSink* sink = nullptr;
   /// The query's stop signal: QuerySpec::stop, or `own_stop` when null.
   /// Once stopped, nothing more reaches the sink, tasks claim no chunk and
@@ -175,42 +185,36 @@ class TaskBufferSink final : public PairSink {
   uint32_t pairs_ = 0;
 };
 
-/// One schedulable unit: a claimant of its query's chunk cursor. A query
-/// spawns min(max_tasks, num_chunks) of these; each loops, claiming and
-/// executing chunks until the cursor runs dry or the query stops.
-struct EngineTask {
-  JoinStats stats;  ///< candidate/result counts accumulated by ExecuteRcj.
-  // Buffer accounting of this task's chunks (deltas of the worker pool's
-  // counters, so a warm cached pool attributes only this query's work).
-  uint64_t node_accesses = 0;
-  uint64_t page_faults = 0;
-  uint64_t cold_faults = 0;
-  uint64_t warm_faults = 0;
-  double io_wall_seconds = 0.0;
-  Clock::time_point start;
-  Clock::time_point end;
-};
+}  // namespace
 
 /// Everything one submitted query owns from Submit() to its DoneFn, shared
 /// by its tasks. The last task to finish merges and settles it.
 struct QueryRun {
   EngineQuery query;
-  Engine::DoneFn done;
+  Engine::DoneFn on_done;
+  QueryTicket ticket;
   /// The query's leaf order (null when unsplit); emit.leaves points into
   /// it, and holding it here keeps a plan-cache eviction from freeing it.
   std::shared_ptr<const std::vector<uint64_t>> plan;
-  EngineQueryResult result;
-  /// Delivery target of a query submitted without a sink.
-  VectorSink collect{&result.run.pairs};
+  /// Settled by FinishQuery (or by Submit for a query that never ran).
+  Status status;
+  JoinStats stats;
   QueryEmitState emit;
-  std::vector<EngineTask> tasks;
+  /// One entry per claimant task of the query's chunk cursor — the
+  /// schedulable unit, min(max_tasks, num_chunks) of them. Each runs one
+  /// chunk per turn until the cursor runs dry or the query stops; turns of
+  /// one task never overlap, so its entry needs no lock.
+  std::vector<JoinStats> tasks;
   /// Tasks not yet finished; the one that takes it to zero finishes the
   /// query.
   std::atomic<size_t> unfinished{0};
   /// Set by the first task to start: the query leaves the engine's queue.
   std::atomic<bool> started{false};
   Clock::time_point submitted;
+  Clock::time_point started_at;
 };
+
+namespace {
 
 /// Announces up to `cap` of a claimed chunk's leaf pages to the backing
 /// store before the traversal reads them (PageStore::Prefetch —
@@ -298,23 +302,34 @@ void DeliverReadyRanges(QueryEmitState* st, size_t range,
   }
 }
 
-/// The task body: claim chunks from the query's cursor until it runs dry
-/// (or the query stops), executing each against this worker's cached view
-/// — acquired lazily, so a task that never claims a chunk touches no index
-/// at all. All failure paths (Status and exceptions) collapse to a failed
-/// chunk, which stops the query without poisoning other queries.
-void RunTaskChunks(QueryRun* run, const EngineOptions& options,
-                   std::vector<std::unique_ptr<WorkerContext>>* contexts,
-                   EngineTask* t) {
+/// One turn of a claimant: checks the stop, claims the next chunk and
+/// executes it against this worker's cached view — acquired per turn,
+/// since the task may run anywhere next — charging the pool's counter
+/// deltas (so a warm cached pool attributes only this query's work) and
+/// the turn's duration to `t`. True when a chunk ran cleanly
+/// (the task comes back for another); false once the query stopped, the
+/// cursor ran dry or the chunk failed. All failure paths (Status and
+/// exceptions) collapse to a failed chunk, which stops the query without
+/// poisoning other queries.
+bool RunOneChunk(QueryRun* run, const EngineOptions& options,
+                 std::vector<std::unique_ptr<WorkerContext>>* contexts,
+                 JoinStats* t) {
   const EngineQuery& query = run->query;
   QueryEmitState* emit = &run->emit;
-  WorkerView* view = nullptr;
-  BufferStats base;
+  TaskBufferSink sink(query.spec, emit->stop);
+  if (sink.Stopped(/*claim=*/true)) return false;
+  const size_t chunk =
+      emit->next_chunk.fetch_add(1, std::memory_order_relaxed);
+  if (chunk >= emit->num_chunks) return false;
 
-  const auto ensure_view = [&]() -> Status {
-    if (view != nullptr) return Status::OK();
-    const RcjEnvironment& env = *query.spec.env;
-    obs::TraceContext* trace = query.spec.trace;
+  const Clock::time_point start = Clock::now();
+  const RcjEnvironment& env = *query.spec.env;
+  obs::TraceContext* trace = query.spec.trace;
+  // The join code reports errors via Status, but allocation can still
+  // throw on oversized result sets; convert to a per-query failure so
+  // one starved query never poisons the others (engine.h contract).
+  Status status;
+  try {
     const obs::TraceClock::time_point open_start =
         trace != nullptr ? obs::TraceClock::now()
                          : obs::TraceClock::time_point();
@@ -323,90 +338,66 @@ void RunTaskChunks(QueryRun* run, const EngineOptions& options,
     Result<WorkerView*> acquired =
         (*contexts)[ThreadPool::CurrentWorkerIndex()]->Acquire(
             env, WorkerPoolPages(env, options), &opened_fresh);
-    if (!acquired.ok()) return acquired.status();
-    view = acquired.value();
-    if (trace != nullptr) {
-      trace->Record(opened_fresh ? "view_open_cold" : "view_open_warm", 2,
-                    open_start, obs::TraceClock::now());
-    }
-    // Snapshot the pool counters so this task charges exactly its own
-    // chunks — excluding the header pins of a fresh open (like the old
-    // post-open ResetStats) and every earlier query on a warm pool.
-    base = view->buffer->stats();
-    return Status::OK();
-  };
-
-  TaskBufferSink sink(query.spec, emit->stop);
-  while (!sink.Stopped(/*claim=*/true)) {
-    const size_t chunk =
-        emit->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= emit->num_chunks) break;
-
-    // The join code reports errors via Status, but allocation can still
-    // throw on oversized result sets; convert to a per-query failure so
-    // one starved query never poisons the others (engine.h contract).
-    Status status;
-    try {
-      status = ensure_view();
-      if (status.ok()) {
-        std::vector<uint64_t> subset;
-        const std::vector<uint64_t>* subset_ptr = nullptr;
-        if (emit->leaves != nullptr) {
-          const size_t begin = chunk * emit->chunk_size;
-          const size_t end = std::min(begin + emit->chunk_size,
-                                      emit->leaves->size());
-          subset.assign(emit->leaves->begin() + begin,
-                        emit->leaves->begin() + end);
-          subset_ptr = &subset;
-        }
-        const RcjEnvironment& env = *query.spec.env;
-        if (subset_ptr != nullptr) {
-          PrefetchChunkLeaves(*env.q_page_store(), subset, kReadaheadLeaves);
-        }
-        sink.set_buffer(&emit->chunk_pairs[chunk]);
-        // Exactly one fragment of the query appends the overlay's delta-Q
-        // tail: the last leaf chunk of a split query, or the whole query
-        // when it was never split. Chunks deliver in index order, so the
-        // merged stream stays identical across thread counts.
-        const bool delta_tail = emit->leaves == nullptr ||
-                                chunk == emit->num_chunks - 1;
-        obs::TraceContext* trace = query.spec.trace;
-        const obs::TraceClock::time_point chunk_start =
-            trace != nullptr ? obs::TraceClock::now()
-                             : obs::TraceClock::time_point();
-        status = ExecuteRcj(view->tq_ref(), view->tp_ref(), env.qset(),
-                            env.pset(), env.self_join(), query.spec,
-                            subset_ptr, delta_tail, &sink, &t->stats);
-        if (trace != nullptr) {
-          trace->Record("leaf_chunk", 2, chunk_start,
-                        obs::TraceClock::now());
-        }
+    status = acquired.status();
+    if (status.ok()) {
+      WorkerView* view = acquired.value();
+      if (trace != nullptr) {
+        trace->Record(opened_fresh ? "view_open_cold" : "view_open_warm", 2,
+                      open_start, obs::TraceClock::now());
       }
-    } catch (const std::exception& e) {
-      status =
-          Status::IoError(std::string("engine task threw: ") + e.what());
-    } catch (...) {
-      status = Status::IoError("engine task threw a non-std exception");
+      std::vector<uint64_t> subset;
+      const std::vector<uint64_t>* subset_ptr = nullptr;
+      if (emit->leaves != nullptr) {
+        const size_t begin = chunk * emit->chunk_size;
+        const size_t end =
+            std::min(begin + emit->chunk_size, emit->leaves->size());
+        subset.assign(emit->leaves->begin() + begin,
+                      emit->leaves->begin() + end);
+        subset_ptr = &subset;
+        PrefetchChunkLeaves(*env.q_page_store(), subset, kReadaheadLeaves);
+      }
+      sink.set_buffer(&emit->chunk_pairs[chunk]);
+      // Exactly one fragment of the query appends the overlay's delta-Q
+      // tail: the last leaf chunk of a split query, or the whole query
+      // when it was never split. Chunks deliver in index order, so the
+      // merged stream stays identical across thread counts.
+      const bool delta_tail =
+          emit->leaves == nullptr || chunk == emit->num_chunks - 1;
+      // Snapshot the pool counters so this turn charges exactly its own
+      // chunk — excluding the header pins of a fresh open and every other
+      // query's work on a warm pool.
+      const BufferStats base = view->buffer->stats();
+      const obs::TraceClock::time_point chunk_start =
+          trace != nullptr ? obs::TraceClock::now()
+                           : obs::TraceClock::time_point();
+      status = ExecuteRcj(view->tq_ref(), view->tp_ref(), env.qset(),
+                          env.pset(), env.self_join(), query.spec,
+                          subset_ptr, delta_tail, &sink, t);
+      const BufferStats now = view->buffer->stats();
+      const uint64_t faults = now.page_faults - base.page_faults;
+      const double io_wall = now.io_wall_seconds - base.io_wall_seconds;
+      t->node_accesses += now.logical_accesses - base.logical_accesses;
+      t->page_faults += faults;
+      t->cold_faults += now.cold_faults - base.cold_faults;
+      t->io_wall_seconds += io_wall;
+      if (trace != nullptr) {
+        trace->Record("leaf_chunk", 2, chunk_start, obs::TraceClock::now());
+        // Device wait of this chunk; count = faults. The sum across tasks
+        // can exceed the exec span's wall time — overlapped waits are the
+        // parallel speedup, not an accounting error.
+        if (faults > 0) trace->RecordSeconds("io_wall", 2, io_wall, faults);
+      }
     }
-    DeliverReadyRanges(emit, chunk, status);
-    if (!status.ok()) break;
+  } catch (const std::exception& e) {
+    status = Status::IoError(std::string("engine task threw: ") + e.what());
+  } catch (...) {
+    status = Status::IoError("engine task threw a non-std exception");
   }
-
-  if (view != nullptr) {
-    const BufferStats now = view->buffer->stats();
-    t->node_accesses = now.logical_accesses - base.logical_accesses;
-    t->page_faults = now.page_faults - base.page_faults;
-    t->cold_faults = now.cold_faults - base.cold_faults;
-    t->warm_faults = t->page_faults - t->cold_faults;
-    t->io_wall_seconds = now.io_wall_seconds - base.io_wall_seconds;
-    if (query.spec.trace != nullptr && t->page_faults > 0) {
-      // Device wait attributed to this task's chunks; count = faults. The
-      // sum across tasks can exceed the exec span's wall time — overlapped
-      // waits are the parallel speedup, not an accounting error.
-      query.spec.trace->RecordSeconds("io_wall", 2, t->io_wall_seconds,
-                                      t->page_faults);
-    }
-  }
+  DeliverReadyRanges(emit, chunk, status);
+  // Time queued between turns is not work.
+  t->cpu_seconds +=
+      std::chrono::duration<double>(Clock::now() - start).count();
+  return status.ok();
 }
 
 /// Takes the query out of the engine's queue (once, by its first task):
@@ -414,10 +405,14 @@ void RunTaskChunks(QueryRun* run, const EngineOptions& options,
 /// queue_wait span all measure submit to first task start.
 void MarkStarted(QueryRun* run, std::atomic<size_t>* queued) {
   if (run->started.exchange(true, std::memory_order_relaxed)) return;
+  const Clock::time_point now = Clock::now();
+  run->started_at = now;
   queued->fetch_sub(1, std::memory_order_relaxed);
+  if (run->query.partition != nullptr) {
+    run->query.partition->queued.fetch_sub(1, std::memory_order_relaxed);
+  }
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.queue_depth->Add(-1);
-  const Clock::time_point now = Clock::now();
   metrics.queue_wait_seconds->Observe(
       std::chrono::duration<double>(now - run->submitted).count());
   if (run->query.spec.trace != nullptr) {
@@ -427,10 +422,8 @@ void MarkStarted(QueryRun* run, std::atomic<size_t>* queued) {
 
 /// The merge, run by the query's last task: delivery already happened in
 /// chunk order as tasks completed; here the worker pools' fault accounting
-/// is summed, the paper's I/O cost model charged, the status settled, and
-/// the DoneFn called.
+/// is summed, the paper's I/O cost model charged and the status settled.
 void FinishQuery(QueryRun* run) {
-  EngineQueryResult& result = run->result;
   const QueryEmitState& emit = run->emit;
   const EngineMetrics& metrics = EngineMetrics::Get();
   // The one place a stop reason becomes the query's status. Settling the
@@ -438,82 +431,66 @@ void FinishQuery(QueryRun* run) {
   const StopReason reason = emit.stop->Settle();
   if (reason != StopReason::kNone) StopsTotal(reason)->Add();
   if (reason == StopReason::kFailed) {
-    result.status = emit.failure.ok() ? StopStatus(reason) : emit.failure;
     // The caller's sink may have received a serial prefix before the
     // failing chunk was reached; the status is the source of truth.
-    result.run = RcjRunResult();
-  } else {
-    result.status = StopStatus(reason);
-    double busy_seconds = 0.0;
-    Clock::time_point first_start = Clock::time_point::max();
-    Clock::time_point last_end = Clock::time_point::min();
-    for (const EngineTask& task : run->tasks) {
-      first_start = std::min(first_start, task.start);
-      last_end = std::max(last_end, task.end);
-      result.run.stats.candidates += task.stats.candidates;
-      result.run.stats.node_accesses += task.node_accesses;
-      result.run.stats.page_faults += task.page_faults;
-      result.run.stats.cold_faults += task.cold_faults;
-      result.run.stats.warm_faults += task.warm_faults;
-      // Summed across tasks: with several workers faulting concurrently
-      // this can exceed the query's wall clock — it is total device wait,
-      // the overlap is the speedup.
-      result.run.stats.io_wall_seconds += task.io_wall_seconds;
-      busy_seconds +=
-          std::chrono::duration<double>(task.end - task.start).count();
-    }
-    // Results = pairs actually delivered to the sink (the in-order
-    // stream), not the sum of chunk buffers — chunks past a stop may have
-    // buffered pairs that were rightly dropped.
-    result.run.stats.results = emit.delivered;
-    result.run.stats.io_seconds = IoCostModel{run->query.spec.io_ms_per_fault}
-                                      .Seconds(result.run.stats.page_faults);
-    // Summed execution time of the query's own tasks — comparable to the
-    // serial runner's cpu_seconds and never inflated by other queries'
-    // tasks interleaving on the pool.
-    result.run.stats.cpu_seconds = busy_seconds;
-    metrics.queries_total->Add();
-    if (last_end > first_start) {
-      // The query's wall window across its tasks (first start to last
-      // end): what a p50/p99 latency summary should see, not the summed
-      // busy time.
-      metrics.exec_seconds->Observe(
-          std::chrono::duration<double>(last_end - first_start).count());
-      if (run->query.spec.trace != nullptr) {
-        run->query.spec.trace->Record("exec", 1, first_start, last_end);
-      }
-    }
+    run->status = emit.failure.ok() ? StopStatus(reason) : emit.failure;
+    return;
   }
-  // Destroyed before the task returns, so whatever the callback captured
-  // is released as soon as the query is done.
-  const Engine::DoneFn done = std::move(run->done);
-  done(std::move(result));
-}
-
-/// The pool thunk of task `index`: run the claim loop, then finish the
-/// query if this was its last task.
-void RunTask(const std::shared_ptr<QueryRun>& run, size_t index,
-             const EngineOptions& options,
-             std::vector<std::unique_ptr<WorkerContext>>* contexts,
-             std::atomic<size_t>* queued) {
-  MarkStarted(run.get(), queued);
-  EngineTask* t = &run->tasks[index];
-  t->start = Clock::now();
-  try {
-    RunTaskChunks(run.get(), options, contexts, t);
-  } catch (...) {
-    // Chunks already convert their throws; this catches the accounting
-    // after them (bad_alloc), so the query still gets its last task.
-    std::lock_guard<std::mutex> lock(run->emit.mu);
-    FailQuery(&run->emit, Status::IoError("engine task threw"));
+  run->status = StopStatus(reason);
+  JoinStats& stats = run->stats;
+  for (const JoinStats& task : run->tasks) {
+    stats.candidates += task.candidates;
+    stats.node_accesses += task.node_accesses;
+    stats.page_faults += task.page_faults;
+    stats.cold_faults += task.cold_faults;
+    // Summed across tasks: with several workers faulting concurrently
+    // this can exceed the query's wall clock — it is total device wait,
+    // the overlap is the speedup.
+    stats.io_wall_seconds += task.io_wall_seconds;
+    // Summed turns of the query's own tasks — comparable to the serial
+    // runner's cpu_seconds and never inflated by other queries' tasks
+    // interleaving on the pool.
+    stats.cpu_seconds += task.cpu_seconds;
   }
-  t->end = Clock::now();
-  if (run->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinishQuery(run.get());
+  stats.warm_faults = stats.page_faults - stats.cold_faults;
+  // Results = pairs actually delivered to the sink (the in-order stream),
+  // not the sum of chunk buffers — chunks past a stop may have buffered
+  // pairs that were rightly dropped.
+  stats.results = emit.delivered;
+  stats.io_seconds =
+      IoCostModel{run->query.spec.io_ms_per_fault}.Seconds(stats.page_faults);
+  metrics.queries_total->Add();
+  // The query's wall window (first task start to last task end): what a
+  // p50/p99 latency summary should see, not the summed busy time.
+  const Clock::time_point end = Clock::now();
+  if (end > run->started_at) {
+    metrics.exec_seconds->Observe(
+        std::chrono::duration<double>(end - run->started_at).count());
+    if (run->query.spec.trace != nullptr) {
+      run->query.spec.trace->Record("exec", 1, run->started_at, end);
+    }
   }
 }
 
 }  // namespace
+
+Status QueryTicket::Wait() {
+  std::unique_lock<std::mutex> lock(state_->mu);
+  state_->cv.wait(lock, [this] { return state_->done; });
+  return state_->status;
+}
+
+bool QueryTicket::TryGet(Status* status) {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  if (!state_->done) return false;
+  if (status != nullptr) *status = state_->status;
+  return true;
+}
+
+JoinStats QueryTicket::stats() const {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->stats;
+}
 
 Engine::Engine(EngineOptions options)
     : options_(options), pool_(options.num_threads) {
@@ -524,7 +501,80 @@ Engine::Engine(EngineOptions options)
   }
 }
 
-Engine::~Engine() = default;
+Engine::~Engine() { Shutdown(); }
+
+void Engine::Shutdown() {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    stopping_ = true;
+    drained_.wait(lock, [this] { return running_ == 0; });
+  }
+  // Every submitted query has resolved and no new one reaches the pool:
+  // drop every cached worker view and plan. From here the caller may
+  // destroy its environments — a stopped engine never opens views again.
+  InvalidateCachedViews();
+}
+
+/// Fires the completion hook, then resolves the ticket — so by the time
+/// any Wait()er wakes, the hook's side effects (an admission ledger
+/// counting the query, its slot freed) are visible; freeing the slot a
+/// moment before the Wait()er wakes is harmless, the reverse order would
+/// make a STATS probe after END racy.
+void Engine::Resolve(QueryRun* run) {
+  if (run->on_done) run->on_done(run->status);
+  // Release the hook's captures (a live snapshot pin) before Shutdown can
+  // observe the query as done.
+  run->on_done = nullptr;
+  QueryTicket::State* state = run->ticket.state_.get();
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->status = run->status;
+    state->stats = run->stats;
+    state->done = true;
+  }
+  state->cv.notify_all();
+}
+
+void Engine::Finish(QueryRun* run) {
+  Resolve(run);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Notified under the lock: Shutdown may return, and the engine die, the
+  // moment it is released.
+  if (--running_ == 0) drained_.notify_all();
+}
+
+void Engine::Schedule(const std::shared_ptr<QueryRun>& run, size_t index,
+                      bool fresh) {
+  auto turn = [this, run, index] { RunTask(run, index); };
+  if (fresh) {
+    pool_.Submit(std::move(turn));
+    return;
+  }
+  pool_.Yield(std::move(turn),
+              reinterpret_cast<uintptr_t>(run->query.partition),
+              static_cast<uint64_t>(run->submitted.time_since_epoch().count()));
+}
+
+void Engine::RunTask(const std::shared_ptr<QueryRun>& run, size_t index) {
+  MarkStarted(run.get(), &queued_);
+  bool again = false;
+  try {
+    again = RunOneChunk(run.get(), options_, &contexts_, &run->tasks[index]);
+    if (again) Schedule(run, index, /*fresh=*/false);
+  } catch (...) {
+    // Chunks already convert their throws; this catches the accounting
+    // around them and a failed requeue (bad_alloc), so the query still
+    // gets its last task.
+    again = false;
+    std::lock_guard<std::mutex> lock(run->emit.mu);
+    FailQuery(&run->emit, Status::IoError("engine task threw"));
+  }
+  if (again) return;
+  if (run->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    FinishQuery(run.get());
+    Finish(run.get());
+  }
+}
 
 void Engine::InvalidateCachedViews(const RcjEnvironment* env) {
   for (const std::unique_ptr<WorkerContext>& context : contexts_) {
@@ -594,11 +644,26 @@ Result<Engine::Plan> Engine::LeavesFor(const QuerySpec& spec) {
   return Plan(std::move(leaves));
 }
 
-void Engine::Submit(EngineQuery query, DoneFn done) {
+QueryTicket Engine::Submit(EngineQuery query, DoneFn on_done) {
   auto run = std::make_shared<QueryRun>();
   run->submitted = Clock::now();
   run->query = std::move(query);
-  run->done = std::move(done);
+  run->on_done = std::move(on_done);
+  run->ticket = QueryTicket(std::make_shared<QueryTicket::State>());
+  const QueryTicket ticket = run->ticket;
+  bool stopped;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped = stopping_;
+    if (!stopped) ++running_;
+  }
+  if (stopped) {
+    // Resolving here keeps the ticket contract — every Submit ends in a
+    // resolved ticket, never a hang — without touching the drained pool.
+    run->status = Status::Cancelled("engine is shut down");
+    Resolve(run.get());
+    return ticket;
+  }
   const QuerySpec& spec = run->query.spec;
   QueryEmitState* emit = &run->emit;
 
@@ -620,12 +685,13 @@ void Engine::Submit(EngineQuery query, DoneFn done) {
     }
   }
   if (!planned.ok()) {
-    run->result.status = planned;
-    run->done(std::move(run->result));
-    return;
+    run->status = planned;
+    Finish(run.get());
+    return ticket;
   }
 
-  emit->sink = run->query.sink != nullptr ? run->query.sink : &run->collect;
+  emit->sink =
+      run->query.sink != nullptr ? run->query.sink : SharedNullSink();
   emit->stop = spec.stop != nullptr ? spec.stop : &emit->own_stop;
   emit->limit = spec.limit;
   size_t num_tasks = 1;
@@ -644,16 +710,18 @@ void Engine::Submit(EngineQuery query, DoneFn done) {
   run->tasks.resize(num_tasks);
   run->unfinished.store(num_tasks, std::memory_order_relaxed);
 
-  // ---- Execute: the tasks join the pool's one FIFO queue, interleaving
-  // with every other query's. The last one to finish merges the query.
+  // ---- Execute: the first task joins the pool's fresh queue, ahead of
+  // every yielded turn, and the rest queue as yielded turns of the
+  // partition. The last one to finish merges the query.
   queued_.fetch_add(1, std::memory_order_relaxed);
+  if (run->query.partition != nullptr) {
+    run->query.partition->queued.fetch_add(1, std::memory_order_relaxed);
+  }
   EngineMetrics::Get().queue_depth->Add(1);
   size_t queued_tasks = 0;
   try {
     for (; queued_tasks < num_tasks; ++queued_tasks) {
-      pool_.Submit([this, run, i = queued_tasks] {
-        RunTask(run, i, options_, &contexts_, &queued_);
-      });
+      Schedule(run, queued_tasks, /*fresh=*/queued_tasks == 0);
     }
   } catch (...) {
     // Out of memory queueing a task: fail the query, and let the tasks
@@ -667,41 +735,47 @@ void Engine::Submit(EngineQuery query, DoneFn done) {
         missing) {
       MarkStarted(run.get(), &queued_);
       FinishQuery(run.get());
+      Finish(run.get());
     }
   }
+  return ticket;
 }
 
 std::vector<EngineQueryResult> Engine::RunBatch(
     const std::vector<EngineQuery>& queries) {
   std::vector<EngineQueryResult> results(queries.size());
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = queries.size();
-  const auto wait_submitted = [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining == 0; });
-  };
-  for (size_t i = 0; i < queries.size(); ++i) {
-    try {
-      Submit(queries[i], [&, i](EngineQueryResult result) {
-        std::lock_guard<std::mutex> lock(mu);
-        results[i] = std::move(result);
-        // Notified under the lock: this frame may return the moment the
-        // lock is released.
-        if (--remaining == 0) cv.notify_all();
-      });
-    } catch (...) {
-      // The queries already submitted point into this frame: wait them
-      // out before unwinding it.
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        remaining -= queries.size() - i;
+  // A query without a sink collects into its result slot; both vectors
+  // are sized up front, so the pointers stay put.
+  std::vector<VectorSink> collectors;
+  collectors.reserve(queries.size());
+  std::vector<QueryTicket> tickets;
+  tickets.reserve(queries.size());
+  try {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EngineQuery query = queries[i];
+      if (query.sink == nullptr) {
+        collectors.emplace_back(&results[i].run.pairs);
+        query.sink = &collectors.back();
       }
-      wait_submitted();
-      throw;
+      tickets.push_back(Submit(std::move(query)));
+    }
+  } catch (...) {
+    // The queries already submitted point into this frame: wait them out
+    // before unwinding it.
+    for (QueryTicket& ticket : tickets) ticket.Wait();
+    throw;
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EngineQueryResult& result = results[i];
+    result.status = tickets[i].Wait();
+    result.run.stats = tickets[i].stats();
+    const StatusCode code = result.status.code();
+    if (!result.status.ok() && code != StatusCode::kCancelled &&
+        code != StatusCode::kDeadlineExceeded) {
+      // A failed query's serial prefix is no answer.
+      result.run.pairs.clear();
     }
   }
-  wait_submitted();
   return results;
 }
 
@@ -714,12 +788,9 @@ Result<RcjRunResult> Engine::Run(const QuerySpec& spec) {
 }
 
 Status Engine::Run(const QuerySpec& spec, PairSink* sink, JoinStats* stats) {
-  std::vector<EngineQuery> batch(1);
-  batch[0].spec = spec;
-  batch[0].sink = sink;
-  std::vector<EngineQueryResult> results = RunBatch(batch);
-  if (!results[0].status.ok()) return results[0].status;
-  *stats = results[0].run.stats;
+  QueryTicket ticket = Submit(EngineQuery{spec, sink});
+  RINGJOIN_RETURN_IF_ERROR(ticket.Wait());
+  *stats = ticket.stats();
   return Status::OK();
 }
 

@@ -10,16 +10,22 @@
 // over the shared immutable indexes.
 //
 // Every query has its own lifetime. Submit() validates and plans it, hands
-// its claimant tasks to the pool and returns; the last of those tasks to
-// finish settles the query and calls its DoneFn. Two levels of parallelism
-// compose on the one pool queue:
-//   * inter-query: every query becomes at least one task, and tasks of
-//     different queries interleave freely;
+// its claimant tasks to the pool and returns a QueryTicket; the last of
+// those tasks to finish settles the query, runs its DoneFn and resolves the
+// ticket. Two levels of parallelism compose on the one pool:
+//   * inter-query: every query becomes at least one task, and a task runs
+//     ONE chunk per turn, then yields its worker. A new query's first
+//     task runs ahead of every yielded turn, so its head starts behind a
+//     chunk per busy worker, never behind whole queries. Yielded turns of
+//     different partitions (EnginePartition — a router's shards) take
+//     turns, so one shard's backlog never starves another; within a
+//     partition the oldest query's turns go first, so concurrent long
+//     queries finish one after the other, as on a FIFO;
 //   * intra-query: an indexed join (INJ/BIJ/OBJ) is split into contiguous
 //     ranges of T_Q's depth-first leaf order — the unit the paper's
 //     algorithms already process independently — claimed by several tasks.
-// A short query therefore resolves as soon as its own tasks finish, never
-// behind a long query submitted alongside it.
+// This is why one engine serves a whole process: a router's shards
+// partition admission and scheduling over it, not threads.
 //
 // Results stream: each query carries an optional PairSink, and pairs are
 // delivered to it in the exact serial order as leaf-range tasks complete —
@@ -55,6 +61,7 @@
 #define RINGJOIN_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <list>
@@ -65,6 +72,7 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "core/runner.h"
+#include "core/stop_token.h"
 #include "engine/thread_pool.h"
 #include "engine/worker_context.h"
 
@@ -80,10 +88,17 @@ struct EngineOptions {
   size_t worker_min_buffer_pages = 32;
 };
 
-/// One query: the validated spec plus an optional streaming target. When
-/// `sink` is set, pairs are delivered to it in serial order as leaf-range
-/// tasks complete (and EngineQueryResult::run.pairs stays empty); when
-/// null, pairs are collected into the result. The spec's environment must
+/// A scheduling partition of the engine — a router shard. Partitions take
+/// turns on the pool, so one partition's backlog never starves another;
+/// within a partition the oldest query goes first.
+struct EnginePartition {
+  /// Queries of this partition whose first task has not started yet.
+  std::atomic<size_t> queued{0};
+};
+
+/// One query: the validated spec plus an optional streaming target. Pairs
+/// are delivered to `sink` in serial order as leaf-range tasks complete; a
+/// null sink discards them (stats-only probes). The spec's environment must
 /// outlive the query and is treated as strictly read-only (neither
 /// planning nor the workers touch its shared buffer). A shared sink is
 /// driven by one thread at a time per query, but different queries may
@@ -92,30 +107,79 @@ struct EngineOptions {
 struct EngineQuery {
   QuerySpec spec;
   PairSink* sink = nullptr;
+  /// The query's partition (a router shard's), or null for the engine's
+  /// default one. Must outlive the query.
+  EnginePartition* partition = nullptr;
 };
 
 /// Outcome of one query: the status its stop reason
 /// maps to (StopStatus), or the failing chunk's error. `run` covers the
-/// work performed and the pairs delivered before any stop; it is empty
-/// for a failed query.
+/// work performed and, for RunBatch queries without a sink, the pairs
+/// delivered before any stop; it is empty for a failed query.
 struct EngineQueryResult {
   Status status;
   RcjRunResult run;
 };
 
+/// Completion handle of one submitted query. Cheap to copy (shared state);
+/// a default-constructed ticket is invalid. The query's pairs go to the
+/// sink passed at Submit() — the ticket carries only status and stats.
+class QueryTicket {
+ public:
+  QueryTicket() = default;
+
+  /// True iff this ticket came from a Submit() call.
+  bool valid() const { return state_ != nullptr; }
+
+  /// Blocks until the query finishes; returns its final status.
+  Status Wait();
+
+  /// Non-blocking probe: returns true iff the query has finished, filling
+  /// `*status` (when non-null) with the final status.
+  bool TryGet(Status* status = nullptr);
+
+  /// Paper-style statistics of the finished query (the executed portion,
+  /// for limit-capped queries). Valid once Wait() returned or TryGet()
+  /// returned true.
+  JoinStats stats() const;
+
+ private:
+  friend class Engine;
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+    JoinStats stats;
+  };
+
+  explicit QueryTicket(std::shared_ptr<State> state)
+      : state_(std::move(state)) {}
+
+  std::shared_ptr<State> state_;
+};
+
+/// Everything one submitted query owns from Submit() to its DoneFn
+/// (engine.cc).
+struct QueryRun;
+
 /// A reusable concurrent executor. Construct once (threads spin up
 /// immediately), then submit any number of queries from any number of
-/// threads.
+/// threads. Destruction completes every already-submitted query, then
+/// stops.
 class Engine {
  public:
-  /// Receives a query's outcome exactly once, on the engine worker that
-  /// finished the query's last task — or inline in Submit() when the query
-  /// fails validation or planning. Must not block on other queries of the
-  /// same engine.
-  using DoneFn = std::function<void(EngineQueryResult)>;
+  /// Invoked exactly once per submitted query, with its final status,
+  /// immediately before the ticket becomes observable as done — so by the
+  /// time any Wait()er wakes, the callback's side effects (e.g. an
+  /// admission ledger counting the query and freeing its slot) are
+  /// visible. Runs on the engine worker that finished the query's last
+  /// task, or inline in Submit() for a query that fails validation or
+  /// planning and after Shutdown(). Must not block on other queries of
+  /// the same engine.
+  using DoneFn = std::function<void(const Status&)>;
 
   explicit Engine(EngineOptions options = {});
-  /// Runs every submitted query to completion, then joins the workers.
   ~Engine();
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(Engine);
@@ -123,20 +187,33 @@ class Engine {
   size_t num_threads() const { return pool_.num_threads(); }
   const EngineOptions& options() const { return options_; }
 
-  /// Validates and plans `query`, hands its tasks to the pool and returns;
-  /// `done` receives the outcome once the query's own tasks have finished.
-  /// Thread-safe. A per-query failure is reported through `done` — one bad
-  /// query never poisons the others.
-  void Submit(EngineQuery query, DoneFn done);
+  /// Validates and plans `query`, hands its tasks to the pool and returns
+  /// its ticket; `on_done` (optional) receives the final status once the
+  /// query's own tasks have finished. Thread-safe and non-blocking on join
+  /// work. A per-query failure — invalid spec, failed planning — resolves
+  /// the ticket (before Submit returns) with that error, so one bad query
+  /// never poisons the others. After Shutdown() the ticket resolves
+  /// immediately as Cancelled without running, and `on_done` still fires,
+  /// so no caller slot ever leaks. To cancel, stop the query's StopToken
+  /// (QuerySpec::stop) from any thread.
+  QueryTicket Submit(EngineQuery query, DoneFn on_done = nullptr);
+
+  /// Completes every already-submitted query, then drops every cached
+  /// worker view and plan — after it returns, no worker holds views over
+  /// any environment, so the caller may destroy them. Idempotent from the
+  /// owning thread; also run by the destructor. Must not be called from a
+  /// DoneFn or a sink.
+  void Shutdown();
 
   /// Submits every query and blocks until each of them is done; results
-  /// are returned in input order. Waits only on these queries, so any
-  /// thread may call it while other queries run.
+  /// are returned in input order, a query without a sink collecting its
+  /// pairs into its result. Waits only on these queries, so any thread may
+  /// call it while other queries run.
   std::vector<EngineQueryResult> RunBatch(
       const std::vector<EngineQuery>& queries);
 
-  /// Single-query conveniences: a one-element batch, so an indexed join
-  /// still fans out across all workers.
+  /// Single-query conveniences: an indexed join still fans out across all
+  /// workers.
   Result<RcjRunResult> Run(const QuerySpec& spec);
   Status Run(const QuerySpec& spec, PairSink* sink, JoinStats* stats);
 
@@ -144,8 +221,8 @@ class Engine {
   /// `env` (all of them when null). Call before destroying or rebuilding
   /// an environment the engine has executed against, so no worker holds
   /// views over freed page stores. Thread-safe and safe while other
-  /// queries run, provided none of them targets `env` (a null `env` needs
-  /// an engine with no query in flight).
+  /// queries run (including from a DoneFn), provided none of them targets
+  /// `env` (a null `env` needs an engine with no query in flight).
   void InvalidateCachedViews(const RcjEnvironment* env = nullptr);
 
   /// Aggregated view-cache counters across all workers (opens, reuses,
@@ -153,7 +230,7 @@ class Engine {
   WorkerContextStats context_stats() const;
 
   /// Queries submitted whose first task has not started yet — the depth of
-  /// the engine's queue (rcj_engine_queue_depth sums it over engines).
+  /// the engine's queue (the rcj_engine_queue_depth gauge).
   size_t queued() const { return queued_.load(std::memory_order_relaxed); }
 
  private:
@@ -173,6 +250,24 @@ class Engine {
 
   Result<Plan> LeavesFor(const QuerySpec& spec);
 
+  /// Queues the next turn of task `index`. A query's first task starts
+  /// fresh: it runs before every yielded turn, so each query's head
+  /// starts behind one chunk per busy worker, never behind whole queries.
+  /// Every other turn yields: the partitions take turns, so one shard's
+  /// backlog never starves another, and within a partition the oldest
+  /// query goes first, so two long queries finish one after the other (as
+  /// on a FIFO) rather than both at the end.
+  void Schedule(const std::shared_ptr<QueryRun>& run, size_t index,
+                bool fresh);
+  /// One turn of task `index`: run at most one chunk, then schedule the
+  /// task's next turn, or finish it.
+  void RunTask(const std::shared_ptr<QueryRun>& run, size_t index);
+
+  /// Runs the query's DoneFn, then resolves its ticket.
+  static void Resolve(QueryRun* run);
+  /// Resolve() for a counted query, which then leaves the drain count.
+  void Finish(QueryRun* run);
+
   EngineOptions options_;
   /// Declared before pool_ so workers are joined (pool_ destroyed) before
   /// anything their tasks touch goes away.
@@ -180,6 +275,11 @@ class Engine {
   std::mutex plan_mu_;
   std::list<PlanEntry> plan_cache_;  // front = most recently used
   std::atomic<size_t> queued_{0};
+  std::mutex mu_;
+  std::condition_variable drained_;
+  /// Submitted queries whose ticket has not resolved yet (guarded by mu_).
+  size_t running_ = 0;
+  bool stopping_ = false;
   ThreadPool pool_;
 };
 

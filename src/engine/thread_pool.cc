@@ -53,20 +53,39 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
+void ThreadPool::Yield(std::function<void()> task, uint64_t group,
+                       uint64_t rank) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Equal keys insert after their peers: FIFO within a rank.
+    yielded_[group].emplace(rank, std::move(task));
+  }
+  work_available_.notify_one();
+}
+
 void ThreadPool::WorkerLoop(size_t worker_index) {
   tls_worker_index = worker_index;
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
+      work_available_.wait(lock, [this] {
+        return shutting_down_ || !queue_.empty() || !yielded_.empty();
+      });
+      if (!queue_.empty()) {
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      } else if (!yielded_.empty()) {
+        auto group = yielded_.lower_bound(next_group_);
+        if (group == yielded_.end()) group = yielded_.begin();
+        task = std::move(group->second.begin()->second);
+        group->second.erase(group->second.begin());
+        next_group_ = group->first + 1;
+        if (group->second.empty()) yielded_.erase(group);
+      } else {
         // Woken for shutdown with nothing left to run.
         return;
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
     }
     // The library is Status-based and tasks are expected not to throw, but
     // an escaped exception (e.g. bad_alloc) must not take down the whole

@@ -1,15 +1,19 @@
-// A fixed-size worker pool with a single FIFO task queue — the execution
-// substrate of the RCJ engine. Deliberately minimal: tasks are
-// type-erased thunks, there is no work stealing, and the only
-// synchronization primitives are one mutex and one condition variable, so
-// the scheduling behavior stays easy to reason about under profiling.
+// A fixed-size worker pool — the execution substrate of the RCJ engine.
+// Deliberately minimal: tasks are type-erased thunks, there is no work
+// stealing, and the only synchronization primitives are one mutex and one
+// condition variable, so the scheduling behavior stays easy to reason
+// about under profiling. Two queues share them: fresh tasks in FIFO
+// order, which always run first, and tasks that yielded their worker,
+// which take turns between groups and run lowest rank first within one.
 #ifndef RINGJOIN_ENGINE_THREAD_POOL_H_
 #define RINGJOIN_ENGINE_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,13 +32,19 @@ class ThreadPool {
   /// std::thread::hardware_concurrency()).
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains the queue, then joins all workers.
+  /// Drains both queues, then joins all workers.
   ~ThreadPool();
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(ThreadPool);
 
-  /// Enqueues one task. Thread-safe.
+  /// Enqueues one task at the back of the fresh FIFO queue. Thread-safe.
   void Submit(std::function<void()> task);
+
+  /// Enqueues a task that yielded its worker. Yielded tasks run once no
+  /// fresh task waits; the pool takes turns between their groups (round
+  /// robin by group id), and within a group runs the lowest `rank` first
+  /// (equal ranks in FIFO order). Thread-safe.
+  void Yield(std::function<void()> task, uint64_t group, uint64_t rank);
 
   size_t num_threads() const { return threads_.size(); }
 
@@ -53,6 +63,10 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
+  /// group -> (rank -> task); `next_group_` is the round-robin cursor.
+  std::map<uint64_t, std::multimap<uint64_t, std::function<void()>>>
+      yielded_;
+  uint64_t next_group_ = 0;
   bool shutting_down_ = false;
 };
 

@@ -18,8 +18,7 @@
 // generation, so a stale entry can never satisfy a lookup — it is evicted
 // and reopened. Entries for environments that simply vanished are dropped
 // by the LRU cap or by an explicit Invalidate() from the owning layer
-// (Engine::InvalidateCachedViews, Service::InvalidateEnvironment,
-// ShardRouter::ReleaseEnvironment). Dropping an entry after its
+// (Engine::InvalidateCachedViews, ShardRouter::ReleaseEnvironment). Dropping an entry after its
 // environment died is safe: cached pages are private copies and read-only
 // views never dirty a page, so teardown touches no backing store.
 //

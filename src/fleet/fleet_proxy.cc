@@ -708,6 +708,7 @@ bool FleetProxy::RelayMutation(Connection* connection, const std::string& line,
     entry.epoch = primary_ack.epoch;
     entry.env_name = mutation.env_name;
     entry.line = line;
+    mutated_envs_.insert(mutation.env_name);
     mutation_ring_.push_back(std::move(entry));
     while (mutation_ring_.size() > options_.mutation_ring_capacity &&
            !mutation_ring_.empty()) {
@@ -802,18 +803,12 @@ Status FleetProxy::CatchUp(size_t index) {
   // No mutation may land while the suffix is being fed, or "epochs
   // match" below would be stale the moment it was measured.
   std::lock_guard<std::mutex> lock(catchup_mu_);
-  std::vector<std::string> envs;
-  for (const RingEntry& entry : mutation_ring_) {
-    if (std::find(envs.begin(), envs.end(), entry.env_name) != envs.end()) {
+  for (const std::string& env_name : mutated_envs_) {
+    const std::vector<size_t> replicas = ReplicaSet(env_name);
+    if (std::find(replicas.begin(), replicas.end(), index) ==
+        replicas.end()) {
       continue;
     }
-    const std::vector<size_t> replicas = ReplicaSet(entry.env_name);
-    if (std::find(replicas.begin(), replicas.end(), index) !=
-        replicas.end()) {
-      envs.push_back(entry.env_name);
-    }
-  }
-  for (const std::string& env_name : envs) {
     const Status status = CatchUpEnv(index, env_name);
     if (!status.ok()) {
       catchup_failures_.Add();

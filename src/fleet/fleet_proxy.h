@@ -49,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -148,7 +149,7 @@ class FleetProxy {
   bool excluded(size_t index) const;
 
   /// The respawn handshake: for every environment the backend replicates
-  /// that has ring history, probes the backend's and the primary's EPOCH,
+  /// that the proxy ever relayed a mutation for, probes the backend's and the primary's EPOCH,
   /// feeds the missing mutation suffix from the ring, and re-probes until
   /// the epochs match — only then is the exclusion flag cleared. Fails
   /// (and keeps the replica excluded) when the ring no longer reaches
@@ -210,6 +211,11 @@ class FleetProxy {
   /// means caught up.
   std::mutex catchup_mu_;
   std::deque<RingEntry> mutation_ring_;  ///< guarded by catchup_mu_.
+  /// Every environment a mutation was relayed for — untouched by ring
+  /// eviction, so CatchUp() probes an environment whose ring entries are
+  /// all gone (and then refuses it, instead of readmitting a stale
+  /// replica). Guarded by catchup_mu_.
+  std::set<std::string> mutated_envs_;
   /// Per-backend exclusion flags (fixed size; indexed like the pool).
   std::vector<std::atomic<bool>> excluded_;
 

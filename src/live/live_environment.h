@@ -189,8 +189,7 @@ class LiveEnvironment {
 
   /// Called once per retired base environment, after its pins drained and
   /// before its trees are destroyed — wire this to the cache-invalidation
-  /// entry points keyed by environment pointer (Engine, Service,
-  /// ShardRouter). Set before the environment is shared; not guarded
+  /// entry points keyed by environment pointer (Engine, ShardRouter). Set before the environment is shared; not guarded
   /// against concurrent mutation.
   void set_invalidation_hook(
       std::function<void(const RcjEnvironment*)> hook) {

@@ -1,6 +1,6 @@
 // AdmissionController — bounded admission for the sharded serving layer.
 //
-// The async service queues every Submit() unboundedly: under sustained
+// The engine queues every Submit() unboundedly: under sustained
 // overload the backlog (and every caller's latency) grows without limit.
 // The admission controller is the valve in front of it. Each query takes
 // one slot on its shard at submission and returns it when its ticket
@@ -33,7 +33,7 @@ namespace rcj {
 /// shedding deliberately.
 struct AdmissionLimits {
   /// Max queries admitted-but-unresolved per shard (its bounded queue
-  /// depth: queued on the shard's engine plus executing there).
+  /// depth: waiting for the router's engine plus executing on it).
   size_t max_queue_per_shard = 0;
   /// Max queries admitted-but-unresolved across all shards.
   size_t max_inflight_total = 0;

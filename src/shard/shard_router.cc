@@ -12,19 +12,15 @@ namespace rcj {
 ShardRouter::ShardRouter(ShardRouterOptions options)
     : options_(std::move(options)),
       admission_(options_.num_shards == 0 ? 1 : options_.num_shards,
-                 options_.admission) {
-  if (options_.num_shards == 0) options_.num_shards = 1;
-  shards_.resize(options_.num_shards);
-  for (Shard& shard : shards_) {
-    shard.service = std::make_unique<Service>(options_.service);
-  }
-}
+                 options_.admission),
+      shards_(options_.num_shards == 0 ? 1 : options_.num_shards),
+      engine_(options_.service.engine) {}
 
 ShardRouter::~ShardRouter() {
-  // Each Shutdown() drains that shard's admitted work; their Release()
-  // callbacks run during the drain, so admission_ (destroyed after
-  // shards_, it is declared first) must still be alive — and is.
-  for (Shard& shard : shards_) shard.service->Shutdown();
+  // Shutdown() drains every admitted query; their Release() callbacks run
+  // during the drain, so admission_ and shards_ (destroyed after engine_,
+  // they are declared first) must still be alive — and are.
+  engine_.Shutdown();
 }
 
 Status ShardRouter::RegisterImpl(const std::string& name,
@@ -69,9 +65,8 @@ Status ShardRouter::RegisterLiveEnvironment(const std::string& name,
   // this hook fires, no in-flight query of the shard still targets the
   // retired environment, exactly the precondition InvalidateEnvironment
   // demands.
-  Service* service = shards_[ShardOf(name)].service.get();
-  env->set_invalidation_hook([service](const RcjEnvironment* retired) {
-    service->InvalidateEnvironment(retired);
+  env->set_invalidation_hook([this](const RcjEnvironment* retired) {
+    engine_.InvalidateCachedViews(retired);
   });
   return Status::OK();
 }
@@ -84,17 +79,16 @@ Status ShardRouter::ReleaseEnvironment(const std::string& name) {
   const Registration registration = it->second;
   environments_.erase(it);
   --shards_[registration.shard].environments;
-  Service* service = shards_[registration.shard].service.get();
   if (registration.live != nullptr) {
-    // Future compactions must not call back into this router's services.
+    // Future compactions must not call back into this router's engine.
     registration.live->set_invalidation_hook(nullptr);
     const LiveSnapshot snapshot = registration.live->TakeSnapshot();
-    service->InvalidateEnvironment(snapshot.env());
+    engine_.InvalidateCachedViews(snapshot.env());
     return Status::OK();
   }
-  // Synchronous: once this returns, no worker of the shard's engine holds
-  // views over the environment's page stores.
-  service->InvalidateEnvironment(registration.env);
+  // Synchronous: once this returns, no worker of the engine holds views
+  // over the environment's page stores.
+  engine_.InvalidateCachedViews(registration.env);
   return Status::OK();
 }
 
@@ -189,15 +183,15 @@ Status ShardRouter::Submit(const std::string& env_name, QuerySpec spec,
   }
 
   RINGJOIN_RETURN_IF_ERROR(admission_.TryAdmit(shard));
-  // From here the slot is held; every path below ends in the service's
+  // From here the slot is held; every path below ends in the engine's
   // on_done firing exactly once (even a post-shutdown Submit resolves
   // inline), which returns it.
   if (on_admit) on_admit();
 
   const auto admitted_at = std::chrono::steady_clock::now();
   obs::TraceContext* trace = spec.trace;
-  QueryTicket submitted = shards_[shard].service->Submit(
-      spec, sink,
+  QueryTicket submitted = engine_.Submit(
+      EngineQuery{spec, sink, &shards_[shard].partition},
       [this, shard, snapshot, admitted_at, snapshot_bound_at,
        pinned_snapshot, trace,
        on_done = std::move(on_done)](const Status& final_status) {
@@ -228,7 +222,8 @@ std::vector<ShardStatus> ShardRouter::Stats() const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     all[i].shard = i;
     all[i].environments = shards_[i].environments;
-    all[i].queued = shards_[i].service->pending();
+    all[i].queued =
+        shards_[i].partition.queued.load(std::memory_order_relaxed);
     all[i].counters = admission_.shard_counters(i);
   }
   return all;
@@ -254,12 +249,6 @@ std::vector<EnvironmentStatus> ShardRouter::EnvStats() const {
     all.push_back(std::move(status));
   }
   return all;
-}
-
-size_t ShardRouter::num_threads() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.service->num_threads();
-  return total;
 }
 
 }  // namespace rcj

@@ -1,16 +1,16 @@
-// ShardRouter — multi-environment sharded serving over rcj::Service.
+// ShardRouter — multi-environment sharded serving over one rcj::Engine.
 //
-// The service layer funnels every query into one engine and its one pool
-// queue: a hot environment's backlog delays every other environment,
-// and nothing bounds the backlog. The router fixes both at the layer the
-// paper's evaluation implies (many dataset configurations, independently
-// queryable): it owns N shards, each pairing a slice of the named-
-// environment registry with its OWN rcj::Service — own Engine, own worker
-// pool and pool queue — so traffic to one environment can only
-// queue behind its shardmates, never behind the whole process. An
-// AdmissionController in front enforces a bounded queue per shard and a
-// global in-flight cap: over-limit submissions resolve immediately with
-// StatusCode::kOverloaded instead of queueing unboundedly.
+// The router owns the process's one Engine (one worker pool, one set of
+// per-worker view caches) and N shards that partition ADMISSION, not
+// threads: each shard pairs a slice of the named-environment registry with
+// its own bounded queue in an AdmissionController, which also enforces a
+// global in-flight cap — over-limit submissions resolve immediately with
+// StatusCode::kOverloaded instead of queueing unboundedly. Every admitted
+// query runs on the shared pool, so a query on a busy shard still gets
+// every idle worker. A hot shard's backlog cannot starve another: each
+// shard is an EnginePartition, the engine's claimants yield after every
+// leaf chunk, and the partitions' yielded turns take turns on the pool.
+// Within a shard, queries finish oldest first.
 //
 // Environments are assigned to shards by explicit pin
 // (ShardRouterOptions::placement) or, by default, by a stable FNV-1a hash
@@ -26,24 +26,24 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
 #include "live/live_environment.h"
+#include "engine/engine.h"
 #include "service/service.h"
 #include "shard/admission.h"
 
 namespace rcj {
 
 struct ShardRouterOptions {
-  /// Number of shards; each owns a Service (and its engine). 0 is
-  /// treated as 1. Mind the multiplication: every shard's engine sizes
-  /// itself to hardware threads unless service.engine.num_threads caps it.
+  /// Number of shards: admission partitions (each its own bounded queue
+  /// and ledger), all served by the router's one engine. 0 is treated as 1.
   size_t num_shards = 1;
-  /// Knobs applied to every shard's service.
+  /// Knobs of the router's engine (service.engine: worker threads,
+  /// per-worker buffer sizing).
   ServiceOptions service;
   /// Bounded queue depth per shard + global in-flight cap (0 = unbounded).
   AdmissionLimits admission;
@@ -57,7 +57,8 @@ struct ShardRouterOptions {
 struct ShardStatus {
   size_t shard = 0;
   size_t environments = 0;  ///< environments registered on this shard.
-  size_t queued = 0;        ///< Service::pending(): engine queue depth.
+  /// Admitted queries of this shard whose first task has not started.
+  size_t queued = 0;
   AdmissionController::ShardCounters counters;
 };
 
@@ -74,8 +75,8 @@ struct EnvironmentStatus {
 class ShardRouter {
  public:
   explicit ShardRouter(ShardRouterOptions options = {});
-  /// Shuts every shard's service down (draining admitted work) before the
-  /// shards are torn down.
+  /// Shuts the engine down (draining admitted work) before the shards are
+  /// torn down.
   ~ShardRouter();
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(ShardRouter);
@@ -91,14 +92,14 @@ class ShardRouter {
 
   /// Registers a mutable environment under `name`. The router takes over
   /// the environment's invalidation hook (wiring retired-base teardown to
-  /// the shard service's view drop), so the caller must not set one.
+  /// the engine's view drop), so the caller must not set one.
   /// Same registration discipline and errors as RegisterEnvironment;
   /// mutations themselves are fully concurrent once registered.
   Status RegisterLiveEnvironment(const std::string& name,
                                  LiveEnvironment* env);
 
-  /// Unregisters `name` and drops every cached worker view (and plan) its
-  /// shard's engine holds over the environment, blocking until the drop is
+  /// Unregisters `name` and drops every cached worker view (and plan) the
+  /// engine holds over the environment, blocking until the drop is
   /// applied — after it returns, the environment may be destroyed and the
   /// name re-registered (e.g. with a rebuilt environment). The caller must
   /// first stop traffic to the name and resolve its outstanding tickets,
@@ -146,7 +147,7 @@ class ShardRouter {
   /// of any PAIR line. `on_done`, when set, runs once as the admitted
   /// query completes, after its slot is released and just before the
   /// ticket resolves (on an engine worker, or inline for a query the
-  /// shut-down service refuses) — the network server's wake-up.
+  /// shut-down engine refuses) — the network server's wake-up.
   Status Submit(const std::string& env_name, QuerySpec spec, PairSink* sink,
                 QueryTicket* ticket,
                 const std::function<void()>& on_admit = nullptr,
@@ -160,13 +161,15 @@ class ShardRouter {
   std::vector<EnvironmentStatus> EnvStats() const;
 
   size_t num_shards() const { return shards_.size(); }
-  /// Worker threads across all shard engines (for banners/logs).
-  size_t num_threads() const;
+  /// Worker threads of the router's engine (for banners/logs).
+  size_t num_threads() const { return engine_.num_threads(); }
 
  private:
   struct Shard {
-    std::unique_ptr<Service> service;
     size_t environments = 0;
+    /// The shard's scheduling partition of the engine, whose `queued`
+    /// counts admitted queries waiting for their first task.
+    EnginePartition partition;
   };
 
   /// One named registration: exactly one of `env` (static, read-only) and
@@ -190,6 +193,9 @@ class ShardRouter {
   std::vector<Shard> shards_;
   /// Fixed after registration.
   std::map<std::string, Registration> environments_;
+  /// Declared last, so it is destroyed first: its workers are joined
+  /// before the members their done callbacks touch go away.
+  Engine engine_;
 };
 
 }  // namespace rcj

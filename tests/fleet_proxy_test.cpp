@@ -882,6 +882,89 @@ TEST(FleetProxyTest, CatchUpFailsWhenTheRingNoLongerReachesBack) {
   EXPECT_EQ(proxy.counters().catchup_failures, 1u);
 }
 
+TEST(FleetProxyTest, CatchUpProbesEnvironmentsEvictedFromTheRing) {
+  // Two live environments per backend. The ring only remembers the last
+  // two mutations, both on "other": the lagger's missing "default" epoch
+  // has no ring entry left, yet CatchUp must still probe "default", find
+  // the gap, and keep the replica out of the read window.
+  const std::vector<PointRecord> qset = GenerateUniform(300, 781);
+  const std::vector<PointRecord> pset = GenerateUniform(400, 782);
+  std::vector<std::unique_ptr<LiveEnvironment>> lives;
+  std::vector<std::unique_ptr<ShardRouter>> routers;
+  std::vector<std::unique_ptr<NetServer>> servers;
+  std::vector<BackendAddress> addresses;
+  for (size_t i = 0; i < 2; ++i) {
+    routers.push_back(std::make_unique<ShardRouter>());
+    for (const char* name : {"default", "other"}) {
+      Result<std::unique_ptr<LiveEnvironment>> live =
+          LiveEnvironment::Create(qset, pset, LiveOptions{});
+      ASSERT_TRUE(live.ok());
+      lives.push_back(std::move(live).value());
+      ASSERT_TRUE(
+          routers.back()->RegisterLiveEnvironment(name, lives.back().get())
+              .ok());
+    }
+    servers.push_back(std::make_unique<NetServer>(routers.back().get()));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    addresses.push_back({"127.0.0.1", servers.back()->port()});
+  }
+  const auto epoch_of = [&](size_t backend, const std::string& env) {
+    Result<net::ProtocolClient> direct = net::ProtocolClient::Connect(
+        "127.0.0.1", servers[backend]->port());
+    EXPECT_TRUE(direct.ok());
+    uint64_t epoch = 0;
+    EXPECT_TRUE(direct.value().Epoch(env, &epoch).ok());
+    return epoch;
+  };
+
+  FleetProxyOptions options;
+  options.replicas = 2;
+  options.mutation_ring_capacity = 2;
+  FleetProxy proxy(addresses, options);
+  ASSERT_TRUE(proxy.Start().ok());
+  const size_t lagger = proxy.ReplicaSet("default")[1];
+  const size_t primary = proxy.ReplicaSet("default")[0];
+  proxy.SetExcluded(lagger, true);
+
+  Result<net::ProtocolClient> dialed =
+      net::ProtocolClient::Connect("127.0.0.1", proxy.port());
+  ASSERT_TRUE(dialed.ok());
+  net::ProtocolClient client = std::move(dialed).value();
+  int64_t id = 740000;
+  for (const char* env : {"default", "other", "other"}) {
+    net::WireMutation mutation;
+    mutation.op = net::WireMutationOp::kInsert;
+    mutation.env_name = env;
+    mutation.side = LiveSide::kQ;
+    mutation.rec.id = id++;
+    mutation.rec.pt.x = 0.25;
+    mutation.rec.pt.y = 0.5;
+    net::WireMutationAck ack;
+    ASSERT_TRUE(client.Mutate(mutation, &ack).ok()) << env;
+  }
+  EXPECT_EQ(epoch_of(primary, "default"), 1u);
+  EXPECT_EQ(epoch_of(lagger, "default"), 0u);
+
+  const Status caught_up = proxy.CatchUp(lagger);
+  ASSERT_FALSE(caught_up.ok());
+  EXPECT_EQ(caught_up.code(), StatusCode::kIoError);
+  EXPECT_NE(caught_up.ToString().find("full restore"), std::string::npos)
+      << caught_up.ToString();
+  EXPECT_TRUE(proxy.excluded(lagger))
+      << "a replica stale on an evicted environment must stay excluded";
+  EXPECT_EQ(epoch_of(lagger, "default"), 0u);
+
+  client.Close();
+  proxy.Stop();
+  EXPECT_EQ(proxy.counters().catchup_failures, 1u);
+  for (size_t i = 0; i < 2; ++i) {
+    servers[i]->Stop();
+    for (const char* name : {"default", "other"}) {
+      EXPECT_TRUE(routers[i]->ReleaseEnvironment(name).ok());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fleet
 }  // namespace rcj

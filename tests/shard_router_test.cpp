@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -495,6 +497,123 @@ TEST(ShardRouterTest, LiveQueriesStreamWhileCompactionRuns) {
   stop.store(true);
   churn.join();
   ASSERT_TRUE(router.ReleaseEnvironment("live").ok());
+}
+
+TEST(ShardRouterTest, HotShardBacklogDoesNotDelayAnotherShard) {
+  // Isolation under one shared engine: environment A (shard 0) is flooded
+  // with full joins, then a top-1 query on environment B (shard 1) is
+  // submitted behind the whole flood. Claimants yield after every chunk
+  // and the shards' yielded turns take turns, so B waits for a chunk per
+  // queued task, not for A's joins to run dry. The stated bound: B
+  // resolves before a quarter of A's flood has finished.
+  std::unique_ptr<RcjEnvironment> env_a = BuildEnv(2500, 581);
+  std::unique_ptr<RcjEnvironment> env_b = BuildEnv(100, 583);
+  constexpr size_t kFlood = 16;
+
+  ShardRouterOptions options;
+  options.num_shards = 2;
+  options.service.engine.num_threads = 4;
+  options.placement["A"] = 0;
+  options.placement["B"] = 1;
+  ShardRouter router(options);
+  ASSERT_TRUE(router.RegisterEnvironment("A", env_a.get()).ok());
+  ASSERT_TRUE(router.RegisterEnvironment("B", env_b.get()).ok());
+
+  std::atomic<size_t> flood_done{0};
+  std::vector<CountingSink> flood_sinks(kFlood);
+  std::vector<QueryTicket> flood(kFlood);
+  for (size_t i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(router
+                    .Submit("A", QuerySpec{}, &flood_sinks[i], &flood[i],
+                            nullptr, [&] { flood_done.fetch_add(1); })
+                    .ok());
+  }
+
+  QuerySpec top1;
+  top1.limit = 1;
+  CountingSink sink;
+  QueryTicket quick;
+  ASSERT_TRUE(router.Submit("B", top1, &sink, &quick).ok());
+  ASSERT_TRUE(quick.Wait().ok());
+  const size_t done_when_b_resolved = flood_done.load();
+  EXPECT_EQ(sink.count(), 1u);
+  EXPECT_LT(done_when_b_resolved, kFlood / 4)
+      << "the top-1 on B waited for A's backlog to run dry";
+
+  for (QueryTicket& ticket : flood) ASSERT_TRUE(ticket.Wait().ok());
+  for (const CountingSink& flood_sink : flood_sinks) {
+    EXPECT_EQ(flood_sink.count(), flood_sinks[0].count());
+  }
+}
+
+TEST(ShardRouterTest, QueuedCountsOnlyTheShardThatAdmittedTheQuery) {
+  // One engine serves every shard; each shard's STATS `queued` counts its
+  // own admitted queries whose first task has not started. A gated query
+  // holds the only worker, so everything behind it stays queued.
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(300, 587);
+  ShardRouterOptions options;
+  options.num_shards = 2;
+  options.service.engine.num_threads = 1;
+  options.placement["hot"] = 0;
+  options.placement["cold"] = 1;
+  ShardRouter router(options);
+  ASSERT_TRUE(router.RegisterEnvironment("hot", env.get()).ok());
+  ASSERT_TRUE(router.RegisterEnvironment("cold", env.get()).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  CallbackSink gate_sink([&](const RcjPair&) {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    return true;
+  });
+  QueryTicket gate;
+  ASSERT_TRUE(router.Submit("hot", QuerySpec{}, &gate_sink, &gate).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+
+  constexpr size_t kFlood = 5;
+  std::vector<QueryTicket> flood(kFlood);
+  for (QueryTicket& ticket : flood) {
+    ASSERT_TRUE(router.Submit("hot", QuerySpec{}, nullptr, &ticket).ok());
+  }
+  QueryTicket cold;
+  ASSERT_TRUE(router.Submit("cold", QuerySpec{}, nullptr, &cold).ok());
+
+  const std::vector<ShardStatus> queued = router.Stats();
+  EXPECT_EQ(queued[0].queued, kFlood) << "the running gate is not queued";
+  EXPECT_EQ(queued[1].queued, 1u) << "the cold query counts on its shard";
+  EXPECT_EQ(queued[0].counters.inflight, kFlood + 1);
+  EXPECT_EQ(queued[1].counters.inflight, 1u);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(gate.Wait().ok());
+  for (QueryTicket& ticket : flood) ASSERT_TRUE(ticket.Wait().ok());
+  ASSERT_TRUE(cold.Wait().ok());
+  for (const ShardStatus& shard : router.Stats()) {
+    EXPECT_EQ(shard.queued, 0u) << "shard " << shard.shard;
+  }
+}
+
+TEST(ShardRouterTest, EveryShardCountSharesOneEngine) {
+  for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+    ShardRouterOptions options;
+    options.num_shards = shards;
+    options.service.engine.num_threads = 2;
+    ShardRouter router(options);
+    EXPECT_EQ(router.num_shards(), shards);
+    EXPECT_EQ(router.num_threads(), 2u) << shards << " shards";
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
-// Tests for the engine's thread pool: completion guarantees and
-// destruction draining.
+// Tests for the engine's thread pool: completion guarantees, destruction
+// draining, and the order of fresh versus yielded tasks.
 #include "engine/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <string>
+#include <vector>
 
 namespace rcj {
 namespace {
@@ -35,6 +39,44 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 TEST(ThreadPoolTest, ZeroThreadsPromotedToHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
+}
+
+TEST(ThreadPoolTest, FreshTasksFirstThenGroupsTakeTurnsInRankOrder) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<std::string> order;
+  const auto record = [&](const char* name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    };
+  };
+  {
+    ThreadPool pool(1);
+    // Hold the only worker while the queues fill up.
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+    pool.Yield(record("g1.r2"), 1, 2);
+    pool.Yield(record("g1.r1"), 1, 1);
+    pool.Submit(record("fresh.a"));
+    pool.Yield(record("g2.r5"), 2, 5);
+    pool.Yield(record("g2.r9"), 2, 9);
+    pool.Yield(record("g1.r3"), 1, 3);
+    pool.Yield(record("g1.r1.b"), 1, 1);
+    pool.Submit(record("fresh.b"));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  }
+  const std::vector<std::string> want = {"fresh.a", "fresh.b", "g1.r1",
+                                         "g2.r5",   "g1.r1.b", "g2.r9",
+                                         "g1.r2",   "g1.r3"};
+  EXPECT_EQ(order, want);
 }
 
 }  // namespace

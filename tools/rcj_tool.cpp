@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/rcj.h"
@@ -75,9 +74,12 @@ int Usage() {
       "  rcj_tool serve --q Q.csv [--p P.csv | --self]\n"
       "           [--port P]   (TCP line-protocol server until\n"
       "                         SIGINT/SIGTERM; 0 = ephemeral, the default)\n"
-      "           [--threads T]  (server-wide worker budget, split across\n"
-      "                         shards)\n"
-      "           [--shards N] [--max-queue N] [--max-inflight N]\n"
+      "           [--threads T]  (worker threads of the server's one\n"
+      "                         engine, shared by every shard; 0 = one\n"
+      "                         per hardware thread)\n"
+      "           [--shards N]  (admission partitions: each shard has its\n"
+      "                         own queue bound and ledger, no threads)\n"
+      "           [--max-queue N] [--max-inflight N]\n"
       "           [--envs NAME:Q.csv:P.csv,NAME2:Q2.csv:self,...]\n"
       "                        (extra named environments besides 'default')\n"
       "           [--live]     (serve 'default' as a live environment that\n"
@@ -832,24 +834,13 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
                  FlagOr(flags, "max-inflight", "0").c_str());
     return 2;
   }
-  size_t total_threads = 0;
-  if (!ParseCount(FlagOr(flags, "threads", "0"), 4096, &total_threads)) {
+  // --threads sizes the router's one engine, whatever --shards is.
+  if (!ParseCount(FlagOr(flags, "threads", "0"), 4096,
+                  &router_options.service.engine.num_threads)) {
     std::fprintf(stderr, "serve: invalid --threads '%s'\n",
                  FlagOr(flags, "threads", "0").c_str());
     return 2;
   }
-  // --threads is the server-wide worker budget; every shard owns its own
-  // engine, so divide instead of letting N shards each size themselves to
-  // the full machine (8 shards on a 16-core box must not spawn 128
-  // workers). 0 = hardware concurrency, split the same way.
-  if (total_threads == 0) {
-    total_threads = std::thread::hardware_concurrency();
-    if (total_threads == 0) total_threads = 1;
-  }
-  router_options.service.engine.num_threads =
-      total_threads / router_options.num_shards > 0
-          ? total_threads / router_options.num_shards
-          : 1;
 
   const bool live_mode = flags.count("live") != 0;
   size_t compact_threshold = 0;
