@@ -87,12 +87,17 @@ BENCHMARK(BM_KnnQuery)->Arg(1)->Arg(10)->Arg(100);
 void BM_RcjFilter(benchmark::State& state) {
   Env env = BuildTree(100000, /*bulk=*/true);
   uint64_t i = 0;
-  std::vector<PointRecord> candidates;
+  // Algorithm 2 as INJ runs it: Bulk_Filter over a group of one point,
+  // with the scratch reused across queries.
+  std::vector<PointRecord> group(1);
+  std::vector<std::vector<PointRecord>> candidates;
+  BulkFilterScratch scratch;
   for (auto _ : state) {
-    const Point q{static_cast<double>((i * 2654435761u) % 10000u),
-                  static_cast<double>((i * 40503u) % 10000u)};
-    (void)FilterCandidates(*env.tree, q, kInvalidPointId, &candidates);
-    benchmark::DoNotOptimize(candidates.size());
+    group[0].pt = Point{static_cast<double>((i * 2654435761u) % 10000u),
+                        static_cast<double>((i * 40503u) % 10000u)};
+    (void)BulkFilterCandidates(*env.tree, group, BulkFilterOptions{},
+                               &candidates, nullptr, &scratch);
+    benchmark::DoNotOptimize(candidates[0].size());
     ++i;
   }
 }

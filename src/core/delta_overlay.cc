@@ -1,10 +1,5 @@
 #include "core/delta_overlay.h"
 
-#include <algorithm>
-
-#include "core/filter.h"
-#include "geometry/halfplane.h"
-
 namespace rcj {
 
 const char* LiveSideName(LiveSide side) {
@@ -36,135 +31,6 @@ std::vector<PointRecord> EffectivePointset(
     out.push_back(rec);
   }
   return out;
-}
-
-void FilterCandidatesFlat(const std::vector<PointRecord>& points,
-                          const Point& q, PointId self_skip_id,
-                          std::vector<PointRecord>* candidates) {
-  if (points.empty()) return;
-
-  // Ascending-distance order with an id tiebreak: the flat analogue of the
-  // best-first heap, and deterministic for equal keys.
-  std::vector<const PointRecord*> ordered;
-  ordered.reserve(points.size());
-  for (const PointRecord& rec : points) {
-    if (rec.id == self_skip_id) continue;
-    ordered.push_back(&rec);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [&q](const PointRecord* a, const PointRecord* b) {
-              const double da = Dist2(q, a->pt);
-              const double db = Dist2(q, b->pt);
-              if (da != db) return da < db;
-              return a->id < b->id;
-            });
-
-  std::vector<PruneRegion> regions;
-  for (const PointRecord* rec : ordered) {
-    bool pruned = false;
-    for (const PruneRegion& region : regions) {
-      if (region.PrunesPoint(rec->pt)) {
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) continue;
-    candidates->push_back(*rec);
-    regions.emplace_back(q, rec->pt);
-  }
-}
-
-void VerifyCandidatesFlat(const std::vector<PointRecord>& points,
-                          TreeSide side, bool self_join,
-                          std::vector<CandidateCircle>* candidates) {
-  if (points.empty()) return;
-  for (CandidateCircle& c : *candidates) {
-    if (!c.alive) continue;
-    for (const PointRecord& rec : points) {
-      const bool is_endpoint =
-          self_join ? (rec.id == c.p.id || rec.id == c.q.id)
-                    : (side == TreeSide::kPSide ? rec.id == c.p.id
-                                                : rec.id == c.q.id);
-      if (is_endpoint) continue;
-      if (StrictlyInsideDiametral(rec.pt, c.p.pt, c.q.pt)) {
-        c.alive = false;
-        break;
-      }
-    }
-  }
-}
-
-Status VerifyMerged(const RTree& tq, const RTree& tp, bool self_join,
-                    const DeltaOverlay* overlay,
-                    std::vector<CandidateCircle>* circles) {
-  const std::unordered_set<PointId>* dead_q =
-      overlay != nullptr ? overlay->dead_or_null(LiveSide::kQ) : nullptr;
-  if (self_join) {
-    RINGJOIN_RETURN_IF_ERROR(
-        VerifyCandidates(tq, TreeSide::kQSide, true, circles, dead_q));
-    if (overlay != nullptr) {
-      VerifyCandidatesFlat(overlay->delta(LiveSide::kQ), TreeSide::kQSide,
-                           true, circles);
-    }
-    return Status::OK();
-  }
-  const std::unordered_set<PointId>* dead_p =
-      overlay != nullptr ? overlay->dead_or_null(LiveSide::kP) : nullptr;
-  RINGJOIN_RETURN_IF_ERROR(
-      VerifyCandidates(tq, TreeSide::kQSide, false, circles, dead_q));
-  RINGJOIN_RETURN_IF_ERROR(
-      VerifyCandidates(tp, TreeSide::kPSide, false, circles, dead_p));
-  if (overlay != nullptr) {
-    VerifyCandidatesFlat(overlay->delta(LiveSide::kQ), TreeSide::kQSide,
-                         false, circles);
-    VerifyCandidatesFlat(overlay->delta(LiveSide::kP), TreeSide::kPSide,
-                         false, circles);
-  }
-  return Status::OK();
-}
-
-Status RunDeltaTail(const RTree& tq, const RTree& tp, bool self_join,
-                    bool verify, const DeltaOverlay& overlay, PairSink* sink,
-                    uint64_t* emitted, JoinStats* stats, bool* stopped) {
-  *stopped = false;
-  std::vector<PointRecord> candidates;
-  std::vector<CandidateCircle> circles;
-  for (const PointRecord& q : overlay.delta(LiveSide::kQ)) {
-    candidates.clear();
-    // Base partners: the tree filter with tombstones excluded. Live delta
-    // ids never collide with live base ids, so the self-skip only matters
-    // for the flat scan below (which contains q itself in self-join mode).
-    RINGJOIN_RETURN_IF_ERROR(FilterCandidates(
-        tp, q.pt, self_join ? q.id : kInvalidPointId, &candidates,
-        overlay.dead_or_null(LiveSide::kP)));
-    // Delta partners.
-    FilterCandidatesFlat(overlay.delta(LiveSide::kP), q.pt,
-                         self_join ? q.id : kInvalidPointId, &candidates);
-
-    circles.clear();
-    for (const PointRecord& p : candidates) {
-      // Self-join: each unordered pair is generated once, from its
-      // higher-id endpoint's perspective (same rule as the base kernels;
-      // live ids are unique across base and delta).
-      if (self_join && p.id >= q.id) continue;
-      circles.push_back(CandidateCircle::Make(p, q));
-    }
-    stats->candidates += circles.size();
-
-    if (verify) {
-      RINGJOIN_RETURN_IF_ERROR(
-          VerifyMerged(tq, tp, self_join, &overlay, &circles));
-    }
-    for (const CandidateCircle& c : circles) {
-      if (!c.alive) continue;
-      ++*emitted;
-      if (!sink->Emit(RcjPair{c.p, c.q, c.circle})) {
-        *stopped = true;
-        return Status::OK();
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace rcj

@@ -12,22 +12,21 @@
 // Soundness under deletions is the subtle part. Deleting a point can
 // *resurrect* pairs the base join never emitted (the deleted point was the
 // witness that invalidated them), so the merged path cannot filter the
-// static stream — it re-runs the paper's filter/verify with tombstones
-// excluded everywhere a point could act as evidence:
+// static stream — the index-join kernel (core/index_join.h) re-runs the
+// paper's filter/verify with tombstones excluded everywhere a point could
+// act as evidence:
 //
-//   * Filter pruning anchors must be live: FilterCandidates and
-//     BulkFilterCandidates take the tombstone set and never report or
-//     anchor on a dead point (a live anchor genuinely invalidates the pairs
-//     it prunes, so Lemma-1/3 pruning stays exact).
+//   * Filter pruning anchors must be live: BulkFilterCandidates takes the
+//     tombstone set and never reports or anchors on a dead point (a live
+//     anchor genuinely invalidates the pairs it prunes, so Lemma-1/3
+//     pruning stays exact).
 //   * Verification's MBR face rule is unsound once points are excluded
 //     (the face-certified witness might be the dead one), so
 //     VerifyCandidates descends instead whenever a tombstone set is given.
 //
-// The delta lists are small (compaction folds them into a fresh base) and
-// RAM-resident, so they are probed with flat-array forms of Algorithm 2
-// and Algorithm 3 below; those probes are deliberately outside the paper's
-// buffer-pool I/O accounting, exactly like the resident pointsets BRUTE
-// reads.
+// The delta lists themselves are small (compaction folds them into a fresh
+// base) and RAM-resident; the kernel probes them with flat-array forms of
+// Algorithms 2 and 3, outside the paper's buffer-pool I/O accounting.
 #ifndef RINGJOIN_CORE_DELTA_OVERLAY_H_
 #define RINGJOIN_CORE_DELTA_OVERLAY_H_
 
@@ -36,11 +35,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/status.h"
-#include "core/pair_sink.h"
 #include "core/rcj_types.h"
-#include "core/verify.h"
-#include "rtree/rtree.h"
 
 namespace rcj {
 
@@ -121,40 +116,6 @@ struct DeltaOverlay {
 std::vector<PointRecord> EffectivePointset(
     const std::vector<PointRecord>& base, const DeltaOverlay& overlay,
     LiveSide side);
-
-/// Algorithm 2 over a flat in-memory array: appends to `candidates` every
-/// point of `points` that no nearer kept point prunes via Lemma 1. Points
-/// are examined in ascending distance from `q` (ties broken by id, so the
-/// appended order is deterministic). `self_skip_id` as in FilterCandidates.
-void FilterCandidatesFlat(const std::vector<PointRecord>& points,
-                          const Point& q, PointId self_skip_id,
-                          std::vector<PointRecord>* candidates);
-
-/// Algorithm 3 over a flat in-memory array: kills every candidate whose
-/// circle strictly contains a point of `points` other than the candidate's
-/// own `side` endpoint (both endpoints with `self_join`).
-void VerifyCandidatesFlat(const std::vector<PointRecord>& points,
-                          TreeSide side, bool self_join,
-                          std::vector<CandidateCircle>* candidates);
-
-/// The full merged verification block shared by INJ, BIJ/OBJ, and the
-/// delta tail: both base trees with tombstone exclusion, then the
-/// overlay's delta records. A null overlay degenerates to exactly the
-/// static verification (face rule enabled).
-Status VerifyMerged(const RTree& tq, const RTree& tp, bool self_join,
-                    const DeltaOverlay* overlay,
-                    std::vector<CandidateCircle>* circles);
-
-/// The delta tail of a merged query: joins the overlay's delta-Q records,
-/// in insertion order, against the full live view (base minus tombstones
-/// plus delta). Shared by every indexed kernel — the delta is small and
-/// resident, so per-point Algorithm 2 is the right tool regardless of the
-/// base algorithm. Emits through `sink`, bumping `*emitted` per pair and
-/// `stats->candidates` per circle; sets `*stopped` (and returns OK) when
-/// the sink requests early termination.
-Status RunDeltaTail(const RTree& tq, const RTree& tp, bool self_join,
-                    bool verify, const DeltaOverlay& overlay, PairSink* sink,
-                    uint64_t* emitted, JoinStats* stats, bool* stopped);
 
 }  // namespace rcj
 

@@ -1,105 +1,36 @@
 #include "core/filter.h"
 
-#include <queue>
-
-#include "geometry/halfplane.h"
+#include <algorithm>
 
 namespace rcj {
 namespace {
 
-// Heap element of the best-first traversal: either a node page or a point.
-struct HeapItem {
-  double key = 0.0;  // squared mindist from the reference point
-  bool is_point = false;
-  PointRecord rec;
-  uint64_t child_page = 0;
-  Rect mbr;  // valid for nodes
-};
+// Min-heap order on the key; std::push_heap/pop_heap with this comparator
+// are exactly std::priority_queue's push/pop, so ties pop in the same order.
 struct HeapCompare {
-  bool operator()(const HeapItem& a, const HeapItem& b) const {
+  bool operator()(const FilterHeapItem& a, const FilterHeapItem& b) const {
     return a.key > b.key;
   }
 };
-using MinHeap = std::priority_queue<HeapItem, std::vector<HeapItem>, HeapCompare>;
 
 }  // namespace
-
-Status FilterCandidates(const RTree& tp, const Point& q,
-                        PointId self_skip_id,
-                        std::vector<PointRecord>* candidates,
-                        const std::unordered_set<PointId>* exclude) {
-  candidates->clear();
-  if (tp.height() == 0) return Status::OK();
-
-  // Pruning half-planes of the candidates found so far (Lemmas 1 and 3).
-  std::vector<PruneRegion> regions;
-
-  MinHeap heap;
-  {
-    HeapItem root;
-    root.is_point = false;
-    root.child_page = tp.root_page();
-    root.key = 0.0;
-    heap.push(root);
-  }
-
-  while (!heap.empty()) {
-    HeapItem top = heap.top();
-    heap.pop();
-
-    bool pruned = false;
-    for (const PruneRegion& region : regions) {
-      if (top.is_point ? region.PrunesPoint(top.rec.pt)
-                       : region.PrunesRect(top.mbr)) {
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) continue;
-
-    if (top.is_point) {
-      if (top.rec.id == self_skip_id) continue;  // identity in a self-join
-      if (exclude != nullptr && exclude->count(top.rec.id) != 0) {
-        continue;  // tombstoned: neither a candidate nor an anchor
-      }
-      candidates->push_back(top.rec);
-      regions.emplace_back(q, top.rec.pt);
-      continue;
-    }
-
-    Result<Node> node = tp.ReadNode(top.child_page);
-    if (!node.ok()) return node.status();
-    if (node.value().is_leaf()) {
-      for (const LeafEntry& e : node.value().points) {
-        HeapItem item;
-        item.is_point = true;
-        item.rec = e.rec;
-        item.key = Dist2(q, e.rec.pt);
-        heap.push(item);
-      }
-    } else {
-      for (const BranchEntry& e : node.value().children) {
-        HeapItem item;
-        item.is_point = false;
-        item.child_page = e.child;
-        item.mbr = e.mbr;
-        item.key = e.mbr.MinDist2(q);
-        heap.push(item);
-      }
-    }
-  }
-  return Status::OK();
-}
 
 Status BulkFilterCandidates(const RTree& tp,
                             const std::vector<PointRecord>& qs,
                             const BulkFilterOptions& options,
                             std::vector<std::vector<PointRecord>>*
                                 per_q_candidates,
-                            const std::unordered_set<PointId>* exclude) {
+                            const std::unordered_set<PointId>* exclude,
+                            BulkFilterScratch* scratch) {
   const size_t group = qs.size();
-  per_q_candidates->assign(group, {});
+  per_q_candidates->resize(group);
+  for (std::vector<PointRecord>& candidates : *per_q_candidates) {
+    candidates.clear();
+  }
   if (group == 0 || tp.height() == 0) return Status::OK();
+
+  BulkFilterScratch local;
+  if (scratch == nullptr) scratch = &local;
 
   // Centroid of the group: the single reference point of the traversal
   // order (Algorithm 7 examines T_P in ascending distance from it).
@@ -114,7 +45,9 @@ Status BulkFilterCandidates(const RTree& tp,
   // anchors[i]: pruning half-planes usable for qs[i]. With symmetric
   // pruning (Section 4.2) the sibling points of the leaf seed the anchor
   // sets before any candidate from P has been discovered.
-  std::vector<std::vector<PruneRegion>> anchors(group);
+  std::vector<std::vector<PruneRegion>>& anchors = scratch->anchors;
+  anchors.resize(group);
+  for (std::vector<PruneRegion>& member : anchors) member.clear();
   if (options.symmetric_pruning) {
     for (size_t i = 0; i < group; ++i) {
       for (size_t j = 0; j < group; ++j) {
@@ -124,7 +57,7 @@ Status BulkFilterCandidates(const RTree& tp,
     }
   }
 
-  auto pruned_for = [&](size_t i, const HeapItem& item) {
+  auto pruned_for = [&](size_t i, const FilterHeapItem& item) {
     for (const PruneRegion& region : anchors[i]) {
       if (item.is_point ? region.PrunesPoint(item.rec.pt)
                         : region.PrunesRect(item.mbr)) {
@@ -134,37 +67,42 @@ Status BulkFilterCandidates(const RTree& tp,
     return false;
   };
 
-  MinHeap heap;
+  std::vector<FilterHeapItem>& heap = scratch->heap;
+  heap.clear();
+  auto push = [&heap](const FilterHeapItem& item) {
+    heap.push_back(item);
+    std::push_heap(heap.begin(), heap.end(), HeapCompare{});
+  };
   {
-    HeapItem root;
+    FilterHeapItem root;
     root.is_point = false;
     root.child_page = tp.root_page();
     root.key = 0.0;
-    heap.push(root);
+    push(root);
   }
 
   while (!heap.empty()) {
-    HeapItem top = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), HeapCompare{});
+    const FilterHeapItem top = heap.back();
+    heap.pop_back();
 
     // Discard the entry only if it is prunable with respect to *every*
-    // group member (Algorithm 7, line 7).
-    bool prunable_for_all = true;
-    for (size_t i = 0; i < group; ++i) {
-      if (!pruned_for(i, top)) {
-        prunable_for_all = false;
-        break;
-      }
-    }
-    if (prunable_for_all) continue;
+    // group member (Algorithm 7, line 7). `first` is the first member it
+    // is not pruned for.
+    size_t first = 0;
+    while (first < group && pruned_for(first, top)) ++first;
+    if (first == group) continue;
 
     if (top.is_point) {
       if (exclude != nullptr && exclude->count(top.rec.id) != 0) {
         continue;  // tombstoned: neither a candidate nor an anchor
       }
-      for (size_t i = 0; i < group; ++i) {
+      // Members before `first` are pruned and `first` is not, as the scan
+      // above found; only the members after it still need a test. A new
+      // anchor of member i never affects another member's test.
+      for (size_t i = first; i < group; ++i) {
         if (options.self_join && top.rec.id == qs[i].id) continue;
-        if (!pruned_for(i, top)) {
+        if (i == first || !pruned_for(i, top)) {
           (*per_q_candidates)[i].push_back(top.rec);
           anchors[i].emplace_back(qs[i].pt, top.rec.pt);
         }
@@ -176,20 +114,20 @@ Status BulkFilterCandidates(const RTree& tp,
     if (!node.ok()) return node.status();
     if (node.value().is_leaf()) {
       for (const LeafEntry& e : node.value().points) {
-        HeapItem item;
+        FilterHeapItem item;
         item.is_point = true;
         item.rec = e.rec;
         item.key = Dist2(centroid, e.rec.pt);
-        heap.push(item);
+        push(item);
       }
     } else {
       for (const BranchEntry& e : node.value().children) {
-        HeapItem item;
+        FilterHeapItem item;
         item.is_point = false;
         item.child_page = e.child;
         item.mbr = e.mbr;
         item.key = e.mbr.MinDist2(centroid);
-        heap.push(item);
+        push(item);
       }
     }
   }

@@ -1,12 +1,15 @@
-// The filter step of the index nested loop join (paper Section 3.1,
-// Algorithm 2) and its bulk variant (Section 4.1, Algorithm 7, plus the
-// Section 4.2 symmetric pruning rule used by OBJ).
+// The filter step of the ring-constrained join: Bulk_Filter (paper Section
+// 4.1, Algorithm 7, plus the Section 4.2 symmetric pruning rule used by
+// OBJ). Filter (Section 3.1, Algorithm 2) is Bulk_Filter over a group of
+// one point, whose centroid is the point itself, so INJ uses this same
+// function with one-point groups.
 //
-// Filter(q, T_P) walks T_P best-first in ascending mindist from q (the
-// incremental-NN order of Hjaltason & Samet) and returns every point of P
-// that no previously discovered candidate can prune via Lemma 1 (points) /
-// Lemma 3 (MBRs). The output is a superset of q's true RCJ partners — the
-// verification step removes the rest.
+// Bulk_Filter walks T_P best-first in ascending mindist from the group's
+// centroid (the incremental-NN order of Hjaltason & Samet) and returns, per
+// group member q, every point of P that no previously discovered candidate
+// of q can prune via Lemma 1 (points) / Lemma 3 (MBRs). Each output set is
+// a superset of q's true RCJ partners — the verification step removes the
+// rest.
 #ifndef RINGJOIN_CORE_FILTER_H_
 #define RINGJOIN_CORE_FILTER_H_
 
@@ -15,24 +18,10 @@
 
 #include "common/status.h"
 #include "core/rcj_types.h"
+#include "geometry/halfplane.h"
 #include "rtree/rtree.h"
 
 namespace rcj {
-
-/// Algorithm 2. Retrieves the candidate partners of q from T_P.
-///
-/// `self_skip_id`: in a self-join T_P contains q itself; pass q's id so the
-/// identity point is neither reported nor used as a pruning anchor. Pass
-/// kInvalidPointId for a regular (two-dataset) join.
-///
-/// `exclude`: tombstoned point ids of a live environment's delta overlay
-/// (null for a static join). Excluded points are treated exactly like the
-/// identity point — never reported and never a pruning anchor — so every
-/// remaining anchor is a live point and Lemma-1/3 pruning stays sound.
-Status FilterCandidates(const RTree& tp, const Point& q,
-                        PointId self_skip_id,
-                        std::vector<PointRecord>* candidates,
-                        const std::unordered_set<PointId>* exclude = nullptr);
 
 /// Options for the bulk filter.
 struct BulkFilterOptions {
@@ -44,18 +33,43 @@ struct BulkFilterOptions {
   bool self_join = false;
 };
 
+/// Heap element of the best-first traversal: either a node page or a point.
+struct FilterHeapItem {
+  double key = 0.0;  // squared mindist from the group's centroid
+  bool is_point = false;
+  PointRecord rec;
+  uint64_t child_page = 0;
+  Rect mbr;  // valid for nodes
+};
+
+/// Storage BulkFilterCandidates reuses across calls: the best-first heap
+/// and the per-member anchor lists. A join passes one scratch to every
+/// group of a query, so one-point groups allocate nothing per point.
+struct BulkFilterScratch {
+  std::vector<FilterHeapItem> heap;
+  std::vector<std::vector<PruneRegion>> anchors;
+};
+
 /// Algorithm 7. One best-first traversal of T_P (ordered by mindist from the
-/// centroid of `qs`) retrieves candidate sets for all points of one T_Q leaf
-/// concurrently. `per_q_candidates` is resized to qs.size(), aligned with qs.
-/// `exclude` as in FilterCandidates; the caller must also drop tombstoned
+/// centroid of `qs`) retrieves candidate sets for all points of `qs`
+/// concurrently. `per_q_candidates` is resized to qs.size(), aligned with
+/// qs; its inner vectors keep their capacity.
+///
+/// `exclude`: tombstoned point ids of a live environment's delta overlay
+/// (null for a static join). Excluded points are never reported and never
+/// a pruning anchor, so every remaining anchor is a live point and
+/// Lemma-1/3 pruning stays sound. The caller must also drop tombstoned
 /// points from `qs` itself (dead siblings must not seed symmetric anchors).
+///
+/// `scratch`: reusable storage (null = allocate for this call only).
 Status BulkFilterCandidates(const RTree& tp,
                             const std::vector<PointRecord>& qs,
                             const BulkFilterOptions& options,
                             std::vector<std::vector<PointRecord>>*
                                 per_q_candidates,
                             const std::unordered_set<PointId>* exclude =
-                                nullptr);
+                                nullptr,
+                            BulkFilterScratch* scratch = nullptr);
 
 }  // namespace rcj
 

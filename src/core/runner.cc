@@ -8,9 +8,8 @@
 #include <cstdio>
 
 #include "core/delta_overlay.h"
+#include "core/index_join.h"
 #include "core/rcj_brute.h"
-#include "core/rcj_bulk.h"
-#include "core/rcj_inj.h"
 #include "storage/cost_model.h"
 
 namespace rcj {
@@ -238,15 +237,15 @@ Status ExecuteRcj(const RTree& tq, const RTree& tp,
                   const QuerySpec& spec,
                   const std::vector<uint64_t>* tq_leaf_subset, bool delta_tail,
                   PairSink* sink, JoinStats* stats) {
-  const DeltaOverlay* overlay =
-      spec.overlay != nullptr && !spec.overlay->empty() ? spec.overlay
-                                                        : nullptr;
   switch (spec.algorithm) {
     case RcjAlgorithm::kBrute: {
       if (tq_leaf_subset != nullptr) {
         return Status::InvalidArgument(
             "BRUTE does not traverse T_Q leaves; leaf subsets do not apply");
       }
+      const DeltaOverlay* overlay =
+          spec.overlay != nullptr && !spec.overlay->empty() ? spec.overlay
+                                                            : nullptr;
       const std::vector<PointRecord>* bq = &qset;
       const std::vector<PointRecord>* bp = &pset;
       std::vector<PointRecord> eff_q, eff_p;
@@ -275,30 +274,11 @@ Status ExecuteRcj(const RTree& tq, const RTree& tp,
       stats->results += emitted;
       return status;
     }
-    case RcjAlgorithm::kInj: {
-      InjOptions inj;
-      inj.order = spec.order;
-      inj.verify = spec.verify;
-      inj.self_join = self_join;
-      inj.random_seed = spec.random_seed;
-      inj.leaf_pages = tq_leaf_subset;
-      inj.overlay = overlay;
-      inj.delta_tail = delta_tail;
-      return RunInj(tq, tp, inj, sink, stats);
-    }
+    case RcjAlgorithm::kInj:
     case RcjAlgorithm::kBij:
-    case RcjAlgorithm::kObj: {
-      BulkJoinOptions bulk;
-      bulk.symmetric_pruning = spec.algorithm == RcjAlgorithm::kObj;
-      bulk.verify = spec.verify;
-      bulk.self_join = self_join;
-      bulk.order = spec.order;
-      bulk.random_seed = spec.random_seed;
-      bulk.leaf_pages = tq_leaf_subset;
-      bulk.overlay = overlay;
-      bulk.delta_tail = delta_tail;
-      return RunBulkJoin(tq, tp, bulk, sink, stats);
-    }
+    case RcjAlgorithm::kObj:
+      return RunIndexJoin(tq, tp, self_join, spec, tq_leaf_subset,
+                          delta_tail, sink, stats);
   }
   return Status::InvalidArgument("unknown RCJ algorithm");
 }

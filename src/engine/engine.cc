@@ -6,7 +6,7 @@
 #include <condition_variable>
 #include <mutex>
 
-#include "core/rcj_inj.h"
+#include "core/index_join.h"
 #include "core/stop_token.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

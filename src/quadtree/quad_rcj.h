@@ -23,8 +23,9 @@ Status QuadFilterCandidates(const QuadTree& tp, const Point& q,
 
 /// Index nested loop RCJ over two quadtrees (INJ of Algorithm 5, with the
 /// quadtree as the hierarchical index). Emission and `stats` semantics
-/// match RunInj: pairs stream through `sink` in deterministic depth-first
-/// order, and a sink returning false stops the traversal with OK.
+/// match RunIndexJoin: pairs stream through `sink` in deterministic
+/// depth-first order, and a sink returning false stops the traversal with
+/// OK.
 Status RunQuadRcj(const QuadTree& tq, const QuadTree& tp, PairSink* sink,
                   JoinStats* stats);
 

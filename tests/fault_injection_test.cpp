@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "core/delta_overlay.h"
 #include "core/rcj.h"
 #include "rtree/inn_cursor.h"
 #include "rtree/rtree.h"
@@ -118,9 +119,10 @@ TEST(FaultInjectionTest, FilterAndVerifySurfaceErrors) {
   Env env = MakeTree(500, 4);
   ASSERT_TRUE(env.buffer->Clear().ok());
   env.store->TripAfterReads(2);
-  std::vector<PointRecord> candidates;
-  const Status filter_status = FilterCandidates(
-      *env.tree, Point{100, 100}, kInvalidPointId, &candidates);
+  std::vector<std::vector<PointRecord>> candidates;
+  const Status filter_status =
+      BulkFilterCandidates(*env.tree, {PointRecord{{100, 100}, 0}},
+                           BulkFilterOptions{}, &candidates);
   EXPECT_FALSE(filter_status.ok());
 
   env.store->Trip();
@@ -143,12 +145,40 @@ TEST(FaultInjectionTest, JoinSurfacesMidFlightError) {
 
   std::vector<RcjPair> out;
   JoinStats stats;
-  InjOptions options;
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kInj;
   VectorSink sink(&out);
   const Status status =
-      RunInj(*env_q.tree, *env_p.tree, options, &sink, &stats);
+      RunIndexJoin(*env_q.tree, *env_p.tree, /*self_join=*/false, spec,
+                   /*tq_leaf_subset=*/nullptr, /*delta_tail=*/true, &sink,
+                   &stats);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
+}
+
+TEST(FaultInjectionTest, DeltaTailSurfacesTpError) {
+  // A live query's last fragment: no base leaves, only the delta-Q tail,
+  // whose filter reads T_P. The P-side store dies under it.
+  Env env_q = MakeTree(400, 16);
+  Env env_p = MakeTree(400, 16);
+  ASSERT_TRUE(env_p.buffer->Clear().ok());
+  env_p.store->Trip();
+
+  DeltaOverlay overlay;
+  overlay.delta_q.push_back(PointRecord{{5000, 5000}, 100000});
+  overlay.dead_p.insert(7);
+  QuerySpec spec;
+  spec.algorithm = RcjAlgorithm::kObj;
+  spec.overlay = &overlay;
+  const std::vector<uint64_t> no_leaves;
+  std::vector<RcjPair> out;
+  VectorSink sink(&out);
+  JoinStats stats;
+  const Status status =
+      RunIndexJoin(*env_q.tree, *env_p.tree, /*self_join=*/false, spec,
+                   &no_leaves, /*delta_tail=*/true, &sink, &stats);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(FaultInjectionTest, BufferManagerDoesNotCacheFailedReads) {

@@ -1,13 +1,16 @@
 // Tests for the filter step (Algorithm 2) and bulk filter (Algorithm 7):
 // the filter must return a *superset* of the true RCJ partners of each
 // query point (no false negatives — Lemma 4's completeness argument), and
-// the symmetric pruning rule must only ever shrink candidate sets.
+// the symmetric pruning rule must only ever shrink candidate sets. The
+// FilterTest cases run Algorithm 2 as the join does: Bulk_Filter over a
+// group of one point.
 #include "core/filter.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "core/rcj_brute.h"
 #include "test_util.h"
@@ -50,6 +53,18 @@ std::set<PointId> TruePartnersConsideringP(
   return out;
 }
 
+// Algorithm 2 for q: Bulk_Filter over the one-point group {q}.
+// `self_join` skips q's own id.
+Status FilterOne(const RTree& tree, const PointRecord& q, bool self_join,
+                 std::vector<PointRecord>* candidates) {
+  BulkFilterOptions options;
+  options.self_join = self_join;
+  std::vector<std::vector<PointRecord>> per_q;
+  RINGJOIN_RETURN_IF_ERROR(BulkFilterCandidates(tree, {q}, options, &per_q));
+  *candidates = std::move(per_q.at(0));
+  return Status::OK();
+}
+
 TEST(FilterTest, CandidatesAreSupersetOfTruePartners) {
   const std::vector<PointRecord> pset = RandomRecords(300, 100);
   const std::vector<PointRecord> qset = RandomRecords(40, 101);
@@ -57,9 +72,7 @@ TEST(FilterTest, CandidatesAreSupersetOfTruePartners) {
 
   for (const PointRecord& q : qset) {
     std::vector<PointRecord> candidates;
-    ASSERT_TRUE(FilterCandidates(*env.tree, q.pt, kInvalidPointId,
-                                 &candidates)
-                    .ok());
+    ASSERT_TRUE(FilterOne(*env.tree, q, false, &candidates).ok());
     std::set<PointId> got;
     for (const PointRecord& c : candidates) got.insert(c.id);
     EXPECT_EQ(got.size(), candidates.size()) << "duplicate candidates";
@@ -79,9 +92,8 @@ TEST(FilterTest, CandidateSetIsMuchSmallerThanDataset) {
   const int queries = 25;
   for (int i = 0; i < queries; ++i) {
     std::vector<PointRecord> candidates;
-    ASSERT_TRUE(FilterCandidates(*env.tree, rng.NextPoint(0, 10000),
-                                 kInvalidPointId, &candidates)
-                    .ok());
+    const PointRecord q{rng.NextPoint(0, 10000), kInvalidPointId};
+    ASSERT_TRUE(FilterOne(*env.tree, q, false, &candidates).ok());
     total += candidates.size();
     EXPECT_LT(candidates.size(), 100u)
         << "uniform data: candidate sets should be tiny vs |P|=2000";
@@ -94,26 +106,27 @@ TEST(FilterTest, SelfSkipExcludesIdentityPoint) {
   Env env = MakeTree(pset);
   const PointRecord& q = pset[17];
   std::vector<PointRecord> candidates;
-  ASSERT_TRUE(FilterCandidates(*env.tree, q.pt, q.id, &candidates).ok());
+  ASSERT_TRUE(FilterOne(*env.tree, q, true, &candidates).ok());
   for (const PointRecord& c : candidates) {
     EXPECT_NE(c.id, q.id);
   }
   // Without the skip, q itself (distance 0) is the first candidate and
   // prunes everything else.
   std::vector<PointRecord> unskipped;
-  ASSERT_TRUE(FilterCandidates(*env.tree, q.pt, kInvalidPointId, &unskipped)
-                  .ok());
+  ASSERT_TRUE(FilterOne(*env.tree, q, false, &unskipped).ok());
   ASSERT_FALSE(unskipped.empty());
   EXPECT_EQ(unskipped[0].id, q.id);
 }
 
 TEST(FilterTest, EmptyTreeYieldsNoCandidates) {
   Env env = MakeTree({});
-  std::vector<PointRecord> candidates{PointRecord{{1, 1}, 9}};
-  ASSERT_TRUE(FilterCandidates(*env.tree, Point{5, 5}, kInvalidPointId,
-                               &candidates)
+  // Stale output from an earlier group must be cleared.
+  std::vector<std::vector<PointRecord>> per_q{{PointRecord{{1, 1}, 9}}};
+  ASSERT_TRUE(BulkFilterCandidates(*env.tree, {PointRecord{{5, 5}, 1}},
+                                   BulkFilterOptions{}, &per_q)
                   .ok());
-  EXPECT_TRUE(candidates.empty());
+  ASSERT_EQ(per_q.size(), 1u);
+  EXPECT_TRUE(per_q[0].empty());
 }
 
 TEST(BulkFilterTest, PerQuerySetsAreSupersetsOfTruePartners) {

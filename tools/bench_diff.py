@@ -4,13 +4,18 @@
 Every non-gbench bench binary emits one ``BENCH_<name>.json`` artifact
 (bench::JsonReporter, schema_version 1): labelled rows of numeric metrics.
 This tool compares a baseline directory against a current one, prints a
-per-bench delta table, and exits non-zero when any *tracked* metric grew
-beyond the threshold — the perf-trajectory gate CI runs on every sweep.
+per-bench delta table, and exits non-zero when any *tracked* metric moved
+in its bad direction beyond the threshold — the perf-trajectory gate CI runs on every sweep.
 
 Tracked metrics default to the deterministic cost counters (candidates,
 node accesses, page faults, and the modeled I/O seconds derived from
 them); measured CPU seconds are too noisy on shared CI runners to gate on,
 but can be opted in with --metrics.
+
+Every metric has a direction. Throughput and speedup metrics (``qps``,
+``*_per_second``, ``*speedup*``) are higher-is-better: a fall beyond the
+threshold regresses and a rise improves. Everything else is a cost and
+lower-is-better.
 
 Histogram-summary latency rows (the p50_ms/p99_ms metrics benches emit
 from the observability histograms, e.g. engine-exec latency) are gated
@@ -71,8 +76,15 @@ def load_artifacts(directory: Path):
     return benches
 
 
+def higher_is_better(metric: str) -> bool:
+    """Throughput and speedup metrics improve when they rise."""
+    return metric == "qps" or metric.endswith("_per_second") or (
+        "speedup" in metric
+    )
+
+
 def relative_delta(old: float, new: float):
-    """Relative growth of a cost metric; None when undefined (old == 0)."""
+    """Relative change of a metric; None when undefined (old == 0)."""
     if old == 0:
         return None
     return (new - old) / old
@@ -88,7 +100,8 @@ def main() -> int:
         "--threshold",
         type=float,
         default=0.15,
-        help="relative growth that counts as a regression (default 0.15)",
+        help="relative change in a metric's bad direction that counts as "
+        "a regression (default 0.15)",
     )
     parser.add_argument(
         "--metrics",
@@ -221,16 +234,23 @@ def main() -> int:
                     else args.threshold
                 )
                 delta = relative_delta(old, new)
+                # `worse`: the relative change in the metric's bad
+                # direction (growth of a cost, fall of a throughput).
+                sign = -1.0 if higher_is_better(metric) else 1.0
                 if delta is None:
-                    regressed = new > args.zero_tolerance
-                    shown = "inf" if regressed else "0%"
+                    # A cost appearing on a zero baseline regresses; a
+                    # throughput rising from zero cannot.
+                    regressed = sign > 0 and new > args.zero_tolerance
+                    shown = "inf" if new > 0 else "0%"
+                    worse = None
                 else:
-                    regressed = delta > threshold
+                    worse = sign * delta
+                    regressed = worse > threshold
                     shown = f"{delta:+.1%}"
                 if regressed:
                     regressions.append((bench, label, metric, old, new, shown))
                     marker = "REGRESSED"
-                elif delta is not None and delta < -threshold:
+                elif worse is not None and worse < -threshold:
                     improvements += 1
                     marker = "improved"
                 else:
