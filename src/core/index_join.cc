@@ -116,14 +116,19 @@ Status VerifyMerged(const RTree& tq, const RTree& tp, bool self_join,
 
 }  // namespace
 
-Status LeafPagesInOrder(const RTree& tree, SearchOrder order, uint64_t seed,
-                        std::vector<uint64_t>* pages) {
-  pages->clear();
-  RINGJOIN_RETURN_IF_ERROR(tree.CollectLeafPages(pages));
+void ApplySearchOrder(SearchOrder order, uint64_t seed,
+                      std::vector<uint64_t>* pages) {
   if (order == SearchOrder::kRandom) {
     std::mt19937_64 rng(seed);
     std::shuffle(pages->begin(), pages->end(), rng);
   }
+}
+
+Status LeafPagesInOrder(const RTree& tree, SearchOrder order, uint64_t seed,
+                        std::vector<uint64_t>* pages) {
+  pages->clear();
+  RINGJOIN_RETURN_IF_ERROR(tree.CollectLeafPages(pages));
+  ApplySearchOrder(order, seed, pages);
   return Status::OK();
 }
 

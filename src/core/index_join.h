@@ -50,6 +50,13 @@ Status RunIndexJoin(const RTree& tq, const RTree& tp, bool self_join,
 Status LeafPagesInOrder(const RTree& tree, SearchOrder order, uint64_t seed,
                         std::vector<uint64_t>* pages);
 
+/// Reorders depth-first leaf pages into `order` (a shuffle by
+/// mt19937_64(seed) for random, nothing for depth-first): the last step of
+/// LeafPagesInOrder, which the engine applies to its cached depth-first
+/// order.
+void ApplySearchOrder(SearchOrder order, uint64_t seed,
+                      std::vector<uint64_t>* pages);
+
 }  // namespace rcj
 
 #endif  // RINGJOIN_CORE_INDEX_JOIN_H_

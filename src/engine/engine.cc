@@ -4,26 +4,38 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 
 #include "core/index_join.h"
 #include "core/stop_token.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rtree/rtree.h"
 #include "storage/buffer_manager.h"
 #include "storage/cost_model.h"
 
 namespace rcj {
+
+/// One window onto an environment's indexes: private read-only RTree views
+/// faulting through a private LRU pool that stays warm for the view's
+/// lifetime.
+struct WorkerView {
+  std::unique_ptr<BufferManager> buffer;
+  std::unique_ptr<RTree> tq;
+  std::unique_ptr<RTree> tp;  // null for self-joins (aliases tq)
+
+  const RTree& tq_ref() const { return *tq; }
+  const RTree& tp_ref() const { return tp != nullptr ? *tp : *tq; }
+};
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Cached leaf orders the engine keeps across queries.
-constexpr size_t kPlanCacheCap = 32;
-
-/// Environments one worker keeps warm at once; least recently used
-/// entries beyond the cap are dropped (views + buffer pool freed).
-constexpr size_t kCachedEnvsPerWorker = 4;
+/// Environments the engine keeps warm at once; the least recently used
+/// entry beyond the cap is dropped (its leaf order, views and pools).
+constexpr size_t kCachedEnvironments = 4;
 
 /// Buffered pairs between two clock reads of a deadline-bound query.
 constexpr uint32_t kClockStride = 64;
@@ -83,6 +95,25 @@ struct EngineMetrics {
   }
 };
 
+/// Opens a view over `env` with a fresh pool of `pool_pages`.
+Status OpenWorkerView(const RcjEnvironment& env, size_t pool_pages,
+                      WorkerView* view) {
+  view->buffer = std::make_unique<BufferManager>(pool_pages);
+
+  Result<std::unique_ptr<RTree>> tq = RTree::Open(
+      env.q_page_store(), view->buffer.get(), env.rtree_options());
+  if (!tq.ok()) return tq.status();
+  view->tq = std::move(tq).value();
+
+  if (!env.self_join()) {
+    Result<std::unique_ptr<RTree>> tp = RTree::Open(
+        env.p_page_store(), view->buffer.get(), env.rtree_options());
+    if (!tp.ok()) return tp.status();
+    view->tp = std::move(tp).value();
+  }
+  return Status::OK();
+}
+
 /// Discards pairs of a query submitted without a sink (stats-only).
 class NullSink final : public PairSink {
  public:
@@ -129,8 +160,9 @@ struct QueryEmitState {
   Status failure;
 
   // ---- chunk scheduling (work stealing) ----
-  /// The query's full T_Q leaf order (engine plan cache), or null when the
-  /// query runs as one unsplit task (BRUTE, small tree, one worker).
+  /// The query's full T_Q leaf order (QueryRun::entry or ::shuffled), or
+  /// null when the query runs as one unsplit task (BRUTE, small tree, one
+  /// worker).
   const std::vector<uint64_t>* leaves = nullptr;
   size_t chunk_size = 0;
   size_t num_chunks = 1;
@@ -187,15 +219,39 @@ class TaskBufferSink final : public PairSink {
 
 }  // namespace
 
+/// One environment in the engine's cache, keyed by (env, generation). A
+/// query holds its entry from Submit() to its DoneFn, so a drop from the
+/// cache frees nothing a running query uses.
+struct EnvCacheEntry {
+  EnvCacheEntry(const RcjEnvironment& e, size_t workers)
+      : env(&e), generation(e.generation()), views(workers) {}
+
+  const RcjEnvironment* env;
+  uint64_t generation;
+  /// Guards `walked` and `leaves`.
+  std::mutex mu;
+  bool walked = false;
+  /// T_Q's depth-first leaf order, walked by the entry's first split query.
+  std::vector<uint64_t> leaves;
+  /// One lazily opened view per worker, indexed by
+  /// ThreadPool::CurrentWorkerIndex(). Only that worker touches its slot,
+  /// and turns on one worker never overlap, so the slots need no lock.
+  std::vector<std::unique_ptr<WorkerView>> views;
+  /// Views opened so far: what a drop of the entry counts.
+  std::atomic<uint64_t> open_views{0};
+};
+
 /// Everything one submitted query owns from Submit() to its DoneFn, shared
 /// by its tasks. The last task to finish merges and settles it.
 struct QueryRun {
   EngineQuery query;
   Engine::DoneFn on_done;
   QueryTicket ticket;
-  /// The query's leaf order (null when unsplit); emit.leaves points into
-  /// it, and holding it here keeps a plan-cache eviction from freeing it.
-  std::shared_ptr<const std::vector<uint64_t>> plan;
+  /// The environment's cache entry: its views, and the leaf order
+  /// emit.leaves points into for a depth-first split query.
+  std::shared_ptr<EnvCacheEntry> entry;
+  /// A random-order split query's own shuffle of the entry's order.
+  std::vector<uint64_t> shuffled;
   /// Settled by FinishQuery (or by Submit for a query that never ran).
   Status status;
   JoinStats stats;
@@ -302,17 +358,41 @@ void DeliverReadyRanges(QueryEmitState* st, size_t range,
   }
 }
 
+/// This worker's view in the query's cache entry, opened on first use.
+/// Counts the open or the reuse in `opens` / `reuses`.
+Result<WorkerView*> WorkerViewFor(QueryRun* run, const EngineOptions& options,
+                                  obs::OutcomeCounter* opens,
+                                  obs::OutcomeCounter* reuses,
+                                  bool* opened_fresh) {
+  // Tasks only run on pool workers, so the index is always in range.
+  std::unique_ptr<WorkerView>& slot =
+      run->entry->views[ThreadPool::CurrentWorkerIndex()];
+  *opened_fresh = slot == nullptr;
+  if (slot != nullptr) {
+    reuses->Add();
+    return slot.get();
+  }
+  const RcjEnvironment& env = *run->query.spec.env;
+  auto view = std::make_unique<WorkerView>();
+  RINGJOIN_RETURN_IF_ERROR(
+      OpenWorkerView(env, WorkerPoolPages(env, options), view.get()));
+  slot = std::move(view);
+  run->entry->open_views.fetch_add(1, std::memory_order_relaxed);
+  opens->Add();
+  return slot.get();
+}
+
 /// One turn of a claimant: checks the stop, claims the next chunk and
-/// executes it against this worker's cached view — acquired per turn,
-/// since the task may run anywhere next — charging the pool's counter
-/// deltas (so a warm cached pool attributes only this query's work) and
-/// the turn's duration to `t`. True when a chunk ran cleanly
-/// (the task comes back for another); false once the query stopped, the
-/// cursor ran dry or the chunk failed. All failure paths (Status and
-/// exceptions) collapse to a failed chunk, which stops the query without
-/// poisoning other queries.
+/// executes it against this worker's view of the query's cache entry —
+/// looked up per turn, since the task may run anywhere next — charging the
+/// pool's counter deltas (so a warm cached pool attributes only this
+/// query's work) and the turn's duration to `t`. True when a chunk ran
+/// cleanly (the task comes back for another); false once the query
+/// stopped, the cursor ran dry or the chunk failed. All failure paths
+/// (Status and exceptions) collapse to a failed chunk, which stops the
+/// query without poisoning other queries.
 bool RunOneChunk(QueryRun* run, const EngineOptions& options,
-                 std::vector<std::unique_ptr<WorkerContext>>* contexts,
+                 obs::OutcomeCounter* opens, obs::OutcomeCounter* reuses,
                  JoinStats* t) {
   const EngineQuery& query = run->query;
   QueryEmitState* emit = &run->emit;
@@ -334,10 +414,8 @@ bool RunOneChunk(QueryRun* run, const EngineOptions& options,
         trace != nullptr ? obs::TraceClock::now()
                          : obs::TraceClock::time_point();
     bool opened_fresh = false;
-    // Tasks only run on pool workers, so the index is always in range.
     Result<WorkerView*> acquired =
-        (*contexts)[ThreadPool::CurrentWorkerIndex()]->Acquire(
-            env, WorkerPoolPages(env, options), &opened_fresh);
+        WorkerViewFor(run, options, opens, reuses, &opened_fresh);
     status = acquired.status();
     if (status.ok()) {
       WorkerView* view = acquired.value();
@@ -493,13 +571,7 @@ JoinStats QueryTicket::stats() const {
 }
 
 Engine::Engine(EngineOptions options)
-    : options_(options), pool_(options.num_threads) {
-  contexts_.reserve(pool_.num_threads());
-  for (size_t i = 0; i < pool_.num_threads(); ++i) {
-    contexts_.push_back(
-        std::make_unique<WorkerContext>(kCachedEnvsPerWorker));
-  }
-}
+    : options_(options), pool_(options.num_threads) {}
 
 Engine::~Engine() { Shutdown(); }
 
@@ -510,8 +582,7 @@ void Engine::Shutdown() {
     drained_.wait(lock, [this] { return running_ == 0; });
   }
   // Every submitted query has resolved and no new one reaches the pool:
-  // drop every cached worker view and plan. From here the caller may
-  // destroy its environments — a stopped engine never opens views again.
+  // free every cached view now rather than at destruction.
   InvalidateCachedViews();
 }
 
@@ -559,7 +630,8 @@ void Engine::RunTask(const std::shared_ptr<QueryRun>& run, size_t index) {
   MarkStarted(run.get(), &queued_);
   bool again = false;
   try {
-    again = RunOneChunk(run.get(), options_, &contexts_, &run->tasks[index]);
+    again = RunOneChunk(run.get(), options_, &view_opens_, &view_reuses_,
+                        &run->tasks[index]);
     if (again) Schedule(run, index, /*fresh=*/false);
   } catch (...) {
     // Chunks already convert their throws; this catches the accounting
@@ -576,72 +648,87 @@ void Engine::RunTask(const std::shared_ptr<QueryRun>& run, size_t index) {
   }
 }
 
+void Engine::DropLocked(
+    EntryList::iterator it, bool evicted,
+    std::vector<std::shared_ptr<EnvCacheEntry>>* dropped) {
+  (evicted ? view_evictions_ : view_invalidations_)
+      .Add((*it)->open_views.load(std::memory_order_relaxed));
+  dropped->push_back(std::move(*it));
+  cache_.erase(it);
+}
+
 void Engine::InvalidateCachedViews(const RcjEnvironment* env) {
-  for (const std::unique_ptr<WorkerContext>& context : contexts_) {
-    context->Invalidate(env);
-  }
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    if (env == nullptr || it->env == env) {
-      it = plan_cache_.erase(it);
-    } else {
-      ++it;
+  // Declared before the lock: the entries are freed after it is released.
+  std::vector<std::shared_ptr<EnvCacheEntry>> dropped;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (auto it = cache_.begin(); it != cache_.end();) {
+    const auto next = std::next(it);
+    if (env == nullptr || (*it)->env == env) {
+      DropLocked(it, /*evicted=*/false, &dropped);
     }
+    it = next;
   }
 }
 
 WorkerContextStats Engine::context_stats() const {
-  WorkerContextStats total;
-  for (const std::unique_ptr<WorkerContext>& context : contexts_) {
-    const WorkerContextStats stats = context->stats();
-    total.opens += stats.opens;
-    total.reuses += stats.reuses;
-    total.evictions += stats.evictions;
-    total.invalidations += stats.invalidations;
-  }
-  return total;
+  WorkerContextStats stats;
+  stats.opens = view_opens_.value();
+  stats.reuses = view_reuses_.value();
+  stats.evictions = view_evictions_.value();
+  stats.invalidations = view_invalidations_.value();
+  return stats;
 }
 
-Result<Engine::Plan> Engine::LeavesFor(const QuerySpec& spec) {
-  {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
-      if (it->env != spec.env || it->order != spec.order ||
-          it->seed != spec.random_seed) {
-        continue;
-      }
-      if (it->generation == spec.env->generation()) {
-        plan_cache_.splice(plan_cache_.begin(), plan_cache_, it);
-        return plan_cache_.front().leaves;
-      }
-      // Same key, older generation: the environment was rebuilt — the
-      // plan can never be valid again.
-      plan_cache_.erase(it);
-      break;
+size_t Engine::cached_environments() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return cache_.size();
+}
+
+std::shared_ptr<EnvCacheEntry> Engine::EntryFor(const RcjEnvironment& env) {
+  std::vector<std::shared_ptr<EnvCacheEntry>> dropped;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+    if ((*it)->env != &env) continue;
+    if ((*it)->generation == env.generation()) {
+      cache_.splice(cache_.begin(), cache_, it);
+      return cache_.front();
     }
+    // Same address, new generation: the environment was rebuilt, so the
+    // entry can never serve again.
+    DropLocked(it, /*evicted=*/false, &dropped);
+    break;
   }
+  cache_.push_front(std::make_shared<EnvCacheEntry>(env, pool_.num_threads()));
+  while (cache_.size() > kCachedEnvironments) {
+    DropLocked(std::prev(cache_.end()), /*evicted=*/true, &dropped);
+  }
+  return cache_.front();
+}
 
-  // A miss walks T_Q through a throwaway private view, outside the lock:
-  // planning never touches the environment's shared buffer (a concurrent
-  // serial run owns it) nor a worker's cached pool (whose fault counts
-  // belong to the queries that run there).
-  WorkerView view;
-  RINGJOIN_RETURN_IF_ERROR(
-      OpenWorkerView(*spec.env, options_.worker_min_buffer_pages, &view));
-  auto leaves = std::make_shared<std::vector<uint64_t>>();
-  RINGJOIN_RETURN_IF_ERROR(LeafPagesInOrder(view.tq_ref(), spec.order,
-                                            spec.random_seed, leaves.get()));
-
-  PlanEntry entry;
-  entry.env = spec.env;
-  entry.generation = spec.env->generation();
-  entry.order = spec.order;
-  entry.seed = spec.random_seed;
-  entry.leaves = leaves;
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plan_cache_.push_front(std::move(entry));
-  if (plan_cache_.size() > kPlanCacheCap) plan_cache_.pop_back();
-  return Plan(std::move(leaves));
+Status Engine::PlanLeaves(QueryRun* run) {
+  const QuerySpec& spec = run->query.spec;
+  EnvCacheEntry* entry = run->entry.get();
+  std::lock_guard<std::mutex> lock(entry->mu);
+  if (!entry->walked) {
+    // Walked through a throwaway private view: the walk never touches the
+    // environment's shared buffer (a concurrent serial run owns it) nor a
+    // worker's pool (whose fault counts belong to the queries run there).
+    WorkerView view;
+    RINGJOIN_RETURN_IF_ERROR(
+        OpenWorkerView(*spec.env, options_.worker_min_buffer_pages, &view));
+    RINGJOIN_RETURN_IF_ERROR(LeafPagesInOrder(
+        view.tq_ref(), SearchOrder::kDepthFirst, 0, &entry->leaves));
+    entry->walked = true;
+  }
+  if (entry->leaves.size() < kMinLeavesToSplit) return Status::OK();
+  if (spec.order == SearchOrder::kDepthFirst) {
+    run->emit.leaves = &entry->leaves;
+    return Status::OK();
+  }
+  run->shuffled = entry->leaves;
+  ApplySearchOrder(spec.order, spec.random_seed, &run->shuffled);
+  run->emit.leaves = &run->shuffled;
+  return Status::OK();
 }
 
 QueryTicket Engine::Submit(EngineQuery query, DoneFn on_done) {
@@ -671,13 +758,11 @@ QueryTicket Engine::Submit(EngineQuery query, DoneFn on_done) {
   // depth-first (or seeded-shuffle) order is resolved once, here, then
   // chunked, so flushing chunk outputs in order equals the serial run.
   Status planned = spec.Validate();
-  if (planned.ok() && spec.algorithm != RcjAlgorithm::kBrute &&
-      pool_.num_threads() > 1) {
+  if (planned.ok()) {
     try {
-      Result<Plan> plan = LeavesFor(spec);
-      planned = plan.status();
-      if (plan.ok() && plan.value()->size() >= kMinLeavesToSplit) {
-        run->plan = std::move(plan).value();
+      run->entry = EntryFor(*spec.env);
+      if (spec.algorithm != RcjAlgorithm::kBrute && pool_.num_threads() > 1) {
+        planned = PlanLeaves(run.get());
       }
     } catch (const std::exception& e) {
       planned = Status::IoError(std::string("engine planning threw: ") +
@@ -695,12 +780,11 @@ QueryTicket Engine::Submit(EngineQuery query, DoneFn on_done) {
   emit->stop = spec.stop != nullptr ? spec.stop : &emit->own_stop;
   emit->limit = spec.limit;
   size_t num_tasks = 1;
-  if (run->plan != nullptr) {
-    const std::vector<uint64_t>& leaves = *run->plan;
+  if (emit->leaves != nullptr) {
+    const std::vector<uint64_t>& leaves = *emit->leaves;
     const size_t max_tasks = pool_.num_threads() * kTasksPerThread;
     const size_t chunk =
         std::max<size_t>(1, leaves.size() / (max_tasks * kChunksPerTask));
-    emit->leaves = &leaves;
     emit->chunk_size = chunk;
     emit->num_chunks = (leaves.size() + chunk - 1) / chunk;
     num_tasks = std::min(max_tasks, emit->num_chunks);

@@ -38,17 +38,20 @@
 // few dozen pairs when a deadline is set), so even an unsplit query stops
 // mid-traversal; the merge maps the reason to the query's status.
 //
-// Workers execute through persistent execution contexts (worker_context.h):
-// each worker thread owns a long-lived cache of (environment -> view)
-// entries — private read-only R-tree views over the environment's page
-// stores, faulting through a private LRU pool that stays WARM across
-// tasks and queries. Repeat queries against the same environment skip view
-// construction and serve the root path from the warm pool; JoinStats
-// splits page_faults into cold_faults (first touches) and warm_faults
-// (capacity re-faults) so the effect is observable per query. Entries are
-// keyed by environment generation, so a rebuilt or destroyed environment
-// can never satisfy a stale entry; the owning layers call
-// InvalidateCachedViews() before tearing an environment down.
+// The engine remembers a few environments across queries in one LRU cache
+// of entries keyed by (environment, generation). An entry holds T_Q's
+// depth-first leaf order, walked once, and one view per worker thread:
+// private read-only R-tree views over the environment's page stores,
+// faulting through a private LRU pool that stays WARM across tasks and
+// queries. Repeat queries against the same environment skip the leaf walk
+// and view construction and serve the root path from the warm pool;
+// JoinStats splits page_faults into cold_faults (first touches) and
+// warm_faults (capacity re-faults) so the effect is observable per query.
+// A rebuilt environment has a new generation, so it never meets a stale
+// entry; an entry of a destroyed one ages out of the LRU, and dropping it
+// touches no store (views never dirty a page). Each query holds its
+// entry, so no drop can pull an entry from under a running query, and an
+// environment may die at any time after its last query.
 //
 // Intra-query scheduling is adaptive: a split query's serial leaf order is
 // divided into fine-grained chunks claimed from a shared atomic cursor, so
@@ -74,7 +77,7 @@
 #include "core/runner.h"
 #include "core/stop_token.h"
 #include "engine/thread_pool.h"
-#include "engine/worker_context.h"
+#include "obs/metrics.h"
 
 namespace rcj {
 
@@ -86,6 +89,16 @@ struct EngineOptions {
   /// runner's buffer_fraction/min_buffer_pages pair.
   double worker_buffer_fraction = 0.01;
   size_t worker_min_buffer_pages = 32;
+};
+
+/// Counters of the engine's environment cache, for benches and
+/// observability. A view dropped with its entry counts once, as an
+/// eviction or an invalidation.
+struct WorkerContextStats {
+  uint64_t opens = 0;          ///< worker views constructed.
+  uint64_t reuses = 0;         ///< chunk turns served by an open view.
+  uint64_t evictions = 0;      ///< views dropped by the LRU cap.
+  uint64_t invalidations = 0;  ///< views dropped by a rebuild or a drain.
 };
 
 /// A scheduling partition of the engine — a router shard. Partitions take
@@ -163,6 +176,9 @@ class QueryTicket {
 /// (engine.cc).
 struct QueryRun;
 
+/// What the engine keeps about one environment across queries (engine.cc).
+struct EnvCacheEntry;
+
 /// A reusable concurrent executor. Construct once (threads spin up
 /// immediately), then submit any number of queries from any number of
 /// threads. Destruction completes every already-submitted query, then
@@ -198,11 +214,10 @@ class Engine {
   /// (QuerySpec::stop) from any thread.
   QueryTicket Submit(EngineQuery query, DoneFn on_done = nullptr);
 
-  /// Completes every already-submitted query, then drops every cached
-  /// worker view and plan — after it returns, no worker holds views over
-  /// any environment, so the caller may destroy them. Idempotent from the
-  /// owning thread; also run by the destructor. Must not be called from a
-  /// DoneFn or a sink.
+  /// Completes every already-submitted query, then drops the environment
+  /// cache, freeing every worker view. Idempotent from the owning thread;
+  /// also run by the destructor. Must not be called from a DoneFn or a
+  /// sink.
   void Shutdown();
 
   /// Submits every query and blocks until each of them is done; results
@@ -217,38 +232,37 @@ class Engine {
   Result<RcjRunResult> Run(const QuerySpec& spec);
   Status Run(const QuerySpec& spec, PairSink* sink, JoinStats* stats);
 
-  /// Drops every cached worker view and cached leaf-order plan matching
-  /// `env` (all of them when null). Call before destroying or rebuilding
-  /// an environment the engine has executed against, so no worker holds
-  /// views over freed page stores. Thread-safe and safe while other
-  /// queries run (including from a DoneFn), provided none of them targets
-  /// `env` (a null `env` needs an engine with no query in flight).
+  /// Drops the cache's entry for `env` (every entry when null), freeing
+  /// its views once no running query holds it. Only releases memory
+  /// promptly: an environment may be destroyed without it. Thread-safe at
+  /// any time, including while queries over `env` run.
   void InvalidateCachedViews(const RcjEnvironment* env = nullptr);
 
-  /// Aggregated view-cache counters across all workers (opens, reuses,
-  /// evictions, invalidations).
+  /// The environment cache's counters (opens, reuses, evictions,
+  /// invalidations).
   WorkerContextStats context_stats() const;
+
+  /// Environments the cache holds right now (at most four).
+  size_t cached_environments() const;
 
   /// Queries submitted whose first task has not started yet — the depth of
   /// the engine's queue (the rcj_engine_queue_depth gauge).
   size_t queued() const { return queued_.load(std::memory_order_relaxed); }
 
  private:
-  using Plan = std::shared_ptr<const std::vector<uint64_t>>;
+  using EntryList = std::list<std::shared_ptr<EnvCacheEntry>>;
 
-  /// Cached T_Q leaf orders keyed by (env, generation, order, seed):
-  /// repeated queries over long-lived environments skip the serial
-  /// planning traversal entirely. LRU-capped; a running query holds its
-  /// plan by shared_ptr, so eviction never pulls it from under the query.
-  struct PlanEntry {
-    const RcjEnvironment* env = nullptr;
-    uint64_t generation = 0;
-    SearchOrder order = SearchOrder::kDepthFirst;
-    uint64_t seed = 0;
-    Plan leaves;
-  };
-
-  Result<Plan> LeavesFor(const QuerySpec& spec);
+  /// The cache entry of `env`, created on a miss; the front of the LRU.
+  std::shared_ptr<EnvCacheEntry> EntryFor(const RcjEnvironment& env);
+  /// Moves `it` out of the cache into `*dropped` (freed by the caller
+  /// after cache_mu_ is released), counting its views as evicted or
+  /// invalidated.
+  void DropLocked(EntryList::iterator it, bool evicted,
+                  std::vector<std::shared_ptr<EnvCacheEntry>>* dropped);
+  /// Points the query's emit.leaves at its leaf order, unless T_Q is too
+  /// small to split: the entry's depth-first order (walked by the entry's
+  /// first split query), or a shuffled copy for a random-order query.
+  Status PlanLeaves(QueryRun* run);
 
   /// Queues the next turn of task `index`. A query's first task starts
   /// fresh: it runs before every yielded turn, so each query's head
@@ -271,9 +285,13 @@ class Engine {
   EngineOptions options_;
   /// Declared before pool_ so workers are joined (pool_ destroyed) before
   /// anything their tasks touch goes away.
-  std::vector<std::unique_ptr<WorkerContext>> contexts_;
-  std::mutex plan_mu_;
-  std::list<PlanEntry> plan_cache_;  // front = most recently used
+  mutable std::mutex cache_mu_;
+  EntryList cache_;  // front = most recently used
+  obs::OutcomeCounter view_opens_{"rcj_worker_view_opens_total"};
+  obs::OutcomeCounter view_reuses_{"rcj_worker_view_reuses_total"};
+  obs::OutcomeCounter view_evictions_{"rcj_worker_view_evictions_total"};
+  obs::OutcomeCounter view_invalidations_{
+      "rcj_worker_view_invalidations_total"};
   std::atomic<size_t> queued_{0};
   std::mutex mu_;
   std::condition_variable drained_;

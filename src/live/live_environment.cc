@@ -317,7 +317,6 @@ Status LiveEnvironment::Compact() {
   auto fresh = std::make_shared<live_internal::BaseState>();
   fresh->env = std::move(built).value();
 
-  const RcjEnvironment* retired = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto folded = std::make_shared<DeltaOverlay>();
@@ -329,7 +328,6 @@ Status LiveEnvironment::Compact() {
       FoldSide(overlay_->delta_p, overlay_->dead_p, captured->delta_p,
                captured->dead_p, &folded->delta_p, &folded->dead_p);
     }
-    retired = old_base->env.get();
     base_ = std::move(fresh);
     overlay_ = std::move(folded);
     base_q_ = std::move(new_q);
@@ -351,8 +349,7 @@ Status LiveEnvironment::Compact() {
   }
 
   // New snapshots pin the new base from here on. Drain the readers still
-  // inside the retired one, let the caches drop their views (the PR-5
-  // generation contract), then destroy its trees.
+  // inside the retired one, then destroy its trees.
   const auto drain_start = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(old_base->mu);
@@ -362,7 +359,6 @@ Status LiveEnvironment::Compact() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     drain_start)
           .count());
-  if (hook_) hook_(retired);
   old_base->env.reset();
   LiveMetrics::Get().compactions->Add();
   LiveMetrics::Get().compaction_seconds->Observe(

@@ -10,11 +10,12 @@
 //
 // Compaction folds the delta into a freshly bulk-loaded base (the
 // external-memory STR loader for file/mmap backends), swaps it in under
-// the environment lock, waits for the old base's pins to drain, fires the
-// invalidation hook (the PR-5 generation contract: engine/service/shard
-// caches drop their views of the retired environment), and only then
-// destroys the old trees. Mutations and queries proceed concurrently with
-// the rebuild — the only blocking window is the O(1) pointer swap.
+// the environment lock, waits for the old base's pins to drain, and only
+// then destroys the old trees. The new base has a new generation, so no
+// engine cache entry of the old one is ever used again; such an entry
+// ages out of its engine's LRU. Mutations and queries proceed
+// concurrently with the rebuild — the only blocking window is the O(1)
+// pointer swap.
 //
 // Thread safety: every public method is safe to call concurrently.
 // Snapshots are value types; they may outlive the LiveEnvironment (they
@@ -24,7 +25,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -175,10 +175,10 @@ class LiveEnvironment {
 
   /// Synchronous compaction barrier: folds every mutation applied before
   /// the call into a freshly bulk-loaded base, retires the old one (after
-  /// its reader pins drain and the invalidation hook has run), and
-  /// returns. Mutations and snapshots taken during the rebuild are
-  /// preserved — they land in the successor overlay. No-op when nothing
-  /// is pending. Serialized with the background compactor.
+  /// its reader pins drain), and returns. Mutations and snapshots taken
+  /// during the rebuild are preserved — they land in the successor
+  /// overlay. No-op when nothing is pending. Serialized with the
+  /// background compactor.
   Status Compact();
 
   /// A consistent (pinned base, frozen overlay) read view.
@@ -186,15 +186,6 @@ class LiveEnvironment {
 
   LiveStats stats() const;
   bool self_join() const { return self_join_; }
-
-  /// Called once per retired base environment, after its pins drained and
-  /// before its trees are destroyed — wire this to the cache-invalidation
-  /// entry points keyed by environment pointer (Engine, ShardRouter). Set before the environment is shared; not guarded
-  /// against concurrent mutation.
-  void set_invalidation_hook(
-      std::function<void(const RcjEnvironment*)> hook) {
-    hook_ = std::move(hook);
-  }
 
   /// The current live membership as plain vectors (p == q for self-join).
   /// The brute-force oracle the churn tests recompute against.
@@ -206,7 +197,7 @@ class LiveEnvironment {
   /// error fails the mutation without applying it — and every Compact()
   /// checkpoints the folded base so replay stays bounded. Attach *after*
   /// replaying recovered records (replay must not re-journal them); not
-  /// guarded against concurrent mutation, like set_invalidation_hook.
+  /// guarded against concurrent mutation.
   void AttachLog(std::unique_ptr<MutationLog> log);
 
  private:
@@ -236,7 +227,6 @@ class LiveEnvironment {
 
   LiveOptions options_;
   bool self_join_ = false;
-  std::function<void(const RcjEnvironment*)> hook_;
   std::unique_ptr<MutationLog> log_;  ///< null = not durable.
 
   mutable std::mutex mu_;  // guards everything below

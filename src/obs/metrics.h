@@ -266,9 +266,9 @@ class OutcomeCounter {
       : metric_(MetricsRegistry::Default().counter(metric_name)) {}
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(OutcomeCounter);
 
-  void Add() {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    metric_->Add();
+  void Add(uint64_t delta = 1) {
+    count_.fetch_add(delta, std::memory_order_relaxed);
+    metric_->Add(delta);
   }
   uint64_t value() const { return count_.load(std::memory_order_relaxed); }
 

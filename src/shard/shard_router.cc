@@ -59,16 +59,7 @@ Status ShardRouter::RegisterLiveEnvironment(const std::string& name,
   }
   Registration registration;
   registration.live = env;
-  RINGJOIN_RETURN_IF_ERROR(RegisterImpl(name, registration));
-  // Compaction retires a base only after every snapshot pin drained, and
-  // Submit holds each query's snapshot until its ticket resolves — so when
-  // this hook fires, no in-flight query of the shard still targets the
-  // retired environment, exactly the precondition InvalidateEnvironment
-  // demands.
-  env->set_invalidation_hook([this](const RcjEnvironment* retired) {
-    engine_.InvalidateCachedViews(retired);
-  });
-  return Status::OK();
+  return RegisterImpl(name, registration);
 }
 
 Status ShardRouter::ReleaseEnvironment(const std::string& name) {
@@ -79,16 +70,9 @@ Status ShardRouter::ReleaseEnvironment(const std::string& name) {
   const Registration registration = it->second;
   environments_.erase(it);
   --shards_[registration.shard].environments;
-  if (registration.live != nullptr) {
-    // Future compactions must not call back into this router's engine.
-    registration.live->set_invalidation_hook(nullptr);
-    const LiveSnapshot snapshot = registration.live->TakeSnapshot();
-    engine_.InvalidateCachedViews(snapshot.env());
-    return Status::OK();
-  }
-  // Synchronous: once this returns, no worker of the engine holds views
-  // over the environment's page stores.
-  engine_.InvalidateCachedViews(registration.env);
+  engine_.InvalidateCachedViews(registration.live != nullptr
+                                    ? registration.live->TakeSnapshot().env()
+                                    : registration.env);
   return Status::OK();
 }
 

@@ -1,7 +1,7 @@
 // ShardRouter — multi-environment sharded serving over one rcj::Engine.
 //
-// The router owns the process's one Engine (one worker pool, one set of
-// per-worker view caches) and N shards that partition ADMISSION, not
+// The router owns the process's one Engine (one worker pool, one
+// environment cache) and N shards that partition ADMISSION, not
 // threads: each shard pairs a slice of the named-environment registry with
 // its own bounded queue in an AdmissionController, which also enforces a
 // global in-flight cap — over-limit submissions resolve immediately with
@@ -90,22 +90,20 @@ class ShardRouter {
   Status RegisterEnvironment(const std::string& name,
                              const RcjEnvironment* env);
 
-  /// Registers a mutable environment under `name`. The router takes over
-  /// the environment's invalidation hook (wiring retired-base teardown to
-  /// the engine's view drop), so the caller must not set one.
-  /// Same registration discipline and errors as RegisterEnvironment;
-  /// mutations themselves are fully concurrent once registered.
+  /// Registers a mutable environment under `name`. Same registration
+  /// discipline and errors as RegisterEnvironment; mutations themselves
+  /// are fully concurrent once registered, and the environment may outlive
+  /// the router.
   Status RegisterLiveEnvironment(const std::string& name,
                                  LiveEnvironment* env);
 
-  /// Unregisters `name` and drops every cached worker view (and plan) the
-  /// engine holds over the environment, blocking until the drop is
-  /// applied — after it returns, the environment may be destroyed and the
-  /// name re-registered (e.g. with a rebuilt environment). The caller must
-  /// first stop traffic to the name and resolve its outstanding tickets,
-  /// the same discipline RegisterEnvironment demands. For a live
-  /// registration this also unwires the invalidation hook. NotFound when
-  /// the name is not registered.
+  /// Unregisters `name` and drops the engine's cache entry for the
+  /// environment (a live one's current base), freeing its views once no
+  /// query holds them; the name may then be re-registered (e.g. with a
+  /// rebuilt environment). The caller must first stop traffic to the name
+  /// and resolve its outstanding tickets, the same discipline
+  /// RegisterEnvironment demands. NotFound when the name is not
+  /// registered.
   Status ReleaseEnvironment(const std::string& name);
 
   /// The shard `env_name` is (or would be) assigned to.
@@ -163,6 +161,9 @@ class ShardRouter {
   size_t num_shards() const { return shards_.size(); }
   /// Worker threads of the router's engine (for banners/logs).
   size_t num_threads() const { return engine_.num_threads(); }
+
+  /// The router's engine, for its cache counters.
+  const Engine& engine() const { return engine_; }
 
  private:
   struct Shard {

@@ -219,12 +219,6 @@ TEST(LiveEnvironmentTest, MergedStreamIsIdenticalAcrossThreadCounts) {
   EngineOptions engine_options;
   engine_options.num_threads = 8;
   Engine engine(engine_options);
-  // The PR-5 invalidation contract: the engine's cached views of a retired
-  // base must be dropped before its page stores are destroyed.
-  live.value()->set_invalidation_hook(
-      [&engine](const RcjEnvironment* retired) {
-        engine.InvalidateCachedViews(retired);
-      });
 
   Churner churn(live.value().get(), 933, 200000);
   churn.Seed(LiveSide::kQ, qset);
@@ -375,9 +369,9 @@ TEST(LiveEnvironmentTest, PureDeltaEnvironmentStartsFromEmptyBase) {
 TEST(LiveEnvironmentTest, QueriesRaceCompactionSafely) {
   // 8 engine threads stream merged queries while a mutator churns and
   // compactions retire base after base underneath them. Snapshots pin
-  // what they read and the hook drops the engine's views of each retired
-  // base; every parallel result must byte-match a serial run of the same
-  // snapshot.
+  // what they read, and the engine's cache entries of retired bases age
+  // out of its LRU; every parallel result must byte-match a serial run of
+  // the same snapshot.
   const std::vector<PointRecord> qset = RandomRecords(800, 971);
   std::vector<PointRecord> pset = RandomRecords(800, 972);
   for (PointRecord& rec : pset) rec.id += 100000;
@@ -392,9 +386,6 @@ TEST(LiveEnvironmentTest, QueriesRaceCompactionSafely) {
   // The engine takes concurrent queries and invalidations (engine.h); only
   // the serial runs, which share the base's buffer, need a mutex.
   std::mutex serial_mu;
-  env.set_invalidation_hook([&](const RcjEnvironment* retired) {
-    engine.InvalidateCachedViews(retired);
-  });
 
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};

@@ -796,7 +796,6 @@ TEST(NetServerTest, LiveMutationsApplyOverTheWire) {
   server.Stop();
   EXPECT_EQ(server.counters().mutations, 4u);
   EXPECT_EQ(server.counters().rejected, 3u);
-  // Unwire the invalidation hook before the router's services go away.
   ASSERT_TRUE(router.ReleaseEnvironment("default").ok());
 }
 

@@ -441,8 +441,7 @@ TEST(ShardRouterTest, LiveRegistrationRoutesMutationsAndSnapshotsQueries) {
   EXPECT_EQ(env_stats[1].stats.base_q, 300u);
   EXPECT_EQ(env_stats[1].stats.base_p, 350u);
 
-  // Releasing the live registration unwires the hook; later compactions
-  // must not call back into the (soon dead) services.
+  // A released live name no longer routes mutations.
   ASSERT_TRUE(router.ReleaseEnvironment("live").ok());
   EXPECT_EQ(router.Insert("live", LiveSide::kQ, rec, nullptr).code(),
             StatusCode::kNotFound);

@@ -1,21 +1,22 @@
-// Tests for the persistent worker execution contexts: the per-worker
-// (environment -> view) cache itself, its generation-keyed invalidation
-// across environment rebuild/destroy, the engine/service/router hooks that
-// drain cached views, and — the contract that matters most — cached
-// execution emitting the serial pair stream under concurrency, across
-// steal-chunk sizes.
-#include "engine/worker_context.h"
-
+// Tests for the engine's environment cache (one entry per environment:
+// T_Q's leaf order and one warm view per worker): reuse, the LRU cap,
+// generation-keyed safety across environment rebuild/destroy, the
+// engine/service/router calls that drop entries, and — the contract that
+// matters most — cached execution emitting the serial pair stream under
+// concurrency, across steal-chunk sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/rcj.h"
 #include "engine/engine.h"
+#include "live/live_environment.h"
 #include "service/service.h"
 #include "shard/shard_router.h"
 #include "test_util.h"
@@ -43,69 +44,126 @@ void ExpectSameSequence(const std::vector<RcjPair>& streamed,
   }
 }
 
-TEST(WorkerContextTest, AcquireReusesWarmEntry) {
-  std::unique_ptr<RcjEnvironment> env = MustBuildEnv(600, 11);
-  WorkerContext context(4);
-
-  bool fresh = false;
-  Result<WorkerView*> first = context.Acquire(*env, 32, &fresh);
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(fresh);
-  Result<WorkerView*> second = context.Acquire(*env, 32, &fresh);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(fresh) << "the second acquire must hit the warm entry";
-  EXPECT_EQ(first.value(), second.value());
-  EXPECT_EQ(context.stats().opens, 1u);
-  EXPECT_EQ(context.stats().reuses, 1u);
-  EXPECT_EQ(context.cached_environments(), 1u);
+// A one-thread engine runs every query as one unsplit task, so each query
+// opens or reuses exactly one view.
+EngineOptions OneThread() {
+  EngineOptions options;
+  options.num_threads = 1;
+  return options;
 }
 
-TEST(WorkerContextTest, PoolResizingInvalidatesTheEntry) {
-  std::unique_ptr<RcjEnvironment> env = MustBuildEnv(600, 13);
-  WorkerContext context(4);
+TEST(WorkerContextTest, AcquireReusesWarmEntry) {
+  std::unique_ptr<RcjEnvironment> env = MustBuildEnv(600, 11);
+  Engine engine(OneThread());
 
-  bool fresh = false;
-  ASSERT_TRUE(context.Acquire(*env, 32, &fresh).ok());
-  // A different pool sizing can never reuse the old pool.
-  ASSERT_TRUE(context.Acquire(*env, 64, &fresh).ok());
-  EXPECT_TRUE(fresh);
-  EXPECT_EQ(context.stats().invalidations, 1u);
-  EXPECT_EQ(context.cached_environments(), 1u);
+  ASSERT_TRUE(engine.Run(QuerySpec::For(env.get())).ok());
+  EXPECT_EQ(engine.context_stats().opens, 1u);
+  EXPECT_EQ(engine.context_stats().reuses, 0u);
+  ASSERT_TRUE(engine.Run(QuerySpec::For(env.get())).ok());
+  EXPECT_EQ(engine.context_stats().opens, 1u)
+      << "the second query must run on the warm view";
+  EXPECT_EQ(engine.context_stats().reuses, 1u);
+  EXPECT_EQ(engine.cached_environments(), 1u);
 }
 
 TEST(WorkerContextTest, LruCapEvictsOldestEntry) {
-  std::unique_ptr<RcjEnvironment> a = MustBuildEnv(500, 21);
-  std::unique_ptr<RcjEnvironment> b = MustBuildEnv(500, 23);
-  std::unique_ptr<RcjEnvironment> c = MustBuildEnv(500, 25);
-  WorkerContext context(2);
+  // The engine keeps four environments; a fifth evicts the oldest.
+  std::vector<std::unique_ptr<RcjEnvironment>> envs;
+  for (uint64_t seed = 21; seed < 31; seed += 2) {
+    envs.push_back(MustBuildEnv(500, seed));
+  }
+  Engine engine(OneThread());
 
-  bool fresh = false;
-  ASSERT_TRUE(context.Acquire(*a, 32, &fresh).ok());
-  ASSERT_TRUE(context.Acquire(*b, 32, &fresh).ok());
-  ASSERT_TRUE(context.Acquire(*c, 32, &fresh).ok());  // evicts a
-  EXPECT_EQ(context.cached_environments(), 2u);
-  EXPECT_EQ(context.stats().evictions, 1u);
+  for (const std::unique_ptr<RcjEnvironment>& env : envs) {
+    ASSERT_TRUE(engine.Run(QuerySpec::For(env.get())).ok());
+  }
+  EXPECT_EQ(engine.cached_environments(), 4u);
+  EXPECT_EQ(engine.context_stats().evictions, 1u);
 
-  ASSERT_TRUE(context.Acquire(*a, 32, &fresh).ok());
-  EXPECT_TRUE(fresh) << "the evicted entry must be reopened";
+  ASSERT_TRUE(engine.Run(QuerySpec::For(envs[0].get())).ok());
+  EXPECT_EQ(engine.context_stats().opens, envs.size() + 1)
+      << "the evicted entry must be reopened";
 }
 
 TEST(WorkerContextTest, InvalidateDropsMatchingEntries) {
   std::unique_ptr<RcjEnvironment> a = MustBuildEnv(500, 31);
   std::unique_ptr<RcjEnvironment> b = MustBuildEnv(500, 33);
-  WorkerContext context(4);
+  Engine engine(OneThread());
 
-  bool fresh = false;
-  ASSERT_TRUE(context.Acquire(*a, 32, &fresh).ok());
-  ASSERT_TRUE(context.Acquire(*b, 32, &fresh).ok());
+  ASSERT_TRUE(engine.Run(QuerySpec::For(a.get())).ok());
+  ASSERT_TRUE(engine.Run(QuerySpec::For(b.get())).ok());
 
-  context.Invalidate(a.get());
-  EXPECT_EQ(context.cached_environments(), 1u);
-  ASSERT_TRUE(context.Acquire(*b, 32, &fresh).ok());
-  EXPECT_FALSE(fresh) << "unrelated entries must survive";
+  engine.InvalidateCachedViews(a.get());
+  EXPECT_EQ(engine.cached_environments(), 1u);
+  EXPECT_EQ(engine.context_stats().invalidations, 1u);
+  ASSERT_TRUE(engine.Run(QuerySpec::For(b.get())).ok());
+  EXPECT_EQ(engine.context_stats().opens, 2u)
+      << "unrelated entries must survive";
 
-  context.Invalidate(nullptr);
-  EXPECT_EQ(context.cached_environments(), 0u);
+  engine.InvalidateCachedViews(nullptr);
+  EXPECT_EQ(engine.cached_environments(), 0u);
+  EXPECT_EQ(engine.context_stats().invalidations, 2u);
+}
+
+// Collects pairs, and blocks in the first EndBatch until Release().
+class GatedSink final : public PairSink {
+ public:
+  explicit GatedSink(std::vector<RcjPair>* out) : out_(out) {}
+
+  bool Emit(const RcjPair& pair) override {
+    out_->push_back(pair);
+    return true;
+  }
+
+  void EndBatch() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (first_batch_done_) return;
+    first_batch_done_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+  void WaitForFirstBatch() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return first_batch_done_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::vector<RcjPair>* out_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool first_batch_done_ = false;
+  bool released_ = false;
+};
+
+TEST(WorkerContextTest, InvalidateWhileAQueryOverTheEnvironmentStreams) {
+  // Dropping the cache's entries mid-query only drops the cache's
+  // reference: the running query keeps its entry, views and leaf order,
+  // and its stream stays the serial one.
+  std::unique_ptr<RcjEnvironment> env = MustBuildEnv(3000, 35);
+  const QuerySpec spec = QuerySpec::For(env.get());
+  const Result<RcjRunResult> serial = env->Run(spec);
+  ASSERT_TRUE(serial.ok());
+
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  Engine engine(engine_options);
+  std::vector<RcjPair> streamed;
+  GatedSink sink(&streamed);
+  QueryTicket ticket = engine.Submit(EngineQuery{spec, &sink});
+  sink.WaitForFirstBatch();
+  engine.InvalidateCachedViews(env.get());
+  engine.InvalidateCachedViews();
+  EXPECT_EQ(engine.cached_environments(), 0u);
+  sink.Release();
+  ASSERT_TRUE(ticket.Wait().ok());
+  ExpectSameSequence(streamed, serial.value().pairs, "invalidated mid-query");
 }
 
 TEST(WorkerContextTest, CachedStreamsIdenticalUnder8Threads) {
@@ -222,6 +280,18 @@ TEST(WorkerContextTest, EngineSurvivesEnvironmentRebuildAndDestroy) {
   const Result<RcjRunResult> fresh = engine.Run(QuerySpec::For(other.get()));
   ASSERT_TRUE(fresh.ok());
   EXPECT_GT(fresh.value().pairs.size(), 0u);
+
+  // Destroy and rebuild with no invalidation at all: the stale entry is
+  // never used again, and dropping it later touches no freed store.
+  other.reset();
+  other = MustBuildEnv(900, 71);
+  const Result<RcjRunResult> rebuilt =
+      engine.Run(QuerySpec::For(other.get()));
+  ASSERT_TRUE(rebuilt.ok());
+  testing_util::ExpectSamePairs(rebuilt.value().pairs, fresh.value().pairs,
+                                "rebuilt without invalidation");
+  other.reset();
+  engine.InvalidateCachedViews();
 }
 
 TEST(WorkerContextTest, ContextStatsReportReuseAcrossBatches) {
@@ -343,6 +413,77 @@ TEST(ShardRouterInvalidationTest, ReleaseEnvironmentDropsViewsAndRebinds) {
   ASSERT_TRUE(router.Submit("east", QuerySpec{}, &east_sink, &ticket).ok());
   ASSERT_TRUE(ticket.Wait().ok());
   EXPECT_GT(east_sink.count(), 0u);
+}
+
+TEST(ShardRouterInvalidationTest, LiveEnvironmentOutlivesItsRouter) {
+  // A live environment may outlive the router that served it, released or
+  // not: a later compaction must not reach the dead router's engine (ASan
+  // turns a call into its freed memory into a hard failure).
+  const std::vector<PointRecord> qset = GenerateUniform(1200, 101);
+  std::vector<PointRecord> pset = GenerateUniform(1200, 102);
+  for (PointRecord& rec : pset) rec.id += 100000;
+  Result<std::unique_ptr<LiveEnvironment>> live =
+      LiveEnvironment::Create(qset, pset, LiveOptions{});
+  ASSERT_TRUE(live.ok());
+
+  ShardRouterOptions options;
+  options.service.engine.num_threads = 2;
+  auto router = std::make_unique<ShardRouter>(options);
+  ASSERT_TRUE(
+      router->RegisterLiveEnvironment("live", live.value().get()).ok());
+  CountingSink sink;
+  QueryTicket ticket;
+  ASSERT_TRUE(router->Submit("live", QuerySpec{}, &sink, &ticket).ok());
+  ASSERT_TRUE(ticket.Wait().ok());
+  EXPECT_GT(sink.count(), 0u);
+  router.reset();  // no ReleaseEnvironment
+
+  ASSERT_TRUE(
+      live.value()->Insert(LiveSide::kQ, {Point{10.0, 20.0}, 500000}).ok());
+  ASSERT_TRUE(live.value()->Compact().ok());
+  EXPECT_EQ(live.value()->stats().compactions, 1u);
+}
+
+TEST(ShardRouterInvalidationTest, CompactionChurnKeepsTheCacheBounded) {
+  // Every compaction retires a base whose cache entry nobody drops by
+  // name: the LRU cap alone must bound what the engine keeps.
+  const std::vector<PointRecord> qset = GenerateUniform(1200, 103);
+  std::vector<PointRecord> pset = GenerateUniform(1200, 104);
+  for (PointRecord& rec : pset) rec.id += 100000;
+  Result<std::unique_ptr<LiveEnvironment>> live =
+      LiveEnvironment::Create(qset, pset, LiveOptions{});
+  ASSERT_TRUE(live.ok());
+
+  ShardRouterOptions options;
+  options.service.engine.num_threads = 2;
+  ShardRouter router(options);
+  ASSERT_TRUE(
+      router.RegisterLiveEnvironment("live", live.value().get()).ok());
+  const WorkerContextStats before = router.engine().context_stats();
+  for (PointId i = 0; i < 12; ++i) {
+    CountingSink sink;
+    QueryTicket ticket;
+    ASSERT_TRUE(router.Submit("live", QuerySpec{}, &sink, &ticket).ok());
+    ASSERT_TRUE(ticket.Wait().ok());
+    EXPECT_GT(sink.count(), 0u);
+    EXPECT_LE(router.engine().cached_environments(), 4u);
+    ASSERT_TRUE(live.value()
+                    ->Insert(LiveSide::kQ,
+                             {Point{10.0 * i, 20.0 * i}, 500000 + i})
+                    .ok());
+    ASSERT_TRUE(live.value()->Compact().ok());
+  }
+  EXPECT_EQ(live.value()->stats().compactions, 12u);
+  // At least eight of the twelve bases' entries left the cache, each with
+  // the view its query opened. A rebuilt base may reuse the address of
+  // the one it retired; the generation check then drops the stale entry
+  // as an invalidation rather than an eviction.
+  const WorkerContextStats after = router.engine().context_stats();
+  EXPECT_GE(after.evictions + after.invalidations -
+                (before.evictions + before.invalidations),
+            8u)
+      << "evictions " << after.evictions << ", invalidations "
+      << after.invalidations;
 }
 
 }  // namespace

@@ -957,9 +957,6 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     poll(nullptr, 0, 100);  // nothing to do: connections run on threads
   }
   server.Stop();
-  // Unwire the live environment's invalidation hook before the router's
-  // services die under it — its background compactor may outlive them.
-  if (live != nullptr) router.ReleaseEnvironment("default");
   const NetServer::Counters counters = server.counters();
   std::printf("shut down: %llu connections | %llu ok | %llu rejected | "
               "%llu shed | %llu expired | %llu cancelled | %llu failed | "
