@@ -108,9 +108,13 @@ void BM_BulkFilterLeafGroup(benchmark::State& state) {
   const auto group = GenerateUniform(29, 77, Domain{4000.0, 4400.0});
   BulkFilterOptions options;
   options.symmetric_pruning = state.range(0) != 0;
+  // One leaf's group as BIJ (0) and OBJ (1) run it, with the scratch
+  // reused across calls as a join reuses it across groups.
   std::vector<std::vector<PointRecord>> per_q;
+  BulkFilterScratch scratch;
   for (auto _ : state) {
-    (void)BulkFilterCandidates(*env.tree, group, options, &per_q);
+    (void)BulkFilterCandidates(*env.tree, group, options, &per_q, nullptr,
+                               &scratch);
     benchmark::DoNotOptimize(per_q.size());
   }
 }

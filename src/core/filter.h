@@ -10,9 +10,32 @@
 // of q can prune via Lemma 1 (points) / Lemma 3 (MBRs). Each output set is
 // a superset of q's true RCJ partners — the verification step removes the
 // rest.
+//
+// Two devices make each heap entry cheaper without changing a decision:
+//
+//  * Alive-member mask. A member pruned for a node stays pruned for the
+//    node's whole subtree: anchor sets only grow, every stored MBR contains
+//    its subtree, and the Lemma 3 corner test is monotone under MBR nesting
+//    (see PruneRegion). So a node's pop tests every member its parent left
+//    alive, and its children carry the survivors as a bit mask (one bit per
+//    member, in a pool of the scratch, named by FilterHeapItem::mask). A
+//    point entry tests only the members its leaf left alive. The root is
+//    expanded untested, so its children start with every member alive:
+//    the root has no stored MBR to test, and a stand-in MBR would clear
+//    members for the whole tree.
+//  * Last pruner first. Each member remembers the anchor that last pruned
+//    an entry for it, and tests that anchor first. Any-of does not depend
+//    on the order of the anchors.
+//
+// A group of one (INJ, a live query's delta tail) uses neither. A node
+// pruned for its only member is dropped, so every surviving entry's mask
+// is all ones. Its anchors are its candidates in ascending distance from
+// q, and a nearer anchor prunes a larger half-plane, so list order already
+// tests the strongest anchor first.
 #ifndef RINGJOIN_CORE_FILTER_H_
 #define RINGJOIN_CORE_FILTER_H_
 
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -37,17 +60,30 @@ struct BulkFilterOptions {
 struct FilterHeapItem {
   double key = 0.0;  // squared mindist from the group's centroid
   bool is_point = false;
+  /// Slot in BulkFilterScratch::masks of the members the entry's parent
+  /// node was not pruned for.
+  uint32_t mask = 0;
   PointRecord rec;
   uint64_t child_page = 0;
   Rect mbr;  // valid for nodes
 };
+// The mask slot sits in the padding after is_point.
+static_assert(sizeof(FilterHeapItem) == sizeof(double) + sizeof(uint64_t) +
+                                            sizeof(PointRecord) +
+                                            sizeof(uint64_t) + sizeof(Rect),
+              "FilterHeapItem grew");
 
-/// Storage BulkFilterCandidates reuses across calls: the best-first heap
-/// and the per-member anchor lists. A join passes one scratch to every
-/// group of a query, so one-point groups allocate nothing per point.
+/// Storage BulkFilterCandidates reuses across calls: the best-first heap,
+/// the per-member anchor lists and last-pruner hints, and the alive-member
+/// mask pool. A join passes one scratch to every group of a query, so
+/// one-point groups allocate nothing per point.
 struct BulkFilterScratch {
   std::vector<FilterHeapItem> heap;
   std::vector<std::vector<PruneRegion>> anchors;
+  /// Index into anchors[i] of the region that last pruned for member i.
+  std::vector<uint32_t> last_pruner;
+  /// ceil(group / 64) words per slot; slot 0 has every member alive.
+  std::vector<uint64_t> masks;
 };
 
 /// Algorithm 7. One best-first traversal of T_P (ordered by mindist from the

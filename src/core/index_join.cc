@@ -19,8 +19,12 @@ namespace {
 // reads.
 
 // Algorithm 2 over a flat in-memory array: appends to `candidates` every
-// point of `points` that no nearer kept point prunes via Lemma 1. Points
-// are examined in ascending distance from `q` (ties broken by id, so the
+// point of `points` that no kept point prunes via Lemma 1. The kept points
+// are q's candidates from the tree, already in `candidates`, and the
+// nearer points appended before it. Every tree candidate is a live point
+// of the base that is neither q nor a delta record, so a delta record it
+// prunes forms a pair that verification would kill anyway. Points are
+// examined in ascending distance from `q` (ties broken by id, so the
 // appended order is deterministic). `self_skip_id` is q's own id in a
 // self-join (kInvalidPointId otherwise).
 void FilterCandidatesFlat(const std::vector<PointRecord>& points,
@@ -45,6 +49,8 @@ void FilterCandidatesFlat(const std::vector<PointRecord>& points,
             });
 
   std::vector<PruneRegion> regions;
+  regions.reserve(candidates->size());
+  for (const PointRecord& kept : *candidates) regions.emplace_back(q, kept.pt);
   for (const PointRecord* rec : ordered) {
     bool pruned = false;
     for (const PruneRegion& region : regions) {

@@ -35,6 +35,17 @@ class PruneRegion {
   /// i.e. no point in the subtree under MBR r can join with q. The signed
   /// offset is linear, so its minimum over r is attained at one corner,
   /// chosen per axis by the sign of the normal.
+  ///
+  /// The test is monotone under nesting in IEEE arithmetic, not only over
+  /// the reals: if it prunes r, it prunes every rect inside r, and
+  /// PrunesPoint prunes every point inside r. Per axis, nesting never
+  /// lowers the corner term (c - anchor) * n: with n > 0 the corner is lo,
+  /// which only grows, and with n <= 0 it is hi, which only shrinks (a
+  /// point is a rect with lo == hi). Subtraction, multiplication by a fixed
+  /// factor and addition all round monotonically, and a zero normal
+  /// contributes zero whatever the coordinate, for finite coordinates whose
+  /// differences do not overflow. Bulk_Filter relies on this to carry a
+  /// pruned member down a subtree without testing it again.
   bool PrunesRect(const Rect& r) const {
     const double cx = nx_ > 0.0 ? r.lo.x : r.hi.x;
     const double cy = ny_ > 0.0 ? r.lo.y : r.hi.y;

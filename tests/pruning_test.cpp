@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "geometry/circle.h"
 #include "test_util.h"
 
@@ -132,6 +135,74 @@ TEST(PruneRegionTest, SymmetricRuleLemma5MatchesLemma1Geometry) {
       EXPECT_TRUE(StrictlyInsideDiametral(q_sibling, x, q));
     }
   }
+}
+
+// The premise of the filter's alive-member mask: once an anchor prunes a
+// node's MBR it prunes every MBR nested inside it and every point inside
+// those, in IEEE arithmetic and not only over the reals. Anchors include
+// zero-normal axes (the anchor level with q on one axis) and coordinates a
+// few subnormal steps from the anchor, where rounding would show first.
+TEST(PruneRegionTest, PruningIsMonotoneUnderNesting) {
+  SplitMix rng(7);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  // base plus a wide, a subnormal or no offset.
+  auto near = [&rng, tiny](double base) {
+    switch (rng.Next() % 3) {
+      case 0:
+        return base + rng.NextDouble(-100.0, 100.0);
+      case 1:
+        return base + tiny * static_cast<double>(
+                                 static_cast<int>(rng.Next() % 17) - 8);
+      default:
+        return base;
+    }
+  };
+  // A value in [lo, hi], often one of the ends.
+  auto within = [&rng](double lo, double hi) {
+    switch (rng.Next() % 4) {
+      case 0:
+        return lo;
+      case 1:
+        return hi;
+      default:
+        return std::min(hi, std::max(lo, rng.NextDouble(lo, hi)));
+    }
+  };
+  int parents_pruned = 0;
+  int children_pruned = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const Point q = rng.NextPoint(-100.0, 100.0);
+    Point a = rng.NextPoint(-100.0, 100.0);
+    if (rng.Next() % 4 == 0) a.x = q.x;  // zero normal on x
+    if (rng.Next() % 4 == 0) a.y = q.y;  // zero normal on y
+    if (q == a) continue;
+    const PruneRegion region(q, a);
+
+    Rect parent = Rect::Empty();
+    parent.Expand(Point{near(a.x), near(a.y)});
+    parent.Expand(Point{near(a.x), near(a.y)});
+    Rect child;
+    child.lo = Point{within(parent.lo.x, parent.hi.x),
+                     within(parent.lo.y, parent.hi.y)};
+    child.hi = Point{within(child.lo.x, parent.hi.x),
+                     within(child.lo.y, parent.hi.y)};
+    const Point pt{within(child.lo.x, child.hi.x),
+                   within(child.lo.y, child.hi.y)};
+
+    if (region.PrunesRect(parent)) {
+      ++parents_pruned;
+      EXPECT_TRUE(region.PrunesRect(child))
+          << "trial " << trial << ": parent pruned, nested child not";
+    }
+    if (region.PrunesRect(child)) {
+      ++children_pruned;
+      EXPECT_TRUE(region.PrunesPoint(pt))
+          << "trial " << trial << ": child pruned, point inside it not";
+    }
+  }
+  // Sanity: both implications were exercised.
+  EXPECT_GT(parents_pruned, 500);
+  EXPECT_GT(children_pruned, parents_pruned);
 }
 
 }  // namespace
