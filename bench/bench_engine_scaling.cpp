@@ -289,9 +289,9 @@ int main(int argc, char** argv) {
 
     // Price of the instrumentation itself: the identical query loop with
     // the runtime metrics switch on vs off (the off path still pays one
-    // relaxed load per site; building with -DRINGJOIN_NO_METRICS removes
-    // even that). Target: under 3% — a relaxed striped fetch_add per
-    // counter bump should be invisible next to real join work.
+    // relaxed load per site). Target: under 3% — a relaxed striped
+    // fetch_add per counter bump should be invisible next to real join
+    // work.
     EngineOptions overhead_options;
     overhead_options.num_threads = 4;
     Engine overhead_engine(overhead_options);

@@ -9,7 +9,6 @@
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/stable_hash.h"
-#include "net/line_reader.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,11 +52,6 @@ obs::Counter* BackendAttemptCounter(size_t backend) {
       std::to_string(backend) + "\"}");
 }
 
-/// Client-bound bytes are batched up to this size before hitting the
-/// socket, amortizing syscalls across a pair stream while keeping the
-/// relay incremental.
-constexpr size_t kFlushThresholdBytes = 8192;
-
 bool IsPairLine(const std::string& line) {
   return line.rfind("PAIR ", 0) == 0;
 }
@@ -66,10 +60,17 @@ bool IsEndLine(const std::string& line) {
   return line.rfind("END ", 0) == 0;
 }
 
+/// Chains one PAIR line onto a replay ledger's running hash (the multiply
+/// makes the chain order-sensitive).
+uint64_t LedgerFold(uint64_t hash, const std::string& pair_line) {
+  return StableHash(pair_line) ^ (hash * 1099511628211ull);
+}
+
 }  // namespace
 
 struct FleetProxy::Connection : net::LineServer::Connection {
-  using net::LineServer::Connection::Connection;
+  explicit Connection(int fd)
+      : net::LineServer::Connection(fd, SocketSinkOptions{}) {}
 
   /// fd of the in-flight backend relay, if any (guarded by `mu`).
   int backend_fd = -1;
@@ -113,16 +114,12 @@ net::LineServer::Tier FleetProxy::MakeTier() {
     if (connection->held.empty()) connection->held.resize(pool_.size());
     std::string reply;
     const bool applied = RelayMutation(connection, line, &reply);
-    return FlushToClient(connection, &reply) && applied;
-  };
-  tier.send = [this](net::LineServer::Connection* connection,
-                     const std::string& frames) {
-    std::string out = frames;
-    return FlushToClient(static_cast<Connection*>(connection), &out);
+    // OK + MUT (or the ERR) leave in one send.
+    return connection->sink.SendFrames(reply) && applied;
   };
   tier.unblock = [this](net::LineServer::Connection* base) {
-    // Shutting the backend socket down makes a blocking relay return at
-    // once; a handler sleeping between retry cycles is woken too.
+    // The core stopped the token. Shutting the backend socket down makes
+    // a blocking relay return at once; a backoff sleep is woken too.
     Connection* connection = static_cast<Connection*>(base);
     if (connection->backend_fd >= 0) {
       shutdown(connection->backend_fd, SHUT_RDWR);
@@ -208,25 +205,12 @@ bool FleetProxy::excluded(size_t index) const {
 void FleetProxy::SetBackendFd(Connection* connection, int fd) {
   std::lock_guard<std::mutex> lock(connection->mu);
   connection->backend_fd = fd;
+  // A stop that landed before the socket was published (Stop() holds the
+  // same lock) shuts it here instead.
+  if (fd >= 0 && connection->stop.stopped()) shutdown(fd, SHUT_RDWR);
 }
 
-bool FleetProxy::FlushToClient(Connection* connection, std::string* out) {
-  if (out->empty()) return true;
-  int fd;
-  {
-    std::lock_guard<std::mutex> lock(connection->mu);
-    fd = connection->fd;
-  }
-  if (fd < 0) {
-    out->clear();
-    return false;
-  }
-  const bool sent = net::SendAll(fd, *out);
-  out->clear();
-  return sent;
-}
-
-void FleetProxy::Backoff(uint64_t ms) {
+void FleetProxy::Backoff(const StopToken& stop, uint64_t ms) {
   backoffs_.Add();
   ProxyMetrics::Get().backoff_seconds->Observe(
       static_cast<double>(ms) / 1000.0);
@@ -235,9 +219,8 @@ void FleetProxy::Backoff(uint64_t ms) {
     return;
   }
   std::unique_lock<std::mutex> lock(sleep_mu_);
-  sleep_cv_.wait_for(lock, std::chrono::milliseconds(ms), [this] {
-    return server_.stopping();
-  });
+  sleep_cv_.wait_for(lock, std::chrono::milliseconds(ms),
+                     [&stop] { return stop.stopped(); });
 }
 
 void FleetProxy::HandleQuery(Connection* connection,
@@ -250,7 +233,8 @@ void FleetProxy::HandleQuery(Connection* connection,
     return;
   }
   queries_.Add();
-  std::string out;
+  SocketSink& sink = connection->sink;
+  const StopToken& stop = connection->stop;
 
   // The client's relative budget is anchored once, here: retries, dials,
   // and backoffs below all spend from this single deadline, and each
@@ -287,11 +271,13 @@ void FleetProxy::HandleQuery(Connection* connection,
   RetrySchedule schedule(policy);
 
   bool ok_sent = false;
-  // FNV hashes of every PAIR line already relayed to the client: the
-  // replay-skip ledger. A failover re-runs the (deterministic) query on
-  // the next replica and verifies-then-skips this prefix, so the client
-  // stream carries no duplicated and no corrupted pairs.
-  std::vector<uint64_t> forwarded;
+  // The replay ledger, O(1) in the stream length: sink.emitted() PAIR
+  // lines reached the client, and `relayed_hash` chains them. A failover
+  // re-runs the (deterministic) query on the next replica and chains that
+  // many of its PAIR lines without relaying them; only if the two hashes
+  // agree is the rest spliced in, so the client stream carries no
+  // duplicated and no corrupted pairs.
+  uint64_t relayed_hash = 0;
   uint64_t replay_skipped = 0;
   Status last_error = Status::IoError("no backend attempt was made");
 
@@ -301,7 +287,7 @@ void FleetProxy::HandleQuery(Connection* connection,
   struct SlowLogGuard {
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
-    const std::vector<uint64_t>* relayed = nullptr;
+    const SocketSink* sink = nullptr;
     const obs::TraceContext* trace = nullptr;
     std::string env;
     ~SlowLogGuard() {
@@ -311,7 +297,7 @@ void FleetProxy::HandleQuery(Connection* connection,
       entry.wall_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-      entry.pairs = relayed->size();
+      entry.pairs = sink->emitted();
       entry.env = env;
       if (trace != nullptr) entry.trace_id = trace->id();
       entry.detail = "proxy";
@@ -319,12 +305,12 @@ void FleetProxy::HandleQuery(Connection* connection,
     }
   };
   SlowLogGuard slow_guard;
-  slow_guard.relayed = &forwarded;
+  slow_guard.sink = &sink;
   slow_guard.trace = trace.get();
   slow_guard.env = request.env_name;
 
   for (size_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (server_.stopping()) break;
+    if (stop.stopped()) break;
     if (has_deadline &&
         std::chrono::steady_clock::now() >= deadline) {
       last_error = Status::DeadlineExceeded(
@@ -339,12 +325,12 @@ void FleetProxy::HandleQuery(Connection* connection,
       uint64_t delay_ms = schedule.NextDelayMs();
       if (has_deadline) delay_ms = std::min(delay_ms, remaining_ms());
       const auto backoff_start = obs::TraceClock::now();
-      Backoff(delay_ms);
+      Backoff(stop, delay_ms);
       if (trace != nullptr) {
         trace->Record("proxy.backoff", 1, backoff_start,
                       obs::TraceClock::now());
       }
-      if (server_.stopping()) break;
+      if (stop.stopped()) break;
     }
     if (attempt > 0) retries_.Add();
     const size_t backend = replicas[attempt % replicas.size()];
@@ -413,21 +399,18 @@ void FleetProxy::HandleQuery(Connection* connection,
         // budget ran out — another replica would expire the same way, so
         // this is final, not a failover.
         expired_.Add();
-        out.append(resp).push_back('\n');
-        FlushToClient(connection, &out);
-        return;
+      } else {
+        // A definitive rejection (unknown env, bad spec the proxy's
+        // laxer knowledge let through): relay verbatim, conversation
+        // over.
+        rejected_.Add();
       }
-      // A definitive rejection (unknown env, bad spec the proxy's laxer
-      // knowledge let through): relay verbatim, conversation over.
-      rejected_.Add();
-      out.append(resp).push_back('\n');
-      FlushToClient(connection, &out);
+      sink.SendFrames(resp + "\n");
       return;
     }
     if (!ok_sent) {
       ok_sent = true;
-      out.append("OK\n");
-      if (!FlushToClient(connection, &out)) {
+      if (!sink.SendLine("OK")) {
         cancelled_.Add();
         SetBackendFd(connection, -1);
         return;
@@ -435,6 +418,8 @@ void FleetProxy::HandleQuery(Connection* connection,
     }
     if (resuming) failovers_.Add();
 
+    const uint64_t relayed = sink.emitted();  // the prefix to replay
+    uint64_t replay_hash = 0;
     uint64_t seen = 0;  // pairs observed from THIS backend's stream
     for (;;) {
       const Status relay_fp = RINGJOIN_FAILPOINT("relay_midstream");
@@ -451,51 +436,50 @@ void FleetProxy::HandleQuery(Connection* connection,
         break;
       }
       if (IsPairLine(resp)) {
-        const uint64_t hash = StableHash(resp);
-        if (seen < forwarded.size()) {
-          if (forwarded[seen] != hash) {
+        ++seen;
+        if (seen <= relayed) {
+          // Already relayed: skip it; the prefix is checked as a whole.
+          replay_hash = LedgerFold(replay_hash, resp);
+          ++replay_skipped;
+          if (seen == relayed && replay_hash != relayed_hash) {
             // The replica's deterministic stream does not match what was
             // already relayed — splicing would corrupt the client stream.
             failed_.Add();
-            out = net::FormatErrLine(Status::Corruption(
-                      "replica streams diverged at pair " +
-                      std::to_string(seen))) +
-                  "\n";
-            FlushToClient(connection, &out);
+            sink.SendFrames(net::FormatErrLine(Status::Corruption(
+                                "replica streams diverged within the " +
+                                std::to_string(relayed) +
+                                " pairs already relayed")) +
+                            "\n");
             SetBackendFd(connection, -1);
             return;
           }
-          ++seen;  // verified: already relayed, skip
-          ++replay_skipped;
           continue;
         }
-        forwarded.push_back(hash);
-        ++seen;
-        out.append(resp).push_back('\n');
-        if (out.size() >= kFlushThresholdBytes &&
-            !FlushToClient(connection, &out)) {
+        relayed_hash = LedgerFold(relayed_hash, resp);
+        if (!sink.EmitLine(resp)) {
           cancelled_.Add();
           SetBackendFd(connection, -1);
           return;
         }
+        // Drain to the client before the next read waits on the backend.
+        if (!conn.HasBufferedLine()) sink.EndBatch();
         continue;
       }
-      if (IsEndLine(resp) && seen < forwarded.size()) {
+      if (IsEndLine(resp) && seen < relayed) {
         // The replica finished short of the already-relayed prefix:
         // divergence again, not a relayable END.
         failed_.Add();
-        out = net::FormatErrLine(Status::Corruption(
-                  "replica stream ended at pair " + std::to_string(seen) +
-                  " short of the " + std::to_string(forwarded.size()) +
-                  " already relayed")) +
-              "\n";
-        FlushToClient(connection, &out);
+        sink.SendFrames(net::FormatErrLine(Status::Corruption(
+                            "replica stream ended at pair " +
+                            std::to_string(seen) + " short of the " +
+                            std::to_string(relayed) + " already relayed")) +
+                        "\n");
         SetBackendFd(connection, -1);
         return;
       }
       // END or a post-OK ERR epilogue: relay verbatim, conversation over.
       const bool is_end = IsEndLine(resp);
-      out.append(resp).push_back('\n');
+      std::string tail = resp + "\n";
       if (is_end && replay_skipped > 0) {
         ProxyMetrics::Get().replay_skipped_pairs->Add(replay_skipped);
       }
@@ -511,13 +495,13 @@ void FleetProxy::HandleQuery(Connection* connection,
         while (conn.ReadLine(&trace_line)) {
           if (net::IsTraceEndLine(trace_line)) break;
           if (!net::IsTraceLine(trace_line)) continue;  // defensive
-          out.append(trace_line).push_back('\n');
+          tail.append(trace_line).push_back('\n');
           ++relayed_spans;
         }
         trace->Record("proxy", 0, trace->start_time(), obs::TraceClock::now());
-        out += net::FormatTraceBlock(*trace, relayed_spans);
+        tail += net::FormatTraceBlock(*trace, relayed_spans);
       }
-      if (!FlushToClient(connection, &out)) {
+      if (!sink.SendFrames(tail)) {
         cancelled_.Add();
       } else if (is_end) {
         ok_.Add();
@@ -547,8 +531,7 @@ void FleetProxy::HandleQuery(Connection* connection,
   } else {
     failed_.Add();
   }
-  out.append(net::FormatErrLine(last_error)).push_back('\n');
-  FlushToClient(connection, &out);
+  sink.SendFrames(net::FormatErrLine(last_error) + "\n");
 }
 
 void FleetProxy::HandleStats(Connection* connection, const std::string& line) {
@@ -567,7 +550,7 @@ void FleetProxy::HandleStats(Connection* connection, const std::string& line) {
   uint64_t total_shards = 0;
   uint64_t total_envs = 0;
   for (size_t index = 0; index < pool_.size(); ++index) {
-    if (server_.stopping()) break;
+    if (connection->stop.stopped()) break;
     Result<net::ProtocolClient> dialed = pool_.Dial(index);
     if (!dialed.ok()) {
       stats_backends_skipped_.Add();
@@ -595,11 +578,9 @@ void FleetProxy::HandleStats(Connection* connection, const std::string& line) {
     total_envs += envs.size();
   }
   stats_.Add();
-  std::string out = "OK\n";
-  out += shard_rows;
-  out += env_rows;
-  out += net::FormatStatsEndLine(total_shards, total_envs) + "\n";
-  FlushToClient(connection, &out);
+  connection->sink.SendFrames(
+      "OK\n" + shard_rows + env_rows +
+      net::FormatStatsEndLine(total_shards, total_envs) + "\n");
 }
 
 bool FleetProxy::RelayMutation(Connection* connection, const std::string& line,

@@ -10,16 +10,18 @@
 //     same StableHash that places environments on shards inside one
 //     process), optionally fanned across a replica window of
 //     `replicas` consecutive backends for read-mostly environments.
-//     The response stream is relayed verbatim. Failures fail over:
-//     a refused connection, an `ERR Overloaded` shed, or a backend
-//     dying mid-stream moves the request to the next replica, with
-//     capped exponential backoff + jitter between full replica cycles
-//     (see retry.h). Because pair streams are deterministic and
-//     byte-identical across engines, a mid-stream failover *replays*
-//     the query on the next replica and skips the pairs already
-//     forwarded — verifying each skipped line against a hash of what
-//     was sent, so a diverging replica is surfaced as Corruption
-//     rather than spliced into the stream.
+//     The response stream is relayed verbatim into the client's
+//     SocketSink, drained whenever no further backend line is buffered.
+//     Failures fail over: a refused connection, an `ERR Overloaded`
+//     shed, or a backend dying mid-stream moves the request to the next
+//     replica, with capped exponential backoff + jitter between full
+//     replica cycles (see retry.h). Because pair streams are
+//     deterministic and byte-identical across engines, a mid-stream
+//     failover *replays* the query on the next replica and skips the
+//     pairs already relayed. The replay ledger is O(1), their count and
+//     a running hash: a replica whose skipped prefix hashes differently,
+//     or ends short of it, is surfaced as Corruption and none of its
+//     lines is spliced into the stream.
 //   * INSERT/DELETE/COMPACT — applied to every replica of the
 //     environment (a replicated live environment must converge), and
 //     acknowledged with the primary's MUT. Batches (many mutation
@@ -31,8 +33,10 @@
 //     into one exact fleet-wide count.
 //
 // The connection lifecycle (listener, accept loop, per-connection threads,
-// Stop(), the mutation-batch loop and METRICS) is the net::LineServer core
-// NetServer also runs on; this class supplies the relay handlers.
+// Stop(), the mutation-batch loop and METRICS), the client writer and the
+// stop token are the net::LineServer core NetServer also runs on; this
+// class supplies the relay handlers. So a client that stops reading is
+// cancelled after the sink's drain grace, as on NetServer.
 //
 // The proxy holds no query state beyond the in-flight relay: environment
 // registration lives on the backends, admission lives on the backends
@@ -55,6 +59,7 @@
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "core/stop_token.h"
 #include "fleet/backend_pool.h"
 #include "fleet/retry.h"
 #include "net/line_server.h"
@@ -95,7 +100,7 @@ class FleetProxy {
     uint64_t rejected = 0;         ///< malformed requests (ERR before OK).
     uint64_t shed = 0;             ///< Overloaded relayed after retries.
     uint64_t failed = 0;           ///< backend ERR / exhausted retries.
-    uint64_t cancelled = 0;        ///< client gone mid-relay.
+    uint64_t cancelled = 0;        ///< client gone or stopped reading.
     uint64_t retries = 0;          ///< backend attempts past the first.
     uint64_t failovers = 0;        ///< mid-stream replays on a replica.
     uint64_t backoffs = 0;         ///< sleeps between failed cycles.
@@ -177,12 +182,11 @@ class FleetProxy {
   /// caches the pooled backend conversations across a batch.
   bool RelayMutation(Connection* connection, const std::string& line,
                      std::string* reply);
-  /// Sends buffered client-bound bytes; false once the client is gone.
-  bool FlushToClient(Connection* connection, std::string* out);
-  /// Stop-aware backoff sleep (or the injected sleep_fn).
-  void Backoff(uint64_t ms);
+  /// Backoff sleep that `stop` ends early (or the injected sleep_fn).
+  void Backoff(const StopToken& stop, uint64_t ms);
   /// Publishes `fd` as the connection's in-flight backend socket so
-  /// Stop() can shut it down; pass -1 to clear.
+  /// Stop() can shut it down (or shuts it at once when the connection's
+  /// token is already stopped); pass -1 to clear.
   void SetBackendFd(Connection* connection, int fd);
 
   /// One relayed mutation remembered for catch-up: the raw wire line and

@@ -4,7 +4,7 @@
 // `rcj_tool client`, the examples, the fleet proxy and perfbench's
 // harness), and tests that assert raw wire bytes use it directly, so
 // framing details (CR stripping, EINTR, partial recv) live in exactly one
-// place. SendAll is also the fleet proxy's verbatim relay write.
+// place. Servers write through SocketSink, not SendAll.
 #ifndef RINGJOIN_NET_LINE_READER_H_
 #define RINGJOIN_NET_LINE_READER_H_
 
@@ -26,6 +26,12 @@ namespace net {
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd), buffer_(kBufferBytes) {}
+
+  /// True when a complete line is buffered (ReadLine() will not recv()).
+  bool HasLine() const {
+    return std::memchr(buffer_.data() + next_, '\n', buffered_ - next_) !=
+           nullptr;
+  }
 
   /// Fills `*line` with the next line (LF consumed, trailing CR
   /// stripped). False on EOF or a hard error before a complete line.

@@ -25,10 +25,10 @@ std::string Errno(const char* what) {
 
 LineServer::LineServer(const LineServerOptions& options, Tier tier)
     : options_(options), tier_(std::move(tier)) {
-  tier_.verbs["METRICS"] = [this](Connection* connection,
-                                  const std::string& line) {
+  tier_.verbs.emplace("METRICS", [this](Connection* connection,
+                                       const std::string& line) {
     AnswerMetrics(connection, line);
-  };
+  });
   if (tier_.mutate) {
     for (const char* verb : {"INSERT", "DELETE", "COMPACT"}) {
       tier_.verbs[verb] = [this](Connection* connection,
@@ -91,9 +91,9 @@ void LineServer::Stop() {
   close(listen_fd_);
   listen_fd_ = -1;
 
-  // Unblock every connection: the tier cancels or shuts what its handler
-  // may wait on, and shutting the client socket down makes reads and
-  // writes in the handler return immediately.
+  // Unblock every connection: its query stops, the tier shuts what else
+  // its handler may wait on, and shutting the client socket down makes
+  // reads and writes in the handler (and its sink's poll) return at once.
   std::vector<std::shared_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -101,6 +101,7 @@ void LineServer::Stop() {
   }
   for (const std::shared_ptr<Connection>& connection : connections) {
     std::lock_guard<std::mutex> lock(connection->mu);
+    connection->stop.Stop(StopReason::kCancelled);
     if (tier_.unblock) tier_.unblock(connection.get());
     if (connection->fd >= 0) shutdown(connection->fd, SHUT_RDWR);
   }
@@ -148,7 +149,7 @@ void LineServer::ReapFinishedConnections() {
 }
 
 void LineServer::AcceptLoop() {
-  while (!stopping()) {
+  while (!stop_.load(std::memory_order_relaxed)) {
     ReapFinishedConnections();
     // At the cap only the wake fd is polled: peers queue in the kernel
     // backlog until a handler finishes and wakes the loop, instead of the
@@ -181,7 +182,7 @@ Status LineServer::ReadLine(Connection* connection, std::string* line,
 
 void LineServer::Reject(Connection* connection, const Status& status) {
   if (tier_.rejected != nullptr) tier_.rejected->Add();
-  tier_.send(connection, FormatErrLine(status) + "\n");
+  connection->sink.SendFrames(FormatErrLine(status) + "\n");
 }
 
 void LineServer::Serve(Connection* connection) {
@@ -254,8 +255,8 @@ void LineServer::AnswerMetrics(Connection* connection,
   for (const char c : exposition) {
     if (c == '\n') ++lines;
   }
-  tier_.send(connection,
-             "OK\n" + exposition + FormatMetricsEndLine(lines) + "\n");
+  connection->sink.SendFrames("OK\n" + exposition +
+                             FormatMetricsEndLine(lines) + "\n");
 }
 
 }  // namespace net

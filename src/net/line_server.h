@@ -12,8 +12,9 @@
 // token (its verb) to the tier's handler table. It also owns the two
 // answers that do not depend on the tier: the mutation-batch loop (one
 // connection, many INSERT/DELETE/COMPACT lines, one ack each) and
-// METRICS. A tier supplies only its handlers and a few hooks
-// (LineServer::Tier).
+// METRICS. It owns each connection's one writer (a SocketSink) and one
+// stop (a StopToken), for both tiers. A tier supplies only its handlers
+// and a few hooks (LineServer::Tier).
 #ifndef RINGJOIN_NET_LINE_SERVER_H_
 #define RINGJOIN_NET_LINE_SERVER_H_
 
@@ -29,7 +30,9 @@
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "core/stop_token.h"
 #include "net/request_reader.h"
+#include "net/socket_sink.h"
 #include "obs/metrics.h"
 
 namespace rcj {
@@ -62,7 +65,8 @@ class LineServer {
   /// One accepted client connection. Tiers derive from it to add the state
   /// their hooks reach (NetServer's ticket, FleetProxy's backend socket).
   struct Connection {
-    explicit Connection(int client_fd) : fd(client_fd) {}
+    Connection(int client_fd, const SocketSinkOptions& sink_options)
+        : fd(client_fd), sink(client_fd, sink_options, &stop) {}
     virtual ~Connection() = default;
 
     /// Guards `fd` and the tier's unblock state against Stop().
@@ -72,6 +76,12 @@ class LineServer {
     /// Bytes read past the current request line (the next lines of a
     /// mutation batch). Handler thread only.
     std::string carry;
+    /// Stops the connection's query or relay: Stop() with kCancelled, the
+    /// sink with kPeerGone as it dies.
+    StopToken stop;
+    /// Every client-bound byte. Written by the handler thread and, during
+    /// a NetServer query, the engine's delivery; never by Stop().
+    SocketSink sink;
     /// Set as the handler's very last step; the accept loop reaps (joins
     /// and erases) done connections.
     std::atomic<bool> done{false};
@@ -85,8 +95,8 @@ class LineServer {
   struct Tier {
     /// Adopts a freshly accepted socket into the tier's connection type.
     std::function<std::shared_ptr<Connection>(int fd)> adopt;
-    /// Handlers by verb. METRICS and, when `mutate` is set, the mutation
-    /// verbs are the core's own.
+    /// Handlers by verb. METRICS (unless the table names it) and, when
+    /// `mutate` is set, the mutation verbs are the core's own.
     std::map<std::string, Handler> verbs;
     /// Answers a line whose verb has no handler: the QUERY path, which
     /// also rejects unknown verbs.
@@ -95,12 +105,9 @@ class LineServer {
     /// the answer was an ERR or the client is gone, which ends the batch.
     std::function<bool(Connection* connection, const std::string& line)>
         mutate;
-    /// Writes newline-terminated frames to the client; false once the
-    /// client is gone.
-    std::function<bool(Connection* connection, const std::string& frames)>
-        send;
-    /// Run by Stop() under connection->mu, just before the client socket
-    /// is shut down: cancels or shuts whatever the handler may block on.
+    /// Run by Stop() under connection->mu, after the token is stopped and
+    /// before the client socket is shut down: shuts whatever else the
+    /// handler may block on.
     std::function<void(Connection* connection)> unblock;
     /// Run on the handler thread once the conversation is over, before
     /// the client socket closes.
@@ -125,16 +132,13 @@ class LineServer {
   /// InvalidArgument on a bad bind address.
   Status Start();
 
-  /// Stops accepting, unblocks every connection (the tier's unblock hook,
-  /// then a shutdown of the client socket) and joins all connection
-  /// threads. Idempotent.
+  /// Stops accepting, unblocks every connection (its token stopped with
+  /// kCancelled, the tier's unblock hook, then a shutdown of the client
+  /// socket) and joins all connection threads. Idempotent.
   void Stop();
 
   /// The bound port (resolves ephemeral port 0); valid after Start().
   uint16_t port() const { return port_; }
-
-  /// True from the start of Stop(); handlers use it to give up early.
-  bool stopping() const { return stop_.load(std::memory_order_relaxed); }
 
   /// Connections currently being served.
   size_t active_connections();

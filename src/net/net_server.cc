@@ -49,20 +49,12 @@ struct ServerMetrics {
 
 struct NetServer::Connection : net::LineServer::Connection {
   Connection(int fd, const SocketSinkOptions& options)
-      : net::LineServer::Connection(fd),
-        sink(fd, options, &stop),
+      : net::LineServer::Connection(fd, options),
         wake_fd(eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
   ~Connection() override {
     if (wake_fd >= 0) close(wake_fd);
   }
 
-  /// The stop signal of this connection's one query (QuerySpec::stop); a
-  /// stop before submission resolves the query before any chunk claim.
-  StopToken stop;
-  /// Written by the handler thread and, during a query, the engine's
-  /// delivery. Its death (peer gone, or backpressure past the grace)
-  /// stops `stop` with kPeerGone.
-  SocketSink sink;
   /// Made readable once by the query's completion (the router's on_done
   /// hook), so the handler's poll wakes the moment the ticket resolves.
   /// -1 when no eventfd could be made: a query is then refused.
@@ -101,13 +93,6 @@ net::LineServer::Tier NetServer::MakeTier() {
   tier.mutate = [this](net::LineServer::Connection* connection,
                        const std::string& line) {
     return HandleMutation(static_cast<Connection*>(connection), line);
-  };
-  tier.send = [this](net::LineServer::Connection* connection,
-                     const std::string& frames) {
-    return Send(static_cast<Connection*>(connection), frames);
-  };
-  tier.unblock = [](net::LineServer::Connection* connection) {
-    static_cast<Connection*>(connection)->stop.Stop(StopReason::kCancelled);
   };
   tier.finish = [](net::LineServer::Connection* connection) {
     // The wire-volume counters only the sink knows, settled once per
@@ -156,18 +141,6 @@ NetServer::Counters NetServer::counters() const {
   return counters;
 }
 
-bool NetServer::Send(Connection* connection, const std::string& frames) {
-  // One SendLine per frame, then one flush: the socket sees the same
-  // sends whether an answer is written here or frame by frame.
-  size_t begin = 0;
-  while (begin < frames.size()) {
-    const size_t end = frames.find('\n', begin);
-    connection->sink.SendLine(frames.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return connection->sink.Flush(options_.sink.drain_grace_ms);
-}
-
 void NetServer::HandleStats(Connection* connection, const std::string& line) {
   if (!net::IsStatsRequestLine(line)) {
     server_.Reject(connection,
@@ -206,8 +179,8 @@ void NetServer::HandleStats(Connection* connection, const std::string& line) {
     wire.base_p = env.stats.base_p;
     out += net::FormatEnvStatsLine(wire) + "\n";
   }
-  Send(connection, out + net::FormatStatsEndLine(stats.size(), envs.size()) +
-                       "\n");
+  connection->sink.SendFrames(
+      out + net::FormatStatsEndLine(stats.size(), envs.size()) + "\n");
 }
 
 void NetServer::HandleEpoch(Connection* connection, const std::string& line) {
@@ -229,8 +202,8 @@ void NetServer::HandleEpoch(Connection* connection, const std::string& line) {
     return;
   }
   epochs_.Add();
-  Send(connection,
-       "OK\n" + net::FormatEpochResponseLine(env_name, epoch) + "\n");
+  connection->sink.SendFrames(
+      "OK\n" + net::FormatEpochResponseLine(env_name, epoch) + "\n");
 }
 
 void NetServer::HandleFailpoint(Connection* connection,
@@ -247,7 +220,7 @@ void NetServer::HandleFailpoint(Connection* connection,
     server_.Reject(connection, status);
     return;
   }
-  Send(connection, "OK\n");
+  connection->sink.SendFrames("OK\n");
 }
 
 bool NetServer::HandleMutation(Connection* connection,
@@ -283,7 +256,13 @@ bool NetServer::HandleMutation(Connection* connection,
   ack.delta = after.delta_size;
   ack.tombstones = after.tombstones;
   ack.compactions = after.compactions;
-  Send(connection, "OK\n" + net::FormatMutationAckLine(ack) + "\n");
+  // OK and MUT leave as two sends, and Nagle holds MUT until the client
+  // acknowledges OK. A writer that waits on each ack (perfbench's) is
+  // paced by that delay, so merging the two changes its mutation rate;
+  // see the ROADMAP item "The 44 ms mutation ack".
+  connection->sink.SendLine("OK");
+  connection->sink.SendLine(net::FormatMutationAckLine(ack));
+  connection->sink.Flush(options_.sink.drain_grace_ms);
   return true;
 }
 
@@ -297,9 +276,9 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     // Without its completion eventfd the handler could not learn when the
     // query ends; refuse it rather than poll on a timer.
     failed_.Add();
-    Send(connection, net::FormatErrLine(Status::IoError(
+    sink->SendFrames(net::FormatErrLine(Status::IoError(
                          "no completion eventfd for this connection")) +
-                         "\n");
+                     "\n");
     return;
   }
   // The wire carries a *relative* budget; anchor it to this process's
@@ -347,7 +326,7 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     } else {
       rejected_.Add();
     }
-    Send(connection, net::FormatErrLine(status) + "\n");
+    sink->SendFrames(net::FormatErrLine(status) + "\n");
     return;
   }
 
@@ -404,9 +383,9 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
     if (trace != nullptr) {
       trace->Record("server", 0, trace->start_time(), obs::TraceClock::now());
     }
-    if (Send(connection,
-             net::FormatEndLine(summary) + "\n" +
-                 (trace != nullptr ? net::FormatTraceBlock(*trace) : ""))) {
+    if (sink->SendFrames(
+            net::FormatEndLine(summary) + "\n" +
+            (trace != nullptr ? net::FormatTraceBlock(*trace) : ""))) {
       ok_.Add();
       outcome = "ok";
     } else {
@@ -428,7 +407,7 @@ void NetServer::HandleQuery(Connection* connection, const std::string& line) {
       failed_.Add();
       outcome = "failed: " + final.message();
     }
-    Send(connection, net::FormatErrLine(error) + "\n");
+    sink->SendFrames(net::FormatErrLine(error) + "\n");
   }
 
   obs::SlowQueryEntry slow;

@@ -15,14 +15,15 @@
 // in-flight cap) is answered with `ERR Overloaded` before any OK, so an
 // overloaded server fails fast instead of queueing unboundedly.
 //
-// Each connection owns its query's StopToken (QuerySpec::stop), and every
-// way the connection can end a query stops it:
+// The query's StopToken (QuerySpec::stop) and its SocketSink are the
+// connection's own, held by the net::LineServer core, and every way the
+// connection can end a query stops that token:
 //
 //   * client drop — a read error on the socket while the ticket is in
 //     flight stops it with kPeerGone;
 //   * slow consumer — the SocketSink's bounded pending buffer turns a
 //     stalled socket into a dead sink, which stops it with kPeerGone;
-//   * Stop() — the line server's unblock hook stops it with kCancelled.
+//   * Stop() — the line server stops it with kCancelled.
 //
 // While its query runs, the connection thread sleeps in poll() on the
 // client socket (for a read error) and on a per-connection eventfd that
@@ -118,9 +119,6 @@ class NetServer {
 
   /// The handler table and hooks this tier plugs into the line server.
   net::LineServer::Tier MakeTier();
-  /// Writes newline-terminated frames to the connection's sink, one
-  /// SendLine per frame, then flushes; false once the client is gone.
-  bool Send(Connection* connection, const std::string& frames);
   /// Routes one QUERY request: validation, admission, submission, and the
   /// in-flight babysitting until the ticket resolves.
   void HandleQuery(Connection* connection, const std::string& line);

@@ -6,7 +6,7 @@
 // Two API levels:
 //   * raw lines (SendLine/ReadLine) — for callers that must see the bytes
 //     themselves: the fleet proxy relays responses verbatim (and hashes
-//     them for its replay skip), perfbench's harness stamps each line's
+//     them into its replay ledger), perfbench's harness stamps each line's
 //     arrival, and tests assert raw wire bytes;
 //   * typed calls (RunQuery/Mutate/Epoch/Stats/Metrics) — what every
 //     other client uses: `rcj_tool client`, the examples, the proxy's
@@ -72,6 +72,9 @@ class ProtocolClient {
   /// Reads the next response line (LF consumed, CR stripped). False on
   /// EOF or a hard error before a complete line.
   bool ReadLine(std::string* line);
+
+  /// True when the next ReadLine() will not wait on the socket.
+  bool HasBufferedLine() const { return reader_.HasLine(); }
 
   // --- typed conversations ------------------------------------------------
 

@@ -25,6 +25,16 @@ void SocketSink::MarkDead() {
 bool SocketSink::Emit(const RcjPair& pair) {
   if (dead_) return false;
   net::AppendPairLine(pair, &pending_);
+  return Enqueued();
+}
+
+bool SocketSink::EmitLine(const std::string& line) {
+  if (dead_) return false;
+  pending_ += line;
+  return Enqueued();
+}
+
+bool SocketSink::Enqueued() {
   pending_ += '\n';
   if (pending_bytes() >= drain_threshold_ && !Drain()) return false;
   ++emitted_;
@@ -40,6 +50,12 @@ bool SocketSink::SendLine(const std::string& line) {
   pending_ += line;
   pending_ += '\n';
   return Drain();
+}
+
+bool SocketSink::SendFrames(const std::string& frames) {
+  if (dead_) return false;
+  pending_ += frames;
+  return Flush(options_.drain_grace_ms);
 }
 
 bool SocketSink::Drain() {
@@ -102,9 +118,10 @@ bool SocketSink::Flush(int timeout_ms) {
     pfd.fd = fd_;
     pfd.events = POLLOUT;
     pfd.revents = 0;
-    const int step_ms =
-        remaining.count() < 50 ? static_cast<int>(remaining.count()) : 50;
-    const int ready = poll(&pfd, 1, step_ms);
+    const int ready = poll(&pfd, 1, static_cast<int>(remaining.count()));
+    // Timed out without the socket becoming writable. The room a stalled
+    // peer's kernel still frees below that mark is not a reader.
+    if (ready == 0) return false;
     if (ready < 0 && errno != EINTR) {
       MarkDead();
       return false;

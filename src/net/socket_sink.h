@@ -14,10 +14,14 @@
 // engine drops the query's remaining work instead of joining for a client
 // that cannot or will not consume the stream.
 //
+// Each net::LineServer connection owns one: every byte either tier writes
+// to its client goes through it, so a client that stops reading is
+// cancelled the same way by NetServer and by FleetProxy's relay.
+//
 // Threading: like every per-query sink, one thread drives Emit() and
 // EndBatch() at a time (the engine serializes delivery per query). The
-// connection thread only calls SendLine()/Flush() before submitting and
-// after the ticket resolved, so no internal locking is needed.
+// connection thread only writes before submitting and after the ticket
+// resolved, so no internal locking is needed.
 #ifndef RINGJOIN_NET_SOCKET_SINK_H_
 #define RINGJOIN_NET_SOCKET_SINK_H_
 
@@ -55,6 +59,10 @@ class SocketSink final : public PairSink {
   /// pending buffer cannot be drained.
   bool Emit(const RcjPair& pair) override;
 
+  /// Emit() for an already formatted PAIR line (no newline): the proxy's
+  /// relay of a backend's stream.
+  bool EmitLine(const std::string& line);
+
   /// Hands everything pending to the socket, as far as it accepts it
   /// without blocking: the engine calls this once per delivered batch of
   /// chunks, so a chunk's pairs leave as soon as the chunk is delivered.
@@ -64,8 +72,15 @@ class SocketSink final : public PairSink {
   /// sends it at once. Returns false when the sink is already dead.
   bool SendLine(const std::string& line);
 
+  /// Enqueues newline-terminated control frames and flushes them within
+  /// the drain grace (one send when the socket takes them). False when
+  /// the sink is dead or the flush failed.
+  bool SendFrames(const std::string& frames);
+
   /// Blocks up to `timeout_ms` draining the pending buffer; true when every
-  /// queued byte reached the kernel.
+  /// queued byte reached the kernel. One poll() per wake of the socket
+  /// (POLLOUT, or POLLHUP/POLLERR on a shutdown or a peer error); a poll
+  /// that times out ends the wait.
   bool Flush(int timeout_ms);
 
   /// True once a send failed or the pending bound was overrun; no further
@@ -87,6 +102,8 @@ class SocketSink final : public PairSink {
   /// TryDrain, then the backpressure bound: past max_pending_bytes, one
   /// drain grace, then death. False once the sink is dead.
   bool Drain();
+  /// Ends and counts the PAIR line just appended; false once dead.
+  bool Enqueued();
   /// Sends as much pending data as the socket accepts right now.
   void TryDrain();
   /// Marks the sink dead and stops `stop_` with kPeerGone.

@@ -18,11 +18,9 @@
 // splices histogram suffixes (`_bucket`/`_sum`/`_count`) around the label
 // block.
 //
-// Compile-time kill switch: building with -DRINGJOIN_NO_METRICS turns every
-// Add/Set/Observe into an inline no-op (the registry still answers METRICS,
-// with zeros). Runtime switch: SetMetricsEnabled(false) skips the stripe
-// write behind one relaxed load — the knob the overhead microbench flips to
-// price the instrumentation (see bench_engine_scaling).
+// Kill switch: SetMetricsEnabled(false) skips the stripe write behind one
+// relaxed load — the knob the overhead microbench flips to price the
+// instrumentation (see bench_engine_scaling).
 #ifndef RINGJOIN_OBS_METRICS_H_
 #define RINGJOIN_OBS_METRICS_H_
 
@@ -78,13 +76,9 @@ class Counter {
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(Counter);
 
   void Add(uint64_t delta = 1) {
-#if defined(RINGJOIN_NO_METRICS)
-    (void)delta;
-#else
     if (!MetricsEnabled()) return;
     stripes_[internal::StripeIndex()].value.fetch_add(
         delta, std::memory_order_relaxed);
-#endif
   }
 
   uint64_t Value() const {
@@ -109,21 +103,13 @@ class Gauge {
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(Gauge);
 
   void Set(int64_t value) {
-#if defined(RINGJOIN_NO_METRICS)
-    (void)value;
-#else
     if (!MetricsEnabled()) return;
     value_.store(value, std::memory_order_relaxed);
-#endif
   }
 
   void Add(int64_t delta) {
-#if defined(RINGJOIN_NO_METRICS)
-    (void)delta;
-#else
     if (!MetricsEnabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
-#endif
   }
 
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
@@ -156,16 +142,12 @@ class Histogram {
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(Histogram);
 
   void Observe(double value) {
-#if defined(RINGJOIN_NO_METRICS)
-    (void)value;
-#else
     if (!MetricsEnabled()) return;
     size_t bucket = 0;
     while (bucket < bounds_.size() && value > bounds_[bucket]) ++bucket;
     Stripe& stripe = stripes_[internal::StripeIndex()];
     stripe.counts[bucket].fetch_add(1, std::memory_order_relaxed);
     internal::AtomicAddDouble(&stripe.sum, value);
-#endif
   }
 
   HistogramSnapshot Snap() const;
@@ -257,9 +239,9 @@ class MetricsRegistry {
 };
 
 /// One outcome count kept twice: exactly, per owning instance (a server's
-/// counters(), which stays exact under RINGJOIN_NO_METRICS and
-/// SetMetricsEnabled(false)), and on the default registry's counter of the
-/// same meaning (the METRICS exposition).
+/// counters(), which stays exact under SetMetricsEnabled(false)), and on
+/// the default registry's counter of the same meaning (the METRICS
+/// exposition).
 class OutcomeCounter {
  public:
   explicit OutcomeCounter(const std::string& metric_name)

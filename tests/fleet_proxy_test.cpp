@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -468,6 +469,126 @@ TEST(FleetProxyTest, DivergingReplicaSurfacesCorruptionNotASplicedStream) {
   proxy.Stop();
   EXPECT_EQ(proxy.counters().failed, 1u);
   EXPECT_EQ(proxy.counters().ok, 0u);
+}
+
+TEST(FleetProxyTest, LongReplayPrefixIsVerifiedByItsRunningHash) {
+  // 10^5 pairs reach the client before the first conversation drops. The
+  // replay is checked against that whole prefix through the ledger's count
+  // and running hash alone: a replica that agrees splices byte-exactly,
+  // and one whose prefix differs only in its last pair, or that ends one
+  // pair short of it, is Corruption with none of its own lines on the wire.
+  constexpr size_t kPrefix = 100000;
+  const auto pairs = [](size_t begin, size_t end) {
+    std::string lines;
+    for (size_t i = begin; i < end; ++i) {
+      lines += "PAIR " + std::to_string(i) + " " + std::to_string(7 * i) +
+               "\n";
+    }
+    return lines;
+  };
+  const std::string prefix = pairs(0, kPrefix);
+  const std::string all_but_last = pairs(0, kPrefix - 1);
+  const std::string suffix = pairs(kPrefix, kPrefix + 10);
+  const std::string end = "END fake " + std::to_string(kPrefix + 10) + "\n";
+
+  // One failover: the first conversation streams `prefix` and drops, the
+  // replay streams `replay`. Returns the bytes the client received.
+  const auto failover = [&](const std::string& replay,
+                            FleetProxy::Counters* counters) {
+    FakeBackend backend([&](size_t conn, int fd) {
+      FakeBackend::ReadLineRaw(fd);
+      FakeBackend::SendRaw(fd, "OK\n" + (conn == 0 ? prefix : replay));
+    });
+    FleetProxyOptions options;
+    options.retry.jitter_fraction = 0.0;
+    SleepRecorder recorder;
+    options.sleep_fn = recorder.fn();
+    FleetProxy proxy({backend.address()}, options);
+    EXPECT_TRUE(proxy.Start().ok());
+    const std::string proxied =
+        RawExchange(proxy.port(), "QUERY algo=obj\n");
+    proxy.Stop();
+    *counters = proxy.counters();
+    return proxied;
+  };
+  // The honest prefix, then exactly one ERR Corruption line.
+  const auto expect_corruption = [&](const std::string& proxied,
+                                     const FleetProxy::Counters& counters,
+                                     const char* label) {
+    ASSERT_GT(proxied.size(), 3 + prefix.size()) << label;
+    EXPECT_TRUE(proxied.compare(0, 3 + prefix.size(), "OK\n" + prefix) == 0)
+        << label;
+    std::string err_line = proxied.substr(3 + prefix.size());
+    ASSERT_EQ(err_line.find('\n'), err_line.size() - 1) << label << err_line;
+    err_line.pop_back();
+    Status transported = Status::OK();
+    ASSERT_TRUE(net::ParseErrLine(err_line, &transported).ok())
+        << label << err_line;
+    EXPECT_EQ(transported.code(), StatusCode::kCorruption) << label;
+    EXPECT_EQ(counters.failed, 1u) << label;
+    EXPECT_EQ(counters.ok, 0u) << label;
+  };
+
+  FleetProxy::Counters counters;
+  EXPECT_TRUE(failover(prefix + suffix + end, &counters) ==
+              "OK\n" + prefix + suffix + end)
+      << "a matching replica splices byte-exactly";
+  EXPECT_EQ(counters.ok, 1u);
+  EXPECT_EQ(counters.failovers, 1u);
+
+  // One byte off in the prefix's last pair.
+  const std::string last_differs = all_but_last + "PAIR " +
+                                   std::to_string(kPrefix - 1) + " " +
+                                   std::to_string(7 * (kPrefix - 1) + 1) +
+                                   "\n";
+  ASSERT_EQ(last_differs.size(), prefix.size());
+  expect_corruption(failover(last_differs + suffix + end, &counters),
+                    counters, "last pair differs");
+
+  expect_corruption(failover(all_but_last + end, &counters), counters,
+                    "ends one pair short");
+}
+
+TEST(FleetProxyTest, StalledClientIsCancelledWithinTheDrainGrace) {
+  // The backend streams far past every socket buffer on the way, and the
+  // client sends its QUERY and never reads. The proxy writes through the
+  // same bounded SocketSink as NetServer, so it must give the client up
+  // within the drain grace instead of holding the connection for as long
+  // as the client stays connected.
+  std::string block;
+  for (size_t i = 0; block.size() < 64 * 1024; ++i) {
+    block += "PAIR " + std::to_string(i) + " 1 2 3 4 5 6\n";
+  }
+  FakeBackend backend([&](size_t, int fd) {
+    FakeBackend::ReadLineRaw(fd);
+    if (!net::SendAll(fd, "OK\n")) return;
+    // Up to 256 MiB, until the proxy lets go of the conversation.
+    for (size_t sent = 0; sent < (size_t{256} << 20); sent += block.size()) {
+      if (!net::SendAll(fd, block)) return;
+    }
+  });
+  FleetProxyOptions options;
+  options.retry.max_attempts = 1;
+  FleetProxy proxy({backend.address()}, options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  Result<int> client = net::DialTcp("127.0.0.1", proxy.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(net::SendAll(client.value(), "QUERY algo=obj\n"));
+  const auto limit =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(SocketSinkOptions{}.drain_grace_ms + 3000);
+  while (proxy.counters().cancelled == 0 &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const FleetProxy::Counters counters = proxy.counters();
+  EXPECT_EQ(counters.cancelled, 1u)
+      << "the relay still waits on a client that stopped reading";
+  EXPECT_EQ(counters.ok, 0u);
+  EXPECT_EQ(counters.failed, 0u);
+  close(client.value());
+  proxy.Stop();
 }
 
 TEST(FleetProxyTest, DeadFleetMapsToIoErrorAfterBoundedRetries) {

@@ -31,28 +31,25 @@ struct EchoTier {
   LineServer::Tier Make() {
     LineServer::Tier tier;
     tier.adopt = [](int fd) {
-      return std::make_shared<LineServer::Connection>(fd);
+      return std::make_shared<LineServer::Connection>(fd,
+                                                      SocketSinkOptions{});
     };
     tier.verbs["STATS"] = [](LineServer::Connection* connection,
                              const std::string&) {
-      SendAll(connection->fd, "OK\n");
+      connection->sink.SendFrames("OK\n");
     };
     tier.fallback = [this](LineServer::Connection* connection,
                            const std::string& line) {
       last_fallback = line;
-      SendAll(connection->fd, "ERR InvalidArgument fallback\n");
+      connection->sink.SendFrames("ERR InvalidArgument fallback\n");
     };
     tier.mutate = [](LineServer::Connection* connection,
                      const std::string& line) {
       if (RequestVerb(line) == "COMPACT") {
-        SendAll(connection->fd, "ERR NotSupported compact\n");
+        connection->sink.SendFrames("ERR NotSupported compact\n");
         return false;
       }
-      return SendAll(connection->fd, "OK\n");
-    };
-    tier.send = [](LineServer::Connection* connection,
-                   const std::string& frames) {
-      return SendAll(connection->fd, frames);
+      return connection->sink.SendFrames("OK\n");
     };
     tier.rejected = &rejected;
     return tier;

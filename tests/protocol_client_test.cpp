@@ -268,33 +268,29 @@ TEST(ProtocolClientTest, MetricsScrapesTheServerRegistry) {
 }
 
 /// A fake server: a LineServer tier that answers every query with the
-/// canned `answer` bytes and then closes the connection, and whose send
-/// hook drops the first exposition line of every METRICS answer, so its
-/// ENDMETRICS count no longer matches what arrives.
+/// canned `answer` bytes and then closes the connection, and whose
+/// METRICS answer sends one exposition line fewer than its ENDMETRICS
+/// count claims.
 struct CannedTier {
   std::string answer;
-  /// Also keeps the exposition non-empty, so there is a line to drop.
   obs::OutcomeCounter scrapes{"rcj_protocol_client_test_metrics_total"};
 
   LineServer::Tier Make() {
     LineServer::Tier tier;
     tier.adopt = [](int fd) {
-      return std::make_shared<LineServer::Connection>(fd);
+      return std::make_shared<LineServer::Connection>(fd,
+                                                      SocketSinkOptions{});
     };
     tier.fallback = [this](LineServer::Connection* connection,
                            const std::string&) {
-      SendAll(connection->fd, answer);
+      connection->sink.SendFrames(answer);
     };
-    tier.send = [](LineServer::Connection* connection,
-                   const std::string& frames) {
-      std::string sent = frames;
-      if (sent.find("ENDMETRICS") != std::string::npos) {
-        const size_t first = sent.find('\n') + 1;  // past "OK"
-        sent.erase(first, sent.find('\n', first) + 1 - first);
-      }
-      return SendAll(connection->fd, sent);
+    tier.verbs["METRICS"] = [this](LineServer::Connection* connection,
+                                   const std::string&) {
+      scrapes.Add();
+      connection->sink.SendFrames("OK\n# one line\n" +
+                                  FormatMetricsEndLine(2) + "\n");
     };
-    tier.metrics = &scrapes;
     return tier;
   }
 };
