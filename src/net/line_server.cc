@@ -25,10 +25,10 @@ std::string Errno(const char* what) {
 
 LineServer::LineServer(const LineServerOptions& options, Tier tier)
     : options_(options), tier_(std::move(tier)) {
-  tier_.verbs.emplace("METRICS", [this](Connection* connection,
-                                       const std::string& line) {
+  tier_.verbs["METRICS"] = [this](Connection* connection,
+                                  const std::string& line) {
     AnswerMetrics(connection, line);
-  });
+  };
   if (tier_.mutate) {
     for (const char* verb : {"INSERT", "DELETE", "COMPACT"}) {
       tier_.verbs[verb] = [this](Connection* connection,

@@ -95,8 +95,8 @@ class LineServer {
   struct Tier {
     /// Adopts a freshly accepted socket into the tier's connection type.
     std::function<std::shared_ptr<Connection>(int fd)> adopt;
-    /// Handlers by verb. METRICS (unless the table names it) and, when
-    /// `mutate` is set, the mutation verbs are the core's own.
+    /// Handlers by verb. METRICS and, when `mutate` is set, the mutation
+    /// verbs are the core's own.
     std::map<std::string, Handler> verbs;
     /// Answers a line whose verb has no handler: the QUERY path, which
     /// also rejects unknown verbs.

@@ -261,8 +261,7 @@ bool NetServer::HandleMutation(Connection* connection,
   // paced by that delay, so merging the two changes its mutation rate;
   // see the ROADMAP item "The 44 ms mutation ack".
   connection->sink.SendLine("OK");
-  connection->sink.SendLine(net::FormatMutationAckLine(ack));
-  connection->sink.Flush(options_.sink.drain_grace_ms);
+  connection->sink.SendFrames(net::FormatMutationAckLine(ack) + "\n");
   return true;
 }
 

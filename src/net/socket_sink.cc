@@ -62,14 +62,12 @@ bool SocketSink::Drain() {
   TryDrain();
   if (dead_) return false;
   if (pending_bytes() > options_.max_pending_bytes) {
-    // The kernel buffer and our bound are both full: give the consumer one
-    // bounded grace period, then treat it as gone. A client that merely
-    // reads slowly gets back under the bound within the grace (a complete
-    // drain is not required); one that stopped reading turns into a
-    // cancellation instead of an unbounded queue.
+    // The kernel buffer and our bound are both full: wait while the
+    // consumer takes bytes. A client that merely reads slowly keeps the
+    // wait going until the buffer drains; one that took nothing for a
+    // whole grace turns into a cancellation instead of an unbounded queue.
     ++stalls_;
-    Flush(options_.drain_grace_ms);
-    if (dead_ || pending_bytes() > options_.max_pending_bytes) {
+    if (!Flush(options_.drain_grace_ms)) {
       MarkDead();
       return false;
     }
@@ -105,10 +103,12 @@ void SocketSink::TryDrain() {
 
 bool SocketSink::Flush(int timeout_ms) {
   TryDrain();
-  // The deadline is wall-clock: poll() returning early (socket writable,
-  // signal) must not eat into the grace.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  // The deadline is wall-clock, so poll() returning early (socket
+  // writable, signal) does not eat into the grace, and it moves with every
+  // byte the socket takes: only a peer that takes nothing for the whole
+  // timeout is given up.
+  const auto timeout = std::chrono::milliseconds(timeout_ms);
+  auto deadline = std::chrono::steady_clock::now() + timeout;
   while (pending_bytes() > 0 && !dead_) {
     const auto remaining = std::chrono::duration_cast<
         std::chrono::milliseconds>(deadline -
@@ -118,10 +118,11 @@ bool SocketSink::Flush(int timeout_ms) {
     pfd.fd = fd_;
     pfd.events = POLLOUT;
     pfd.revents = 0;
-    const int ready = poll(&pfd, 1, static_cast<int>(remaining.count()));
-    // Timed out without the socket becoming writable. The room a stalled
-    // peer's kernel still frees below that mark is not a reader.
-    if (ready == 0) return false;
+    // Sliced: a TCP socket reports POLLOUT only once a third of its send
+    // buffer is free, so only the slices see a slower reader's progress.
+    const int step_ms =
+        remaining.count() < 50 ? static_cast<int>(remaining.count()) : 50;
+    const int ready = poll(&pfd, 1, step_ms);
     if (ready < 0 && errno != EINTR) {
       MarkDead();
       return false;
@@ -130,7 +131,11 @@ bool SocketSink::Flush(int timeout_ms) {
       MarkDead();
       return false;
     }
+    const uint64_t sent_before = bytes_sent_;
     TryDrain();
+    if (bytes_sent_ != sent_before) {
+      deadline = std::chrono::steady_clock::now() + timeout;
+    }
   }
   return pending_bytes() == 0 && !dead_;
 }

@@ -38,8 +38,8 @@ struct SocketSinkOptions {
   /// Bound of the userspace pending buffer (serialized-but-unsent bytes).
   /// Overflowing it past the drain grace cancels the query.
   size_t max_pending_bytes = 256 * 1024;
-  /// How long one Emit() may wait for the socket to become writable once
-  /// the pending buffer is full before declaring the consumer dead.
+  /// How long the socket may take no bytes, once the pending buffer is
+  /// full, before the consumer is declared dead.
   int drain_grace_ms = 2000;
 };
 
@@ -72,15 +72,13 @@ class SocketSink final : public PairSink {
   /// sends it at once. Returns false when the sink is already dead.
   bool SendLine(const std::string& line);
 
-  /// Enqueues newline-terminated control frames and flushes them within
-  /// the drain grace (one send when the socket takes them). False when
-  /// the sink is dead or the flush failed.
+  /// Enqueues newline-terminated control frames and flushes them with the
+  /// drain grace (one send when the socket takes them). False when the
+  /// sink is dead or the flush failed.
   bool SendFrames(const std::string& frames);
 
-  /// Blocks up to `timeout_ms` draining the pending buffer; true when every
-  /// queued byte reached the kernel. One poll() per wake of the socket
-  /// (POLLOUT, or POLLHUP/POLLERR on a shutdown or a peer error); a poll
-  /// that times out ends the wait.
+  /// Blocks draining the pending buffer until the socket has taken nothing
+  /// for `timeout_ms`; true when every queued byte reached the kernel.
   bool Flush(int timeout_ms);
 
   /// True once a send failed or the pending bound was overrun; no further
@@ -94,13 +92,14 @@ class SocketSink final : public PairSink {
   /// frames sent through this sink).
   uint64_t bytes_sent() const { return bytes_sent_; }
 
-  /// Times an Emit() hit the pending-buffer bound and had to sit out the
-  /// drain grace — the backpressure signal the server's registry counts.
+  /// Times an Emit() hit the pending-buffer bound and had to wait for the
+  /// consumer — the backpressure signal the server's registry counts.
   uint64_t stalls() const { return stalls_; }
 
  private:
-  /// TryDrain, then the backpressure bound: past max_pending_bytes, one
-  /// drain grace, then death. False once the sink is dead.
+  /// TryDrain, then the backpressure bound: past max_pending_bytes, wait
+  /// for the buffer to drain, and die once the socket took nothing for a
+  /// drain grace. False once the sink is dead.
   bool Drain();
   /// Ends and counts the PAIR line just appended; false once dead.
   bool Enqueued();

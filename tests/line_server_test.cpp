@@ -26,6 +26,7 @@ namespace {
 /// an ERR, and a mutation is acknowledged with "OK" unless it is a COMPACT.
 struct EchoTier {
   obs::OutcomeCounter rejected{"rcj_line_server_test_rejected_total"};
+  obs::OutcomeCounter scrapes{"rcj_line_server_test_metrics_total"};
   std::string last_fallback;
 
   LineServer::Tier Make() {
@@ -52,6 +53,7 @@ struct EchoTier {
       return connection->sink.SendFrames("OK\n");
     };
     tier.rejected = &rejected;
+    tier.metrics = &scrapes;
     return tier;
   }
 };
@@ -145,6 +147,7 @@ TEST(LineServerTest, DispatchesOnTheFirstTokenAndFallsBackOtherwise) {
   EXPECT_EQ(ask("METRICS\n"), "OK");
   EXPECT_EQ(ask("METRICS now\n").rfind("ERR InvalidArgument", 0), 0u);
   EXPECT_EQ(echo.rejected.value(), 1u);
+  EXPECT_EQ(echo.scrapes.value(), 1u) << "the core counts answered scrapes";
 }
 
 TEST(LineServerTest, MutationBatchRunsUntilAFailureOrANonMutation) {

@@ -3,19 +3,29 @@
 // must deliver exactly what the raw wire carries, server errors must come
 // back as their transported Status, and a mutation batch must ride one
 // connection — the client half of the batched-wire-mutations contract. A
-// fake LineServer tier checks that a trace block or METRICS exposition
-// whose closing count disagrees with the lines received is refused.
+// fake LineServer tier, and a relay that drops a line of the core's METRICS
+// answer, check that a trace block or METRICS exposition whose closing
+// count disagrees with the lines received is refused.
 #include "net/protocol_client.h"
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rcj.h"
 #include "live/live_environment.h"
+#include "net/line_reader.h"
 #include "net/line_server.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
@@ -268,11 +278,11 @@ TEST(ProtocolClientTest, MetricsScrapesTheServerRegistry) {
 }
 
 /// A fake server: a LineServer tier that answers every query with the
-/// canned `answer` bytes and then closes the connection, and whose
-/// METRICS answer sends one exposition line fewer than its ENDMETRICS
-/// count claims.
+/// canned `answer` bytes and then closes the connection. METRICS is the
+/// core's own answer; LineDroppingRelay miscounts it on the way.
 struct CannedTier {
   std::string answer;
+  /// Also keeps the exposition non-empty, so there is a line to drop.
   obs::OutcomeCounter scrapes{"rcj_protocol_client_test_metrics_total"};
 
   LineServer::Tier Make() {
@@ -285,14 +295,77 @@ struct CannedTier {
                            const std::string&) {
       connection->sink.SendFrames(answer);
     };
-    tier.verbs["METRICS"] = [this](LineServer::Connection* connection,
-                                   const std::string&) {
-      scrapes.Add();
-      connection->sink.SendFrames("OK\n# one line\n" +
-                                  FormatMetricsEndLine(2) + "\n");
-    };
+    tier.metrics = &scrapes;
     return tier;
   }
+};
+
+/// A raw relay for one conversation with a server on `upstream_port`: it
+/// forwards the client's request line, reads the server's whole answer
+/// and hands it on without its second line, so a METRICS answer arrives
+/// with one exposition line fewer than its ENDMETRICS count.
+class LineDroppingRelay {
+ public:
+  explicit LineDroppingRelay(uint16_t upstream_port) {
+    listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof(addr)),
+              0);
+    EXPECT_EQ(listen(listen_fd_, 1), 0);
+    socklen_t addr_len = sizeof(addr);
+    EXPECT_EQ(getsockname(listen_fd_,
+                          reinterpret_cast<struct sockaddr*>(&addr),
+                          &addr_len),
+              0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, upstream_port] { RelayOne(upstream_port); });
+  }
+
+  ~LineDroppingRelay() {
+    thread_.join();
+    close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void RelayOne(uint16_t upstream_port) {
+    // Bounded, so a test that fails before dialing does not hang here.
+    struct pollfd pfd;
+    pfd.fd = listen_fd_;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    if (poll(&pfd, 1, 10000) <= 0) return;
+    const int client = accept(listen_fd_, nullptr, nullptr);
+    if (client < 0) return;
+    Result<int> upstream = DialTcp("127.0.0.1", upstream_port);
+    LineReader request(client);
+    std::string line;
+    if (upstream.ok() && request.ReadLine(&line) &&
+        SendAll(upstream.value(), line + "\n")) {
+      std::string answer;
+      char chunk[4096];
+      ssize_t got;
+      while ((got = recv(upstream.value(), chunk, sizeof(chunk), 0)) > 0) {
+        answer.append(chunk, static_cast<size_t>(got));
+      }
+      const size_t first = answer.find('\n') + 1;  // past "OK"
+      answer.erase(first, answer.find('\n', first) + 1 - first);
+      EXPECT_TRUE(SendAll(client, answer));
+    }
+    if (upstream.ok()) close(upstream.value());
+    close(client);
+  }
+
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
 };
 
 /// OK, one PAIR and its END, then `trace` verbatim.
@@ -363,8 +436,9 @@ TEST(ProtocolClientTest, MetricsCountIsCheckedAgainstEndMetrics) {
   CannedTier canned;
   LineServer server(LineServerOptions{}, canned.Make());
   ASSERT_TRUE(server.Start().ok());
+  LineDroppingRelay relay(server.port());
   Result<ProtocolClient> client =
-      ProtocolClient::Connect("127.0.0.1", server.port());
+      ProtocolClient::Connect("127.0.0.1", relay.port());
   ASSERT_TRUE(client.ok());
   std::string exposition = "untouched";
   const Status status = client.value().Metrics(&exposition);

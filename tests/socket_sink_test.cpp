@@ -1,15 +1,20 @@
 // SocketSink over a socketpair: the bytes it sends must be exactly the
 // PAIR lines the protocol formats, a delivered batch (EndBatch) must reach
 // the socket without waiting for a Flush, and a peer that stops reading or
-// goes away must turn into a dead sink and a kPeerGone stop.
+// goes away must turn into a dead sink and a kPeerGone stop, while one
+// that reads slowly (over TCP loopback) keeps its stream.
 #include "net/socket_sink.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -140,6 +145,77 @@ TEST_F(SocketSinkTest, StalledPeerKillsTheSinkWithinTheDrainGrace) {
   EXPECT_GE(sink.stalls(), 1u);
   EXPECT_EQ(stop.reason(), StopReason::kPeerGone);
   EXPECT_FALSE(sink.SendLine("END"));
+}
+
+/// A connected loopback TCP pair: fds[0] the accepted (server) end,
+/// fds[1] the dialing client.
+void LoopbackTcpPair(int fds[2]) {
+  const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+                 addr_len),
+            0);
+  ASSERT_EQ(listen(listen_fd, 1), 0);
+  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+                        &addr_len),
+            0);
+  fds[1] = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_EQ(connect(fds[1], reinterpret_cast<struct sockaddr*>(&addr),
+                    addr_len),
+            0);
+  fds[0] = accept(listen_fd, nullptr, nullptr);
+  close(listen_fd);
+  ASSERT_GE(fds[0], 0);
+}
+
+TEST_F(SocketSinkTest, SlowReaderKeepsItsStreamAtTheDefaultBounds) {
+  // Over TCP loopback, as a client is served, with the default bounds.
+  // The peer reads 4 KiB every 10 ms (at most 400 KB/s): a live reader,
+  // yet too slow to free the third of the kernel's autotuned send buffer
+  // after which poll() reports the socket writable. The bytes it does
+  // take within a grace must count, however often the pending bound
+  // fills.
+  int tcp[2] = {-1, -1};
+  LoopbackTcpPair(tcp);
+  ASSERT_GE(tcp[1], 0);
+  std::atomic<bool> throttled{true};
+  uint64_t received = 0;
+  std::thread reader([&] {
+    char buffer[4096];
+    for (;;) {
+      if (throttled.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      const ssize_t got = recv(tcp[1], buffer, sizeof(buffer), 0);
+      if (got <= 0) return;
+      received += static_cast<uint64_t>(got);
+    }
+  });
+
+  StopToken stop;
+  SocketSink sink(tcp[0], SocketSinkOptions{}, &stop);
+  bool accepted = true;
+  for (int i = 0; i < 10000000 && accepted && sink.stalls() < 3; ++i) {
+    accepted = sink.Emit(PairAt(i));
+  }
+  EXPECT_TRUE(accepted) << "the slow reader lost its stream after "
+                        << sink.stalls() << " stall(s)";
+  EXPECT_GE(sink.stalls(), 3u);
+  throttled.store(false);
+  EXPECT_TRUE(sink.Flush(SocketSinkOptions{}.drain_grace_ms));
+  shutdown(tcp[0], SHUT_WR);
+  reader.join();
+  EXPECT_FALSE(sink.dead());
+  EXPECT_EQ(stop.reason(), StopReason::kNone);
+  EXPECT_EQ(received, sink.bytes_sent());
+  close(tcp[0]);
+  close(tcp[1]);
 }
 
 TEST_F(SocketSinkTest, ClosedPeerMakesEmitReturnFalse) {
