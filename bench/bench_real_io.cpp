@@ -4,25 +4,23 @@
 // 10 ms/fault against heap-resident page stores; this one puts the trees
 // in real page files and measures what the device actually costs:
 //
-//   * storage backends mem / file (pread) / mmap, same query, same data;
+//   * storage backends mem / file (pread, O_DIRECT), same query, same data;
 //   * JoinStats::io_wall_seconds (measured seconds inside PageStore::Read)
 //     printed next to the modeled io_s column;
 //   * thread sweep on the file backend — pread waits overlap across
 //     workers even on one core, and the 1->8 thread wall-clock speedup is
 //     the headline metric (recorded as t1_over_t8_wall);
-//   * the largest tier builds its trees with the external-memory STR
-//     loader (RcjEnvironment::BuildExternal), the intended path for
-//     pointsets that never fit in RAM, and caps delivery with a top-k
-//     limit so the run measures streaming I/O, not pair materialization.
+//   * the largest tier caps delivery with a top-k limit so the run
+//     measures streaming I/O, not pair materialization.
 //
 // Self-check: within one tier, every backend and thread count must deliver
-// exactly the same pair count (the external build is byte-identical to the
+// exactly the same pair count (the file build is byte-identical to the
 // in-memory build, and parallel delivery preserves the serial prefix), so
 // a mismatch fails the bench. OS page-cache state is dropped before every
 // run (PageStore::DropOsCache) so file rows start cold.
 //
-// Page files and spill runs live under $RINGJOIN_BENCH_STORAGE_DIR
-// (default: the current directory) and are unlinked with each environment.
+// Page files live under $RINGJOIN_BENCH_STORAGE_DIR (default: the current
+// directory) and are unlinked with each environment.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +33,6 @@
 #include "bench_util.h"
 #include "core/pair_sink.h"
 #include "engine/engine.h"
-#include "rtree/point_source.h"
 #include "workload/generator.h"
 
 namespace rcj {
@@ -85,20 +82,8 @@ std::unique_ptr<RcjEnvironment> BuildBackendEnv(
   options.storage_dir = storage_dir;
   if (buffer_fraction > 0.0) options.buffer_fraction = buffer_fraction;
   const auto start = std::chrono::steady_clock::now();
-  Result<std::unique_ptr<RcjEnvironment>> env(
-      Status::InvalidArgument("not yet built"));
-  if (backend == StorageBackend::kMem) {
-    env = RcjEnvironment::Build(qset, pset, options);
-  } else {
-    // The big-data path: stream both pointsets through the external STR
-    // loader, which spills sorted runs instead of sorting in place. On
-    // vectors this is pure overhead — which is the point: the bench pays
-    // the honest large-dataset build cost and self-checks its output
-    // against the in-memory build via the shared pair counts.
-    VectorPointSource qsource(&qset);
-    VectorPointSource psource(&pset);
-    env = RcjEnvironment::BuildExternal(&qsource, &psource, options);
-  }
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, options);
   if (!env.ok()) {
     std::fprintf(stderr, "bench env build (%s) failed: %s\n",
                  StorageBackendName(backend),
@@ -145,9 +130,7 @@ int RealMain(int argc, char** argv) {
         {StorageBackend::kFile, 1},
         {StorageBackend::kFile, 8},
         {StorageBackend::kFile, 1, RcjAlgorithm::kInj},
-        {StorageBackend::kFile, 8, RcjAlgorithm::kInj},
-        {StorageBackend::kMmap, 1},
-        {StorageBackend::kMmap, 8}}},
+        {StorageBackend::kFile, 8, RcjAlgorithm::kInj}}},
       {1000000,
        0,
        {{StorageBackend::kMem, 1},
@@ -157,9 +140,7 @@ int RealMain(int argc, char** argv) {
         {StorageBackend::kFile, 4},
         {StorageBackend::kFile, 8},
         {StorageBackend::kFile, 1, RcjAlgorithm::kInj},
-        {StorageBackend::kFile, 8, RcjAlgorithm::kInj},
-        {StorageBackend::kMmap, 1},
-        {StorageBackend::kMmap, 8}}},
+        {StorageBackend::kFile, 8, RcjAlgorithm::kInj}}},
       // The memory-constrained sweep: same 10^6-point data, pool clamped
       // to its 32-page floor (past the paper's smallest 0.2% buffer).
       // Most leaf accesses now reach the device, which is where the
@@ -173,9 +154,9 @@ int RealMain(int argc, char** argv) {
         {StorageBackend::kFile, 8, RcjAlgorithm::kInj}},
        1e-9,
        "_tight"},
-      // The at-scale tier: 10^7 points per side through the external
-      // loader, top-2M pairs so the run streams a long serial prefix
-      // without materializing ~2x10^7 result pairs.
+      // The at-scale tier: 10^7 points per side, top-2M pairs so the run
+      // streams a long serial prefix without materializing ~2x10^7 result
+      // pairs.
       {10000000,
        2000000,
        {{StorageBackend::kFile, 1}, {StorageBackend::kFile, 8}}},

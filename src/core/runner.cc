@@ -41,8 +41,6 @@ const char* StorageBackendName(StorageBackend backend) {
       return "mem";
     case StorageBackend::kFile:
       return "file";
-    case StorageBackend::kMmap:
-      return "mmap";
   }
   return "?";
 }
@@ -52,8 +50,6 @@ bool ParseStorageBackend(const std::string& name, StorageBackend* out) {
     *out = StorageBackend::kMem;
   } else if (name == "file") {
     *out = StorageBackend::kFile;
-  } else if (name == "mmap") {
-    *out = StorageBackend::kMmap;
   } else {
     return false;
   }
@@ -76,52 +72,11 @@ Status RcjEnvironment::MakeStore(const RcjRunOptions& options,
   // RTree::Create needs an empty store; a leftover file from a crashed run
   // must not leak into this environment.
   std::remove(path->c_str());
-  if (options.storage == StorageBackend::kFile) {
-    Result<std::unique_ptr<FilePageStore>> opened =
-        FilePageStore::Open(*path, options.page_size, /*create=*/true);
-    if (!opened.ok()) return opened.status();
-    *store = std::move(opened).value();
-  } else {
-    Result<std::unique_ptr<MappedPageStore>> opened =
-        MappedPageStore::Open(*path, options.page_size, /*create=*/true);
-    if (!opened.ok()) return opened.status();
-    *store = std::move(opened).value();
-  }
+  Result<std::unique_ptr<FilePageStore>> opened =
+      FilePageStore::Open(*path, options.page_size, /*create=*/true);
+  if (!opened.ok()) return opened.status();
+  *store = std::move(opened).value();
   return Status::OK();
-}
-
-Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::PrepareStores(
-    bool self_join, const RcjRunOptions& options) {
-  static std::atomic<uint64_t> next_generation{1};
-  std::unique_ptr<RcjEnvironment> env(new RcjEnvironment());
-  env->generation_ =
-      next_generation.fetch_add(1, std::memory_order_relaxed);
-  env->self_join_ = self_join;
-  env->storage_ = options.storage;
-  env->rtree_options_ = options.rtree_options;
-
-  // Build with a generous buffer, then shrink to the experiment size — the
-  // paper measures joins, not index construction.
-  env->buffer_ = std::make_unique<BufferManager>(1u << 20);
-
-  RINGJOIN_RETURN_IF_ERROR(
-      env->MakeStore(options, "q", &env->q_store_, &env->q_path_));
-  Result<std::unique_ptr<RTree>> tq =
-      RTree::Create(env->q_store_.get(), env->buffer_.get(),
-                    options.rtree_options);
-  if (!tq.ok()) return tq.status();
-  env->tq_ = std::move(tq.value());
-
-  if (!self_join) {
-    RINGJOIN_RETURN_IF_ERROR(
-        env->MakeStore(options, "p", &env->p_store_, &env->p_path_));
-    Result<std::unique_ptr<RTree>> tp =
-        RTree::Create(env->p_store_.get(), env->buffer_.get(),
-                      options.rtree_options);
-    if (!tp.ok()) return tp.status();
-    env->tp_ = std::move(tp.value());
-  }
-  return env;
 }
 
 RcjEnvironment::~RcjEnvironment() {
@@ -140,16 +95,38 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(
     const std::vector<PointRecord>& qset,
     const std::vector<PointRecord>& pset, bool self_join,
     const RcjRunOptions& options) {
-  Result<std::unique_ptr<RcjEnvironment>> prepared =
-      PrepareStores(self_join, options);
-  if (!prepared.ok()) return prepared.status();
-  std::unique_ptr<RcjEnvironment> env = std::move(prepared).value();
+  static std::atomic<uint64_t> next_generation{1};
+  std::unique_ptr<RcjEnvironment> env(new RcjEnvironment());
+  env->generation_ =
+      next_generation.fetch_add(1, std::memory_order_relaxed);
+  env->self_join_ = self_join;
+  env->storage_ = options.storage;
+  env->rtree_options_ = options.rtree_options;
   env->qset_ = qset;
-  env->pset_ = self_join ? qset : pset;
+  if (!self_join) env->pset_ = pset;
+
+  // Build with a generous buffer, then shrink to the experiment size — the
+  // paper measures joins, not index construction.
+  env->buffer_ = std::make_unique<BufferManager>(1u << 20);
 
   RINGJOIN_RETURN_IF_ERROR(
+      env->MakeStore(options, "q", &env->q_store_, &env->q_path_));
+  Result<std::unique_ptr<RTree>> tq =
+      RTree::Create(env->q_store_.get(), env->buffer_.get(),
+                    options.rtree_options);
+  if (!tq.ok()) return tq.status();
+  env->tq_ = std::move(tq.value());
+  RINGJOIN_RETURN_IF_ERROR(
       BuildTree(env->tq_.get(), env->qset_, options.bulk_load));
+
   if (!self_join) {
+    RINGJOIN_RETURN_IF_ERROR(
+        env->MakeStore(options, "p", &env->p_store_, &env->p_path_));
+    Result<std::unique_ptr<RTree>> tp =
+        RTree::Create(env->p_store_.get(), env->buffer_.get(),
+                      options.rtree_options);
+    if (!tp.ok()) return tp.status();
+    env->tp_ = std::move(tp.value());
     RINGJOIN_RETURN_IF_ERROR(
         BuildTree(env->tp_.get(), env->pset_, options.bulk_load));
   }
@@ -169,42 +146,6 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(
   // and switches the pread backend into its O_DIRECT read path.
   RINGJOIN_RETURN_IF_ERROR(env->q_store_->Sync());
   if (!self_join) RINGJOIN_RETURN_IF_ERROR(env->p_store_->Sync());
-  return env;
-}
-
-Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildExternal(
-    PointSource* qsource, PointSource* psource,
-    const RcjRunOptions& options) {
-  if (!options.bulk_load) {
-    return Status::InvalidArgument(
-        "BuildExternal requires bulk loading (one-by-one insertion would "
-        "need the resident pointset anyway)");
-  }
-  Result<std::unique_ptr<RcjEnvironment>> prepared =
-      PrepareStores(/*self_join=*/false, options);
-  if (!prepared.ok()) return prepared.status();
-  std::unique_ptr<RcjEnvironment> env = std::move(prepared).value();
-  env->resident_pointsets_ = false;
-
-  // The external loader writes each node page exactly once, so a modest
-  // build pool suffices regardless of tree size — that bound is the point.
-  RINGJOIN_RETURN_IF_ERROR(env->buffer_->Clear());
-  RINGJOIN_RETURN_IF_ERROR(env->buffer_->SetCapacity(1u << 16));
-
-  const std::string spill_dir =
-      options.storage_dir.empty() ? "." : options.storage_dir;
-  RINGJOIN_RETURN_IF_ERROR(
-      env->tq_->BulkLoadStrExternal(qsource, spill_dir));
-  RINGJOIN_RETURN_IF_ERROR(
-      env->tp_->BulkLoadStrExternal(psource, spill_dir));
-
-  RINGJOIN_RETURN_IF_ERROR(env->tq_->SaveHeader());
-  RINGJOIN_RETURN_IF_ERROR(env->tp_->SaveHeader());
-  RINGJOIN_RETURN_IF_ERROR(env->SetBufferFraction(options.buffer_fraction,
-                                                  options.min_buffer_pages));
-  // Read-only from here on; arm the pread backend's O_DIRECT path.
-  RINGJOIN_RETURN_IF_ERROR(env->q_store_->Sync());
-  RINGJOIN_RETURN_IF_ERROR(env->p_store_->Sync());
   return env;
 }
 
@@ -292,11 +233,6 @@ Status RcjEnvironment::Run(const QuerySpec& spec, PairSink* sink,
     return Status::InvalidArgument(
         "QuerySpec is bound to a different environment");
   }
-  if (bound.algorithm == RcjAlgorithm::kBrute && !resident_pointsets_) {
-    return Status::InvalidArgument(
-        "BRUTE needs the resident pointsets, which an externally built "
-        "environment never materializes");
-  }
   if (bound.overlay != nullptr && bound.overlay->self_join != self_join_) {
     return Status::InvalidArgument(
         "QuerySpec overlay self-join mode does not match the environment");
@@ -318,7 +254,7 @@ Status RcjEnvironment::Run(const QuerySpec& spec, PairSink* sink,
 
   const auto start = std::chrono::steady_clock::now();
   const Status status =
-      ExecuteRcj(tq, tp, qset_, pset_, self_join_, bound,
+      ExecuteRcj(tq, tp, qset(), pset(), self_join_, bound,
                  /*tq_leaf_subset=*/nullptr, /*delta_tail=*/true, &limited,
                  stats);
   if (!status.ok()) return status;

@@ -21,7 +21,6 @@
 #include "core/pair_sink.h"
 #include "core/query_spec.h"
 #include "core/rcj_types.h"
-#include "rtree/point_source.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_manager.h"
 #include "storage/page_store.h"
@@ -32,13 +31,12 @@ namespace rcj {
 enum class StorageBackend {
   kMem,   ///< heap pages: zero real I/O, the paper's modeled-cost substrate.
   kFile,  ///< pread(2) page files: real, overlappable device reads.
-  kMmap,  ///< the same files read through a shared read-only mmap(2).
 };
 
-/// Human-readable backend name ("mem" / "file" / "mmap").
+/// Human-readable backend name ("mem" / "file").
 const char* StorageBackendName(StorageBackend backend);
 
-/// Parses "mem" / "file" / "mmap"; returns false on anything else.
+/// Parses "mem" / "file"; returns false on anything else.
 bool ParseStorageBackend(const std::string& name, StorageBackend* out);
 
 /// Build-time knobs of an environment, defaulting to the paper's setup:
@@ -46,11 +44,11 @@ bool ParseStorageBackend(const std::string& name, StorageBackend* out);
 /// query runs (algorithm, order, verification, I/O charge) is a QuerySpec.
 struct RcjRunOptions {
   /// Backing storage for the built trees. kMem keeps the paper's modeled
-  /// I/O; kFile/kMmap put every page in a real file under `storage_dir`,
+  /// I/O; kFile puts every page in a real file under `storage_dir`,
   /// which is what JoinStats::io_wall_seconds measures.
   StorageBackend storage = StorageBackend::kMem;
-  /// Directory for page files and external-build spill runs when
-  /// storage != kMem; "" means the current directory.
+  /// Directory for page files when storage == kFile; "" means the current
+  /// directory.
   std::string storage_dir;
 
   uint32_t page_size = kDefaultPageSize;
@@ -88,20 +86,7 @@ class RcjEnvironment {
   static Result<std::unique_ptr<RcjEnvironment>> BuildSelf(
       const std::vector<PointRecord>& set, const RcjRunOptions& options);
 
-  /// Streaming build for pointsets too large to hold in RAM: both trees
-  /// are bulk loaded with the external-memory STR loader
-  /// (RTree::BulkLoadStrExternal), reading each source once in bounded
-  /// batches and spilling sorted runs under `options.storage_dir`. The
-  /// resulting trees are byte-identical to Build() on the same points.
-  /// Requires `options.bulk_load` (the default) and leaves the resident
-  /// qset()/pset() copies empty, so Run() rejects BRUTE on such an
-  /// environment. Sources must stay valid for the duration of the call.
-  static Result<std::unique_ptr<RcjEnvironment>> BuildExternal(
-      PointSource* qsource, PointSource* psource,
-      const RcjRunOptions& options);
-
-  /// Unlinks the environment's page files unless the build options said to
-  /// keep them.
+  /// Unlinks the environment's page files.
   ~RcjEnvironment();
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(RcjEnvironment);
@@ -136,11 +121,12 @@ class RcjEnvironment {
   /// (paper Fig. 15's sweep).
   Status SetBufferFraction(double fraction, size_t min_pages = 32);
 
+  /// The pointsets the trees were packed from, resident for BRUTE and for
+  /// live compaction. A self-join keeps one copy: pset() is qset().
   const std::vector<PointRecord>& qset() const { return qset_; }
-  const std::vector<PointRecord>& pset() const { return pset_; }
-  /// False for BuildExternal environments, whose pointsets were never
-  /// materialized (BRUTE needs them; the indexed algorithms do not).
-  bool resident_pointsets() const { return resident_pointsets_; }
+  const std::vector<PointRecord>& pset() const {
+    return self_join_ ? qset_ : pset_;
+  }
   /// The storage backend the environment was built with.
   StorageBackend storage() const { return storage_; }
 
@@ -159,16 +145,11 @@ class RcjEnvironment {
       const std::vector<PointRecord>& qset,
       const std::vector<PointRecord>& pset, bool self_join,
       const RcjRunOptions& options);
-
-  /// Shared skeleton of Build/BuildExternal: generation, stores, trees.
-  static Result<std::unique_ptr<RcjEnvironment>> PrepareStores(
-      bool self_join, const RcjRunOptions& options);
   /// Creates the backend store for `label` ("q"/"p") per `options`.
   Status MakeStore(const RcjRunOptions& options, const std::string& label,
                    std::unique_ptr<PageStore>* store, std::string* path);
 
   bool self_join_ = false;
-  bool resident_pointsets_ = true;
   StorageBackend storage_ = StorageBackend::kMem;
   uint64_t generation_ = 0;
   RTreeOptions rtree_options_;
@@ -179,7 +160,7 @@ class RcjEnvironment {
   std::unique_ptr<RTree> tq_;
   std::unique_ptr<RTree> tp_;  // null in self-join mode (alias tq_)
   std::vector<PointRecord> qset_;
-  std::vector<PointRecord> pset_;
+  std::vector<PointRecord> pset_;  // empty in self-join mode (see pset())
 };
 
 /// The repeatable execution core shared by RcjEnvironment::Run and the

@@ -7,7 +7,6 @@
 
 #include "live/mutation_log.h"
 #include "obs/metrics.h"
-#include "rtree/point_source.h"
 
 namespace rcj {
 namespace {
@@ -144,14 +143,11 @@ Result<std::unique_ptr<LiveEnvironment>> LiveEnvironment::CreateImpl(
   env->self_join_ = self_join;
   env->epoch_ = options.initial_epoch;
   RINGJOIN_RETURN_IF_ERROR(CheckUniqueIds(qset, "qset", &env->live_q_));
-  env->base_q_ = qset;
   if (!self_join) {
     RINGJOIN_RETURN_IF_ERROR(CheckUniqueIds(pset, "pset", &env->live_p_));
-    env->base_p_ = pset;
   }
 
-  Result<std::unique_ptr<RcjEnvironment>> base =
-      env->BuildBase(env->base_q_, env->base_p_);
+  Result<std::unique_ptr<RcjEnvironment>> base = env->BuildBase(qset, pset);
   if (!base.ok()) return base.status();
   env->base_ = std::make_shared<live_internal::BaseState>();
   env->base_->env = std::move(base).value();
@@ -181,18 +177,8 @@ LiveEnvironment::~LiveEnvironment() {
 Result<std::unique_ptr<RcjEnvironment>> LiveEnvironment::BuildBase(
     const std::vector<PointRecord>& qset,
     const std::vector<PointRecord>& pset) const {
-  if (self_join_) {
-    return RcjEnvironment::BuildSelf(qset, options_.build);
-  }
-  if (options_.build.storage != StorageBackend::kMem &&
-      options_.build.bulk_load) {
-    // File-backed bases go through the external STR loader so a rebuild's
-    // page writes stay bounded regardless of environment size.
-    VectorPointSource qsource(&qset);
-    VectorPointSource psource(&pset);
-    return RcjEnvironment::BuildExternal(&qsource, &psource, options_.build);
-  }
-  return RcjEnvironment::Build(qset, pset, options_.build);
+  return self_join_ ? RcjEnvironment::BuildSelf(qset, options_.build)
+                    : RcjEnvironment::Build(qset, pset, options_.build);
 }
 
 std::unordered_set<PointId>& LiveEnvironment::LiveSet(LiveSide side) {
@@ -302,20 +288,22 @@ Status LiveEnvironment::Compact() {
   const auto compact_start = std::chrono::steady_clock::now();
 
   // Compose and rebuild outside mu_ — mutations and queries proceed
-  // against the old base meanwhile. base_q_/base_p_ are written only by
-  // compactions, which compact_mu_ serializes, so reading them here
-  // without mu_ is safe.
+  // against the old base meanwhile. The old base's pointsets are immutable
+  // and this compaction holds old_base until its drain below, so reading
+  // them here without mu_ is safe.
+  const RcjEnvironment& old_env = *old_base->env;
   std::vector<PointRecord> new_q =
-      EffectivePointset(base_q_, *captured, LiveSide::kQ);
+      EffectivePointset(old_env.qset(), *captured, LiveSide::kQ);
   std::vector<PointRecord> new_p;
   if (!self_join_) {
-    new_p = EffectivePointset(base_p_, *captured, LiveSide::kP);
+    new_p = EffectivePointset(old_env.pset(), *captured, LiveSide::kP);
   }
 
   Result<std::unique_ptr<RcjEnvironment>> built = BuildBase(new_q, new_p);
   if (!built.ok()) return built.status();
   auto fresh = std::make_shared<live_internal::BaseState>();
   fresh->env = std::move(built).value();
+  const RcjEnvironment& new_env = *fresh->env;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -330,22 +318,21 @@ Status LiveEnvironment::Compact() {
     }
     base_ = std::move(fresh);
     overlay_ = std::move(folded);
-    base_q_ = std::move(new_q);
-    if (!self_join_) base_p_ = std::move(new_p);
     ++compactions_;
   }
 
   // Checkpoint the journal against the base just installed: everything
-  // at or below the captured epoch is folded into base_q_/base_p_ (which
-  // only compactions write, serialized by compact_mu_, so reading them
-  // here without mu_ is safe — same argument as the rebuild above). A
-  // checkpoint failure is reported but leaves durability intact: replay
-  // still works from the previous snapshot plus the unshortened journal.
+  // at or below the captured epoch is folded into its pointsets. Only
+  // compactions replace base_, serialized by compact_mu_, so new_env stays
+  // installed (and alive) while it is read here without mu_. A checkpoint
+  // failure is reported but leaves durability intact: replay still works
+  // from the previous snapshot plus the unshortened journal.
   Status checkpoint_status = Status::OK();
   if (log_ != nullptr) {
+    const std::vector<PointRecord> no_p;  // a self-join snapshot has no P
     checkpoint_status =
-        log_->Checkpoint(captured->epoch, self_join_, base_q_,
-                         self_join_ ? std::vector<PointRecord>() : base_p_);
+        log_->Checkpoint(captured->epoch, self_join_, new_env.qset(),
+                         self_join_ ? no_p : new_env.pset());
   }
 
   // New snapshots pin the new base from here on. Drain the readers still
@@ -398,18 +385,19 @@ LiveStats LiveEnvironment::stats() const {
       overlay_->delta_q.size() +
       (self_join_ ? 0 : overlay_->delta_p.size());
   stats.tombstones = overlay_->tombstones();
-  stats.base_q = base_q_.size();
-  stats.base_p = self_join_ ? base_q_.size() : base_p_.size();
+  stats.base_q = base_->env->qset().size();
+  stats.base_p = base_->env->pset().size();
   return stats;
 }
 
 void LiveEnvironment::EffectivePointsets(std::vector<PointRecord>* q,
                                          std::vector<PointRecord>* p) const {
   std::lock_guard<std::mutex> lock(mu_);
-  *q = EffectivePointset(base_q_, *overlay_, LiveSide::kQ);
+  const RcjEnvironment& base = *base_->env;
+  *q = EffectivePointset(base.qset(), *overlay_, LiveSide::kQ);
   if (p != nullptr) {
     *p = self_join_ ? *q
-                    : EffectivePointset(base_p_, *overlay_, LiveSide::kP);
+                    : EffectivePointset(base.pset(), *overlay_, LiveSide::kP);
   }
 }
 

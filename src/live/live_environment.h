@@ -8,9 +8,10 @@
 // (base tree, overlay epoch) pair; the snapshot pins the base so
 // compaction can never destroy trees a query is traversing.
 //
-// Compaction folds the delta into a freshly bulk-loaded base (the
-// external-memory STR loader for file/mmap backends), swaps it in under
-// the environment lock, waits for the old base's pins to drain, and only
+// Compaction folds the delta into the pointsets the current base was
+// packed from, bulk loads a fresh base over the result (the same
+// RcjEnvironment::Build every backend uses), swaps it in under the
+// environment lock, waits for the old base's pins to drain, and only
 // then destroys the old trees. The new base has a new generation, so no
 // engine cache entry of the old one is ever used again; such an entry
 // ages out of its engine's LRU. Mutations and queries proceed
@@ -69,9 +70,6 @@ struct Pin {
 struct LiveOptions {
   /// How base environments are built — at Create() and again at every
   /// compaction (same backend, storage_dir, page size, buffer sizing).
-  /// File/mmap-backed bases are rebuilt with the external STR loader,
-  /// which never materializes resident pointsets, so such environments
-  /// reject algorithm=brute.
   RcjRunOptions build;
   /// When > 0, a background thread compacts as soon as the overlay's
   /// pending() (delta records + tombstones) reaches this many mutations.
@@ -232,8 +230,6 @@ class LiveEnvironment {
   mutable std::mutex mu_;  // guards everything below
   std::shared_ptr<live_internal::BaseState> base_;
   std::shared_ptr<DeltaOverlay> overlay_;
-  std::vector<PointRecord> base_q_;  // what the current base was packed from
-  std::vector<PointRecord> base_p_;  // empty in self-join mode
   std::unordered_set<PointId> live_q_;  // ids alive across base + delta
   std::unordered_set<PointId> live_p_;  // unused in self-join mode
   uint64_t epoch_ = 0;

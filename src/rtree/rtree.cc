@@ -19,8 +19,7 @@ struct HeaderLayout {
   uint64_t num_points;
 };
 
-}  // namespace
-
+// The total orders STR bulk loading tiles with (see BulkLoadStr).
 bool StrLessByX(const PointRecord& a, const PointRecord& b) {
   if (a.pt.x != b.pt.x) return a.pt.x < b.pt.x;
   if (a.pt.y != b.pt.y) return a.pt.y < b.pt.y;
@@ -31,6 +30,8 @@ bool StrLessByY(const PointRecord& a, const PointRecord& b) {
   if (a.pt.x != b.pt.x) return a.pt.x < b.pt.x;
   return a.id < b.id;
 }
+
+}  // namespace
 
 RTree::RTree(PageStore* store, BufferManager* buffer, RTreeOptions options)
     : store_(store),
@@ -609,39 +610,20 @@ Status RTree::Delete(const PointRecord& rec, bool* found) {
 
 // ---- Bulk loading --------------------------------------------------------
 
-void RTree::BulkFills(uint32_t* leaf_fill, uint32_t* branch_fill) const {
-  *leaf_fill = std::clamp<uint32_t>(
-      static_cast<uint32_t>(options_.bulk_fill_fraction *
-                            static_cast<double>(leaf_capacity_)),
-      1, leaf_capacity_);
-  *branch_fill = std::clamp<uint32_t>(
-      static_cast<uint32_t>(options_.bulk_fill_fraction *
-                            static_cast<double>(branch_capacity_)),
-      2, branch_capacity_);
-}
-
-Status RTree::EmitBulkLeaf(const PointRecord* recs, size_t count,
-                           std::vector<BranchEntry>* level_entries) {
-  Node leaf;
-  leaf.level = 0;
-  leaf.points.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    leaf.points.push_back(LeafEntry{recs[i]});
-  }
-  Result<uint64_t> page = AllocateNode(leaf);
-  if (!page.ok()) return page.status();
-  level_entries->push_back(BranchEntry{leaf.ComputeMbr(), page.value()});
-  return Status::OK();
-}
-
 Status RTree::BulkLoadStr(std::vector<PointRecord> recs) {
   if (height_ != 0 || num_points_ != 0) {
     return Status::InvalidArgument("BulkLoadStr requires an empty tree");
   }
   if (recs.empty()) return Status::OK();
 
-  uint32_t leaf_fill = 0, branch_fill = 0;
-  BulkFills(&leaf_fill, &branch_fill);
+  const uint32_t leaf_fill = std::clamp<uint32_t>(
+      static_cast<uint32_t>(options_.bulk_fill_fraction *
+                            static_cast<double>(leaf_capacity_)),
+      1, leaf_capacity_);
+  const uint32_t branch_fill = std::clamp<uint32_t>(
+      static_cast<uint32_t>(options_.bulk_fill_fraction *
+                            static_cast<double>(branch_capacity_)),
+      2, branch_capacity_);
 
   const size_t n = recs.size();
   num_points_ = n;
@@ -662,15 +644,18 @@ Status RTree::BulkLoadStr(std::vector<PointRecord> recs) {
               StrLessByY);
     for (size_t begin = slab_begin; begin < slab_end; begin += leaf_fill) {
       const size_t end = std::min(slab_end, begin + leaf_fill);
-      RINGJOIN_RETURN_IF_ERROR(
-          EmitBulkLeaf(recs.data() + begin, end - begin, &level_entries));
+      Node leaf;
+      leaf.level = 0;
+      leaf.points.reserve(end - begin);
+      for (size_t k = begin; k < end; ++k) {
+        leaf.points.push_back(LeafEntry{recs[k]});
+      }
+      Result<uint64_t> page = AllocateNode(leaf);
+      if (!page.ok()) return page.status();
+      level_entries.push_back(BranchEntry{leaf.ComputeMbr(), page.value()});
     }
   }
-  return PackBulkUpperLevels(std::move(level_entries), branch_fill);
-}
 
-Status RTree::PackBulkUpperLevels(std::vector<BranchEntry> level_entries,
-                                  uint32_t branch_fill) {
   // Pack upper levels with the same tiling on entry-MBR centers.
   uint32_t level = 1;
   while (level_entries.size() > 1) {

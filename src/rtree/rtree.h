@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/macros.h"
@@ -22,19 +21,10 @@
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/node.h"
-#include "rtree/point_source.h"
 #include "storage/buffer_manager.h"
 #include "storage/page_store.h"
 
 namespace rcj {
-
-/// The deterministic total orders STR bulk loading tiles with: primary
-/// coordinate, then the other coordinate, then id. Being total (ids are
-/// unique), a sort under them has exactly one result — which is what lets
-/// the external-memory loader reproduce the in-memory loader byte for
-/// byte.
-bool StrLessByX(const PointRecord& a, const PointRecord& b);
-bool StrLessByY(const PointRecord& a, const PointRecord& b);
 
 /// Tuning knobs; defaults follow the R*-tree paper's recommendations.
 struct RTreeOptions {
@@ -76,18 +66,11 @@ class RTree {
   /// is not an error.
   Status Delete(const PointRecord& rec, bool* found);
 
-  /// Sort-tile-recursive bulk load. The tree must be empty.
+  /// Sort-tile-recursive bulk load. The tree must be empty. The tiling
+  /// sorts under total orders (coordinate, other coordinate, id), so the
+  /// same points always pack into the same pages, whatever their input
+  /// order and whatever the backing store.
   Status BulkLoadStr(std::vector<PointRecord> recs);
-
-  /// External-memory STR bulk load: consumes `source` once, spilling
-  /// StrLessByX-sorted runs of `run_points` records to temporary files
-  /// under `spill_dir` and merging them back, so peak memory is one run
-  /// plus the merge buffers — independent of |S|. Produces a page store
-  /// byte-identical to BulkLoadStr on the same points (same total orders,
-  /// same slab arithmetic, same allocation order). The tree must be empty.
-  Status BulkLoadStrExternal(PointSource* source,
-                             const std::string& spill_dir,
-                             size_t run_points = size_t{1} << 20);
 
   /// Persists tree metadata to the header page and flushes the buffer.
   Status SaveHeader();
@@ -163,16 +146,6 @@ class RTree {
 
   Status WriteNode(uint64_t page_no, const Node& node);
   Result<uint64_t> AllocateNode(const Node& node);
-
-  // Shared tail of both bulk loaders: leaf emission and upper-level
-  // packing, so the external path is allocation-order-identical to the
-  // in-memory one by construction.
-  Status EmitBulkLeaf(const PointRecord* recs, size_t count,
-                      std::vector<BranchEntry>* level_entries);
-  Status PackBulkUpperLevels(std::vector<BranchEntry> level_entries,
-                             uint32_t branch_fill);
-  /// leaf_fill/branch_fill from bulk_fill_fraction (clamped).
-  void BulkFills(uint32_t* leaf_fill, uint32_t* branch_fill) const;
 
   Status InsertEntry(const PendingEntry& entry);
   // DFS for the leaf holding `rec`; fills the descent path (ancestors) and

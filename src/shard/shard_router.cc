@@ -227,8 +227,7 @@ std::vector<EnvironmentStatus> ShardRouter::EnvStats() const {
       const RcjEnvironment* env = entry.second.env;
       status.stats.generation = env->generation();
       status.stats.base_q = env->qset().size();
-      status.stats.base_p =
-          env->self_join() ? env->qset().size() : env->pset().size();
+      status.stats.base_p = env->pset().size();
     }
     all.push_back(std::move(status));
   }

@@ -1,7 +1,6 @@
 #include "storage/page_store.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -94,8 +93,8 @@ Result<uint64_t> MemPageStore::Allocate() {
 
 // ---- FilePageStore -------------------------------------------------------
 
-Result<int> FilePageStore::OpenFd(const std::string& path, uint32_t page_size,
-                                  bool create, uint64_t* num_pages) {
+Result<std::unique_ptr<FilePageStore>> FilePageStore::Open(
+    const std::string& path, uint32_t page_size, bool create) {
   int flags = O_RDWR;
   if (create) flags |= O_CREAT;
   const int fd = ::open(path.c_str(), flags, 0644);
@@ -115,26 +114,13 @@ Result<int> FilePageStore::OpenFd(const std::string& path, uint32_t page_size,
     return Status::Corruption(
         "page file size is not a multiple of the page size: " + path);
   }
-  *num_pages = static_cast<uint64_t>(st.st_size) / page_size;
-  return fd;
-}
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::Open(
-    const std::string& path, uint32_t page_size, bool create) {
-  uint64_t pages = 0;
-  Result<int> fd = OpenFd(path, page_size, create, &pages);
-  if (!fd.ok()) return fd.status();
-  std::unique_ptr<FilePageStore> store(
-      new FilePageStore(fd.value(), path, page_size, pages));
-  store->EnableDirectReads();
-  return store;
-}
-
-void FilePageStore::EnableDirectReads() {
+  int direct_fd = -1;
 #if defined(O_DIRECT)
-  direct_fd_ = ::open(path_.c_str(), O_RDONLY | O_DIRECT);
-  direct_ok_.store(direct_fd_ >= 0, std::memory_order_relaxed);
+  direct_fd = ::open(path.c_str(), O_RDONLY | O_DIRECT);
 #endif
+  return std::unique_ptr<FilePageStore>(new FilePageStore(
+      fd, direct_fd, path, page_size,
+      static_cast<uint64_t>(st.st_size) / page_size));
 }
 
 FilePageStore::~FilePageStore() {
@@ -214,87 +200,6 @@ Status FilePageStore::Sync() {
   // completed write: re-arm direct mode.
   clean_.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-// ---- MappedPageStore -----------------------------------------------------
-
-Result<std::unique_ptr<MappedPageStore>> MappedPageStore::Open(
-    const std::string& path, uint32_t page_size, bool create) {
-  uint64_t pages = 0;
-  Result<int> fd = OpenFd(path, page_size, create, &pages);
-  if (!fd.ok()) return fd.status();
-  std::unique_ptr<MappedPageStore> store(
-      new MappedPageStore(fd.value(), path, page_size, pages));
-  if (pages > 0) {
-    RINGJOIN_RETURN_IF_ERROR(store->EnsureMapped(pages));
-  }
-  return store;
-}
-
-MappedPageStore::~MappedPageStore() {
-  uint8_t* map = map_.load(std::memory_order_relaxed);
-  if (map != nullptr) {
-    ::munmap(map, mapped_pages_.load(std::memory_order_relaxed) *
-                      static_cast<size_t>(page_size()));
-  }
-  for (const auto& old : retired_) ::munmap(old.first, old.second);
-}
-
-Status MappedPageStore::EnsureMapped(uint64_t min_pages) const {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  const uint64_t mapped = mapped_pages_.load(std::memory_order_relaxed);
-  if (mapped >= min_pages) return Status::OK();  // another thread raced us
-  // Map the file's full current length (never past EOF: touching unmapped
-  // file tail would SIGBUS).
-  const uint64_t file_pages = num_pages();
-  if (file_pages < min_pages) {
-    return Status::OutOfRange("read past end of MappedPageStore");
-  }
-  const size_t len = file_pages * static_cast<size_t>(page_size());
-  void* map = ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd_, 0);
-  if (map == MAP_FAILED) {
-    return Status::IoError(Errno("mmap failed"));
-  }
-  uint8_t* old = map_.load(std::memory_order_relaxed);
-  if (old != nullptr) {
-    // Concurrent readers may still hold the old pointer; retire it instead
-    // of unmapping (address space is reclaimed at destruction).
-    retired_.emplace_back(old, mapped * static_cast<size_t>(page_size()));
-  }
-  map_.store(static_cast<uint8_t*>(map), std::memory_order_relaxed);
-  mapped_pages_.store(file_pages, std::memory_order_release);
-  return Status::OK();
-}
-
-Status MappedPageStore::Read(uint64_t page_no, uint8_t* out) const {
-  if (page_no >= mapped_pages_.load(std::memory_order_acquire)) {
-    RINGJOIN_RETURN_IF_ERROR(EnsureMapped(page_no + 1));
-  }
-  const uint8_t* map = map_.load(std::memory_order_relaxed);
-  std::memcpy(out, map + page_no * static_cast<size_t>(page_size()),
-              page_size());
-  return Status::OK();
-}
-
-void MappedPageStore::Prefetch(uint64_t page_no, uint64_t count) const {
-  const uint64_t mapped = mapped_pages_.load(std::memory_order_acquire);
-  if (page_no >= mapped || count == 0) return;
-  count = std::min(count, mapped - page_no);
-  uint8_t* map = map_.load(std::memory_order_relaxed);
-  (void)::madvise(map + page_no * static_cast<size_t>(page_size()),
-                  count * static_cast<size_t>(page_size()), MADV_WILLNEED);
-}
-
-Status MappedPageStore::DropOsCache() {
-  const uint64_t mapped = mapped_pages_.load(std::memory_order_acquire);
-  uint8_t* map = map_.load(std::memory_order_relaxed);
-  if (map != nullptr && mapped > 0) {
-    // Drops this mapping's PTEs so the pages lose their mapped reference;
-    // the base-class fadvise below can then drop them from the page cache.
-    (void)::madvise(map, mapped * static_cast<size_t>(page_size()),
-                    MADV_DONTNEED);
-  }
-  return FilePageStore::DropOsCache();
 }
 
 }  // namespace rcj

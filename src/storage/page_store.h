@@ -1,5 +1,5 @@
 // The disk: a flat array of fixed-size pages addressed by page number.
-// Three backends share one interface and are all first-class hot paths:
+// Two backends share one interface and are both first-class hot paths:
 //
 //   * MemPageStore    — heap-resident pages. "Disk" behaviour is modeled by
 //                       the buffer manager's fault accounting, exactly as
@@ -16,11 +16,8 @@
 //                       caching and makes every fault an honest device read
 //                       (with automatic fallback to buffered pread where
 //                       O_DIRECT is unsupported).
-//   * MappedPageStore — the same file, read through a shared read-only
-//                       mmap(2) so a "page read" is a memcpy from the OS
-//                       page cache and prefetch is madvise(2).
 //
-// All backends support Prefetch() (readahead advice for the engine's
+// Both backends support Prefetch() (readahead advice for the engine's
 // leaf-order oracle) and DropOsCache() (best-effort eviction of the file's
 // OS-cached pages, so benchmarks can measure honestly cold runs).
 #ifndef RINGJOIN_STORAGE_PAGE_STORE_H_
@@ -52,8 +49,8 @@ inline constexpr uint32_t kDefaultPageSize = 1024;
 /// pools fault pages of one immutable tree. Writes and allocation (tree
 /// construction) remain single-threaded by design.
 ///
-/// Lifetime: a store owns its backing resource (heap pages, file
-/// descriptor, mapping) and must outlive every BufferManager and RTree view
+/// Lifetime: a store owns its backing resource (heap pages or file
+/// descriptors) and must outlive every BufferManager and RTree view
 /// opened over it.
 class PageStore {
  public:
@@ -78,8 +75,8 @@ class PageStore {
 
   /// Advises the backend that pages [page_no, page_no + count) will be read
   /// soon. Purely a hint: the default (and the in-memory backend) is a
-  /// no-op; the file backends translate it to posix_fadvise(WILLNEED) /
-  /// madvise(WILLNEED). Safe to call concurrently with Read().
+  /// no-op; the file backend translates it to posix_fadvise(WILLNEED).
+  /// Safe to call concurrently with Read().
   virtual void Prefetch(uint64_t page_no, uint64_t count) const {
     (void)page_no;
     (void)count;
@@ -92,8 +89,8 @@ class PageStore {
   virtual Status DropOsCache() { return Status::OK(); }
 
   /// Flushes buffered writes to the backing device. No-op in memory; the
-  /// file backends fdatasync (and the pread backend re-arms its O_DIRECT
-  /// read path, see FilePageStore). Environments call this once after
+  /// file backend fdatasyncs and re-arms its O_DIRECT read path (see
+  /// FilePageStore). Environments call this once after
   /// construction, before the trees go read-only.
   virtual Status Sync() { return Status::OK(); }
 
@@ -175,25 +172,19 @@ class FilePageStore : public PageStore {
   /// The backing file's path, for cleanup by the owner.
   const std::string& path() const { return path_; }
 
- protected:
-  FilePageStore(int fd, std::string path, uint32_t page_size,
+ private:
+  FilePageStore(int fd, int direct_fd, std::string path, uint32_t page_size,
                 uint64_t num_pages)
       : PageStore(page_size),
         fd_(fd),
+        direct_fd_(direct_fd),
         path_(std::move(path)),
-        num_pages_(num_pages) {}
-
-  /// Shared open/validate logic for this class and MappedPageStore.
-  static Result<int> OpenFd(const std::string& path, uint32_t page_size,
-                            bool create, uint64_t* num_pages);
-
-  /// Opens the O_DIRECT read descriptor (FilePageStore::Open only — the
-  /// mmap subclass reads through its mapping instead).
-  void EnableDirectReads();
+        num_pages_(num_pages),
+        direct_ok_(direct_fd >= 0) {}
 
   int fd_;
   /// O_RDONLY|O_DIRECT descriptor, -1 when unsupported.
-  int direct_fd_ = -1;
+  int direct_fd_;
   std::string path_;
   /// Grows only under `write_mu_`; readers load it lock-free.
   std::atomic<uint64_t> num_pages_;
@@ -201,49 +192,9 @@ class FilePageStore : public PageStore {
   std::mutex write_mu_;
   /// False once a direct read failed (EINVAL on odd page sizes, fs without
   /// O_DIRECT): buffered pread from then on.
-  mutable std::atomic<bool> direct_ok_{false};
+  mutable std::atomic<bool> direct_ok_;
   /// No buffered write since the last Sync(): direct reads are coherent.
   std::atomic<bool> clean_{true};
-};
-
-/// The same page file read through a long-lived read-only MAP_SHARED
-/// mapping: Read() is a bounds check plus memcpy, Prefetch() is
-/// madvise(MADV_WILLNEED). Writes still go through pwrite(2) — MAP_SHARED
-/// over the same file is coherent with them. When the file grows past the
-/// mapped length the mapping is extended under a mutex; superseded mappings
-/// are retired (kept alive until destruction, address space is cheap), so
-/// concurrent readers never race a munmap.
-class MappedPageStore : public FilePageStore {
- public:
-  static Result<std::unique_ptr<MappedPageStore>> Open(
-      const std::string& path, uint32_t page_size = kDefaultPageSize,
-      bool create = true);
-
-  ~MappedPageStore() override;
-
-  Status Read(uint64_t page_no, uint8_t* out) const override;
-  void Prefetch(uint64_t page_no, uint64_t count) const override;
-
-  /// madvise(MADV_DONTNEED) on the mapping (drops this process's PTEs) plus
-  /// the base-class fdatasync + fadvise(DONTNEED). Best-effort: the kernel
-  /// may keep pages another mapping still references.
-  Status DropOsCache() override;
-
- private:
-  MappedPageStore(int fd, std::string path, uint32_t page_size,
-                  uint64_t num_pages)
-      : FilePageStore(fd, std::move(path), page_size, num_pages) {}
-
-  /// Grows the mapping to cover at least `min_pages` pages. Publishes the
-  /// new map before the new length (release), so a reader that observes
-  /// the length observes the map.
-  Status EnsureMapped(uint64_t min_pages) const;
-
-  mutable std::mutex map_mu_;  // serializes remaps
-  mutable std::atomic<uint8_t*> map_{nullptr};
-  mutable std::atomic<uint64_t> mapped_pages_{0};
-  /// Superseded mappings, unmapped only in the destructor.
-  mutable std::vector<std::pair<void*, size_t>> retired_;
 };
 
 }  // namespace rcj

@@ -499,19 +499,45 @@ TEST(LiveEnvironmentTest, FileBackedLiveEnvironmentCompacts) {
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   LiveEnvironment& env = *live.value();
 
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  Engine engine(engine_options);
+
+  // Every algorithm, BRUTE included, answers on a file-backed base both
+  // serially and through the engine — before any compaction and after
+  // each one.
+  const auto expect_oracle = [&](const char* label) {
+    SCOPED_TRACE(label);
+    const std::vector<RcjPair> oracle = Oracle(env);
+    ASSERT_GT(oracle.size(), 0u);
+    const LiveSnapshot snapshot = env.TakeSnapshot();
+    for (const RcjAlgorithm algorithm :
+         {RcjAlgorithm::kObj, RcjAlgorithm::kBrute}) {
+      SCOPED_TRACE(AlgorithmName(algorithm));
+      ExpectSamePairs(SerialMerged(snapshot, algorithm), oracle, "serial");
+      QuerySpec spec = snapshot.Spec();
+      spec.algorithm = algorithm;
+      Result<RcjRunResult> parallel = engine.Run(spec);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectSamePairs(parallel.value().pairs, oracle, "engine");
+    }
+  };
+
   Churner churn(&env, 993, 20000);
   churn.Seed(LiveSide::kQ, qset);
   churn.Seed(LiveSide::kP, pset);
   for (int step = 1; step <= 200; ++step) {
     churn.Step();
     if (::testing::Test::HasFatalFailure()) return;
-    if (step == 100) ASSERT_TRUE(env.Compact().ok());
+    if (step == 100) {
+      expect_oracle("file-backed, before compaction");
+      ASSERT_TRUE(env.Compact().ok());
+      expect_oracle("file-backed, compacted once");
+    }
   }
-  ExpectSamePairs(SerialMerged(env.TakeSnapshot(), RcjAlgorithm::kObj),
-                  Oracle(env), "file-backed churn");
+  expect_oracle("file-backed churn");
   ASSERT_TRUE(env.Compact().ok());
-  ExpectSamePairs(SerialMerged(env.TakeSnapshot(), RcjAlgorithm::kObj),
-                  Oracle(env), "file-backed, compacted twice");
+  expect_oracle("file-backed, compacted twice");
 }
 
 TEST(LiveEnvironmentTest, SnapshotPinsItsBaseThroughCompaction) {

@@ -236,59 +236,6 @@ TEST(FilePageStoreTest, ConcurrentReadersSeeConsistentPages) {
   std::remove(path.c_str());
 }
 
-TEST(MappedPageStoreTest, ConcurrentReadersSeeConsistentPages) {
-  const std::string path = TempPath("ringjoin_concurrent_mmap.bin");
-  std::remove(path.c_str());
-  Result<std::unique_ptr<MappedPageStore>> store =
-      MappedPageStore::Open(path, 1024, /*create=*/true);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ConcurrentReadStress(store.value().get(), 64, 8);
-  std::remove(path.c_str());
-}
-
-TEST(MappedPageStoreTest, CreateWriteReopenReadAndGrow) {
-  const std::string path = TempPath("ringjoin_mmap_roundtrip.bin");
-  std::remove(path.c_str());
-
-  std::vector<uint8_t> in(512);
-  FillPattern(&in, 42);
-  {
-    Result<std::unique_ptr<MappedPageStore>> store =
-        MappedPageStore::Open(path, 512, /*create=*/true);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE(store.value()->Allocate().ok());
-    ASSERT_TRUE(store.value()->Write(0, in.data()).ok());
-    ASSERT_TRUE(store.value()->Sync().ok());
-  }
-  {
-    Result<std::unique_ptr<MappedPageStore>> store =
-        MappedPageStore::Open(path, 512, /*create=*/false);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_EQ(store.value()->num_pages(), 1u);
-    std::vector<uint8_t> out(512);
-    ASSERT_TRUE(store.value()->Read(0, out.data()).ok());
-    EXPECT_EQ(std::memcmp(in.data(), out.data(), 512), 0);
-
-    // Grow far enough past the initial mapping to force a remap, then read
-    // both old and new pages back — the old mapping must stay valid for
-    // readers that raced the growth (retired, not unmapped).
-    for (uint64_t p = 1; p < 256; ++p) {
-      Result<uint64_t> id = store.value()->Allocate();
-      ASSERT_TRUE(id.ok());
-      std::vector<uint8_t> page(512);
-      FillPattern(&page, static_cast<uint8_t>(p));
-      ASSERT_TRUE(store.value()->Write(id.value(), page.data()).ok());
-    }
-    ASSERT_TRUE(store.value()->Read(0, out.data()).ok());
-    EXPECT_EQ(std::memcmp(in.data(), out.data(), 512), 0);
-    std::vector<uint8_t> expect(512);
-    FillPattern(&expect, 255);
-    ASSERT_TRUE(store.value()->Read(255, out.data()).ok());
-    EXPECT_EQ(std::memcmp(expect.data(), out.data(), 512), 0);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(FilePageStoreTest, DropOsCachePreservesData) {
   const std::string path = TempPath("ringjoin_dropcache.bin");
   std::remove(path.c_str());

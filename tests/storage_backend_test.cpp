@@ -1,9 +1,8 @@
 // Integration tests for the real-I/O storage path: environments built on
-// the file and mmap backends must be indistinguishable from the in-memory
-// backend at the result level, the external-memory bulk loader must produce
-// page files byte-identical to the in-memory STR build, and the parallel
-// engine over file-backed trees must stream pair-identical results to a
-// serial in-memory run.
+// the file backend must be indistinguishable from the in-memory backend at
+// the result level, must hold page files byte-identical to the in-memory
+// build of the same points, and the parallel engine over file-backed trees
+// must stream pair-identical results to a serial in-memory run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,7 +12,6 @@
 
 #include "core/rcj.h"
 #include "engine/engine.h"
-#include "rtree/point_source.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -25,15 +23,15 @@ std::string StorageDir() {
   return dir != nullptr ? dir : "/tmp";
 }
 
-RcjRunOptions FileOptions(StorageBackend backend) {
+RcjRunOptions FileOptions() {
   RcjRunOptions options;
-  options.storage = backend;
+  options.storage = StorageBackend::kFile;
   options.storage_dir = StorageDir();
   return options;
 }
 
 // Reads every page of both stores and compares them byte for byte — the
-// strongest form of the "BuildExternal == Build" contract, independent of
+// strongest form of the "file build == mem build" contract, independent of
 // any join result.
 void ExpectByteIdenticalStores(PageStore* actual, PageStore* expected,
                                const char* label) {
@@ -63,74 +61,50 @@ TEST(StorageBackendTest, FileAndMmapMatchMemResults) {
   ASSERT_TRUE(mem.ok()) << mem.status().ToString();
   ASSERT_GT(mem.value().pairs.size(), 0u);
 
-  for (StorageBackend backend : {StorageBackend::kFile, StorageBackend::kMmap}) {
-    SCOPED_TRACE(StorageBackendName(backend));
-    Result<std::unique_ptr<RcjEnvironment>> env =
-        RcjEnvironment::Build(qset, pset, FileOptions(backend));
-    ASSERT_TRUE(env.ok()) << env.status().ToString();
-    EXPECT_EQ(env.value()->storage(), backend);
-    Result<RcjRunResult> got = env.value()->Run(QuerySpec::For(env.value().get()));
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    testing_util::ExpectSamePairs(got.value().pairs, mem.value().pairs,
-                                  StorageBackendName(backend));
-    // Deterministic accounting must not depend on where the pages live.
-    EXPECT_EQ(got.value().stats.candidates, mem.value().stats.candidates);
-    EXPECT_EQ(got.value().stats.node_accesses, mem.value().stats.node_accesses);
-    EXPECT_EQ(got.value().stats.page_faults, mem.value().stats.page_faults);
-    // A real backend must have spent measurable wall time inside reads.
-    EXPECT_GT(got.value().stats.io_wall_seconds, 0.0);
-  }
+  Result<std::unique_ptr<RcjEnvironment>> env =
+      RcjEnvironment::Build(qset, pset, FileOptions());
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  EXPECT_EQ(env.value()->storage(), StorageBackend::kFile);
+  Result<RcjRunResult> got =
+      env.value()->Run(QuerySpec::For(env.value().get()));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  testing_util::ExpectSamePairs(got.value().pairs, mem.value().pairs, "file");
+  // Deterministic accounting must not depend on where the pages live.
+  EXPECT_EQ(got.value().stats.candidates, mem.value().stats.candidates);
+  EXPECT_EQ(got.value().stats.node_accesses, mem.value().stats.node_accesses);
+  EXPECT_EQ(got.value().stats.page_faults, mem.value().stats.page_faults);
+  // A real backend must have spent measurable wall time inside reads.
+  EXPECT_GT(got.value().stats.io_wall_seconds, 0.0);
 }
 
-TEST(StorageBackendTest, ExternalBuildIsByteIdenticalToInMemoryBuild) {
+TEST(StorageBackendTest, FileBuildIsByteIdenticalToMemBuild) {
   const std::vector<PointRecord> qset = GenerateUniform(6000, 7);
   const std::vector<PointRecord> pset = GenerateUniform(6000, 8);
 
-  const RcjRunOptions options = FileOptions(StorageBackend::kFile);
-  Result<std::unique_ptr<RcjEnvironment>> in_memory =
-      RcjEnvironment::Build(qset, pset, options);
-  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  Result<std::unique_ptr<RcjEnvironment>> file =
+      RcjEnvironment::Build(qset, pset, FileOptions());
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  Result<std::unique_ptr<RcjEnvironment>> mem =
+      RcjEnvironment::Build(qset, pset, RcjRunOptions{});
+  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
 
-  VectorPointSource qsource(&qset);
-  VectorPointSource psource(&pset);
-  Result<std::unique_ptr<RcjEnvironment>> external =
-      RcjEnvironment::BuildExternal(&qsource, &psource, options);
-  ASSERT_TRUE(external.ok()) << external.status().ToString();
-  EXPECT_FALSE(external.value()->resident_pointsets());
-
-  ExpectByteIdenticalStores(external.value()->q_page_store(),
-                            in_memory.value()->q_page_store(), "q store");
-  ExpectByteIdenticalStores(external.value()->p_page_store(),
-                            in_memory.value()->p_page_store(), "p store");
+  ExpectByteIdenticalStores(file.value()->q_page_store(),
+                            mem.value()->q_page_store(), "q store");
+  ExpectByteIdenticalStores(file.value()->p_page_store(),
+                            mem.value()->p_page_store(), "p store");
 
   // Identical bytes must yield identical joins — and identical paper
   // accounting, since the traversal touches the same pages.
   Result<RcjRunResult> a =
-      external.value()->Run(QuerySpec::For(external.value().get()));
-  Result<RcjRunResult> b =
-      in_memory.value()->Run(QuerySpec::For(in_memory.value().get()));
+      file.value()->Run(QuerySpec::For(file.value().get()));
+  Result<RcjRunResult> b = mem.value()->Run(QuerySpec::For(mem.value().get()));
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  testing_util::ExpectSamePairs(a.value().pairs, b.value().pairs, "external");
+  ASSERT_GT(b.value().pairs.size(), 0u);
+  testing_util::ExpectSamePairs(a.value().pairs, b.value().pairs, "file");
+  EXPECT_EQ(a.value().stats.candidates, b.value().stats.candidates);
   EXPECT_EQ(a.value().stats.node_accesses, b.value().stats.node_accesses);
   EXPECT_EQ(a.value().stats.page_faults, b.value().stats.page_faults);
-}
-
-TEST(StorageBackendTest, ExternalBuildRejectsBrute) {
-  // BuildExternal never materializes the pointsets, so BRUTE (which scans
-  // them directly) must be rejected rather than silently run on nothing.
-  const std::vector<PointRecord> qset = GenerateUniform(500, 31);
-  const std::vector<PointRecord> pset = GenerateUniform(500, 32);
-  VectorPointSource qsource(&qset);
-  VectorPointSource psource(&pset);
-  Result<std::unique_ptr<RcjEnvironment>> env = RcjEnvironment::BuildExternal(
-      &qsource, &psource, FileOptions(StorageBackend::kFile));
-  ASSERT_TRUE(env.ok()) << env.status().ToString();
-
-  QuerySpec spec = QuerySpec::For(env.value().get());
-  spec.algorithm = RcjAlgorithm::kBrute;
-  Result<RcjRunResult> result = env.value()->Run(spec);
-  EXPECT_FALSE(result.ok());
 }
 
 TEST(StorageBackendTest, FileBackedParallelEngineMatchesSerialMemRun) {
@@ -149,7 +123,7 @@ TEST(StorageBackendTest, FileBackedParallelEngineMatchesSerialMemRun) {
   // The subject: the parallel engine over a file-backed environment, with
   // direct reads active (post-build Sync) and readahead on.
   Result<std::unique_ptr<RcjEnvironment>> file_env =
-      RcjEnvironment::Build(qset, pset, FileOptions(StorageBackend::kFile));
+      RcjEnvironment::Build(qset, pset, FileOptions());
   ASSERT_TRUE(file_env.ok()) << file_env.status().ToString();
 
   EngineOptions engine_options;

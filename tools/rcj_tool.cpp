@@ -148,9 +148,9 @@ int Usage() {
       "                         it missed, and rejoins the read window\n"
       "                         only once its epochs match the primary)\n"
       "  storage knobs (join/batch/serve — where the R-tree pages live):\n"
-      "           [--storage mem|file|mmap]  (default mem; file = pread,\n"
-      "                         mmap = memory-mapped reads)\n"
-      "           [--storage-dir DIR]  (file/mmap page files; default .)\n"
+      "           [--storage mem|file]  (default mem; file = page files\n"
+      "                         read with O_DIRECT pread)\n"
+      "           [--storage-dir DIR]  (file page files; default .)\n"
       "  every command rejects a flag it does not list above with exit 2\n"
       "  ('rcj_tool CMD: unknown flag --NAME')\n");
   return 2;
@@ -337,11 +337,11 @@ bool ParseRunOptions(const char* cmd,
   }
   options->page_size = static_cast<uint32_t>(page_size);
   // Storage backend for the environment's page stores: mem (historical
-  // default), file (pread), or mmap. --storage-dir picks where the page
-  // files of the non-mem backends live.
+  // default) or file (pread). --storage-dir picks where the file backend's
+  // page files live.
   if (!ParseStorageBackend(FlagOr(flags, "storage", "mem"),
                            &options->storage)) {
-    std::fprintf(stderr, "%s: invalid --storage '%s' (want mem|file|mmap)\n",
+    std::fprintf(stderr, "%s: invalid --storage '%s' (want mem|file)\n",
                  cmd, FlagOr(flags, "storage", "mem").c_str());
     *exit_code = 2;
     return false;
