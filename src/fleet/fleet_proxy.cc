@@ -243,6 +243,8 @@ void FleetProxy::HandleQuery(Connection* connection,
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(request.deadline_ms);
+  // Backend reads end at the deadline too; the checks below report it.
+  const auto read_by = has_deadline ? deadline : net::kNoDeadline;
   const auto remaining_ms = [&deadline] {
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -374,10 +376,10 @@ void FleetProxy::HandleQuery(Connection* connection,
     const bool resuming = ok_sent;
 
     std::string resp;
-    if (!conn.SendLine(attempt_line) || !conn.ReadLine(&resp)) {
+    if (!conn.SendLine(attempt_line) || !conn.ReadLine(&resp, read_by)) {
       SetBackendFd(connection, -1);
-      last_error = Status::IoError("backend " + backend_name +
-                                   " closed before a response");
+      last_error =
+          Status::IoError("backend " + backend_name + " sent no response");
       continue;
     }
     // A response line was read: the backend processed the request (and,
@@ -429,7 +431,7 @@ void FleetProxy::HandleQuery(Connection* connection,
         last_error = relay_fp;
         break;
       }
-      if (!conn.ReadLine(&resp)) {
+      if (!conn.ReadLine(&resp, read_by)) {
         last_error = Status::IoError(
             "backend " + backend_name + " lost mid-stream after " +
             std::to_string(seen) + " pairs");
@@ -492,7 +494,7 @@ void FleetProxy::HandleQuery(Connection* connection,
         // proxy's own spans, and emit one combined ENDTRACE.
         uint64_t relayed_spans = 0;
         std::string trace_line;
-        while (conn.ReadLine(&trace_line)) {
+        while (conn.ReadLine(&trace_line, read_by)) {
           if (net::IsTraceEndLine(trace_line)) break;
           if (!net::IsTraceLine(trace_line)) continue;  // defensive
           tail.append(trace_line).push_back('\n');

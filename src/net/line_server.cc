@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -19,6 +20,19 @@ namespace {
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+/// The ERR status a failed request read is answered with.
+Status ReadFailure(ReadOutcome outcome, size_t max_request_bytes) {
+  if (outcome == ReadOutcome::kTooLong) {
+    return Status::InvalidArgument(
+        "request line exceeds " + std::to_string(max_request_bytes) + " bytes");
+  }
+  if (outcome == ReadOutcome::kTimedOut) {
+    return Status::InvalidArgument("timed out waiting for request line");
+  }
+  return Status::InvalidArgument(
+      "connection closed before a full request line");
 }
 
 }  // namespace
@@ -171,13 +185,17 @@ void LineServer::AcceptLoop() {
   }
 }
 
-Status LineServer::ReadLine(Connection* connection, std::string* line,
-                            bool* clean_eof, bool* idle_closed) {
-  const RequestReadOptions read_options{options_.max_request_bytes,
-                                        options_.request_timeout_ms,
-                                        tier_.idle_timeout_ms};
-  return ReadRequestLine(connection->fd, read_options, &connection->carry,
-                         line, clean_eof, idle_closed);
+ReadOutcome LineServer::ReadLine(Connection* connection, std::string* line) {
+  ReadLimits limits;
+  limits.deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(options_.request_timeout_ms);
+  limits.idle_ms = tier_.idle_timeout_ms;
+  limits.max_bytes = options_.max_request_bytes;
+  const ReadOutcome outcome = connection->reader.Read(line, limits);
+  if (outcome == ReadOutcome::kIdle && tier_.idle_closed != nullptr) {
+    tier_.idle_closed->Add();
+  }
+  return outcome;
 }
 
 void LineServer::Reject(Connection* connection, const Status& status) {
@@ -187,21 +205,17 @@ void LineServer::Reject(Connection* connection, const Status& status) {
 
 void LineServer::Serve(Connection* connection) {
   std::string line;
-  bool idle_closed = false;
-  const Status status = ReadLine(connection, &line, nullptr, &idle_closed);
-  if (idle_closed) {
-    // The peer connected and sent nothing for the idle window: reap it
-    // quietly — no ERR, it was never mid-conversation.
-    if (tier_.idle_closed != nullptr) tier_.idle_closed->Add();
-  } else if (!status.ok()) {
-    Reject(connection, status);
-  } else {
+  const ReadOutcome outcome = ReadLine(connection, &line);
+  if (outcome == ReadOutcome::kLine) {
     const auto handler = tier_.verbs.find(RequestVerb(line));
     if (handler != tier_.verbs.end()) {
       handler->second(connection, line);
     } else {
       tier_.fallback(connection, line);
     }
+  } else if (outcome != ReadOutcome::kIdle) {
+    // An idle reap closes quietly: no ERR, the peer was never mid-request.
+    Reject(connection, ReadFailure(outcome, options_.max_request_bytes));
   }
   if (tier_.finish) tier_.finish(connection);
   {
@@ -216,17 +230,12 @@ void LineServer::Serve(Connection* connection) {
 
 void LineServer::ServeMutations(Connection* connection, std::string line) {
   while (tier_.mutate(connection, line)) {
-    bool clean_eof = false;
-    bool idle_closed = false;
-    const Status status = ReadLine(connection, &line, &clean_eof, &idle_closed);
-    if (!status.ok()) {
-      if (idle_closed && tier_.idle_closed != nullptr) {
-        tier_.idle_closed->Add();
-      }
-      // A clean close (or the idle reaper with no partial line pending)
-      // simply ends the batch; a half-delivered line is a real error.
-      if (!clean_eof && !idle_closed && !line.empty()) {
-        Reject(connection, status);
+    const ReadOutcome outcome = ReadLine(connection, &line);
+    if (outcome != ReadOutcome::kLine) {
+      // A clean close, an idle reap or a timeout between lines simply ends
+      // the batch; a half-delivered line is a real error.
+      if (connection->reader.HasBytes()) {
+        Reject(connection, ReadFailure(outcome, options_.max_request_bytes));
       }
       return;
     }

@@ -7,14 +7,16 @@
 // instead of spawning unbounded threads. It runs one thread per accepted
 // connection, reaps finished ones, and unblocks and joins the rest on
 // Stop(). The loop sleeps in poll with no timeout: a finishing handler
-// and Stop() each wake it through an eventfd. It reads the request line,
-// answers a read failure with ERR, and dispatches the line on its first
-// token (its verb) to the tier's handler table. It also owns the two
-// answers that do not depend on the tier: the mutation-batch loop (one
-// connection, many INSERT/DELETE/COMPACT lines, one ack each) and
-// METRICS. It owns each connection's one writer (a SocketSink) and one
-// stop (a StopToken), for both tiers. A tier supplies only its handlers
-// and a few hooks (LineServer::Tier).
+// and Stop() each wake it through an eventfd. It reads each request line
+// through the connection's net::LineReader (the one framer, under the
+// request timeout, the idle reaper and the length cap), answers a read
+// failure with ERR, and dispatches the line on its first token (its verb)
+// to the tier's handler table. It also owns the two answers that do not
+// depend on the tier: the mutation-batch loop (one connection, many
+// INSERT/DELETE/COMPACT lines, one ack each) and METRICS. It owns each
+// connection's one writer (a SocketSink) and one stop (a StopToken), for
+// both tiers. A tier supplies only its handlers and a few hooks
+// (LineServer::Tier).
 #ifndef RINGJOIN_NET_LINE_SERVER_H_
 #define RINGJOIN_NET_LINE_SERVER_H_
 
@@ -31,7 +33,7 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "core/stop_token.h"
-#include "net/request_reader.h"
+#include "net/line_reader.h"
 #include "net/socket_sink.h"
 #include "obs/metrics.h"
 
@@ -66,16 +68,18 @@ class LineServer {
   /// their hooks reach (NetServer's ticket, FleetProxy's backend socket).
   struct Connection {
     Connection(int client_fd, const SocketSinkOptions& sink_options)
-        : fd(client_fd), sink(client_fd, sink_options, &stop) {}
+        : fd(client_fd),
+          reader(client_fd),
+          sink(client_fd, sink_options, &stop) {}
     virtual ~Connection() = default;
 
     /// Guards `fd` and the tier's unblock state against Stop().
     std::mutex mu;
     /// The client socket; -1 once the handler closed it.
     int fd;
-    /// Bytes read past the current request line (the next lines of a
-    /// mutation batch). Handler thread only.
-    std::string carry;
+    /// Frames the client's request lines, keeping bytes read past the
+    /// current one (a batch's next lines). Handler thread only.
+    LineReader reader;
     /// Stops the connection's query or relay: Stop() with kCancelled, the
     /// sink with kPeerGone as it dies.
     StopToken stop;
@@ -154,9 +158,10 @@ class LineServer {
   void ReapFinishedConnections();
   /// The per-connection thread body: read, dispatch, finish, close.
   void Serve(Connection* connection);
-  /// Reads the next request line off the connection (see ReadRequestLine).
-  Status ReadLine(Connection* connection, std::string* line,
-                  bool* clean_eof = nullptr, bool* idle_closed = nullptr);
+  /// Reads the next request line (any CR kept for the parsers) under the
+  /// length cap, the request timeout and the tier's idle window, and
+  /// counts an idle reap.
+  ReadOutcome ReadLine(Connection* connection, std::string* line);
   /// Serves a batch of mutation lines, the first already read: each is
   /// applied through the tier's mutate hook, then the next line is read
   /// off the same connection until the client closes (clean end) or a

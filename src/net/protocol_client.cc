@@ -74,9 +74,13 @@ bool ProtocolClient::SendLine(const std::string& line) {
   return SendAll(fd_, line + "\n");
 }
 
-bool ProtocolClient::ReadLine(std::string* line) {
-  if (fd_ < 0) return false;
-  return reader_.ReadLine(line);
+bool ProtocolClient::ReadLine(std::string* line,
+                              ReadClock::time_point deadline) {
+  if (fd_ < 0 || reader_.Read(line, {deadline}) != ReadOutcome::kLine) {
+    return false;
+  }
+  if (!line->empty() && line->back() == '\r') line->pop_back();
+  return true;
 }
 
 Status ProtocolClient::ReadAck(const char* what) {

@@ -70,8 +70,9 @@ class ProtocolClient {
   bool SendLine(const std::string& line);
 
   /// Reads the next response line (LF consumed, CR stripped). False on
-  /// EOF or a hard error before a complete line.
-  bool ReadLine(std::string* line);
+  /// EOF, a hard error or `deadline` passing before a complete line.
+  bool ReadLine(std::string* line,
+                ReadClock::time_point deadline = kNoDeadline);
 
   /// True when the next ReadLine() will not wait on the socket.
   bool HasBufferedLine() const { return reader_.HasLine(); }

@@ -591,6 +591,97 @@ TEST(FleetProxyTest, StalledClientIsCancelledWithinTheDrainGrace) {
   proxy.Stop();
 }
 
+/// Like RawExchange, but gives up `timeout_ms` after sending: returns
+/// what arrived by then and sets `*closed` when the proxy ended the
+/// conversation.
+std::string ExchangeWithin(uint16_t port, const std::string& request,
+                           int timeout_ms, bool* closed) {
+  *closed = false;
+  Result<int> fd = net::DialTcp("127.0.0.1", port);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  if (!fd.ok()) return "";
+  EXPECT_TRUE(net::SendAll(fd.value(), request));
+  const auto limit = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(timeout_ms);
+  std::string received;
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          limit - std::chrono::steady_clock::now())
+                          .count();
+    struct pollfd pfd = {fd.value(), POLLIN, 0};
+    if (left <= 0 || poll(&pfd, 1, static_cast<int>(left)) <= 0) break;
+    char chunk[4096];
+    const ssize_t got = recv(fd.value(), chunk, sizeof(chunk), 0);
+    if (got <= 0) {
+      *closed = true;
+      break;
+    }
+    received.append(chunk, static_cast<size_t>(got));
+  }
+  close(fd.value());
+  return received;
+}
+
+/// A backend that reads the QUERY, sends `prefix`, and then stalls until
+/// the proxy drops the conversation (or 5 s pass).
+FakeBackend::Handler StallAfter(const std::string& prefix) {
+  return [prefix](size_t, int fd) {
+    FakeBackend::ReadLineRaw(fd);
+    FakeBackend::SendRaw(fd, prefix);
+    struct pollfd pfd = {fd, POLLIN, 0};
+    poll(&pfd, 1, 5000);
+  };
+}
+
+TEST(FleetProxyTest, SilentBackendIsAbandonedAtTheDeadline) {
+  // The backend takes the QUERY and never answers. The proxy reads its
+  // backends under the request's deadline, so the client hears
+  // DeadlineExceeded when the budget runs out, not never.
+  FakeBackend backend(StallAfter(""));
+  FleetProxyOptions options;
+  options.retry.max_attempts = 1;
+  FleetProxy proxy({backend.address()}, options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  bool closed = false;
+  const std::string proxied = ExchangeWithin(
+      proxy.port(), "QUERY algo=obj deadline_ms=300\n", 1000, &closed);
+  EXPECT_TRUE(closed) << "no answer within 1 s: " << proxied;
+  EXPECT_EQ(proxied.rfind("ERR DeadlineExceeded ", 0), 0u) << proxied;
+
+  proxy.Stop();
+  const FleetProxy::Counters counters = proxy.counters();
+  EXPECT_EQ(counters.expired, 1u);
+  EXPECT_EQ(counters.failovers, 0u) << "a spent budget is not a failover";
+  EXPECT_EQ(counters.failed, 0u);
+}
+
+TEST(FleetProxyTest, BackendStalledMidStreamIsAbandonedAtTheDeadline) {
+  // The backend streams three pairs and stalls: the client keeps them and
+  // gets a DeadlineExceeded epilogue once the budget runs out.
+  const std::string prefix = "OK\nPAIR a 1\nPAIR b 2\nPAIR c 3\n";
+  FakeBackend backend(StallAfter(prefix));
+  FleetProxyOptions options;
+  options.retry.max_attempts = 1;
+  FleetProxy proxy({backend.address()}, options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  bool closed = false;
+  const std::string proxied = ExchangeWithin(
+      proxy.port(), "QUERY algo=obj deadline_ms=300\n", 1000, &closed);
+  EXPECT_TRUE(closed) << "no answer within 1 s: " << proxied;
+  ASSERT_EQ(proxied.rfind(prefix, 0), 0u) << proxied;
+  EXPECT_EQ(proxied.find("ERR DeadlineExceeded ", prefix.size()),
+            prefix.size())
+      << proxied;
+
+  proxy.Stop();
+  const FleetProxy::Counters counters = proxy.counters();
+  EXPECT_EQ(counters.expired, 1u);
+  EXPECT_EQ(counters.failovers, 0u) << "a spent budget is not a failover";
+  EXPECT_EQ(counters.failed, 0u);
+}
+
 TEST(FleetProxyTest, DeadFleetMapsToIoErrorAfterBoundedRetries) {
   FleetProxyOptions options;
   options.retry.max_attempts = 3;

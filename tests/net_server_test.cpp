@@ -835,8 +835,8 @@ TEST(NetServerTest, BatchedMutationsShareOneConnection) {
   // The batched-wire-mutations contract: a client may keep sending
   // mutation lines on the connection after each OK + MUT, and the whole
   // batch counts as one connection. The batch here is pipelined — all
-  // four lines in one write — so the reader's carry buffer (bytes past
-  // the first newline) is what feeds ops 2..4.
+  // four lines in one write — so the bytes the server's LineReader keeps
+  // past the first newline are what feed ops 2..4.
   const std::vector<PointRecord> qset = GenerateUniform(300, 911);
   const std::vector<PointRecord> pset = GenerateUniform(400, 912);
   Result<std::unique_ptr<LiveEnvironment>> live =
