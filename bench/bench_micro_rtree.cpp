@@ -23,7 +23,7 @@ Env BuildTree(size_t n, bool bulk) {
   env.store = std::make_unique<MemPageStore>(kDefaultPageSize);
   env.buffer = std::make_unique<BufferManager>(1u << 18);
   env.tree =
-      std::move(RTree::Create(env.store.get(), env.buffer.get(), {}).value());
+      std::move(RTree::Create(env.store.get(), env.buffer.get()).value());
   const auto recs = GenerateUniform(n, 1);
   if (bulk) {
     (void)env.tree->BulkLoadStr(recs);

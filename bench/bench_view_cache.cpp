@@ -104,9 +104,9 @@ double RunSharedPoolThreads(RcjEnvironment* env, size_t num_threads,
   std::vector<ThreadViews> views(num_threads);
   for (ThreadViews& v : views) {
     Result<std::unique_ptr<RTree>> tq =
-        RTree::Open(env->q_page_store(), &shared, env->rtree_options());
+        RTree::Open(env->q_page_store(), &shared);
     Result<std::unique_ptr<RTree>> tp =
-        RTree::Open(env->p_page_store(), &shared, env->rtree_options());
+        RTree::Open(env->p_page_store(), &shared);
     if (!tq.ok() || !tp.ok()) {
       std::fprintf(stderr, "shared-pool view open failed\n");
       std::exit(1);

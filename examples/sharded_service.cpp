@@ -3,11 +3,12 @@
 // A city's middleman service answers for several districts at once; one of
 // them ("downtown") is far hotter than the rest. Funnelled through a
 // single unbounded queue, downtown's backlog would grow without bound.
-// This example stands up a ShardRouter instead: two shards (downtown
-// pinned alone on shard 1, the quiet districts pinned together on shard 0
-// — unpinned names would be hash-placed instead), each an admission
-// partition with its own queue bound and ledger over the router's one
-// engine, plus tight admission limits — so a burst of downtown traffic is partly shed with
+// This example stands up a ShardRouter instead: two shards, each an
+// admission partition with its own queue bound and ledger over the
+// router's one engine, plus tight admission limits. The router places an
+// environment by a stable hash of its name, and these district names hash
+// downtown alone onto shard 1 and the quiet districts together onto shard
+// 0 — so a burst of downtown traffic is partly shed with
 // StatusCode::kOverloaded while the quiet districts keep answering, and
 // the per-shard ledger reconciles at the end exactly like the network
 // server's STATS command.
@@ -48,9 +49,6 @@ int main() {
 
   ShardRouterOptions options;
   options.num_shards = 2;
-  options.placement["downtown"] = 1;  // the hot district gets shard 1 alone
-  options.placement["harbor"] = 0;
-  options.placement["campus"] = 0;
   options.admission.max_queue_per_shard = 4;  // bounded backlog per shard
   options.admission.max_inflight_total = 8;
   ShardRouter router(options);
@@ -62,10 +60,15 @@ int main() {
       return 1;
     }
   }
-  std::printf("router up: %zu shards, downtown pinned to shard %zu, "
+  const size_t hot_shard = router.ShardOf("downtown");
+  if (router.ShardOf("harbor") == hot_shard ||
+      router.ShardOf("campus") == hot_shard) {
+    std::fprintf(stderr, "downtown must hash onto a shard of its own\n");
+    return 1;
+  }
+  std::printf("router up: %zu shards, downtown hashed alone to shard %zu, "
               "harbor/campus on shard %zu\n",
-              router.num_shards(), router.ShardOf("downtown"),
-              router.ShardOf("harbor"));
+              router.num_shards(), hot_shard, router.ShardOf("harbor"));
 
   // The burst: 24 downtown queries land at once, plus 4 quiet-district
   // queries. Submission is non-blocking either way — shed requests learn

@@ -101,7 +101,6 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(
       next_generation.fetch_add(1, std::memory_order_relaxed);
   env->self_join_ = self_join;
   env->storage_ = options.storage;
-  env->rtree_options_ = options.rtree_options;
   env->qset_ = qset;
   if (!self_join) env->pset_ = pset;
 
@@ -112,8 +111,7 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(
   RINGJOIN_RETURN_IF_ERROR(
       env->MakeStore(options, "q", &env->q_store_, &env->q_path_));
   Result<std::unique_ptr<RTree>> tq =
-      RTree::Create(env->q_store_.get(), env->buffer_.get(),
-                    options.rtree_options);
+      RTree::Create(env->q_store_.get(), env->buffer_.get());
   if (!tq.ok()) return tq.status();
   env->tq_ = std::move(tq.value());
   RINGJOIN_RETURN_IF_ERROR(
@@ -123,8 +121,7 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(
     RINGJOIN_RETURN_IF_ERROR(
         env->MakeStore(options, "p", &env->p_store_, &env->p_path_));
     Result<std::unique_ptr<RTree>> tp =
-        RTree::Create(env->p_store_.get(), env->buffer_.get(),
-                      options.rtree_options);
+        RTree::Create(env->p_store_.get(), env->buffer_.get());
     if (!tp.ok()) return tp.status();
     env->tp_ = std::move(tp.value());
     RINGJOIN_RETURN_IF_ERROR(

@@ -61,7 +61,6 @@ struct RcjRunOptions {
   size_t min_buffer_pages = 32;
   /// STR bulk loading (fast, default) or one-by-one R* insertion.
   bool bulk_load = true;
-  RTreeOptions rtree_options;
 };
 
 /// Result of one join execution.
@@ -136,7 +135,6 @@ class RcjEnvironment {
   /// pool). `p_page_store()` is null in self-join mode.
   PageStore* q_page_store() const { return q_store_.get(); }
   PageStore* p_page_store() const { return p_store_.get(); }
-  const RTreeOptions& rtree_options() const { return rtree_options_; }
 
  private:
   RcjEnvironment() = default;
@@ -152,7 +150,6 @@ class RcjEnvironment {
   bool self_join_ = false;
   StorageBackend storage_ = StorageBackend::kMem;
   uint64_t generation_ = 0;
-  RTreeOptions rtree_options_;
   std::unique_ptr<PageStore> q_store_;
   std::unique_ptr<PageStore> p_store_;  // null in self-join mode
   std::string q_path_, p_path_;  // page-file paths ("" for kMem)

@@ -100,14 +100,14 @@ Status OpenWorkerView(const RcjEnvironment& env, size_t pool_pages,
                       WorkerView* view) {
   view->buffer = std::make_unique<BufferManager>(pool_pages);
 
-  Result<std::unique_ptr<RTree>> tq = RTree::Open(
-      env.q_page_store(), view->buffer.get(), env.rtree_options());
+  Result<std::unique_ptr<RTree>> tq =
+      RTree::Open(env.q_page_store(), view->buffer.get());
   if (!tq.ok()) return tq.status();
   view->tq = std::move(tq).value();
 
   if (!env.self_join()) {
-    Result<std::unique_ptr<RTree>> tp = RTree::Open(
-        env.p_page_store(), view->buffer.get(), env.rtree_options());
+    Result<std::unique_ptr<RTree>> tp =
+        RTree::Open(env.p_page_store(), view->buffer.get());
     if (!tp.ok()) return tp.status();
     view->tp = std::move(tp).value();
   }
@@ -273,12 +273,14 @@ struct QueryRun {
 namespace {
 
 /// Announces up to `cap` of a claimed chunk's leaf pages to the backing
-/// store before the traversal reads them (PageStore::Prefetch —
-/// posix_fadvise/madvise WILLNEED on the file backends, a no-op in memory).
+/// store before the traversal reads them (PageStore::Prefetch). Only the
+/// file backend's buffered fallback acts on it, with posix_fadvise
+/// WILLNEED; while the file store reads with O_DIRECT (every filesystem
+/// that accepts it) Prefetch returns at once, and in memory it is a no-op.
 /// The leaf order is computed up front, so this is a perfect prefetch
 /// oracle. STR leaves are nearly sequential on disk, so consecutive page
-/// numbers are coalesced into single Prefetch ranges — one fadvise/madvise
-/// per run instead of one per page.
+/// numbers are coalesced into single Prefetch ranges — one fadvise per run
+/// instead of one per page.
 void PrefetchChunkLeaves(const PageStore& store,
                          const std::vector<uint64_t>& leaves, size_t cap) {
   size_t issued = 0;

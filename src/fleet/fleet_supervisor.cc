@@ -21,6 +21,9 @@ namespace rcj {
 namespace fleet {
 namespace {
 
+/// How long a spawned backend may take to print its `listening on` line.
+constexpr int kStartupTimeoutMs = 15000;
+
 /// Fleet-tier health metrics: death/respawn totals plus a per-backend
 /// up/down gauge (labelled by backend index) the smoke can watch flip.
 struct SupervisorMetrics {
@@ -149,7 +152,7 @@ Status FleetSupervisor::Spawn(size_t index) {
   // Tail the log for the listening line to learn the ephemeral port.
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.startup_timeout_ms);
+      std::chrono::milliseconds(kStartupTimeoutMs);
   std::string log;
   while (std::chrono::steady_clock::now() < deadline) {
     int wait_status = 0;
@@ -171,7 +174,7 @@ Status FleetSupervisor::Spawn(size_t index) {
   backend.pid = -1;
   return Status::IoError("backend " + std::to_string(index) +
                          " did not report a port within " +
-                         std::to_string(options_.startup_timeout_ms) +
+                         std::to_string(kStartupTimeoutMs) +
                          "ms; see " + backend.log_path);
 }
 

@@ -52,8 +52,6 @@ struct FleetSupervisorOptions {
   size_t backends = 2;
   /// Directory for per-backend logs; created if missing.
   std::string log_dir = "fleet-logs";
-  /// How long to wait for a backend's `listening on` line.
-  int startup_timeout_ms = 15000;
   /// Respawn dead backends in Supervise().
   bool respawn = true;
 };

@@ -18,15 +18,20 @@ namespace rcj {
 namespace net {
 namespace {
 
+/// Pending connections the kernel queues while the accept loop defers.
+constexpr int kListenBacklog = 64;
+/// Hard cap on a request line; longer requests are rejected.
+constexpr size_t kMaxRequestBytes = 4096;
+
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
 /// The ERR status a failed request read is answered with.
-Status ReadFailure(ReadOutcome outcome, size_t max_request_bytes) {
+Status ReadFailure(ReadOutcome outcome) {
   if (outcome == ReadOutcome::kTooLong) {
     return Status::InvalidArgument(
-        "request line exceeds " + std::to_string(max_request_bytes) + " bytes");
+        "request line exceeds " + std::to_string(kMaxRequestBytes) + " bytes");
   }
   if (outcome == ReadOutcome::kTimedOut) {
     return Status::InvalidArgument("timed out waiting for request line");
@@ -76,7 +81,7 @@ Status LineServer::Start() {
   } else if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
                   sizeof(addr)) != 0) {
     status = Status::IoError(Errno("bind"));
-  } else if (listen(listen_fd_, options_.backlog) != 0) {
+  } else if (listen(listen_fd_, kListenBacklog) != 0) {
     status = Status::IoError(Errno("listen"));
   } else if (getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
                          &addr_len) != 0) {
@@ -190,7 +195,7 @@ ReadOutcome LineServer::ReadLine(Connection* connection, std::string* line) {
   limits.deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(options_.request_timeout_ms);
   limits.idle_ms = tier_.idle_timeout_ms;
-  limits.max_bytes = options_.max_request_bytes;
+  limits.max_bytes = kMaxRequestBytes;
   const ReadOutcome outcome = connection->reader.Read(line, limits);
   if (outcome == ReadOutcome::kIdle && tier_.idle_closed != nullptr) {
     tier_.idle_closed->Add();
@@ -215,7 +220,7 @@ void LineServer::Serve(Connection* connection) {
     }
   } else if (outcome != ReadOutcome::kIdle) {
     // An idle reap closes quietly: no ERR, the peer was never mid-request.
-    Reject(connection, ReadFailure(outcome, options_.max_request_bytes));
+    Reject(connection, ReadFailure(outcome));
   }
   if (tier_.finish) tier_.finish(connection);
   {
@@ -235,7 +240,7 @@ void LineServer::ServeMutations(Connection* connection, std::string line) {
       // A clean close, an idle reap or a timeout between lines simply ends
       // the batch; a half-delivered line is a real error.
       if (connection->reader.HasBytes()) {
-        Reject(connection, ReadFailure(outcome, options_.max_request_bytes));
+        Reject(connection, ReadFailure(outcome));
       }
       return;
     }

@@ -40,7 +40,9 @@
 namespace rcj {
 
 /// The listener options both tiers share; NetServerOptions and
-/// fleet::FleetProxyOptions derive from it.
+/// fleet::FleetProxyOptions derive from it. The kernel listen backlog (64)
+/// and the request-line cap (4096 bytes; longer lines are answered
+/// "ERR InvalidArgument request line exceeds 4096 bytes") are fixed.
 struct LineServerOptions {
   /// TCP port to listen on; 0 picks an ephemeral port (read it back with
   /// port() after Start()).
@@ -48,13 +50,10 @@ struct LineServerOptions {
   /// Listen address. The default only accepts loopback peers; widen it
   /// explicitly (e.g. "0.0.0.0") to serve remote callers.
   std::string bind_address = "127.0.0.1";
-  int backlog = 64;
   /// Cap on simultaneously served connections (each holds one thread).
   /// At the cap the accept loop defers — further peers wait in the kernel
   /// backlog instead of spawning unbounded threads.
   size_t max_connections = 256;
-  /// Hard cap on the request line; longer requests are rejected.
-  size_t max_request_bytes = 4096;
   /// How long a connection may take to deliver a request line (applied
   /// per line: each mutation of a batch gets a fresh allowance).
   int request_timeout_ms = 10000;

@@ -10,6 +10,9 @@ constexpr uint32_t kHeaderBytes = 8;
 constexpr uint32_t kLeafEntryBytes = 24;
 constexpr uint16_t kKindLeaf = 0;
 constexpr uint16_t kKindInternal = 1;
+// Splitting a leaf deeper than this fails (degenerate duplicate-heavy
+// input); 2^-48 of the domain is far below double resolution anyway.
+constexpr uint32_t kMaxDepth = 48;
 
 template <typename T>
 T LoadScalar(const uint8_t* p) {
@@ -40,19 +43,16 @@ Rect QuadNode::ChildRegion(const Rect& region, int quadrant) {
   return out;
 }
 
-QuadTree::QuadTree(PageStore* store, BufferManager* buffer,
-                   const Rect& domain, QuadTreeOptions options)
+QuadTree::QuadTree(PageStore* store, BufferManager* buffer, const Rect& domain)
     : store_(store),
       buffer_(buffer),
       store_id_(buffer->RegisterStore(store)),
       domain_(domain),
-      options_(options),
       leaf_capacity_((store->page_size() - kHeaderBytes) / kLeafEntryBytes) {}
 
 Result<std::unique_ptr<QuadTree>> QuadTree::Create(PageStore* store,
                                                    BufferManager* buffer,
-                                                   const Rect& domain,
-                                                   QuadTreeOptions options) {
+                                                   const Rect& domain) {
   if (store->num_pages() != 0) {
     return Status::InvalidArgument(
         "QuadTree::Create requires an empty page store");
@@ -60,8 +60,7 @@ Result<std::unique_ptr<QuadTree>> QuadTree::Create(PageStore* store,
   if (domain.IsEmpty()) {
     return Status::InvalidArgument("QuadTree domain must be non-empty");
   }
-  std::unique_ptr<QuadTree> tree(
-      new QuadTree(store, buffer, domain, options));
+  std::unique_ptr<QuadTree> tree(new QuadTree(store, buffer, domain));
   uint64_t header_page = 0;
   Result<PageHandle> header = buffer->NewPage(tree->store_id_, &header_page);
   if (!header.ok()) return header.status();
@@ -181,7 +180,7 @@ Status QuadTree::InsertRec(uint64_t page_no, const Rect& region,
   }
 
   // Split the full leaf into four quadrant leaves and retry.
-  if (depth >= options_.max_depth) {
+  if (depth >= kMaxDepth) {
     return Status::NotSupported(
         "quadtree leaf overflow at max depth (too many near-duplicate "
         "points for the bucket size)");

@@ -40,13 +40,6 @@ struct QuadNode {
   static Rect ChildRegion(const Rect& region, int quadrant);
 };
 
-/// Tuning knobs for the quadtree.
-struct QuadTreeOptions {
-  /// Splitting a leaf deeper than this fails (degenerate duplicate-heavy
-  /// input); 2^-48 of the domain is far below double resolution anyway.
-  uint32_t max_depth = 48;
-};
-
 /// A disk-resident bucket quadtree over a fixed domain rectangle. Shares
 /// PageStore/BufferManager injection with RTree so joins across index
 /// types are cost-accounted identically.
@@ -55,8 +48,7 @@ class QuadTree {
   /// Creates an empty tree over `domain`. Page 0 is the header.
   static Result<std::unique_ptr<QuadTree>> Create(PageStore* store,
                                                   BufferManager* buffer,
-                                                  const Rect& domain,
-                                                  QuadTreeOptions options = {});
+                                                  const Rect& domain);
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(QuadTree);
 
@@ -86,8 +78,7 @@ class QuadTree {
   Status CheckInvariants() const;
 
  private:
-  QuadTree(PageStore* store, BufferManager* buffer, const Rect& domain,
-           QuadTreeOptions options);
+  QuadTree(PageStore* store, BufferManager* buffer, const Rect& domain);
 
   Status WriteNode(uint64_t page_no, const QuadNode& node);
   Result<uint64_t> AllocateNode(const QuadNode& node);
@@ -109,7 +100,6 @@ class QuadTree {
   BufferManager* buffer_;
   int store_id_;
   Rect domain_;
-  QuadTreeOptions options_;
   uint32_t leaf_capacity_;
   uint64_t root_page_ = 0;
   uint64_t num_points_ = 0;

@@ -11,6 +11,20 @@ namespace {
 
 constexpr uint64_t kHeaderMagic = 0x524a525452454531ull;  // "RJRTREE1"
 
+// The R*-tree paper's recommendations: a split leaves each group at least
+// 40% full, and an overflow first reinserts the 30% of entries farthest from
+// the node's center.
+constexpr double kMinFillFraction = 0.4;
+constexpr double kReinsertFraction = 0.3;
+// STR bulk loading fills nodes to 70%, about the steady-state occupancy of
+// an insertion-built tree.
+constexpr double kBulkFillFraction = 0.7;
+
+// floor(fraction * count): how many of `count` entries a fraction names.
+uint32_t FractionOf(double fraction, size_t count) {
+  return static_cast<uint32_t>(fraction * static_cast<double>(count));
+}
+
 struct HeaderLayout {
   uint64_t magic;
   uint32_t page_size;
@@ -33,22 +47,20 @@ bool StrLessByY(const PointRecord& a, const PointRecord& b) {
 
 }  // namespace
 
-RTree::RTree(PageStore* store, BufferManager* buffer, RTreeOptions options)
+RTree::RTree(PageStore* store, BufferManager* buffer)
     : store_(store),
       buffer_(buffer),
       store_id_(buffer->RegisterStore(store)),
-      options_(options),
       leaf_capacity_(Node::LeafCapacity(store->page_size())),
       branch_capacity_(Node::BranchCapacity(store->page_size())) {}
 
 Result<std::unique_ptr<RTree>> RTree::Create(PageStore* store,
-                                             BufferManager* buffer,
-                                             RTreeOptions options) {
+                                             BufferManager* buffer) {
   if (store->num_pages() != 0) {
     return Status::InvalidArgument(
         "RTree::Create requires an empty page store");
   }
-  std::unique_ptr<RTree> tree(new RTree(store, buffer, options));
+  std::unique_ptr<RTree> tree(new RTree(store, buffer));
   // Reserve page 0 for the header.
   uint64_t header_page = 0;
   Result<PageHandle> page = buffer->NewPage(tree->store_id_, &header_page);
@@ -61,12 +73,11 @@ Result<std::unique_ptr<RTree>> RTree::Create(PageStore* store,
 }
 
 Result<std::unique_ptr<RTree>> RTree::Open(PageStore* store,
-                                           BufferManager* buffer,
-                                           RTreeOptions options) {
+                                           BufferManager* buffer) {
   if (store->num_pages() == 0) {
     return Status::InvalidArgument("RTree::Open on an empty page store");
   }
-  std::unique_ptr<RTree> tree(new RTree(store, buffer, options));
+  std::unique_ptr<RTree> tree(new RTree(store, buffer));
   Result<PageHandle> page = buffer->Pin(tree->store_id_, 0);
   if (!page.ok()) return page.status();
   HeaderLayout header;
@@ -119,13 +130,6 @@ Result<uint64_t> RTree::AllocateNode(const Node& node) {
   if (!page.ok()) return page.status();
   node.SerializeTo(page.value().mutable_data(), store_->page_size());
   return page_no;
-}
-
-uint32_t RTree::MinFill(const Node& node) const {
-  const uint32_t capacity = NodeCapacity(node);
-  const auto m = static_cast<uint32_t>(options_.min_fill_fraction *
-                                       static_cast<double>(capacity));
-  return std::max<uint32_t>(1, m);
 }
 
 // ---- Insertion ----------------------------------------------------------
@@ -198,8 +202,7 @@ Status RTree::HandleOverflow(uint64_t page_no, Node node,
                              std::vector<PathStep>* path) {
   const uint32_t level = node.level;
   const bool is_root = path->empty();
-  if (options_.forced_reinsert && !is_root && level < reinsert_done_.size() &&
-      !reinsert_done_[level]) {
+  if (!is_root && level < reinsert_done_.size() && !reinsert_done_[level]) {
     return ForcedReinsert(page_no, std::move(node), path);
   }
   return SplitAndPropagate(page_no, std::move(node), path);
@@ -211,8 +214,7 @@ Status RTree::ForcedReinsert(uint64_t page_no, Node node,
 
   const Point center = node.ComputeMbr().Center();
   const size_t total = node.size();
-  size_t p = static_cast<size_t>(options_.reinsert_fraction *
-                                 static_cast<double>(total));
+  size_t p = FractionOf(kReinsertFraction, total);
   p = std::clamp<size_t>(p, 1, total - 1);
 
   // Order entries by distance of their MBR center from the node center,
@@ -368,9 +370,7 @@ void RTree::SplitNode(Node* node, Node* sibling) const {
 
   const size_t total = node->size();
   const uint32_t capacity = NodeCapacity(*node);
-  size_t m = std::max<uint32_t>(1, static_cast<uint32_t>(
-                                       options_.min_fill_fraction *
-                                       static_cast<double>(capacity)));
+  size_t m = std::max<uint32_t>(1, FractionOf(kMinFillFraction, capacity));
   m = std::min(m, total / 2);
   m = std::max<size_t>(m, 1);
 
@@ -477,137 +477,6 @@ void RTree::SplitNode(Node* node, Node* sibling) const {
   }
 }
 
-// ---- Deletion ------------------------------------------------------------
-
-Status RTree::FindLeafRec(uint64_t page_no, const PointRecord& rec,
-                          std::vector<PathStep>* path, uint64_t* leaf_page,
-                          Node* leaf, bool* found) const {
-  Result<Node> node = ReadNode(page_no);
-  if (!node.ok()) return node.status();
-  if (node.value().is_leaf()) {
-    for (const LeafEntry& e : node.value().points) {
-      if (e.rec.id == rec.id && e.rec.pt == rec.pt) {
-        *leaf_page = page_no;
-        *leaf = std::move(node.value());
-        *found = true;
-        return Status::OK();
-      }
-    }
-    return Status::OK();
-  }
-  for (size_t i = 0; i < node.value().children.size(); ++i) {
-    const BranchEntry& e = node.value().children[i];
-    if (!e.mbr.Contains(rec.pt)) continue;
-    path->push_back(PathStep{page_no, node.value(), i});
-    RINGJOIN_RETURN_IF_ERROR(
-        FindLeafRec(e.child, rec, path, leaf_page, leaf, found));
-    if (*found) return Status::OK();
-    path->pop_back();
-  }
-  return Status::OK();
-}
-
-Status RTree::CollectSubtreePoints(uint64_t page_no,
-                                   std::vector<LeafEntry>* out) const {
-  Result<Node> node = ReadNode(page_no);
-  if (!node.ok()) return node.status();
-  if (node.value().is_leaf()) {
-    out->insert(out->end(), node.value().points.begin(),
-                node.value().points.end());
-    return Status::OK();
-  }
-  for (const BranchEntry& e : node.value().children) {
-    RINGJOIN_RETURN_IF_ERROR(CollectSubtreePoints(e.child, out));
-  }
-  return Status::OK();
-}
-
-Status RTree::Delete(const PointRecord& rec, bool* found) {
-  *found = false;
-  if (height_ == 0) return Status::OK();
-
-  std::vector<PathStep> path;
-  uint64_t leaf_page = 0;
-  Node leaf;
-  RINGJOIN_RETURN_IF_ERROR(
-      FindLeafRec(root_page_, rec, &path, &leaf_page, &leaf, found));
-  if (!*found) return Status::OK();
-
-  // Remove the entry from the leaf.
-  for (size_t i = 0; i < leaf.points.size(); ++i) {
-    if (leaf.points[i].rec.id == rec.id && leaf.points[i].rec.pt == rec.pt) {
-      leaf.points.erase(leaf.points.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
-  --num_points_;
-
-  // Condense bottom-up: underflowed non-root nodes are dissolved — their
-  // surviving points are collected for reinsertion and their parent slot
-  // removed; healthy nodes just tighten their ancestors' MBRs.
-  std::vector<LeafEntry> orphans;
-  Node current = std::move(leaf);
-  uint64_t current_page = leaf_page;
-  while (!path.empty()) {
-    PathStep parent = std::move(path.back());
-    path.pop_back();
-    const bool underflow = current.size() < MinFill(current);
-    if (underflow) {
-      if (current.is_leaf()) {
-        orphans.insert(orphans.end(), current.points.begin(),
-                       current.points.end());
-      } else {
-        for (const BranchEntry& e : current.children) {
-          RINGJOIN_RETURN_IF_ERROR(CollectSubtreePoints(e.child, &orphans));
-        }
-      }
-      // The dissolved node's page becomes garbage (no free list; deletion
-      // is off the join's hot path and page reuse is not worth the
-      // complexity here).
-      parent.node.children.erase(parent.node.children.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     parent.child_idx));
-    } else {
-      RINGJOIN_RETURN_IF_ERROR(WriteNode(current_page, current));
-      parent.node.children[parent.child_idx].mbr = current.ComputeMbr();
-    }
-    current = std::move(parent.node);
-    current_page = parent.page_no;
-  }
-
-  // `current` is now the root.
-  RINGJOIN_RETURN_IF_ERROR(WriteNode(current_page, current));
-
-  // Shrink degenerate root chains.
-  while (height_ > 1) {
-    Result<Node> root = ReadNode(root_page_);
-    if (!root.ok()) return root.status();
-    if (root.value().is_leaf() || root.value().children.size() != 1) break;
-    root_page_ = root.value().children[0].child;
-    --height_;
-  }
-  if (height_ == 1) {
-    Result<Node> root = ReadNode(root_page_);
-    if (!root.ok()) return root.status();
-    if (root.value().is_leaf() && root.value().points.empty() &&
-        num_points_ == orphans.size()) {
-      height_ = 0;  // fully empty; orphans (if any) re-grow the tree below
-    }
-  }
-
-  // Reinsert orphaned points.
-  for (const LeafEntry& e : orphans) {
-    reinsert_done_.assign(height_ == 0 ? 1 : height_, false);
-    PendingEntry entry;
-    entry.mbr = e.Mbr();
-    entry.target_level = 0;
-    entry.is_point = true;
-    entry.leaf = e;
-    RINGJOIN_RETURN_IF_ERROR(InsertEntry(entry));
-  }
-  return Status::OK();
-}
-
 // ---- Bulk loading --------------------------------------------------------
 
 Status RTree::BulkLoadStr(std::vector<PointRecord> recs) {
@@ -617,13 +486,9 @@ Status RTree::BulkLoadStr(std::vector<PointRecord> recs) {
   if (recs.empty()) return Status::OK();
 
   const uint32_t leaf_fill = std::clamp<uint32_t>(
-      static_cast<uint32_t>(options_.bulk_fill_fraction *
-                            static_cast<double>(leaf_capacity_)),
-      1, leaf_capacity_);
+      FractionOf(kBulkFillFraction, leaf_capacity_), 1, leaf_capacity_);
   const uint32_t branch_fill = std::clamp<uint32_t>(
-      static_cast<uint32_t>(options_.bulk_fill_fraction *
-                            static_cast<double>(branch_capacity_)),
-      2, branch_capacity_);
+      FractionOf(kBulkFillFraction, branch_capacity_), 2, branch_capacity_);
 
   const size_t n = recs.size();
   num_points_ = n;
@@ -724,30 +589,6 @@ Status RTree::RangeSearchRec(uint64_t page_no, const Rect& box,
   for (const BranchEntry& e : node.value().children) {
     if (box.Intersects(e.mbr)) {
       RINGJOIN_RETURN_IF_ERROR(RangeSearchRec(e.child, box, out));
-    }
-  }
-  return Status::OK();
-}
-
-Status RTree::CircleRangeStrict(const Circle& circle,
-                                std::vector<PointRecord>* out) const {
-  if (height_ == 0) return Status::OK();
-  return CircleRangeRec(root_page_, circle, out);
-}
-
-Status RTree::CircleRangeRec(uint64_t page_no, const Circle& circle,
-                             std::vector<PointRecord>* out) const {
-  Result<Node> node = ReadNode(page_no);
-  if (!node.ok()) return node.status();
-  if (node.value().is_leaf()) {
-    for (const LeafEntry& e : node.value().points) {
-      if (circle.ContainsStrict(e.rec.pt)) out->push_back(e.rec);
-    }
-    return Status::OK();
-  }
-  for (const BranchEntry& e : node.value().children) {
-    if (circle.IntersectsRect(e.mbr)) {
-      RINGJOIN_RETURN_IF_ERROR(CircleRangeRec(e.child, circle, out));
     }
   }
   return Status::OK();

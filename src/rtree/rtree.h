@@ -4,9 +4,12 @@
 //
 // Every node visit is routed through a shared BufferManager so that page
 // faults — and therefore the paper's charged I/O time — are measured
-// exactly. The tree supports one-by-one R* insertion (ChooseSubtree with
-// minimum overlap enlargement at the leaf level, forced reinsertion, and the
-// R* topological split) as well as sort-tile-recursive (STR) bulk loading.
+// exactly. The tree has one configuration, the R*-tree paper's: one-by-one
+// insertion (ChooseSubtree with minimum overlap enlargement at the leaf
+// level, forced reinsertion of 30% of an overflowing node, and the R*
+// topological split with 40% minimum fill) and sort-tile-recursive (STR)
+// bulk loading at 70% occupancy. Trees only grow: live environments
+// tombstone deleted points and rebuild on compaction, so there is no delete.
 #ifndef RINGJOIN_RTREE_RTREE_H_
 #define RINGJOIN_RTREE_RTREE_H_
 
@@ -17,7 +20,6 @@
 
 #include "common/macros.h"
 #include "common/status.h"
-#include "geometry/circle.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/node.h"
@@ -26,19 +28,6 @@
 
 namespace rcj {
 
-/// Tuning knobs; defaults follow the R*-tree paper's recommendations.
-struct RTreeOptions {
-  /// Minimum node fill as a fraction of capacity (R*: 40%).
-  double min_fill_fraction = 0.4;
-  /// Fraction of entries removed by forced reinsertion (R*: 30%).
-  double reinsert_fraction = 0.3;
-  /// Disable to fall back to split-only overflow handling (Guttman-style).
-  bool forced_reinsert = true;
-  /// Target node occupancy for STR bulk loading; ~0.7 mimics the steady-
-  /// state occupancy of an insertion-built tree.
-  double bulk_fill_fraction = 0.7;
-};
-
 /// A disk-resident R*-tree over 2-D points. Not thread-safe (the paper's
 /// algorithms are sequential); one tree owns no storage — the PageStore and
 /// BufferManager are injected so several trees can share one buffer.
@@ -46,25 +35,16 @@ class RTree {
  public:
   /// Creates an empty tree. Page 0 of the store becomes the tree header.
   static Result<std::unique_ptr<RTree>> Create(PageStore* store,
-                                               BufferManager* buffer,
-                                               RTreeOptions options = {});
+                                               BufferManager* buffer);
 
   /// Opens a tree previously persisted with SaveHeader().
   static Result<std::unique_ptr<RTree>> Open(PageStore* store,
-                                             BufferManager* buffer,
-                                             RTreeOptions options = {});
+                                             BufferManager* buffer);
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(RTree);
 
   /// R* insertion of one point.
   Status Insert(const PointRecord& rec);
-
-  /// Deletes the point matching `rec` (by coordinates and id). Underflowed
-  /// nodes are condensed: their remaining points are collected and
-  /// reinserted, and the root chain is shrunk when it degenerates.
-  /// `*found` reports whether the point existed; deleting a missing point
-  /// is not an error.
-  Status Delete(const PointRecord& rec, bool* found);
 
   /// Sort-tile-recursive bulk load. The tree must be empty. The tiling
   /// sorts under total orders (coordinate, other coordinate, id), so the
@@ -79,11 +59,6 @@ class RTree {
 
   /// All points inside the closed rectangle `box`.
   Status RangeSearch(const Rect& box, std::vector<PointRecord>* out) const;
-
-  /// All points strictly inside the open disk `circle` (the verification
-  /// primitive of the ring constraint).
-  Status CircleRangeStrict(const Circle& circle,
-                           std::vector<PointRecord>* out) const;
 
   /// The k nearest neighbors of q in ascending distance order.
   Result<std::vector<PointRecord>> Knn(const Point& q, size_t k) const;
@@ -117,14 +92,13 @@ class RTree {
 
   BufferManager* buffer() const { return buffer_; }
   int store_id() const { return store_id_; }
-  const RTreeOptions& options() const { return options_; }
 
   /// Structural integrity check used by tests: level consistency, fanout
   /// bounds, and exact parent-MBR/child-MBR agreement.
   Status CheckInvariants() const;
 
  private:
-  RTree(PageStore* store, BufferManager* buffer, RTreeOptions options);
+  RTree(PageStore* store, BufferManager* buffer);
 
   // An entry being (re)inserted at a given target level: either a point
   // destined for a leaf (level 0) or a subtree handle.
@@ -148,14 +122,6 @@ class RTree {
   Result<uint64_t> AllocateNode(const Node& node);
 
   Status InsertEntry(const PendingEntry& entry);
-  // DFS for the leaf holding `rec`; fills the descent path (ancestors) and
-  // the leaf itself. Returns found=false if no leaf contains the record.
-  Status FindLeafRec(uint64_t page_no, const PointRecord& rec,
-                     std::vector<PathStep>* path, uint64_t* leaf_page,
-                     Node* leaf, bool* found) const;
-  // Collects every point stored in the subtree under `page_no`.
-  Status CollectSubtreePoints(uint64_t page_no,
-                              std::vector<LeafEntry>* out) const;
   Status HandleOverflow(uint64_t page_no, Node node,
                         std::vector<PathStep>* path);
   Status ForcedReinsert(uint64_t page_no, Node node,
@@ -171,8 +137,6 @@ class RTree {
 
   Status RangeSearchRec(uint64_t page_no, const Rect& box,
                         std::vector<PointRecord>* out) const;
-  Status CircleRangeRec(uint64_t page_no, const Circle& circle,
-                        std::vector<PointRecord>* out) const;
   Status VisitLeavesRec(uint64_t page_no,
                         const std::function<bool(const Node&)>& callback,
                         bool* keep_going) const;
@@ -183,12 +147,10 @@ class RTree {
   uint32_t NodeCapacity(const Node& node) const {
     return node.is_leaf() ? leaf_capacity_ : branch_capacity_;
   }
-  uint32_t MinFill(const Node& node) const;
 
   PageStore* store_;
   BufferManager* buffer_;
   int store_id_;
-  RTreeOptions options_;
   uint32_t leaf_capacity_;
   uint32_t branch_capacity_;
 

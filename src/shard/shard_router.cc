@@ -10,11 +10,10 @@
 namespace rcj {
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
-    : options_(std::move(options)),
-      admission_(options_.num_shards == 0 ? 1 : options_.num_shards,
-                 options_.admission),
-      shards_(options_.num_shards == 0 ? 1 : options_.num_shards),
-      engine_(options_.service.engine) {}
+    : admission_(options.num_shards == 0 ? 1 : options.num_shards,
+                 options.admission),
+      shards_(options.num_shards == 0 ? 1 : options.num_shards),
+      engine_(options.service.engine) {}
 
 ShardRouter::~ShardRouter() {
   // Shutdown() drains every admitted query; their Release() callbacks run
@@ -29,15 +28,7 @@ Status ShardRouter::RegisterImpl(const std::string& name,
     return Status::InvalidArgument("environment '" + name +
                                    "' is already registered");
   }
-  const auto pin = options_.placement.find(name);
-  if (pin != options_.placement.end() && pin->second >= shards_.size()) {
-    return Status::InvalidArgument(
-        "placement pins '" + name + "' to shard " +
-        std::to_string(pin->second) + " but there are only " +
-        std::to_string(shards_.size()) + " shards");
-  }
-  registration.shard = ShardOf(name);
-  ++shards_[registration.shard].environments;
+  ++shards_[ShardOf(name)].environments;
   environments_.emplace(name, registration);
   return Status::OK();
 }
@@ -69,7 +60,7 @@ Status ShardRouter::ReleaseEnvironment(const std::string& name) {
   }
   const Registration registration = it->second;
   environments_.erase(it);
-  --shards_[registration.shard].environments;
+  --shards_[ShardOf(name)].environments;
   engine_.InvalidateCachedViews(registration.live != nullptr
                                     ? registration.live->TakeSnapshot().env()
                                     : registration.env);
@@ -77,12 +68,6 @@ Status ShardRouter::ReleaseEnvironment(const std::string& name) {
 }
 
 size_t ShardRouter::ShardOf(const std::string& env_name) const {
-  const auto it = environments_.find(env_name);
-  if (it != environments_.end()) return it->second.shard;
-  const auto pin = options_.placement.find(env_name);
-  if (pin != options_.placement.end() && pin->second < shards_.size()) {
-    return pin->second;
-  }
   return static_cast<size_t>(StableHash(env_name) % shards_.size());
 }
 
@@ -140,7 +125,7 @@ Status ShardRouter::Submit(const std::string& env_name, QuerySpec spec,
     return Status::NotFound("unknown environment '" + env_name + "'");
   }
   const Registration& registration = it->second;
-  const size_t shard = registration.shard;
+  const size_t shard = ShardOf(env_name);
 
   // Bind the spec before admission: a spec the environment cannot run is
   // a rejection, never a started query. Live submissions bind a fresh
@@ -219,7 +204,7 @@ std::vector<EnvironmentStatus> ShardRouter::EnvStats() const {
   for (const auto& entry : environments_) {
     EnvironmentStatus status;
     status.name = entry.first;
-    status.shard = entry.second.shard;
+    status.shard = ShardOf(entry.first);
     status.live = entry.second.live != nullptr;
     if (entry.second.live != nullptr) {
       status.stats = entry.second.live->stats();

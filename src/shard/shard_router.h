@@ -12,10 +12,9 @@
 // leaf chunk, and the partitions' yielded turns take turns on the pool.
 // Within a shard, queries finish oldest first.
 //
-// Environments are assigned to shards by explicit pin
-// (ShardRouterOptions::placement) or, by default, by a stable FNV-1a hash
-// of the name — the same name lands on the same shard on every platform
-// and every run, so operators can predict and rebalance placement.
+// Environments are assigned to shards by a stable FNV-1a hash of the name
+// (StableHash(name) % num_shards) — the same name lands on the same shard
+// on every platform and every run, so operators can predict placement.
 //
 // This is the layer the network front end submits through: NetServer maps
 // `ERR Overloaded` onto shed submissions and serves the router's per-shard
@@ -47,10 +46,6 @@ struct ShardRouterOptions {
   ServiceOptions service;
   /// Bounded queue depth per shard + global in-flight cap (0 = unbounded).
   AdmissionLimits admission;
-  /// Explicit environment placement (env name -> shard index), overriding
-  /// the hash for the named environments. Lets an operator isolate a known
-  /// hot environment on its own shard.
-  std::map<std::string, size_t> placement;
 };
 
 /// Point-in-time view of one shard, the STATS wire command's source.
@@ -81,10 +76,9 @@ class ShardRouter {
 
   RINGJOIN_DISALLOW_COPY_AND_ASSIGN(ShardRouter);
 
-  /// Registers a built environment under `name` on its assigned shard
-  /// (placement pin, else hash). The environment must outlive the router
-  /// and is treated as strictly read-only. InvalidArgument on a duplicate
-  /// name or an out-of-range placement pin. Not thread-safe against
+  /// Registers a built environment under `name` on its shard, ShardOf(name).
+  /// The environment must outlive the router and is treated as strictly
+  /// read-only. InvalidArgument on a duplicate name. Not thread-safe against
   /// Submit() — register everything before taking traffic, like the
   /// net server's construction-time registry.
   Status RegisterEnvironment(const std::string& name,
@@ -106,7 +100,8 @@ class ShardRouter {
   /// registered.
   Status ReleaseEnvironment(const std::string& name);
 
-  /// The shard `env_name` is (or would be) assigned to.
+  /// The shard `env_name` is (or would be) assigned to:
+  /// StableHash(env_name) % the shard count.
   size_t ShardOf(const std::string& env_name) const;
 
   /// The registered static environment, or nullptr. Live registrations
@@ -178,10 +173,9 @@ class ShardRouter {
   struct Registration {
     const RcjEnvironment* env = nullptr;
     LiveEnvironment* live = nullptr;
-    size_t shard = 0;
   };
 
-  /// Shared tail of both Register flavours: placement checks plus the
+  /// Shared tail of both Register flavours: the duplicate check plus the
   /// registry insert.
   Status RegisterImpl(const std::string& name, Registration registration);
 
@@ -189,7 +183,6 @@ class ShardRouter {
   /// documented on the mutation routers).
   Result<LiveEnvironment*> FindLive(const std::string& env_name) const;
 
-  ShardRouterOptions options_;
   AdmissionController admission_;
   std::vector<Shard> shards_;
   /// Fixed after registration.

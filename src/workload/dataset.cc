@@ -2,30 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 
 namespace rcj {
-
-void NormalizeToDomain(std::vector<PointRecord>* points, Domain domain) {
-  if (points->empty()) return;
-  double min_x = std::numeric_limits<double>::infinity();
-  double min_y = std::numeric_limits<double>::infinity();
-  double max_x = -std::numeric_limits<double>::infinity();
-  double max_y = -std::numeric_limits<double>::infinity();
-  for (const PointRecord& r : *points) {
-    min_x = std::min(min_x, r.pt.x);
-    min_y = std::min(min_y, r.pt.y);
-    max_x = std::max(max_x, r.pt.x);
-    max_y = std::max(max_y, r.pt.y);
-  }
-  const double span_x = max_x > min_x ? max_x - min_x : 1.0;
-  const double span_y = max_y > min_y ? max_y - min_y : 1.0;
-  const double width = domain.Width();
-  for (PointRecord& r : *points) {
-    r.pt.x = domain.lo + (r.pt.x - min_x) / span_x * width;
-    r.pt.y = domain.lo + (r.pt.y - min_y) / span_y * width;
-  }
-}
 
 Status SaveCsv(const Dataset& dataset, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -58,51 +36,6 @@ Result<Dataset> LoadCsv(const std::string& path) {
       std::fclose(f);
       return Status::Corruption("malformed CSV line in " + path);
     }
-  }
-  std::fclose(f);
-  return out;
-}
-
-Status SaveBinary(const Dataset& dataset, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
-  const uint64_t count = dataset.points.size();
-  if (std::fwrite(&count, sizeof(count), 1, f) != 1) {
-    std::fclose(f);
-    return Status::IoError("short write: " + path);
-  }
-  for (const PointRecord& r : dataset.points) {
-    if (std::fwrite(&r.pt.x, sizeof(double), 1, f) != 1 ||
-        std::fwrite(&r.pt.y, sizeof(double), 1, f) != 1 ||
-        std::fwrite(&r.id, sizeof(int64_t), 1, f) != 1) {
-      std::fclose(f);
-      return Status::IoError("short write: " + path);
-    }
-  }
-  std::fclose(f);
-  return Status::OK();
-}
-
-Result<Dataset> LoadBinary(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open: " + path);
-  Dataset out;
-  out.name = path;
-  uint64_t count = 0;
-  if (std::fread(&count, sizeof(count), 1, f) != 1) {
-    std::fclose(f);
-    return Status::Corruption("missing record count: " + path);
-  }
-  out.points.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PointRecord r;
-    if (std::fread(&r.pt.x, sizeof(double), 1, f) != 1 ||
-        std::fread(&r.pt.y, sizeof(double), 1, f) != 1 ||
-        std::fread(&r.id, sizeof(int64_t), 1, f) != 1) {
-      std::fclose(f);
-      return Status::Corruption("truncated dataset file: " + path);
-    }
-    out.points.push_back(r);
   }
   std::fclose(f);
   return out;

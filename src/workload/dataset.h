@@ -1,6 +1,6 @@
-// Named pointsets with CSV / binary persistence and domain normalization
-// ("Coordinate values in all datasets are normalized to the interval
-// [0, 10000]", paper Section 5).
+// Named pointsets with CSV persistence, the one dataset format every program
+// reads and writes. Generators already emit coordinates in the paper's
+// [0, 10000] domain (workload/generator.h).
 #ifndef RINGJOIN_WORKLOAD_DATASET_H_
 #define RINGJOIN_WORKLOAD_DATASET_H_
 
@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "geometry/point.h"
-#include "workload/generator.h"
 
 namespace rcj {
 
@@ -19,18 +18,9 @@ struct Dataset {
   std::vector<PointRecord> points;
 };
 
-/// Affinely rescales all points so the dataset's bounding box fits the
-/// target domain (aspect ratio is not preserved; each axis is scaled
-/// independently, which is how spatial-join benchmarks normalize inputs).
-void NormalizeToDomain(std::vector<PointRecord>* points, Domain domain = {});
-
 /// CSV persistence: header "id,x,y", one point per line.
 Status SaveCsv(const Dataset& dataset, const std::string& path);
 Result<Dataset> LoadCsv(const std::string& path);
-
-/// Binary persistence: u64 count, then (f64 x, f64 y, i64 id) records.
-Status SaveBinary(const Dataset& dataset, const std::string& path);
-Result<Dataset> LoadBinary(const std::string& path);
 
 }  // namespace rcj
 

@@ -18,27 +18,6 @@ std::string TempPath(const char* name) {
   return path;
 }
 
-TEST(DatasetTest, NormalizeToDomainStretchesBothAxes) {
-  std::vector<PointRecord> points{{{2.0, 50.0}, 0},
-                                  {{4.0, 70.0}, 1},
-                                  {{3.0, 60.0}, 2}};
-  NormalizeToDomain(&points, Domain{0.0, 10000.0});
-  EXPECT_DOUBLE_EQ(points[0].pt.x, 0.0);
-  EXPECT_DOUBLE_EQ(points[0].pt.y, 0.0);
-  EXPECT_DOUBLE_EQ(points[1].pt.x, 10000.0);
-  EXPECT_DOUBLE_EQ(points[1].pt.y, 10000.0);
-  EXPECT_DOUBLE_EQ(points[2].pt.x, 5000.0);
-  EXPECT_DOUBLE_EQ(points[2].pt.y, 5000.0);
-}
-
-TEST(DatasetTest, NormalizeHandlesDegenerateAxis) {
-  std::vector<PointRecord> points{{{5.0, 1.0}, 0}, {{5.0, 2.0}, 1}};
-  NormalizeToDomain(&points);  // x-axis has zero span
-  EXPECT_DOUBLE_EQ(points[0].pt.y, 0.0);
-  EXPECT_DOUBLE_EQ(points[1].pt.y, 10000.0);
-  EXPECT_FALSE(std::isnan(points[0].pt.x));
-}
-
 TEST(DatasetTest, CsvRoundtrip) {
   const std::string path = TempPath("ringjoin_dataset.csv");
   Dataset original{"test", GenerateUniform(200, 5)};
@@ -55,38 +34,8 @@ TEST(DatasetTest, CsvRoundtrip) {
   std::remove(path.c_str());
 }
 
-TEST(DatasetTest, BinaryRoundtrip) {
-  const std::string path = TempPath("ringjoin_dataset.bin");
-  Dataset original{"test", GenerateUniform(500, 6)};
-  ASSERT_TRUE(SaveBinary(original, path).ok());
-  Result<Dataset> loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().points.size(), original.points.size());
-  for (size_t i = 0; i < original.points.size(); ++i) {
-    EXPECT_EQ(loaded.value().points[i].id, original.points[i].id);
-    EXPECT_EQ(loaded.value().points[i].pt, original.points[i].pt);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(DatasetTest, LoadMissingFileFails) {
   EXPECT_FALSE(LoadCsv(TempPath("ringjoin_nope.csv")).ok());
-  EXPECT_FALSE(LoadBinary(TempPath("ringjoin_nope.bin")).ok());
-}
-
-TEST(DatasetTest, LoadTruncatedBinaryFails) {
-  const std::string path = TempPath("ringjoin_truncated.bin");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const uint64_t claimed = 100;  // claims 100 records, provides none
-    std::fwrite(&claimed, sizeof(claimed), 1, f);
-    std::fclose(f);
-  }
-  Result<Dataset> loaded = LoadBinary(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 TEST(DatasetTest, LoadMalformedCsvFails) {

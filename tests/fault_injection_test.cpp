@@ -68,7 +68,7 @@ Env MakeTree(size_t n, size_t buffer_pages = 16) {
   env.store = std::make_unique<FailingPageStore>(env.base.get());
   env.buffer = std::make_unique<BufferManager>(buffer_pages);
   env.tree = std::move(
-      RTree::Create(env.store.get(), env.buffer.get(), RTreeOptions{})
+      RTree::Create(env.store.get(), env.buffer.get())
           .value());
   for (const PointRecord& r : RandomRecords(n, 42)) {
     EXPECT_TRUE(env.tree->Insert(r).ok());

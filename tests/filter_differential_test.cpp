@@ -136,7 +136,7 @@ Tree BuildTree(const std::vector<PointRecord>& recs, uint32_t page_size,
   t.store = std::make_unique<MemPageStore>(page_size);
   t.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(t.store.get(), t.buffer.get(), RTreeOptions{});
+      RTree::Create(t.store.get(), t.buffer.get());
   EXPECT_TRUE(tree.ok());
   t.rtree = std::move(tree.value());
   if (bulk) {

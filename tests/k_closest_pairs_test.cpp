@@ -23,7 +23,7 @@ Env MakeTree(const std::vector<PointRecord>& recs, uint32_t page_size = 512) {
   env.store = std::make_unique<MemPageStore>(page_size);
   env.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(env.store.get(), env.buffer.get(), RTreeOptions{});
+      RTree::Create(env.store.get(), env.buffer.get());
   EXPECT_TRUE(tree.ok());
   env.tree = std::move(tree.value());
   for (const PointRecord& r : recs) EXPECT_TRUE(env.tree->Insert(r).ok());

@@ -37,8 +37,8 @@ Env MakeEnv(const std::vector<PointRecord>& qset,
   env.buffer = std::make_unique<BufferManager>(1u << 16);
   env.q_store = std::make_unique<MemPageStore>(512);
   env.p_store = std::make_unique<MemPageStore>(512);
-  auto tq = RTree::Create(env.q_store.get(), env.buffer.get(), RTreeOptions{});
-  auto tp = RTree::Create(env.p_store.get(), env.buffer.get(), RTreeOptions{});
+  auto tq = RTree::Create(env.q_store.get(), env.buffer.get());
+  auto tp = RTree::Create(env.p_store.get(), env.buffer.get());
   EXPECT_TRUE(tq.ok());
   EXPECT_TRUE(tp.ok());
   env.tq = std::move(tq.value());

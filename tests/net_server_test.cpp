@@ -30,6 +30,7 @@
 #include "live/live_environment.h"
 #include "net/protocol.h"
 #include "shard/shard_router.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace rcj {
@@ -588,10 +589,10 @@ TEST(NetServerTest, StatsProbeReportsPerShardLedger) {
 
   ShardRouterOptions router_options;
   router_options.num_shards = 2;
-  router_options.placement["default"] = 0;
-  router_options.placement["b"] = 1;
-  RouterFixture fixture({{"default", env_a.get()}, {"b", env_b.get()}},
-                        router_options);
+  RouterFixture fixture({{"default", env_a.get()}}, router_options);
+  // "default" hashes onto shard 0; the second environment takes shard 1.
+  const std::string b = testing_util::NameOnShard(fixture.router, 1);
+  ASSERT_TRUE(fixture.router.RegisterEnvironment(b, env_b.get()).ok());
   NetServer server(&fixture.router);
   ASSERT_TRUE(server.Start().ok());
 
@@ -612,7 +613,7 @@ TEST(NetServerTest, StatsProbeReportsPerShardLedger) {
   EXPECT_EQ(default_env->delta, 0u);
   EXPECT_EQ(default_env->base_q, 600u);
   EXPECT_EQ(default_env->base_p, 700u);
-  const net::WireEnvStats* b_env = cold.Env("b");
+  const net::WireEnvStats* b_env = cold.Env(b);
   ASSERT_NE(b_env, nullptr);
   EXPECT_EQ(b_env->shard, 1u);
   EXPECT_FALSE(b_env->live);
@@ -620,7 +621,7 @@ TEST(NetServerTest, StatsProbeReportsPerShardLedger) {
   // One query per environment, then the ledger must show exactly one
   // completed query on each shard.
   ASSERT_TRUE(RunQuery(server.port(), "QUERY algo=obj").saw_end);
-  ASSERT_TRUE(RunQuery(server.port(), "QUERY env=b algo=obj").saw_end);
+  ASSERT_TRUE(RunQuery(server.port(), "QUERY env=" + b + " algo=obj").saw_end);
   StatsResponse warm = RunStatsProbe(server.port());
   ASSERT_TRUE(warm.ok);
   ASSERT_EQ(warm.shards.size(), 2u);

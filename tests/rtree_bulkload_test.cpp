@@ -19,13 +19,12 @@ struct TreeFixture {
 };
 
 TreeFixture MakeBulkTree(const std::vector<PointRecord>& recs,
-                         uint32_t page_size = 1024,
-                         RTreeOptions options = {}) {
+                         uint32_t page_size = 1024) {
   TreeFixture f;
   f.store = std::make_unique<MemPageStore>(page_size);
   f.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(f.store.get(), f.buffer.get(), options);
+      RTree::Create(f.store.get(), f.buffer.get());
   EXPECT_TRUE(tree.ok());
   f.tree = std::move(tree.value());
   EXPECT_TRUE(f.tree->BulkLoadStr(recs).ok());
@@ -87,7 +86,7 @@ TEST(RTreeBulkLoadTest, ProducesSameQueryResultsAsInsertion) {
   ins.store = std::make_unique<MemPageStore>(1024);
   ins.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(ins.store.get(), ins.buffer.get(), RTreeOptions{});
+      RTree::Create(ins.store.get(), ins.buffer.get());
   ASSERT_TRUE(tree.ok());
   ins.tree = std::move(tree.value());
   for (const PointRecord& r : recs) ASSERT_TRUE(ins.tree->Insert(r).ok());
@@ -110,33 +109,14 @@ TEST(RTreeBulkLoadTest, ProducesSameQueryResultsAsInsertion) {
   }
 }
 
-TEST(RTreeBulkLoadTest, PacksTighterThanInsertion) {
-  const std::vector<PointRecord> recs = RandomRecords(5000, 11);
-  RTreeOptions packed;
-  packed.bulk_fill_fraction = 1.0;
-  TreeFixture bulk = MakeBulkTree(recs, 1024, packed);
-
-  TreeFixture ins;
-  ins.store = std::make_unique<MemPageStore>(1024);
-  ins.buffer = std::make_unique<BufferManager>(1u << 16);
-  Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(ins.store.get(), ins.buffer.get(), RTreeOptions{});
-  ASSERT_TRUE(tree.ok());
-  ins.tree = std::move(tree.value());
-  for (const PointRecord& r : recs) ASSERT_TRUE(ins.tree->Insert(r).ok());
-
-  // Fully packed STR uses strictly fewer pages than incremental R*
-  // insertion (whose steady-state occupancy is ~70%).
-  EXPECT_LT(bulk.tree->num_pages(), ins.tree->num_pages());
-}
-
 TEST(RTreeBulkLoadTest, CustomFillFraction) {
-  RTreeOptions options;
-  options.bulk_fill_fraction = 1.0;  // fully packed leaves
   const std::vector<PointRecord> recs = RandomRecords(4200, 12);
-  TreeFixture f = MakeBulkTree(recs, 1024, options);
+  TreeFixture f = MakeBulkTree(recs, 1024);
   ASSERT_TRUE(f.tree->CheckInvariants().ok());
-  // 4200 points at 42/leaf = 100 leaves exactly.
+  // STR fills leaves to 70%: 29 of 42 points at 1 KiB pages, so 145 leaves
+  // cut into ceil(sqrt(145)) = 13 slabs of 324 points. Each of the first 12
+  // slabs tiles into 12 leaves (the last one short) and the 312-point last
+  // slab into 11: 155 leaves.
   uint64_t leaves = 0;
   ASSERT_TRUE(f.tree
                   ->VisitLeavesDepthFirst([&](const Node&) {
@@ -144,7 +124,7 @@ TEST(RTreeBulkLoadTest, CustomFillFraction) {
                     return true;
                   })
                   .ok());
-  EXPECT_EQ(leaves, 100u);
+  EXPECT_EQ(leaves, 155u);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ TreeFixture MakeTree(size_t n, uint64_t seed, uint32_t page_size = 512) {
   f.store = std::make_unique<MemPageStore>(page_size);
   f.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(f.store.get(), f.buffer.get(), RTreeOptions{});
+      RTree::Create(f.store.get(), f.buffer.get());
   EXPECT_TRUE(tree.ok());
   f.tree = std::move(tree.value());
   f.recs = RandomRecords(n, seed);
@@ -99,7 +99,7 @@ TEST(InnCursorTest, EmptyTree) {
   f.store = std::make_unique<MemPageStore>(512);
   f.buffer = std::make_unique<BufferManager>(16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(f.store.get(), f.buffer.get(), RTreeOptions{});
+      RTree::Create(f.store.get(), f.buffer.get());
   ASSERT_TRUE(tree.ok());
   InnCursor cursor(tree.value().get(), Point{1, 1});
   PointRecord rec;
@@ -125,7 +125,7 @@ TEST(KnnTest, WorksOnBulkLoadedTree) {
   f.store = std::make_unique<MemPageStore>(512);
   f.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(f.store.get(), f.buffer.get(), RTreeOptions{});
+      RTree::Create(f.store.get(), f.buffer.get());
   ASSERT_TRUE(tree.ok());
   f.tree = std::move(tree.value());
   f.recs = RandomRecords(1200, 46);

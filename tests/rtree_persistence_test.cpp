@@ -31,7 +31,7 @@ TEST(RTreePersistenceTest, SaveReopenQuery) {
     ASSERT_TRUE(store.ok());
     BufferManager buffer(256);
     Result<std::unique_ptr<RTree>> tree =
-        RTree::Create(store.value().get(), &buffer, RTreeOptions{});
+        RTree::Create(store.value().get(), &buffer);
     ASSERT_TRUE(tree.ok());
     for (const PointRecord& r : recs) {
       ASSERT_TRUE(tree.value()->Insert(r).ok());
@@ -46,7 +46,7 @@ TEST(RTreePersistenceTest, SaveReopenQuery) {
     ASSERT_TRUE(store.ok());
     BufferManager buffer(256);
     Result<std::unique_ptr<RTree>> tree =
-        RTree::Open(store.value().get(), &buffer, RTreeOptions{});
+        RTree::Open(store.value().get(), &buffer);
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
     EXPECT_EQ(tree.value()->num_points(), recs.size());
     ASSERT_TRUE(tree.value()->CheckInvariants().ok())
@@ -74,7 +74,7 @@ TEST(RTreePersistenceTest, OpenWithWrongPageSizeFails) {
     ASSERT_TRUE(store.ok());
     BufferManager buffer(64);
     Result<std::unique_ptr<RTree>> tree =
-        RTree::Create(store.value().get(), &buffer, RTreeOptions{});
+        RTree::Create(store.value().get(), &buffer);
     ASSERT_TRUE(tree.ok());
     ASSERT_TRUE(tree.value()->Insert(PointRecord{{1, 1}, 0}).ok());
     ASSERT_TRUE(tree.value()->SaveHeader().ok());
@@ -85,7 +85,7 @@ TEST(RTreePersistenceTest, OpenWithWrongPageSizeFails) {
     ASSERT_TRUE(store.ok());
     BufferManager buffer(64);
     Result<std::unique_ptr<RTree>> tree =
-        RTree::Open(store.value().get(), &buffer, RTreeOptions{});
+        RTree::Open(store.value().get(), &buffer);
     EXPECT_FALSE(tree.ok());
   }
   std::remove(path.c_str());
@@ -105,7 +105,7 @@ TEST(RTreePersistenceTest, OpenGarbageFails) {
   ASSERT_TRUE(store.ok());
   BufferManager buffer(64);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Open(store.value().get(), &buffer, RTreeOptions{});
+      RTree::Open(store.value().get(), &buffer);
   EXPECT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());

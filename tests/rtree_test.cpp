@@ -20,12 +20,12 @@ struct TreeFixture {
   std::unique_ptr<RTree> tree;
 };
 
-TreeFixture MakeTree(uint32_t page_size = 1024, RTreeOptions options = {}) {
+TreeFixture MakeTree(uint32_t page_size = 1024) {
   TreeFixture f;
   f.store = std::make_unique<MemPageStore>(page_size);
   f.buffer = std::make_unique<BufferManager>(1u << 16);
   Result<std::unique_ptr<RTree>> tree =
-      RTree::Create(f.store.get(), f.buffer.get(), options);
+      RTree::Create(f.store.get(), f.buffer.get());
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   f.tree = std::move(tree.value());
   return f;
@@ -89,16 +89,13 @@ TEST(RTreeTest, CapacitiesMatchPaperPageLayout) {
 }
 
 class RTreeInsertSweep
-    : public ::testing::TestWithParam<std::tuple<size_t, uint32_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, uint32_t>> {};
 
 TEST_P(RTreeInsertSweep, InvariantsAndRangeQueriesHold) {
   const size_t n = std::get<0>(GetParam());
   const uint32_t page_size = std::get<1>(GetParam());
-  const bool forced_reinsert = std::get<2>(GetParam());
 
-  RTreeOptions options;
-  options.forced_reinsert = forced_reinsert;
-  TreeFixture f = MakeTree(page_size, options);
+  TreeFixture f = MakeTree(page_size);
   const std::vector<PointRecord> recs = RandomRecords(n, 1000 + n);
   for (const PointRecord& r : recs) {
     ASSERT_TRUE(f.tree->Insert(r).ok());
@@ -139,12 +136,11 @@ TEST_P(RTreeInsertSweep, InvariantsAndRangeQueriesHold) {
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPages, RTreeInsertSweep,
     ::testing::Combine(::testing::Values<size_t>(10, 100, 500, 2000),
-                       ::testing::Values<uint32_t>(256, 1024),
-                       ::testing::Bool()),
+                       ::testing::Values<uint32_t>(256, 1024)),
     [](const auto& info) {
+      // Every tree handles overflow with R* forced reinsertion.
       return "n" + std::to_string(std::get<0>(info.param)) + "_page" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_reinsert" : "_splitonly");
+             std::to_string(std::get<1>(info.param)) + "_reinsert";
     });
 
 TEST(RTreeTest, DuplicatePointsAreAllStored) {
@@ -156,28 +152,6 @@ TEST(RTreeTest, DuplicatePointsAreAllStored) {
   ASSERT_TRUE(f.tree->RangeSearch(Rect{{1.0, 1.0}, {1.0, 1.0}}, &out).ok());
   EXPECT_EQ(out.size(), 100u);
   EXPECT_TRUE(f.tree->CheckInvariants().ok());
-}
-
-TEST(RTreeTest, CircleRangeStrictMatchesBrute) {
-  TreeFixture f = MakeTree();
-  const std::vector<PointRecord> recs = RandomRecords(800, 7);
-  for (const PointRecord& r : recs) ASSERT_TRUE(f.tree->Insert(r).ok());
-
-  testing_util::SplitMix rng(8);
-  for (int trial = 0; trial < 25; ++trial) {
-    const Circle circle =
-        Circle::Enclosing(rng.NextPoint(0, 10000), rng.NextPoint(0, 10000));
-    std::vector<PointRecord> got;
-    ASSERT_TRUE(f.tree->CircleRangeStrict(circle, &got).ok());
-    size_t expected = 0;
-    for (const PointRecord& r : recs) {
-      if (circle.ContainsStrict(r.pt)) ++expected;
-    }
-    EXPECT_EQ(got.size(), expected);
-    for (const PointRecord& r : got) {
-      EXPECT_TRUE(circle.ContainsStrict(r.pt));
-    }
-  }
 }
 
 TEST(RTreeTest, VisitLeavesDepthFirstCoversAllPointsOnce) {

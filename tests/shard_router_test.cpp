@@ -1,6 +1,6 @@
 // Tests for rcj::ShardRouter + rcj::AdmissionController: routing must not
 // change results (every environment's stream through the router equals the
-// single-Service stream), placement must be stable and pinnable, and
+// single-Service stream), placement must be the stable name hash, and
 // admission must shed with kOverloaded under load while its ledger
 // reconciles exactly.
 #include "shard/shard_router.h"
@@ -15,11 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/stable_hash.h"
 #include "core/rcj.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace rcj {
 namespace {
+
+using testing_util::NameOnShard;
 
 std::unique_ptr<RcjEnvironment> BuildEnv(size_t n, uint64_t seed) {
   const std::vector<PointRecord> qset = GenerateUniform(n, seed);
@@ -90,33 +94,43 @@ TEST(ShardRouterTest, RegistrationPlacementAndLookup) {
 
   ShardRouterOptions options;
   options.num_shards = 4;
-  options.placement["pinned"] = 3;
   ShardRouter router(options);
 
-  ASSERT_TRUE(router.RegisterEnvironment("pinned", env_a.get()).ok());
+  ASSERT_TRUE(router.RegisterEnvironment("first", env_a.get()).ok());
   ASSERT_TRUE(router.RegisterEnvironment("hashed", env_b.get()).ok());
-  EXPECT_EQ(router.ShardOf("pinned"), 3u);
   EXPECT_LT(router.ShardOf("hashed"), 4u);
   // The hash is stable: the same name maps to the same shard on a fresh
   // router with the same shard count.
   ShardRouter twin(options);
   EXPECT_EQ(twin.ShardOf("hashed"), router.ShardOf("hashed"));
 
-  EXPECT_EQ(router.FindEnvironment("pinned"), env_a.get());
+  EXPECT_EQ(router.FindEnvironment("first"), env_a.get());
   EXPECT_EQ(router.FindEnvironment("hashed"), env_b.get());
   EXPECT_EQ(router.FindEnvironment("nosuch"), nullptr);
 
-  // Duplicate names, null environments, and out-of-range pins are refused.
-  EXPECT_EQ(router.RegisterEnvironment("pinned", env_b.get()).code(),
+  // Duplicate names and null environments are refused.
+  EXPECT_EQ(router.RegisterEnvironment("first", env_b.get()).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(router.RegisterEnvironment("null", nullptr).code(),
             StatusCode::kInvalidArgument);
-  ShardRouterOptions bad_pin;
-  bad_pin.num_shards = 2;
-  bad_pin.placement["oops"] = 7;
-  ShardRouter bad_router(bad_pin);
-  EXPECT_EQ(bad_router.RegisterEnvironment("oops", env_a.get()).code(),
-            StatusCode::kInvalidArgument);
+
+  // Placement is the stable hash modulo the shard count, and the
+  // registry reports every environment on the shard ShardOf names.
+  for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+    ShardRouterOptions hashed;
+    hashed.num_shards = shards;
+    ShardRouter placed(hashed);
+    for (int i = 0; i < 64; ++i) {
+      const std::string name = "district-" + std::to_string(i);
+      EXPECT_EQ(placed.ShardOf(name), StableHash(name) % shards) << name;
+      ASSERT_TRUE(placed.RegisterEnvironment(name, env_a.get()).ok());
+    }
+    const std::vector<EnvironmentStatus> envs = placed.EnvStats();
+    ASSERT_EQ(envs.size(), 64u) << shards << " shards";
+    for (const EnvironmentStatus& env : envs) {
+      EXPECT_EQ(env.shard, StableHash(env.name) % shards) << env.name;
+    }
+  }
 }
 
 TEST(ShardRouterTest, UnknownEnvironmentIsNotFoundAndNotCounted) {
@@ -499,8 +513,8 @@ TEST(ShardRouterTest, LiveQueriesStreamWhileCompactionRuns) {
 }
 
 TEST(ShardRouterTest, HotShardBacklogDoesNotDelayAnotherShard) {
-  // Isolation under one shared engine: environment A (shard 0) is flooded
-  // with full joins, then a top-1 query on environment B (shard 1) is
+  // Isolation under one shared engine: environment a (shard 0) is flooded
+  // with full joins, then a top-1 query on environment b (shard 1) is
   // submitted behind the whole flood. Claimants yield after every chunk
   // and the shards' yielded turns take turns, so B waits for a chunk per
   // queued task, not for A's joins to run dry. The stated bound: B
@@ -512,18 +526,18 @@ TEST(ShardRouterTest, HotShardBacklogDoesNotDelayAnotherShard) {
   ShardRouterOptions options;
   options.num_shards = 2;
   options.service.engine.num_threads = 4;
-  options.placement["A"] = 0;
-  options.placement["B"] = 1;
   ShardRouter router(options);
-  ASSERT_TRUE(router.RegisterEnvironment("A", env_a.get()).ok());
-  ASSERT_TRUE(router.RegisterEnvironment("B", env_b.get()).ok());
+  const std::string a = NameOnShard(router, 0);
+  const std::string b = NameOnShard(router, 1);
+  ASSERT_TRUE(router.RegisterEnvironment(a, env_a.get()).ok());
+  ASSERT_TRUE(router.RegisterEnvironment(b, env_b.get()).ok());
 
   std::atomic<size_t> flood_done{0};
   std::vector<CountingSink> flood_sinks(kFlood);
   std::vector<QueryTicket> flood(kFlood);
   for (size_t i = 0; i < kFlood; ++i) {
     ASSERT_TRUE(router
-                    .Submit("A", QuerySpec{}, &flood_sinks[i], &flood[i],
+                    .Submit(a, QuerySpec{}, &flood_sinks[i], &flood[i],
                             nullptr, [&] { flood_done.fetch_add(1); })
                     .ok());
   }
@@ -532,7 +546,7 @@ TEST(ShardRouterTest, HotShardBacklogDoesNotDelayAnotherShard) {
   top1.limit = 1;
   CountingSink sink;
   QueryTicket quick;
-  ASSERT_TRUE(router.Submit("B", top1, &sink, &quick).ok());
+  ASSERT_TRUE(router.Submit(b, top1, &sink, &quick).ok());
   ASSERT_TRUE(quick.Wait().ok());
   const size_t done_when_b_resolved = flood_done.load();
   EXPECT_EQ(sink.count(), 1u);
@@ -553,11 +567,11 @@ TEST(ShardRouterTest, QueuedCountsOnlyTheShardThatAdmittedTheQuery) {
   ShardRouterOptions options;
   options.num_shards = 2;
   options.service.engine.num_threads = 1;
-  options.placement["hot"] = 0;
-  options.placement["cold"] = 1;
   ShardRouter router(options);
-  ASSERT_TRUE(router.RegisterEnvironment("hot", env.get()).ok());
-  ASSERT_TRUE(router.RegisterEnvironment("cold", env.get()).ok());
+  const std::string hot = NameOnShard(router, 0);
+  const std::string cold_env = NameOnShard(router, 1);
+  ASSERT_TRUE(router.RegisterEnvironment(hot, env.get()).ok());
+  ASSERT_TRUE(router.RegisterEnvironment(cold_env, env.get()).ok());
 
   std::mutex mu;
   std::condition_variable cv;
@@ -571,7 +585,7 @@ TEST(ShardRouterTest, QueuedCountsOnlyTheShardThatAdmittedTheQuery) {
     return true;
   });
   QueryTicket gate;
-  ASSERT_TRUE(router.Submit("hot", QuerySpec{}, &gate_sink, &gate).ok());
+  ASSERT_TRUE(router.Submit(hot, QuerySpec{}, &gate_sink, &gate).ok());
   {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return entered; });
@@ -580,10 +594,10 @@ TEST(ShardRouterTest, QueuedCountsOnlyTheShardThatAdmittedTheQuery) {
   constexpr size_t kFlood = 5;
   std::vector<QueryTicket> flood(kFlood);
   for (QueryTicket& ticket : flood) {
-    ASSERT_TRUE(router.Submit("hot", QuerySpec{}, nullptr, &ticket).ok());
+    ASSERT_TRUE(router.Submit(hot, QuerySpec{}, nullptr, &ticket).ok());
   }
   QueryTicket cold;
-  ASSERT_TRUE(router.Submit("cold", QuerySpec{}, nullptr, &cold).ok());
+  ASSERT_TRUE(router.Submit(cold_env, QuerySpec{}, nullptr, &cold).ok());
 
   const std::vector<ShardStatus> queued = router.Stats();
   EXPECT_EQ(queued[0].queued, kFlood) << "the running gate is not queued";

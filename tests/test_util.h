@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,19 @@ inline std::vector<PointRecord> RandomRecords(size_t n, uint64_t seed,
                               static_cast<PointId>(i)});
   }
   return out;
+}
+
+/// The first of "env0", "env1", ... that `router` (a ShardRouter; a
+/// template so this header stays free of the shard layer) places on
+/// `shard`. Placement is a stable hash, so the name is the same every run.
+template <typename Router>
+std::string NameOnShard(const Router& router, size_t shard) {
+  for (size_t i = 0; i < 1000; ++i) {
+    std::string name = "env" + std::to_string(i);
+    if (router.ShardOf(name) == shard) return name;
+  }
+  ADD_FAILURE() << "no name hashes onto shard " << shard;
+  return "";
 }
 
 }  // namespace testing_util

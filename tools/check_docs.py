@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Check the repo's markdown docs for broken links and CLI drift.
+"""Check the repo's markdown docs for broken links, CLI drift and stale
+code references.
 
-Two independent checks, both designed to fail CI when the docs rot:
+Three independent checks, all designed to fail CI when the docs rot:
 
 1. **Link check** — every relative markdown link in README.md and
    docs/*.md must point at an existing file, and every ``#anchor`` (in a
@@ -13,7 +14,13 @@ Two independent checks, both designed to fail CI when the docs rot:
    invoke ``rcj_tool``) must exist in the usage text the built
    ``rcj_tool`` binary prints. Renaming or removing a flag without
    updating the docs fails the build. Pass ``--rcj-tool PATH`` to enable
-   this check (CI does); without it only the link check runs.
+   this check (CI does); without it it is skipped.
+
+3. **Code reference check** — every inline code span of the form
+   ``Type::member`` (optionally namespace-qualified, optionally followed
+   by an argument list) must name a ``Type`` and a ``member`` that both
+   still occur as identifiers in the C++ sources under src/ or tools/.
+   Deleting a type or member without updating the docs fails the build.
 
 Usage:
   check_docs.py [--root REPO_ROOT] [--rcj-tool PATH/TO/rcj_tool]
@@ -31,6 +38,10 @@ LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 SUBCOMMAND_RE = re.compile(r"rcj_tool\s+([a-z][a-z0-9_-]*)")
+CODE_REF_RE = re.compile(
+    r"`(?:[a-z_]\w*::)*([A-Z]\w*)::(\w+)(?:\([^`]*\))?`"
+)
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def doc_files(root: Path) -> list[Path]:
@@ -156,6 +167,33 @@ def check_cli_drift(files, usage: str, root: Path) -> list:
     return problems
 
 
+def source_identifiers(root: Path) -> set:
+    """Every identifier in the C++ sources under src/ and tools/."""
+    sources = list((root / "src").rglob("*.h"))
+    sources += (root / "src").rglob("*.cc")
+    sources += (root / "tools").glob("*.cpp")
+    names = set()
+    for source in sources:
+        names.update(IDENTIFIER_RE.findall(source.read_text()))
+    return names
+
+
+def check_code_refs(files, root: Path) -> list:
+    known = source_identifiers(root)
+    problems = []
+    for doc in files:
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for match in CODE_REF_RE.finditer(line):
+                missing = [n for n in match.groups() if n not in known]
+                if missing:
+                    problems.append(
+                        f"{doc.relative_to(root)}:{lineno}: code reference "
+                        f"{match.group(0)} names {', '.join(missing)}, which "
+                        f"no source under src/ or tools/ mentions"
+                    )
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -181,6 +219,7 @@ def main() -> int:
         return 2
 
     problems = check_links(files, args.root)
+    problems += check_code_refs(files, args.root)
 
     if args.rcj_tool is not None:
         if not args.rcj_tool.is_file():
